@@ -88,19 +88,16 @@ def cmd_gen_model(args) -> int:
     return EXIT_OK
 
 
-def _decode_one(model, path, opts):
-    return decode_file(model, path, opts)
-
-
 def cmd_decode(args) -> int:
-    model = load_model(args.model)
+    # options are checked before the model or any input is read
     opts = _decode_options(args)
+    model = load_model(args.model)
     paths = [Path(p) for p in args.inputs]
     failures = []
     results = [None] * len(paths)
     def work(i):
         try:
-            results[i] = _decode_one(model, paths[i], opts)
+            results[i] = decode_file(model, paths[i], opts)
         except (SparseRnntError, OSError) as exc:
             failures.append((paths[i], exc))
     if args.jobs > 1:

@@ -227,11 +227,23 @@ def read_feature_file(path) -> FeatureMatrix:
     head = text[0].split()
     if len(head) != 4:
         raise DataError(f"{path}: bad feature header {text[0]!r}")
-    T, F = int(head[0]), int(head[1])
-    shift, length = float(head[2]), float(head[3])
+    try:
+        T, F = int(head[0]), int(head[1])
+        shift, length = float(head[2]), float(head[3])
+    except ValueError:
+        raise DataError(f"{path}: bad feature header {text[0]!r}") from None
     if len(text) - 1 != T:
         raise DataError(f"{path}: expected {T} rows, found {len(text) - 1}")
-    frames = np.array([[float(v) for v in line.split()] for line in text[1:]])
-    if frames.shape != (T, F):
-        raise DataError(f"{path}: row width mismatch, expected {F} columns")
+    rows = []
+    for i, line in enumerate(text[1:]):
+        try:
+            row = [float(v) for v in line.split()]
+        except ValueError:
+            raise DataError(f"{path}: row {i}: non-numeric value in {line!r}") from None
+        if len(row) != F:
+            raise DataError(f"{path}: row {i}: {len(row)} columns, expected {F}")
+        if not np.isfinite(row).all():
+            raise DataError(f"{path}: row {i}: non-finite value in {line!r}")
+        rows.append(row)
+    frames = np.array(rows, dtype=float).reshape(T, F)
     return FeatureMatrix(frames, shift, length)

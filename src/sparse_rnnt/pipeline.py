@@ -37,8 +37,14 @@ class SegmentationSpec:
     def __post_init__(self):
         if self.kind not in ("none", "doi", "epd"):
             raise ParameterError(f"unknown segmentation {self.kind!r}")
-        if self.kind == "doi" and (self.doi_length is None or self.doi_length <= 0):
-            raise ParameterError("doi segmentation requires a positive length")
+        if not self.overlap >= 0:
+            raise ParameterError(f"overlap must be >= 0, got {self.overlap}")
+        if self.kind == "doi" and (self.doi_length is None
+                                   or not self.doi_length > 2 * self.overlap):
+            raise ParameterError(
+                f"doi segmentation needs a length greater than twice the "
+                f"overlap, got {self.doi_length} / {self.overlap}"
+            )
 
 
 @dataclass
@@ -83,7 +89,11 @@ def parse_segmentation(spec: str, overlap: float = 2.0) -> SegmentationSpec:
     if spec == "epd":
         return SegmentationSpec("epd")
     if spec.startswith("doi:"):
-        return SegmentationSpec("doi", doi_length=float(spec[4:]), overlap=overlap)
+        try:
+            length = float(spec[4:])
+        except ValueError:
+            raise ParameterError(f"bad doi length in segmentation {spec!r}") from None
+        return SegmentationSpec("doi", doi_length=length, overlap=overlap)
     raise ParameterError(f"unknown segmentation {spec!r}")
 
 

@@ -129,21 +129,146 @@ class _Entry:
     emitted: bool  # emitted a non-blank token during the current frame
 
 
-def _merge_and_prune(entries: list[_Entry], beam: int) -> list[_Entry]:
+def _blank_child(ent: _Entry, log_probs: np.ndarray, blank: int) -> _Entry:
+    """The entry's hypothesis closed with blank for the rest of the frame."""
+    return _Entry(
+        replace(
+            ent.hyp,
+            log_prob=ent.hyp.log_prob + log_probs[blank],
+            last_was_blank=not ent.emitted,
+        ),
+        active=False,
+        emitted=ent.emitted,
+    )
+
+
+def _merge_finished(entries: list[tuple[int, _Entry]]) -> list[tuple[int, _Entry]]:
+    """Log-sum-exp merge of finished entries on identical prefixes.
+
+    `entries` are (pool position, entry) pairs in pool order. The first
+    entry with a prefix keeps its position, hypothesis and prediction
+    state; later ones only add their score. Under SRS one prefix can
+    reach the merge with two different states: a finished entry carried
+    over from before a reset (zero state) and the same prefix re-emitted
+    after it by a shorter one (a stepped state). Carried entries come
+    first in pool order, so the carried state is the one kept. The rule
+    is part of the output: keeping the other state changes transcripts.
+    """
     merged: dict = {}
-    for ent in entries:
-        key = (ent.hyp.tokens, ent.active)
-        prev = merged.get(key)
-        if prev is None:
-            merged[key] = ent
+    for pos, ent in entries:
+        first = merged.get(ent.hyp.tokens)
+        if first is None:
+            merged[ent.hyp.tokens] = (pos, ent)
         else:
-            # same prefix implies the same prediction state; combine scores
+            prev = first[1]
             prev.hyp = replace(
                 prev.hyp, log_prob=_logsumexp(prev.hyp.log_prob, ent.hyp.log_prob)
             )
             prev.emitted = prev.emitted or ent.emitted
-    ranked = sorted(merged.values(), key=lambda e: e.hyp.sort_key())
-    return ranked[:beam]
+    return list(merged.values())
+
+
+def _expand_round(
+    h_i: np.ndarray,
+    pool: list[_Entry],
+    beam: int,
+    model,
+    frame_idx: int,
+    grow: bool,
+) -> list[_Entry]:
+    """One expansion round: score from the joint, merge, prune, then step.
+
+    Every active entry gets one joint call. Its blank child is finished;
+    with `grow`, its non-blank children are candidates known only by
+    (parent, token) and a score. Candidates are ranked on the key
+    (-log_prob, tokens), exact ties kept in pool order, and the LSTM is
+    stepped only for the children among the best `beam`. Children never
+    merge with finished entries (the merge key includes `active`), and
+    children of parents with distinct prefixes never merge at all; only
+    a caller's hypothesis list can repeat a prefix.
+    """
+    blank = model.config.vocab.blank_id
+    carried = [e for e in pool if not e.active]
+    actives = [e for e in pool if e.active]
+    log_probs = [joint(h_i, e.hyp.pred_out, model) for e in actives]
+    V = len(model.config.vocab)
+    # pool positions: carried entries first, then per active its blank
+    # child followed by its non-blank children in token order
+    base = len(carried)
+    finished = _merge_finished(
+        list(enumerate(carried))
+        + [(base + a * V, _blank_child(e, lp, blank))
+           for a, (e, lp) in enumerate(zip(actives, log_probs))]
+    )
+    n_fin = len(finished)
+    scores = [e.hyp.log_prob for _, e in finished]
+    positions = [pos for pos, _ in finished]
+    rows: list[int] = []
+    cols = [k for k in range(V) if k != blank]
+    if grow and cols:
+        kid = np.array([e.hyp.log_prob for e in actives])[:, None] + np.array(log_probs)
+        kid = kid[:, cols]
+        rows = _merge_children(actives, kid)
+        kid_pos = base + np.array(rows)[:, None] * V + 1 + np.arange(len(cols))
+        scores = np.concatenate([scores, kid[rows].ravel()])
+        positions = np.concatenate([positions, kid_pos.ravel()])
+    scores = np.asarray(scores, dtype=float)
+    order = np.lexsort((positions, -scores))
+
+    def child(f: int) -> tuple[Hypothesis, int]:
+        r, c = divmod(f - n_fin, len(cols))
+        return actives[rows[r]].hyp, cols[c]
+
+    def tokens_of(f: int) -> tuple[int, ...]:
+        if f < n_fin:
+            return finished[f][1].hyp.tokens
+        parent, k = child(f)
+        return parent.tokens + (k,)
+
+    # walk runs of equal score; only a run of ties needs the token tuples
+    ranked = scores[order].tolist()
+    chosen: list[int] = []
+    i = 0
+    while i < len(ranked) and len(chosen) < beam:
+        j = i + 1
+        while j < len(ranked) and ranked[j] == ranked[i]:
+            j += 1
+        run = order[i:j].tolist()
+        if len(run) > 1:
+            run.sort(key=tokens_of)
+        chosen += run
+        i = j
+    out = []
+    for f in chosen[:beam]:
+        if f < n_fin:
+            out.append(finished[f][1])
+            continue
+        parent, k = child(f)
+        g, state = predict_step(k, parent.pred_state, model)
+        out.append(_Entry(
+            Hypothesis(parent.tokens + (k,), parent.frames + (frame_idx,),
+                       scores[f], state, g, last_was_blank=False),
+            active=True,
+            emitted=True,
+        ))
+    return out
+
+
+def _merge_children(actives: list[_Entry], kid: np.ndarray) -> list[int]:
+    """Merge the children of parents that share a prefix, in pool order.
+
+    Folds each later duplicate's row of child scores into its first
+    parent's row with log-sum-exp and returns the rows that remain (all
+    of them when the prefixes are distinct).
+    """
+    groups: dict = {}
+    for a, ent in enumerate(actives):
+        groups.setdefault(ent.hyp.tokens, []).append(a)
+    for first, *rest in groups.values():
+        for a in rest:
+            for c in range(kid.shape[1]):
+                kid[first, c] = _logsumexp(kid[first, c], kid[a, c])
+    return [g[0] for g in groups.values()]
 
 
 def beam_search_step(
@@ -159,69 +284,21 @@ def beam_search_step(
     Within the frame, hypotheses may emit up to max_expansions non-blank
     tokens; after each expansion round the pool is merged (log-sum-exp on
     identical prefixes) and pruned to the beam width. Ties break on the
-    lexicographic token sequence.
+    lexicographic token sequence. The prediction network is stepped only
+    for the at most `beam` expansions that survive each round's prune.
     """
     if beam < 1:
         raise ParameterError(f"beam must be >= 1, got {beam}")
     if not hyps_prev:
         raise ParameterError("beam_search_step requires at least one hypothesis")
-    blank = model.config.vocab.blank_id
     pool = [_Entry(h, active=True, emitted=False) for h in hyps_prev]
     for _ in range(max_expansions):
-        actives = [e for e in pool if e.active]
-        if not actives:
+        if not any(e.active for e in pool):
             break
-        new_entries = [e for e in pool if not e.active]
-        for ent in actives:
-            log_probs = joint(h_i, ent.hyp.pred_out, model)
-            new_entries.append(
-                _Entry(
-                    replace(
-                        ent.hyp,
-                        log_prob=ent.hyp.log_prob + log_probs[blank],
-                        last_was_blank=not ent.emitted,
-                    ),
-                    active=False,
-                    emitted=ent.emitted,
-                )
-            )
-            for k in range(len(log_probs)):
-                if k == blank:
-                    continue
-                g, state = predict_step(k, ent.hyp.pred_state, model)
-                new_entries.append(
-                    _Entry(
-                        Hypothesis(
-                            ent.hyp.tokens + (k,),
-                            ent.hyp.frames + (frame_idx,),
-                            ent.hyp.log_prob + log_probs[k],
-                            state,
-                            g,
-                            last_was_blank=False,
-                        ),
-                        active=True,
-                        emitted=True,
-                    )
-                )
-        pool = _merge_and_prune(new_entries, beam)
+        pool = _expand_round(h_i, pool, beam, model, frame_idx, grow=True)
     # force-terminate any hypotheses still mid-frame at the expansion cap
-    leftover = [e for e in pool if e.active]
-    if leftover:
-        finished = [e for e in pool if not e.active]
-        for ent in leftover:
-            log_probs = joint(h_i, ent.hyp.pred_out, model)
-            finished.append(
-                _Entry(
-                    replace(
-                        ent.hyp,
-                        log_prob=ent.hyp.log_prob + log_probs[blank],
-                        last_was_blank=not ent.emitted,
-                    ),
-                    active=False,
-                    emitted=ent.emitted,
-                )
-            )
-        pool = _merge_and_prune(finished, beam)
+    if any(e.active for e in pool):
+        pool = _expand_round(h_i, pool, beam, model, frame_idx, grow=False)
     return [e.hyp for e in pool]
 
 

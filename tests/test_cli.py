@@ -129,6 +129,33 @@ class TestDecode:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--segmentation", "doi:abc"],
+        ["--segmentation", "doi:3", "--overlap", "2"],
+        ["--segmentation", "doi:20", "--overlap", "-1"],
+    ])
+    def test_bad_segmentation_one_config_error(self, model_path, tmp_path,
+                                               capsys, flags):
+        # the inputs do not exist: exit 2 shows that none was read
+        inputs = [str(tmp_path / "a.wav"), str(tmp_path / "b.wav")]
+        code = main(["decode", "--model", str(model_path), *inputs, *flags])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+    @pytest.mark.parametrize("row", ["0.5 abc", "nan 0.5"])
+    def test_bad_feature_value_exit_data(self, model_path, tmp_path, capsys, row):
+        from sparse_rnnt.model_io import load_model
+
+        F = load_model(model_path).config.feat_dim
+        feats = tmp_path / "bad.feats"
+        rows = [" ".join(["0.5"] * F)] * 20
+        rows[7] = row + " 0.5" * (F - 2)
+        feats.write_text(f"20 {F} 0.01 0.025\n" + "\n".join(rows) + "\n")
+        code = main(["decode", "--model", str(model_path), str(feats)])
+        assert code == EXIT_DATA
+        assert "row 7" in capsys.readouterr().err
+
 class TestHeatmap:
     def test_export_square_csv(self, model_path, wav_path, tmp_path):
         out = tmp_path / "h.csv"

@@ -178,3 +178,28 @@ class TestFeatureFile:
         path.write_text("3 2 0.01 0.025\n1 2\n3 4\n")
         with pytest.raises(DataError):
             read_feature_file(path)
+
+    def test_non_numeric_value_names_row(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 0.01 0.025\n1 2\n3 x\n")
+        with pytest.raises(DataError, match="row 1"):
+            read_feature_file(path)
+
+    def test_non_numeric_header_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("two 2 0.01 0.025\n1 2\n3 4\n")
+        with pytest.raises(DataError, match="header"):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_row(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3 2 0.01 0.025\n1 2\n3 4\n{value} 5\n")
+        with pytest.raises(DataError, match="row 2"):
+            read_feature_file(path)
+
+    def test_ragged_row_names_row(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 0.01 0.025\n1 2 3\n4 5\n")
+        with pytest.raises(DataError, match="row 0"):
+            read_feature_file(path)

@@ -3,6 +3,7 @@ import pytest
 
 from sparse_rnnt.errors import DataError, ParameterError
 from sparse_rnnt.frontend import Waveform
+from sparse_rnnt.pipeline import SegmentationSpec, parse_segmentation
 from sparse_rnnt.segmentation import (
     Segment,
     TimedToken,
@@ -167,3 +168,26 @@ class TestSegmentCsv:
 def test_segment_invariants_enforced():
     with pytest.raises(ParameterError):
         Segment(1.0, 2.0, 0.5, 1.5)
+
+
+class TestSegmentationSpec:
+    def test_bad_doi_length_is_parameter_error(self):
+        for spec in ("doi:abc", "doi:", "doi:1e"):
+            with pytest.raises(ParameterError):
+                parse_segmentation(spec)
+
+    @pytest.mark.parametrize("length, overlap", [
+        (3.0, 2.0), (4.0, 2.0), (10.0, -0.5), (20.0, float("nan")),
+        (float("nan"), 2.0)])
+    def test_doi_window_must_exceed_both_overlaps(self, length, overlap):
+        with pytest.raises(ParameterError):
+            SegmentationSpec("doi", doi_length=length, overlap=overlap)
+
+    def test_negative_overlap_rejected_for_every_kind(self):
+        for kind in ("none", "epd"):
+            with pytest.raises(ParameterError):
+                SegmentationSpec(kind, overlap=-1.0)
+
+    def test_valid_specs(self):
+        assert parse_segmentation("doi:4.5", 2.0).doi_length == 4.5
+        assert SegmentationSpec("doi", doi_length=1.0, overlap=0.0).overlap == 0.0

@@ -1,15 +1,18 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import tiny_config
+from sparse_rnnt import transducer
 from sparse_rnnt.encoder import EncoderOutputs
 from sparse_rnnt.errors import ParameterError, VocabularyError
 from sparse_rnnt.model_io import random_model
 from sparse_rnnt.numerics import RecurrentState
 from sparse_rnnt.transducer import (
+    Hypothesis,
     SrsCounter,
     SrsParams,
     beam_search_step,
@@ -21,6 +24,7 @@ from sparse_rnnt.transducer import (
     reset_prediction_states,
     start_hypothesis,
 )
+from tests_oracles import eager_beam_search_step
 
 
 def enc_outputs(rng, model, T):
@@ -233,6 +237,170 @@ class TestBeamSearch:
                 best.append(t.log_prob)
             for a, b in zip(best, best[1:]):
                 assert b >= a - 1e-12
+
+
+def assert_same_hyps(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.tokens == b.tokens
+        assert a.frames == b.frames
+        assert a.log_prob == b.log_prob
+        assert np.array_equal(a.pred_state.hidden, b.pred_state.hidden)
+        assert np.array_equal(a.pred_state.cell, b.pred_state.cell)
+        assert np.array_equal(a.pred_out, b.pred_out)
+        assert a.last_was_blank == b.last_was_blank
+
+
+def equivalence_models():
+    """20 seeded tiny models spanning blank-heavy to emitting regimes, and
+    one whose tokens 1 and 2 share a joint.out column, so their scores tie
+    exactly and the token tie-break decides at the beam boundary."""
+    models = []
+    for seed in range(20):
+        model = random_model(tiny_config(), seed)
+        model.joint.out_bias[model.config.vocab.blank_id] += 0.5 * (seed % 4)
+        models.append(model)
+    tied = random_model(tiny_config(), 99)
+    tied.joint.out[:, 2] = tied.joint.out[:, 1]
+    tied.joint.out_bias[2] = tied.joint.out_bias[1]
+    models.append(tied)
+    return models
+
+
+class TestDeferredExpansion:
+    """`beam_search_step` against the eager reference in tests_oracles."""
+
+    @pytest.mark.parametrize("t_sil", [None, 1])
+    def test_identical_to_eager_step(self, t_sil):
+        rng = np.random.default_rng(4242)
+        for model in equivalence_models():
+            out = enc_outputs(rng, model, 6)
+            for beam in (1, 2, 4, 8):
+                for max_exp in (1, 2, 5):
+                    hyps = [start_hypothesis(model)]
+                    counter = SrsCounter(t_sil) if t_sil else None
+                    for i in range(out.length):
+                        want = eager_beam_search_step(out.h[i], hyps, beam, model,
+                                                      i, max_exp)
+                        hyps = beam_search_step(out.h[i], hyps, beam, model,
+                                                frame_idx=i, max_expansions=max_exp)
+                        assert_same_hyps(hyps, want)
+                        if counter and counter.update(check_blank_token(hyps)):
+                            hyps = reset_prediction_states(hyps, model)
+
+    def test_tied_columns_decide_at_beam_boundary(self):
+        # Two hypotheses with one score and one state, listed against
+        # lexicographic order. Under the tied model every child (2, k) ties
+        # exactly with (1, k), and (x, 1) with (x, 2); pool order would put
+        # (2, ...) first, so only the token tie-break picks the survivors.
+        model = equivalence_models()[-1]
+        h0 = start_hypothesis(model)
+        g, state = predict_step(1, h0.pred_state, model)
+        lp = joint(np.zeros(8), g, model)
+        assert lp[1] == lp[2]
+        hyps = [Hypothesis((2,), (0,), -1.0, state, g),
+                Hypothesis((1,), (0,), -1.0, state, g)]
+        for beam in range(1, 7):
+            for max_exp in (1, 2):
+                got = beam_search_step(np.zeros(8), hyps, beam, model,
+                                       frame_idx=1, max_expansions=max_exp)
+                want = eager_beam_search_step(np.zeros(8), hyps, beam, model,
+                                              1, max_exp)
+                assert_same_hyps(got, want)
+                ranked = sorted(got, key=lambda h: h.sort_key())
+                assert [h.tokens for h in got] == [h.tokens for h in ranked]
+
+    def test_equal_keys_keep_pool_order(self, rng):
+        # A's blank child and B's child (1,) share tokens and, by
+        # construction, the exact score, so their full ranking keys tie.
+        # With the beam cut right after the tied pair, pool order alone
+        # decides which one survives.
+        model = random_model(tiny_config(vocab_size=29), 5)
+        blank = model.config.vocab.blank_id
+        h0 = start_hypothesis(model)
+        g, state = predict_step(1, h0.pred_state, model)
+        h_i = rng.normal(size=8)
+        lp_a, lp_b = joint(h_i, g, model), joint(h_i, h0.pred_out, model)
+        target = -2.0 + lp_b[1]
+        a_lp = target - lp_a[blank]
+        assert a_lp + lp_a[blank] == target
+        a = Hypothesis((1,), (0,), a_lp, state, g)
+        b = replace(h0, log_prob=-2.0)
+        scores = np.concatenate([a_lp + lp_a, -2.0 + lp_b])
+        beam = int(np.sum(scores > target)) + 1
+        for hyps in ([a, b], [b, a]):
+            got = beam_search_step(h_i, hyps, beam, model, frame_idx=1,
+                                   max_expansions=1)
+            want = eager_beam_search_step(h_i, hyps, beam, model, 1, 1)
+            assert_same_hyps(got, want)
+
+    def test_duplicate_prefixes_in_input_merge_like_eager(self, tiny_model, rng):
+        h0 = start_hypothesis(tiny_model)
+        g, state = predict_step(1, h0.pred_state, tiny_model)
+        other = replace(h0, log_prob=-0.7, pred_state=state, pred_out=g)
+        hyps = [h0, other, replace(h0, tokens=(3,), frames=(0,), log_prob=-1.1)]
+        for beam in (2, 5, 40):
+            h_i = rng.normal(size=8)
+            got = beam_search_step(h_i, hyps, beam, tiny_model, frame_idx=1,
+                                   max_expansions=2)
+            want = eager_beam_search_step(h_i, hyps, beam, tiny_model, 1, 2)
+            assert_same_hyps(got, want)
+
+    def test_lstm_steps_bounded_by_survivors(self, rng, monkeypatch):
+        calls = []
+        real = transducer.predict_step
+
+        def counting(token_id, state, model):
+            calls.append(token_id)
+            return real(token_id, state, model)
+
+        monkeypatch.setattr(transducer, "predict_step", counting)
+        model = random_model(tiny_config(vocab_size=29), 3)
+        out = enc_outputs(rng, model, 12)
+        for beam, max_exp in ((1, 5), (4, 5), (4, 2), (8, 1)):
+            hyps = [start_hypothesis(model)]
+            for i in range(out.length):
+                del calls[:]
+                hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i,
+                                        max_expansions=max_exp)
+                assert len(calls) <= beam * max_exp
+        # under a blank-dominant model, beam 1 keeps only the blank child:
+        # no LSTM step after the start symbol (the eager step made 28/frame)
+        model.joint.out_bias[model.config.vocab.blank_id] += 50.0
+        del calls[:]
+        decode_with_srs(out, model, beam=1, srs=SrsParams(t_sil=1))
+        assert calls == [None]
+
+
+class TestSrsMergeState:
+    def test_carried_prefix_keeps_its_state_after_reset(self, tiny_model, rng):
+        # Pool after a reset: prefix (1,) and its parent (), both zeroed.
+        # In round 1, () re-emits 1 and reaches (1,) with a stepped LSTM
+        # state; in round 2 that entry takes blank and merges with the
+        # carried-over finished (1,). The carried entry is first in pool
+        # order, so its zero state is the one kept.
+        h0 = start_hypothesis(tiny_model)
+        g1, s1 = predict_step(1, h0.pred_state, tiny_model)
+        h1 = Hypothesis((1,), (0,), -0.25, s1, g1, last_was_blank=True)
+        pool = reset_prediction_states([h1, replace(h0, log_prob=-0.5)], tiny_model)
+        h_i = rng.normal(size=8)
+        got = beam_search_step(h_i, pool, 64, tiny_model, frame_idx=1,
+                               max_expansions=2)
+        assert_same_hyps(got, eager_beam_search_step(h_i, pool, 64, tiny_model,
+                                                     1, 2))
+        merged = next(h for h in got if h.tokens == (1,))
+        blank = tiny_model.config.vocab.blank_id
+        zero_out = np.zeros(4)
+        g_re, s_re = predict_step(1, pool[1].pred_state, tiny_model)
+        carried = -0.25 + joint(h_i, zero_out, tiny_model)[blank]
+        reemitted = (-0.5 + joint(h_i, zero_out, tiny_model)[1]
+                     + joint(h_i, g_re, tiny_model)[blank])
+        assert merged.log_prob == pytest.approx(np.logaddexp(carried, reemitted),
+                                                abs=1e-12)
+        assert not np.array_equal(s_re.hidden, np.zeros(4))
+        assert np.array_equal(merged.pred_state.hidden, np.zeros(4))
+        assert np.array_equal(merged.pred_state.cell, np.zeros(4))
+        assert np.array_equal(merged.pred_out, zero_out)
 
 
 class TestDecodeWithSrs:

@@ -76,3 +76,77 @@ def oracle_conformer_block(x, block, policy):
     x = x + swish(conv) @ cw.pw2 + cw.pb2
     x = x + 0.5 * ffn(x, block.ffn2)
     return layer_norm(x, block.final_norm_gain, block.final_norm_bias)
+
+
+def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
+                           max_expansions=5):
+    """The eager beam-search step: every non-blank child of every active
+    hypothesis is stepped through the prediction network and built as a
+    full hypothesis before the pool is merged and pruned. Reference for
+    the deferred-expansion `transducer.beam_search_step`."""
+    from dataclasses import dataclass, replace
+
+    from sparse_rnnt import transducer
+    from sparse_rnnt.transducer import Hypothesis
+
+    @dataclass
+    class Entry:
+        hyp: Hypothesis
+        active: bool
+        emitted: bool
+
+    def logsumexp(a, b):
+        hi, lo = (a, b) if a >= b else (b, a)
+        return hi + np.log1p(np.exp(lo - hi))
+
+    def merge_and_prune(entries):
+        merged = {}
+        for ent in entries:
+            key = (ent.hyp.tokens, ent.active)
+            prev = merged.get(key)
+            if prev is None:
+                merged[key] = ent
+            else:
+                prev.hyp = replace(
+                    prev.hyp, log_prob=logsumexp(prev.hyp.log_prob, ent.hyp.log_prob)
+                )
+                prev.emitted = prev.emitted or ent.emitted
+        ranked = sorted(merged.values(), key=lambda e: e.hyp.sort_key())
+        return ranked[:beam]
+
+    def blank_child(ent, log_probs):
+        return Entry(
+            replace(ent.hyp, log_prob=ent.hyp.log_prob + log_probs[blank],
+                    last_was_blank=not ent.emitted),
+            active=False, emitted=ent.emitted,
+        )
+
+    blank = model.config.vocab.blank_id
+    pool = [Entry(h, active=True, emitted=False) for h in hyps_prev]
+    for _ in range(max_expansions):
+        actives = [e for e in pool if e.active]
+        if not actives:
+            break
+        new_entries = [e for e in pool if not e.active]
+        for ent in actives:
+            log_probs = transducer.joint(h_i, ent.hyp.pred_out, model)
+            new_entries.append(blank_child(ent, log_probs))
+            for k in range(len(log_probs)):
+                if k == blank:
+                    continue
+                g, state = transducer.predict_step(k, ent.hyp.pred_state, model)
+                new_entries.append(Entry(
+                    Hypothesis(ent.hyp.tokens + (k,), ent.hyp.frames + (frame_idx,),
+                               ent.hyp.log_prob + log_probs[k], state, g,
+                               last_was_blank=False),
+                    active=True, emitted=True,
+                ))
+        pool = merge_and_prune(new_entries)
+    leftover = [e for e in pool if e.active]
+    if leftover:
+        finished = [e for e in pool if not e.active]
+        for ent in leftover:
+            finished.append(blank_child(
+                ent, transducer.joint(h_i, ent.hyp.pred_out, model)))
+        pool = merge_and_prune(finished)
+    return [e.hyp for e in pool]
