@@ -34,6 +34,7 @@ __all__ = [
     "local_mask",
     "global_mask",
     "fuse_heads",
+    "attention_internals",
     "sparse_attend",
     "mask_stats",
     "format_sparsity_report",
@@ -197,26 +198,50 @@ def fuse_heads(per_head_globals: list[AttentionMask], fusion: str) -> list[Atten
     return [fused] * len(per_head_globals)
 
 
-def build_masks(
-    per_head_scores: list[ScoreMatrix], policy: MaskPolicy
-) -> list[AttentionMask]:
-    """Per-head attended sets S_i for the given policy."""
+def build_masks(per_head_scores: list[ScoreMatrix], policy: MaskPolicy,
+                global_masks: list[AttentionMask] | None = None) -> list[AttentionMask]:
+    """Per-head attended sets S_i; fused global masks are derived if not given."""
     T = per_head_scores[0].length
     if policy.variant == DENSE:
         return [AttentionMask.full(T)] * len(per_head_scores)
     loc = local_mask(T, policy.w)
     if policy.variant == LOCAL_ONLY:
         return [loc] * len(per_head_scores)
-    globals_ = fuse_heads([global_mask(s) for s in per_head_scores], policy.fusion)
-    return [loc.union(g) for g in globals_]
+    if global_masks is None:
+        global_masks = fuse_heads([global_mask(s) for s in per_head_scores],
+                                  policy.fusion)
+    return [loc.union(g) for g in global_masks]
+
+
+@dataclass
+class AttentionInternals:
+    """One layer's per-head scores, attended sets and fused global masks."""
+
+    scores: list[ScoreMatrix]
+    masks: list[AttentionMask]
+    global_masks: list[AttentionMask] | None  # None unless local_global
+
+
+def attention_internals(z: np.ndarray, mh: MultiHeadWeights,
+                        policy: MaskPolicy) -> AttentionInternals:
+    """Scores and masks of one attention layer, derived from its input z.
+
+    sparse_attend takes its masks from here, so recomputing them from a
+    layer's input gives exactly the sets that attention used.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    scores = [compute_scores(z, head) for head in mh.heads]
+    global_masks = None
+    if policy.variant == LOCAL_PLUS_GLOBAL:
+        global_masks = fuse_heads([global_mask(s) for s in scores], policy.fusion)
+    return AttentionInternals(scores, build_masks(scores, policy, global_masks),
+                              global_masks)
 
 
 @dataclass
 class AttentionResult:
     output: np.ndarray  # (T, model_dim)
     masks: list[AttentionMask]  # per head, the S_i actually used
-    scores: list[ScoreMatrix]  # per head
-    global_masks: list[AttentionMask] | None  # per head, None unless local_global
 
 
 def sparse_attend(
@@ -225,15 +250,9 @@ def sparse_attend(
     """Masked multi-head attention: per-head attend, concat, project by w_p."""
     z = np.asarray(z, dtype=np.float64)
     T = z.shape[0]
-    per_head_scores = [compute_scores(z, head) for head in mh.heads]
-    masks = build_masks(per_head_scores, policy)
-    global_masks = None
-    if policy.variant == LOCAL_PLUS_GLOBAL:
-        global_masks = fuse_heads(
-            [global_mask(s) for s in per_head_scores], policy.fusion
-        )
+    internals = attention_internals(z, mh, policy)
     head_outputs = []
-    for head, scores, mask in zip(mh.heads, per_head_scores, masks):
+    for head, scores, mask in zip(mh.heads, internals.scores, internals.masks):
         v = matmul(z, head.w_v)
         out = np.empty((T, head.inner_dim))
         for i in range(T):
@@ -243,8 +262,7 @@ def sparse_attend(
             out[i] = weights[idx] @ v[idx]
         head_outputs.append(out)
     concat = np.concatenate(head_outputs, axis=1)
-    return AttentionResult(matmul(concat, mh.w_p), masks, per_head_scores,
-                           global_masks)
+    return AttentionResult(matmul(concat, mh.w_p), internals.masks)
 
 
 @dataclass

@@ -10,11 +10,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .attention import export_heatmap, format_sparsity_report, mask_stats
-from .encoder import EncoderConfig
+from .attention import (attention_internals, compute_scores, export_heatmap,
+                        format_sparsity_report, mask_stats)
 from .errors import (
     AudioFormatError,
     DataError,
@@ -27,6 +26,7 @@ from .model_io import Model, ModelConfig, Vocabulary, load_model, random_model, 
 from .pipeline import (
     DecodeOptions,
     decode_file,
+    encode_file,
     parse_policy,
     parse_segmentation,
 )
@@ -58,13 +58,23 @@ def _load_config(path: str | None) -> ModelConfig:
     return ModelConfig.from_dict(base)
 
 
-def _decode_options(args) -> DecodeOptions:
+def _decode_options(args, mask: str, segmentation: str) -> DecodeOptions:
     return DecodeOptions(
-        policy=parse_policy(args.mask, args.w),
+        policy=parse_policy(mask, args.w),
         beam=args.beam,
         srs=SrsParams(t_sil=args.t_sil, enabled=args.srs),
-        segmentation=parse_segmentation(args.segmentation, args.overlap),
+        segmentation=parse_segmentation(segmentation, args.overlap),
     )
+
+
+def _sparsity_report(model, attn_in, policy) -> str:
+    """Recompute one segment's masks layer by layer and format their stats."""
+    masks, global_masks = [], []
+    for z, block in zip(attn_in, model.blocks):
+        layer = attention_internals(z, block.mh, policy)
+        masks.append(layer.masks)
+        global_masks.append(layer.global_masks)
+    return format_sparsity_report(mask_stats(masks, global_masks))
 
 
 def _read_tsv(path) -> dict[str, str]:
@@ -90,29 +100,18 @@ def cmd_gen_model(args) -> int:
 
 def cmd_decode(args) -> int:
     # options are checked before the model or any input is read
-    opts = _decode_options(args)
+    opts = _decode_options(args, args.mask, args.segmentation)
     model = load_model(args.model)
-    paths = [Path(p) for p in args.inputs]
     failures = []
-    results = [None] * len(paths)
-    def work(i):
-        try:
-            results[i] = decode_file(model, paths[i], opts)
-        except (SparseRnntError, OSError) as exc:
-            failures.append((paths[i], exc))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(work, range(len(paths))))
-    else:
-        for i in range(len(paths)):
-            work(i)
-    for path, exc in failures:
-        print(f"error: {path}: {exc}", file=sys.stderr)
     lines = []
     detail_lines = []
     stats_blocks = []
-    for path, res in zip(paths, results):
-        if res is None:
+    for path in map(Path, args.inputs):
+        try:
+            res = decode_file(model, path, opts)
+        except (SparseRnntError, OSError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            failures.append(exc)
             continue
         utt_id = path.stem
         lines.append(f"{utt_id}\t{res.text}")
@@ -126,13 +125,10 @@ def cmd_decode(args) -> int:
                 ],
                 "log_prob": res.log_prob,
             }, sort_keys=True))
-        if args.stats and res.diagnostics:
-            for si, diags in enumerate(res.diagnostics):
-                report = mask_stats(
-                    [d.masks for d in diags], [d.global_masks for d in diags]
-                )
+        if args.stats:
+            for si, attn_in in enumerate(res.attn_in):
                 stats_blocks.append(f"# {utt_id} segment {si}\n"
-                                    + format_sparsity_report(report))
+                                    + _sparsity_report(model, attn_in, opts.policy))
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         _atomic_write(args.out, text)
@@ -146,10 +142,14 @@ def cmd_decode(args) -> int:
     if not failures:
         return EXIT_OK
     io_like = (AudioFormatError, ModelFormatError, OSError)
-    return EXIT_IO if any(isinstance(e, io_like) for _, e in failures) else EXIT_DATA
+    return EXIT_IO if any(isinstance(e, io_like) for e in failures) else EXIT_DATA
 
 
 def cmd_sweep(args) -> int:
+    # the whole grid is checked before the model or any input is read
+    grid = [(mask.strip(), _decode_options(args, mask, seg))
+            for mask in args.masks.split(",")
+            for seg in args.segmentations.split(",")]
     model = load_model(args.model)
     refs = _read_tsv(args.refs)
     paths = [Path(p) for p in args.inputs]
@@ -157,43 +157,31 @@ def cmd_sweep(args) -> int:
     if missing:
         raise DataError(f"no reference for: {', '.join(sorted(missing))}")
     results = {}
-    for mask in args.masks.split(","):
-        for seg_spec in args.segmentations.split(","):
-            seg = parse_segmentation(seg_spec, args.overlap)
-            opts = DecodeOptions(
-                policy=parse_policy(mask, args.w),
-                beam=args.beam,
-                srs=SrsParams(t_sil=args.t_sil, enabled=args.srs),
-                segmentation=seg,
-            )
-            pairs = []
-            for path in paths:
-                res = decode_file(model, path, opts)
-                pairs.append((refs[path.stem], res.text))
-            key = (mask.strip(), seg.kind, seg.doi_length)
-            results[key] = corpus_cer(pairs)
+    for mask, opts in grid:
+        pairs = [(refs[path.stem], decode_file(model, path, opts).text)
+                 for path in paths]
+        seg = opts.segmentation
+        results[(mask, seg.kind, seg.doi_length)] = corpus_cer(pairs)
     sweep_report(results, args.out)
     print(f"wrote {len(results)} sweep rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_heatmap(args) -> int:
-    model = load_model(args.model)
     opts = DecodeOptions(policy=parse_policy(args.mask, args.w))
-    res = decode_file(model, args.input, opts)
-    if not res.diagnostics:
-        raise DataError(f"{args.input}: input produced no encoder frames")
-    diags = res.diagnostics[0]
-    if not 0 <= args.layer < len(diags):
+    model = load_model(args.model)
+    # layer and head are checked before the input is read
+    if not 0 <= args.layer < len(model.blocks):
         raise ParameterError(
-            f"layer {args.layer} out of range [0, {len(diags)})"
+            f"layer {args.layer} out of range [0, {len(model.blocks)})"
         )
-    heads = diags[args.layer].scores
-    if not 0 <= args.head < len(heads):
-        raise ParameterError(f"head {args.head} out of range [0, {len(heads)})")
-    export_heatmap(heads[args.head], args.out)
-    print(f"wrote {heads[args.head].length}x{heads[args.head].length} "
-          f"heatmap to {args.out}")
+    mh = model.blocks[args.layer].mh
+    if not 0 <= args.head < mh.num_heads:
+        raise ParameterError(f"head {args.head} out of range [0, {mh.num_heads})")
+    _, attn_in = encode_file(model, args.input, opts)
+    scores = compute_scores(attn_in[args.layer], mh.heads[args.head])
+    export_heatmap(scores, args.out)
+    print(f"wrote {scores.length}x{scores.length} heatmap to {args.out}")
     return EXIT_OK
 
 
@@ -250,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="transcript file (default stdout)")
     p.add_argument("--detail", help="JSON-lines per-token detail file")
     p.add_argument("--stats", help="sparsity report file")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("sweep", help="mask x segmentation grid with CER report")

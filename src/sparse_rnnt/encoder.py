@@ -7,11 +7,11 @@ sublayer -> half-step FFN -> final layer norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttentionResult, MaskPolicy, MultiHeadWeights, sparse_attend
+from .attention import MaskPolicy, MultiHeadWeights, sparse_attend
 from .errors import EmptyInputError, ParameterError, ShapeError
 from .frontend import FeatureMatrix
 from .numerics import layer_norm, matmul, sigmoid
@@ -116,15 +116,6 @@ class ConformerBlockWeights:
     final_norm_bias: np.ndarray
 
 
-@dataclass
-class LayerDiagnostics:
-    """Per-layer attention internals for heatmaps and sparsity stats."""
-
-    scores: list  # per-head ScoreMatrix
-    masks: list  # per-head AttentionMask actually used
-    global_masks: list | None
-
-
 def _swish(x):
     return x * sigmoid(x)
 
@@ -197,17 +188,19 @@ def _conv_module(x: np.ndarray, w: ConvModuleWeights) -> np.ndarray:
 
 def conformer_block_forward(
     x: np.ndarray, block: ConformerBlockWeights, policy: MaskPolicy
-) -> tuple[np.ndarray, LayerDiagnostics]:
-    """One macaron block; returns output and attention diagnostics."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One macaron block; returns its output and its attention input.
+
+    The attention input is all a caller needs to recompute the layer's
+    scores and masks (attention.attention_internals).
+    """
     x = x + 0.5 * _feed_forward(x, block.ffn1)
     attn_in = layer_norm(x, block.attn_norm_gain, block.attn_norm_bias)
-    result: AttentionResult = sparse_attend(attn_in, block.mh, policy)
-    x = x + result.output
+    x = x + sparse_attend(attn_in, block.mh, policy).output
     x = x + _conv_module(x, block.conv)
     x = x + 0.5 * _feed_forward(x, block.ffn2)
     x = layer_norm(x, block.final_norm_gain, block.final_norm_bias)
-    diag = LayerDiagnostics(result.scores, result.masks, result.global_masks)
-    return x, diag
+    return x, attn_in
 
 
 def _sinusoidal_pe(T: int, dim: int) -> np.ndarray:
@@ -222,8 +215,11 @@ def _sinusoidal_pe(T: int, dim: int) -> np.ndarray:
 
 def encode(
     f: FeatureMatrix, model, policy: MaskPolicy
-) -> tuple[EncoderOutputs, list[LayerDiagnostics]]:
-    """Full encoder pass: subsample, optional PE, N conformer blocks."""
+) -> tuple[EncoderOutputs, list[np.ndarray]]:
+    """Full encoder pass: subsample, optional PE, N conformer blocks.
+
+    Also returns each layer's attention input, (T', model_dim).
+    """
     cfg = model.config.encoder
     if f.dim != model.config.feat_dim:
         raise ShapeError(
@@ -232,12 +228,12 @@ def encode(
     x = conv_subsample(f, model.subsample, cfg)
     if cfg.use_sinusoidal_pe:
         x = x + _sinusoidal_pe(x.shape[0], cfg.model_dim)
-    diagnostics = []
+    attn_inputs = []
     for block in model.blocks:
-        x, diag = conformer_block_forward(x, block, policy)
-        diagnostics.append(diag)
+        x, attn_in = conformer_block_forward(x, block, policy)
+        attn_inputs.append(attn_in)
     frame_rate = f.frame_shift * cfg.subsample_stride ** 2
-    return EncoderOutputs(x, frame_rate), diagnostics
+    return EncoderOutputs(x, frame_rate), attn_inputs
 
 
 def receptive_field(cfg: EncoderConfig, policy: MaskPolicy, i: int, T_out: int,

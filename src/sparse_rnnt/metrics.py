@@ -98,9 +98,6 @@ def sweep_report(
 ) -> None:
     """CSV keyed by (mask policy, segmentation, window length); sorted rows."""
     lines = ["policy,segmentation,doi_length,cer,del,ins,sub"]
-    def key_str(k):
-        policy, seg, doi = k
-        return (policy, seg, "" if doi is None else doi)
     for key in sorted(results, key=lambda k: (k[0], k[1], k[2] if k[2] is not None else -1.0)):
         policy, seg, doi = key
         b = results[key]

@@ -43,9 +43,6 @@ class RecurrentState:
     def zeros(cls, size: int) -> "RecurrentState":
         return cls(np.zeros(size), np.zeros(size))
 
-    def copy(self) -> "RecurrentState":
-        return RecurrentState(self.hidden.copy(), self.cell.copy())
-
 
 @dataclass
 class LstmWeights:

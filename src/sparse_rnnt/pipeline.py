@@ -24,7 +24,8 @@ from .segmentation import Segment, TimedToken, VadConfig, doi_merge, doi_split, 
 from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
-           "decode_features", "decode_file", "parse_policy", "parse_segmentation"]
+           "decode_features", "decode_file", "encode_file", "parse_policy",
+           "parse_segmentation"]
 
 
 @dataclass
@@ -57,12 +58,19 @@ class DecodeOptions:
     normalize: bool = True
     max_expansions: int = 5
 
+    def __post_init__(self):
+        if not self.beam >= 1:
+            raise ParameterError(f"beam must be >= 1, got {self.beam}")
+        if not self.max_expansions >= 0:
+            raise ParameterError(
+                f"max_expansions must be >= 0, got {self.max_expansions}")
+
 
 @dataclass
 class DecodeResult:
     text: str
     tokens: list[TimedToken]
-    diagnostics: list  # per-segment list of LayerDiagnostics
+    attn_in: list  # per segment, each layer's attention input (T', model_dim)
     log_prob: float
 
 
@@ -116,28 +124,28 @@ def _features(w: Waveform, opts: DecodeOptions, feat_dim: int) -> FeatureMatrix:
 
 
 def _decode_segment(model, f: FeatureMatrix, offset: float, opts: DecodeOptions):
-    enc_out, diags = encode(f, model, opts.policy)
+    enc_out, attn_in = encode(f, model, opts.policy)
     transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs,
                                  opts.max_expansions)
     tokens = [
         TimedToken(tok, offset + frame * enc_out.frame_rate)
         for tok, frame in zip(transcript.token_ids, transcript.frames)
     ]
-    return tokens, diags, transcript.log_prob
+    return tokens, attn_in, transcript.log_prob
 
 
 def decode_features(model, f: FeatureMatrix, opts: DecodeOptions) -> DecodeResult:
     """Decode a pre-extracted feature matrix (no segmentation)."""
-    tokens, diags, lp = _decode_segment(model, f, 0.0, opts)
+    tokens, attn_in, lp = _decode_segment(model, f, 0.0, opts)
     text = model.config.vocab.render([t.token_id for t in tokens])
-    return DecodeResult(text, tokens, [diags], lp)
+    return DecodeResult(text, tokens, [attn_in], lp)
 
 
 def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
     """Segment, decode each piece, and merge tokens by core ownership."""
     segments = _segments_for(w, opts.segmentation)
     results = []
-    all_diags = []
+    all_attn_in = []
     total_lp = 0.0
     min_frames = _min_input_frames(model.config.encoder, opts.frontend, w.sample_rate)
     for seg in segments:
@@ -149,12 +157,12 @@ def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
             continue
         try:
             f = _features(piece, opts, model.config.feat_dim)
-            tokens, diags, lp = _decode_segment(model, f, seg.start, opts)
+            tokens, attn_in, lp = _decode_segment(model, f, seg.start, opts)
         except EmptyInputError:
             results.append((seg, []))
             continue
         results.append((seg, tokens))
-        all_diags.append(diags)
+        all_attn_in.append(attn_in)
         total_lp += lp
     if opts.segmentation.kind == "doi" and results:
         merged = doi_merge(results)
@@ -162,7 +170,7 @@ def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
         merged = [t for _, toks in sorted(results, key=lambda r: r[0].start)
                   for t in toks]
     text = model.config.vocab.render([t.token_id for t in merged])
-    return DecodeResult(text, merged, all_diags, total_lp)
+    return DecodeResult(text, merged, all_attn_in, total_lp)
 
 
 def _min_input_frames(enc_cfg, fe_cfg: FrontendConfig, sample_rate: int) -> int:
@@ -181,3 +189,13 @@ def decode_file(model, path, opts: DecodeOptions) -> DecodeResult:
     if path.suffix.lower() == ".wav":
         return decode_waveform(model, read_wav(path), opts)
     return decode_features(model, read_feature_file(path), opts)
+
+
+def encode_file(model, path, opts: DecodeOptions):
+    """Encode a whole .wav or feature file, unsegmented, without decoding."""
+    path = Path(path)
+    if path.suffix.lower() == ".wav":
+        f = _features(read_wav(path), opts, model.config.feat_dim)
+    else:
+        f = read_feature_file(path)
+    return encode(f, model, opts.policy)

@@ -9,7 +9,6 @@ unbounded length.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "doi_split",
     "doi_merge",
     "epd_split",
-    "write_segments_csv",
 ]
 
 
@@ -221,16 +219,3 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
         for s, e in final
         if e > s
     ]
-
-
-def write_segments_csv(path, segments: list[Segment]) -> None:
-    """CSV export: index,start,end,core_start,core_end (seconds, 3 decimals)."""
-    lines = ["index,start,end,core_start,core_end"]
-    for i, s in enumerate(segments):
-        lines.append(
-            f"{i},{s.start:.3f},{s.end:.3f},{s.core_start:.3f},{s.core_end:.3f}"
-        )
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)

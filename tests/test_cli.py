@@ -95,18 +95,6 @@ class TestDecode:
         body = stats.read_text()
         assert "layer" in body and "head" in body
 
-    def test_parallel_jobs_match_serial(self, model_path, wav_path, tmp_path):
-        sr = 16000
-        second = tmp_path / "utt2.wav"
-        rng = np.random.default_rng(5)
-        write_wav(second, Waveform(0.1 * rng.normal(size=2 * sr), sr))
-        serial, parallel = tmp_path / "s.txt", tmp_path / "p.txt"
-        for out, jobs in ((serial, "1"), (parallel, "2")):
-            code = main(["decode", "--model", str(model_path), str(wav_path),
-                         str(second), "--jobs", jobs, "--out", str(out)])
-            assert code == EXIT_OK
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_missing_input_exit_io(self, model_path, tmp_path):
         code = main(["decode", "--model", str(model_path),
                      str(tmp_path / "nope.wav")])
@@ -143,6 +131,17 @@ class TestDecode:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("flags", [["--beam", "0"], ["--beam", "-3"]])
+    def test_bad_beam_one_config_error_before_model(self, tmp_path, capsys,
+                                                    flags):
+        # neither the model nor the inputs exist: exit 2 shows none was read
+        inputs = [str(tmp_path / "a.wav"), str(tmp_path / "b.wav")]
+        code = main(["decode", "--model", str(tmp_path / "nope.model"),
+                     *inputs, *flags])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
     @pytest.mark.parametrize("row", ["0.5 abc", "nan 0.5"])
     def test_bad_feature_value_exit_data(self, model_path, tmp_path, capsys, row):
         from sparse_rnnt.model_io import load_model
@@ -173,6 +172,27 @@ class TestHeatmap:
                      "--layer", "99", "--head", "0",
                      "--out", str(tmp_path / "h.csv")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [["--layer", "99", "--head", "0"],
+                                       ["--layer", "0", "--head", "99"]])
+    def test_out_of_range_checked_before_input(self, model_path, tmp_path, flags):
+        code = main(["heatmap", "--model", str(model_path),
+                     str(tmp_path / "nope.wav"), *flags,
+                     "--out", str(tmp_path / "h.csv")])
+        assert code == EXIT_CONFIG
+
+    def test_does_not_decode(self, model_path, wav_path, tmp_path, monkeypatch):
+        from sparse_rnnt import pipeline
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("heatmap must not run the decoder")
+
+        monkeypatch.setattr(pipeline, "decode_with_srs", no_decode)
+        out = tmp_path / "h.csv"
+        code = main(["heatmap", "--model", str(model_path), str(wav_path),
+                     "--layer", "3", "--head", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.read_text().count("\n") > 1
 
 
 class TestEval:
@@ -212,6 +232,16 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "policy,segmentation,doi_length,cer,del,ins,sub"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("flags", [["--masks", "dense,banana"],
+                                       ["--segmentations", "none,doi:abc"],
+                                       ["--beam", "0"]])
+    def test_bad_grid_exit_config_before_model(self, wav_path, tmp_path, flags):
+        # model and references are missing: exit 2 shows neither was read
+        code = main(["sweep", "--model", str(tmp_path / "nope.model"),
+                     str(wav_path), "--refs", str(tmp_path / "nope.tsv"),
+                     *flags, "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_CONFIG
 
     def test_missing_reference_exit_data(self, model_path, wav_path, tmp_path):
         refs = tmp_path / "refs.tsv"

@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import tiny_config
-from sparse_rnnt.attention import MaskPolicy
+from sparse_rnnt import encoder as encoder_module
+from sparse_rnnt.attention import (
+    MaskPolicy,
+    attention_internals,
+    mask_stats,
+    sparse_attend,
+)
 from sparse_rnnt.encoder import (
     EncoderConfig,
     SubsampleWeights,
@@ -17,10 +25,30 @@ from sparse_rnnt.errors import EmptyInputError, ParameterError
 from sparse_rnnt.frontend import FeatureMatrix
 from sparse_rnnt.model_io import random_model
 from sparse_rnnt.numerics import layer_norm, sigmoid
+from sparse_rnnt.pipeline import parse_policy
+
+POLICIES = ["dense", "local", "local+sgm1", "local+sgm2", "local+sgm3"]
 
 
 def feats(rng, T, F):
     return FeatureMatrix(rng.normal(size=(T, F)), 0.01, 0.025)
+
+
+def reachable_arrays(obj, seen=None) -> list:
+    """Every distinct ndarray reachable through dataclasses, lists and tuples."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        children = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        return []
+    return [a for child in children for a in reachable_arrays(child, seen)]
 
 
 class TestConvSubsample:
@@ -110,7 +138,10 @@ class TestConformerBlock:
     def test_diagnostics_shapes(self, rng):
         block, _ = self._block()
         x = rng.normal(size=(6, 8))
-        _, diag = conformer_block_forward(x, block, MaskPolicy.local_global(2))
+        policy = MaskPolicy.local_global(2)
+        _, attn_in = conformer_block_forward(x, block, policy)
+        assert attn_in.shape == (6, 8)
+        diag = attention_internals(attn_in, block.mh, policy)
         assert len(diag.scores) == 2
         assert diag.scores[0].e.shape == (6, 6)
         assert len(diag.masks) == 2
@@ -167,6 +198,38 @@ class TestEncode:
         f2.frames[i * 4] += 10.0
         pert, _ = encode(f2, model, policy)
         assert not np.array_equal(base.h[i], pert.h[i])
+
+    @pytest.mark.parametrize("spec", POLICIES)
+    def test_keeps_nothing_quadratic(self, rng, spec):
+        model = random_model(tiny_config(), 11)
+        out, attn_in = encode(feats(rng, 60, 6), model, parse_policy(spec, 2))
+        T = out.length
+        assert T * T != T * model.config.encoder.model_dim
+        arrays = reachable_arrays((out, attn_in))
+        assert arrays and all(a.size != T * T for a in arrays)
+
+    @pytest.mark.parametrize("spec", POLICIES)
+    def test_recomputed_masks_are_the_masks_attention_used(
+            self, rng, monkeypatch, spec):
+        used = []
+
+        def spy(z, mh, policy):
+            res = sparse_attend(z, mh, policy)
+            used.append(res.masks)
+            return res
+
+        monkeypatch.setattr(encoder_module, "sparse_attend", spy)
+        model = random_model(tiny_config(), 11)
+        policy = parse_policy(spec, 2)
+        _, attn_in = encode(feats(rng, 60, 6), model, policy)
+        again = [attention_internals(z, block.mh, policy).masks
+                 for z, block in zip(attn_in, model.blocks)]
+        assert len(used) == len(again) == len(model.blocks)
+        for used_layer, again_layer in zip(used, again):
+            assert len(used_layer) == len(again_layer)
+            for a, b in zip(used_layer, again_layer):
+                assert np.array_equal(a.rows, b.rows)
+        assert mask_stats(used) == mask_stats(again)
 
     def test_receptive_field_requires_local(self):
         cfg = tiny_config().encoder

@@ -11,7 +11,6 @@ from sparse_rnnt.segmentation import (
     doi_merge,
     doi_split,
     epd_split,
-    write_segments_csv,
 )
 
 
@@ -152,17 +151,6 @@ class TestEpdSplit:
         segs = epd_split(Waveform(tone(1.0, sr), sr))
         for s in segs:
             assert s.core_start == s.start and s.core_end == s.end
-
-
-class TestSegmentCsv:
-    def test_format(self, tmp_path):
-        segs = doi_split(36.0, 20.0, 2.0)
-        path = tmp_path / "segs.csv"
-        write_segments_csv(path, segs)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "index,start,end,core_start,core_end"
-        assert lines[1] == "0,0.000,20.000,0.000,18.000"
-        assert len(lines) == len(segs) + 1
 
 
 def test_segment_invariants_enforced():
