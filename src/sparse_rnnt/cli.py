@@ -221,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_model)
 
     def add_decode_flags(p):
-        p.add_argument("--mask", default="dense",
-                       help="dense | local | local+sgm1|sgm2|sgm3")
         p.add_argument("--w", type=int, default=40, help="local half-window")
         p.add_argument("--beam", type=int, default=4)
         p.add_argument("--srs", action=argparse.BooleanOptionalAction, default=False)
@@ -232,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="transcribe wav or feature files")
     p.add_argument("--model", required=True)
     p.add_argument("inputs", nargs="+")
+    p.add_argument("--mask", default="dense",
+                   help="dense | local | local+sgm1|sgm2|sgm3")
     add_decode_flags(p)
     p.add_argument("--segmentation", default="none",
                    help="none | doi:<seconds> | epd")
@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="sparsity report file")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("sweep", help="mask x segmentation grid with CER report")
+    p = sub.add_parser("sweep", help="mask x segmentation grid with CER report",
+                       allow_abbrev=False)  # so --mask is not read as --masks
     p.add_argument("--model", required=True)
     p.add_argument("inputs", nargs="+")
     p.add_argument("--refs", required=True, help="TSV id<TAB>reference")

@@ -25,7 +25,7 @@ from .encoder import (
     SubsampleWeights,
 )
 from .attention import AttentionHeadWeights, MultiHeadWeights
-from .errors import ModelFormatError, ParameterError
+from .errors import DataError, ModelFormatError, ParameterError
 from .numerics import LstmWeights
 
 __all__ = [
@@ -423,6 +423,8 @@ def load_model(path) -> Model:
         if end > len(blob):
             raise ModelFormatError(f"{path}: tensor {name} extends past blob end")
         tensors[name] = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"{path}: tensor {name} holds non-finite values")
     missing = set(specs) - set(tensors)
     if missing:
         raise ModelFormatError(f"{path}: missing tensor {sorted(missing)[0]}")

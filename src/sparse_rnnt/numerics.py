@@ -1,4 +1,4 @@
-"""Dense numeric kernels: matmul, masked softmax, layer norm, LSTM cell step.
+"""Dense numeric kernels: matmul, softmax, layer norm, LSTM cell step.
 
 Everything here is pure, float64, and deterministic; the rest of the
 package builds on these four primitives.
@@ -16,7 +16,6 @@ __all__ = [
     "RecurrentState",
     "LstmWeights",
     "matmul",
-    "masked_softmax",
     "softmax",
     "layer_norm",
     "lstm_cell_step",
@@ -74,28 +73,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     z = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return z / np.sum(z, axis=-1, keepdims=True)
-
-
-def masked_softmax(scores: np.ndarray, mask) -> np.ndarray:
-    """Softmax over the subset of ``scores`` selected by ``mask`` indices.
-
-    Entries outside the mask are exactly 0; the masked entries sum to 1.
-    Only the selected scores enter the computation, so values at unmasked
-    positions have zero influence (bit-level).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    idx = np.asarray(mask, dtype=np.intp).ravel()
-    if idx.size == 0:
-        raise ShapeError("masked_softmax requires a nonempty mask")
-    if idx.min() < 0 or idx.max() >= scores.shape[0]:
-        raise ShapeError(
-            f"mask index out of range for score vector of length {scores.shape[0]}"
-        )
-    sub = scores[idx]
-    z = np.exp(sub - sub.max())
-    out = np.zeros_like(scores)
-    out[idx] = z / z.sum()
-    return out
 
 
 def layer_norm(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparse_rnnt import attention
 from sparse_rnnt.attention import (
     FUSION_AND,
     FUSION_OR,
@@ -21,6 +22,7 @@ from sparse_rnnt.attention import (
 )
 from sparse_rnnt.errors import ParameterError
 from tests_oracles import oracle_sparse_attend as oracle_attention
+from tests_oracles import rowwise_sparse_attend
 
 
 def random_mh(rng, model_dim, num_heads, inner_dim):
@@ -80,9 +82,11 @@ class TestLocalMask:
     def test_contains_self(self, rng):
         for _ in range(20):
             T = int(rng.integers(1, 30))
-            w = int(rng.integers(0, 10))
+            w = int(rng.integers(0, 40))  # w >= T included
             m = local_mask(T, w)
             assert all(m.rows[i, i] for i in range(T))
+            idx = np.arange(T)
+            assert np.array_equal(m.rows, np.abs(idx[:, None] - idx[None, :]) <= w)
 
 
 class TestGlobalMask:
@@ -173,6 +177,23 @@ class TestSparseAttend:
         out = sparse_attend(z, mh, policy).output
         assert np.max(np.abs(out - oracle_attention(z, mh, policy))) < 1e-9
 
+    @pytest.mark.parametrize("policy", [
+        MaskPolicy.dense(), MaskPolicy.local(30),
+        MaskPolicy.local_global(30, FUSION_OR),
+        MaskPolicy.local_global(30, FUSION_PER_HEAD),
+        MaskPolicy.local_global(30, FUSION_AND),
+    ], ids=["dense", "local", "sgm1", "sgm2", "sgm3"])
+    def test_matches_rowwise_bit_for_bit(self, rng, policy):
+        # the all-keys rows (dense) and the band's interior rows (local) each
+        # span several gather batches; the band's edge rows and the global
+        # sets give rows of differing counts
+        T, w = 400, 30
+        assert (T - 2 * w) * (2 * w + 1) > attention._GATHER_KEYS
+        z = rng.normal(size=(T, 8))
+        mh = random_mh(rng, 8, 2, 4)
+        out = sparse_attend(z, mh, policy).output
+        assert np.array_equal(out, rowwise_sparse_attend(z, mh, policy))
+
     def test_mask_rows_nonempty_and_contain_self(self, rng):
         z = rng.normal(size=(9, 4))
         mh = random_mh(rng, 4, 2, 2)
@@ -205,6 +226,14 @@ class TestSparseAttend:
         pert = sparse_attend(z2, mh, policy).output
         for i in range(6):
             if i != 4:
+                assert np.array_equal(base[i], pert[i])
+        # an off-mask inf must not reach other rows, not even as 0 * inf
+        z2[4] = np.inf
+        with np.errstate(invalid="ignore"):
+            pert = sparse_attend(z2, mh, policy).output
+        for i in range(6):
+            if i != 4:
+                assert np.all(np.isfinite(pert[i]))
                 assert np.array_equal(base[i], pert[i])
 
     def test_deterministic(self, rng):

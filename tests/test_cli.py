@@ -155,6 +155,21 @@ class TestDecode:
         assert code == EXIT_DATA
         assert "row 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,value", [("joint.out", np.nan),
+                                            ("blocks.0.heads.1.w_k", np.inf)])
+    def test_non_finite_model_tensor_exit_data(self, model_path, wav_path,
+                                               tmp_path, capsys, name, value):
+        from sparse_rnnt.model_io import load_model, model_tensors, save_model
+
+        model = load_model(model_path)
+        model_tensors(model)[name][0, 0] = value
+        bad = tmp_path / "bad.model"
+        save_model(model, bad)
+        code = main(["decode", "--model", str(bad), str(wav_path)])
+        assert code == EXIT_DATA
+        assert f"tensor {name} " in capsys.readouterr().err
+
+
 class TestHeatmap:
     def test_export_square_csv(self, model_path, wav_path, tmp_path):
         out = tmp_path / "h.csv"
@@ -242,6 +257,14 @@ class TestSweep:
                      str(wav_path), "--refs", str(tmp_path / "nope.tsv"),
                      *flags, "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_CONFIG
+
+    def test_rejects_decode_mask_flag(self, wav_path, tmp_path):
+        # sweep reads --masks; a --mask it would ignore is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--model", str(tmp_path / "nope.model"),
+                  str(wav_path), "--refs", str(tmp_path / "nope.tsv"),
+                  "--mask", "local", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == EXIT_CONFIG
 
     def test_missing_reference_exit_data(self, model_path, wav_path, tmp_path):
         refs = tmp_path / "refs.tsv"

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sparse_rnnt.errors import ShapeError
 from sparse_rnnt.numerics import (
@@ -8,10 +7,8 @@ from sparse_rnnt.numerics import (
     RecurrentState,
     layer_norm,
     lstm_cell_step,
-    masked_softmax,
     matmul,
     sigmoid,
-    softmax,
 )
 
 
@@ -57,56 +54,6 @@ class TestMatmul:
         a = rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4))
         assert np.array_equal(matmul(a, b), matmul(a, b))
-
-
-class TestMaskedSoftmax:
-    def test_uniform(self):
-        out = masked_softmax(np.zeros(3), [0, 1, 2])
-        assert np.allclose(out, [1 / 3] * 3)
-
-    def test_singleton_mask(self):
-        out = masked_softmax(np.array([5.0, -1.0, 2.0]), [0])
-        assert np.array_equal(out, [1.0, 0.0, 0.0])
-
-    def test_two_element_closed_form(self):
-        out = masked_softmax(np.array([1.0, 2.0, 3.0, 4.0]), [1, 3])
-        e2, e4 = np.exp(2.0), np.exp(4.0)
-        assert out[0] == 0.0 and out[2] == 0.0
-        assert np.allclose(out[[1, 3]], [e2 / (e2 + e4), e4 / (e2 + e4)])
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ShapeError):
-            masked_softmax(np.zeros(3), [])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ShapeError):
-            masked_softmax(np.zeros(3), [3])
-
-    def test_random_mask_properties(self, rng):
-        # sums to 1 on-mask, exactly 0 off-mask
-        for _ in range(1000):
-            n = rng.integers(1, 20)
-            scores = rng.normal(scale=5, size=n)
-            k = rng.integers(1, n + 1)
-            mask = rng.choice(n, size=k, replace=False)
-            out = masked_softmax(scores, mask)
-            assert abs(out[mask].sum() - 1.0) < 1e-6
-            off = np.setdiff1d(np.arange(n), mask)
-            assert np.all(out[off] == 0.0)
-
-    def test_full_mask_equals_softmax(self, rng):
-        scores = rng.normal(size=12)
-        full = masked_softmax(scores, np.arange(12))
-        assert np.max(np.abs(full - softmax(scores))) < 1e-9
-
-    def test_off_mask_values_have_no_influence(self, rng):
-        scores = rng.normal(size=8)
-        mask = [1, 4, 6]
-        out1 = masked_softmax(scores, mask)
-        scores2 = scores.copy()
-        scores2[[0, 2, 3, 5, 7]] += rng.normal(scale=100, size=5)
-        out2 = masked_softmax(scores2, mask)
-        assert np.array_equal(out1, out2)
 
 
 class TestLayerNorm:
@@ -186,12 +133,3 @@ class TestLstmCell:
         w = LstmWeights(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
         with pytest.raises(ShapeError):
             lstm_cell_step(np.zeros(4), RecurrentState.zeros(2), w)
-
-
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=16))
-@settings(max_examples=200, deadline=None)
-def test_masked_softmax_full_mask_property(scores):
-    scores = np.array(scores)
-    out = masked_softmax(scores, np.arange(len(scores)))
-    assert abs(out.sum() - 1.0) < 1e-6
-    assert np.all(out >= 0.0)

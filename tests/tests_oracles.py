@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from sparse_rnnt.attention import attention_internals
 from sparse_rnnt.numerics import layer_norm, sigmoid
 
 
@@ -46,6 +47,27 @@ def oracle_sparse_attend(z, mh, policy):
             out[i] = weights @ v[idx]
         head_outs.append(out)
     return np.concatenate(head_outs, axis=1) @ mh.w_p
+
+
+def rowwise_sparse_attend(z, mh, policy):
+    """The library's masks and scores, attended one query row at a time.
+
+    Each row gathers its attended scores and values alone, so the
+    vectorised kernel must match it bit for bit.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    internals = attention_internals(z, mh, policy)
+    head_outputs = []
+    for head, scores, mask in zip(mh.heads, internals.scores, internals.masks):
+        v = z @ head.w_v
+        out = np.empty((z.shape[0], head.inner_dim))
+        for i in range(z.shape[0]):
+            idx = mask.indices(i)
+            sub = scores.e[i, idx]
+            weights = np.exp(sub - sub.max())
+            out[i] = (weights / weights.sum()) @ v[idx]
+        head_outputs.append(out)
+    return np.concatenate(head_outputs, axis=1) @ mh.w_p
 
 
 def oracle_conformer_block(x, block, policy):
