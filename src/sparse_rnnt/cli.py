@@ -48,14 +48,17 @@ def _atomic_write(path, text: str) -> None:
 def _load_config(path: str | None) -> ModelConfig:
     if path is None:
         return ModelConfig.desk_scale()
-    d = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
     base = ModelConfig.desk_scale().to_dict()
-    for key, val in d.items():
-        if key in ("encoder", "vocab") and isinstance(val, dict):
-            base[key].update(val)
-        else:
-            base[key] = val
-    return ModelConfig.from_dict(base)
+    try:
+        for key, val in json.loads(text).items():
+            if key in ("encoder", "vocab") and isinstance(val, dict):
+                base[key].update(val)
+            else:
+                base[key] = val
+        return ModelConfig.from_dict(base)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParameterError(f"{path}: bad model config ({exc})") from exc
 
 
 def _decode_options(args, mask: str, segmentation: str) -> DecodeOptions:

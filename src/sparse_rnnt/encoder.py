@@ -7,7 +7,8 @@ sublayer -> half-step FFN -> final layer norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,7 +29,17 @@ __all__ = [
     "encode",
     "subsampled_length",
     "receptive_field",
+    "check_positive_ints",
 ]
+
+
+def check_positive_ints(cfg) -> None:
+    """Raise ParameterError unless every int field of the dataclass is an int > 0."""
+    hints = get_type_hints(type(cfg))
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if hints[f.name] is int and (type(value) is not int or value <= 0):
+            raise ParameterError(f"{f.name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -47,6 +58,7 @@ class EncoderConfig:
     use_sinusoidal_pe: bool = False
 
     def __post_init__(self):
+        check_positive_ints(self)  # sizes, kernels and strides
         if self.model_dim != self.num_heads * self.head_dim:
             raise ParameterError(
                 f"model_dim {self.model_dim} != num_heads {self.num_heads} "

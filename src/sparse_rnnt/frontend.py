@@ -71,10 +71,9 @@ class FrontendConfig:
     hop: float = 0.010
     num_mels: int = 80
     fft_size: int = 512
-    preemphasis: float = 0.0  # 0 disables
-    fmin: float = 0.0
-    fmax: float | None = None  # None -> Nyquist
-    log_floor: float = 1e-10
+
+
+_LOG_FLOOR = 1e-10  # mel energies are floored here before the log
 
 
 @dataclass
@@ -113,8 +112,12 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: no such file") from exc
     except wave.Error as exc:
         raise AudioFormatError(f"{path}: malformed WAV ({exc})") from exc
+    except RuntimeError as exc:  # wave's chunk reader, on a seek out of its chunk
+        raise AudioFormatError(f"{path}: malformed WAV (chunk size out of range)") from exc
     except EOFError as exc:
         raise AudioFormatError(f"{path}: truncated WAV") from exc
+    if len(raw) % (2 * channels):
+        raise AudioFormatError(f"{path}: truncated WAV (data ends inside a frame)")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if channels > 1:
         data = data.reshape(-1, channels)[:, 0]
@@ -139,14 +142,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    fft_size: int, sample_rate: int, num_mels: int, fmin: float = 0.0,
-    fmax: float | None = None,
-) -> np.ndarray:
-    """Triangular mel filterbank (HTK scale), shape (num_mels, fft_size//2 + 1)."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    edges_hz = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), num_mels + 2))
+def mel_filterbank(fft_size: int, sample_rate: int, num_mels: int) -> np.ndarray:
+    """Triangular mel filterbank (HTK scale) from 0 Hz to Nyquist, shape
+    (num_mels, fft_size//2 + 1)."""
+    edges_hz = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate / 2.0),
+                                     num_mels + 2))
     bin_freqs = np.arange(fft_size // 2 + 1) * sample_rate / fft_size
     fb = np.zeros((num_mels, bin_freqs.size))
     for m in range(num_mels):
@@ -173,10 +173,6 @@ def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> Featu
     if cfg.num_mels < 1:
         raise EmptyInputError(f"num_mels must be >= 1, got {cfg.num_mels}")
     samples = w.samples
-    if cfg.preemphasis > 0 and len(samples) > 1:
-        samples = np.concatenate(
-            [samples[:1], samples[1:] - cfg.preemphasis * samples[:-1]]
-        )
     T = frame_count(len(samples), win, hop)
     if T == 0:
         raise EmptyInputError(
@@ -187,12 +183,12 @@ def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> Featu
     if fft_size < win:
         raise EmptyInputError(f"fft_size {fft_size} < window of {win} samples")
     window_fn = np.hanning(win)
-    fb = mel_filterbank(fft_size, w.sample_rate, cfg.num_mels, cfg.fmin, cfg.fmax)
+    fb = mel_filterbank(fft_size, w.sample_rate, cfg.num_mels)
     frames = np.empty((T, cfg.num_mels))
     for t in range(T):
         seg = samples[t * hop : t * hop + win] * window_fn
         spectrum = np.abs(np.fft.rfft(seg, n=fft_size)) ** 2
-        frames[t] = np.log(np.maximum(fb @ spectrum, cfg.log_floor))
+        frames[t] = np.log(np.maximum(fb @ spectrum, _LOG_FLOOR))
     return FeatureMatrix(frames, cfg.hop, cfg.window)
 
 
@@ -232,6 +228,9 @@ def read_feature_file(path) -> FeatureMatrix:
         shift, length = float(head[2]), float(head[3])
     except ValueError:
         raise DataError(f"{path}: bad feature header {text[0]!r}") from None
+    if not (0 < shift < np.inf and 0 < length < np.inf):  # False for NaN
+        raise DataError(f"{path}: feature header {text[0]!r}: frame_shift and "
+                        f"frame_length must be finite and > 0")
     if len(text) - 1 != T:
         raise DataError(f"{path}: expected {T} rows, found {len(text) - 1}")
     rows = []

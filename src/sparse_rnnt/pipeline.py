@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .frontend import (
     read_feature_file,
     read_wav,
 )
-from .segmentation import Segment, TimedToken, VadConfig, doi_merge, doi_split, epd_split
+from .segmentation import Segment, TimedToken, doi_merge, doi_split, epd_split
 from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
@@ -33,7 +33,6 @@ class SegmentationSpec:
     kind: str = "none"  # none | doi | epd
     doi_length: float | None = None
     overlap: float = 2.0
-    vad: VadConfig = field(default_factory=VadConfig)
 
     def __post_init__(self):
         if self.kind not in ("none", "doi", "epd"):
@@ -54,16 +53,10 @@ class DecodeOptions:
     beam: int = 4
     srs: SrsParams = field(default_factory=SrsParams)
     segmentation: SegmentationSpec = field(default_factory=SegmentationSpec)
-    frontend: FrontendConfig = field(default_factory=FrontendConfig)
-    normalize: bool = True
-    max_expansions: int = 5
 
     def __post_init__(self):
         if not self.beam >= 1:
             raise ParameterError(f"beam must be >= 1, got {self.beam}")
-        if not self.max_expansions >= 0:
-            raise ParameterError(
-                f"max_expansions must be >= 0, got {self.max_expansions}")
 
 
 @dataclass
@@ -111,22 +104,18 @@ def _segments_for(w: Waveform, spec: SegmentationSpec) -> list[Segment]:
         return [Segment(0.0, dur, 0.0, dur)]
     if spec.kind == "doi":
         return doi_split(dur, spec.doi_length, spec.overlap)
-    return epd_split(w, spec.vad)
+    return epd_split(w)
 
 
-def _features(w: Waveform, opts: DecodeOptions, feat_dim: int) -> FeatureMatrix:
+def _features(w: Waveform, feat_dim: int) -> FeatureMatrix:
     # the filterbank size must match the model's input dimension
-    fe = replace(opts.frontend, num_mels=feat_dim)
-    f = log_mel_spectrogram(w, fe)
-    if opts.normalize:
-        f = normalize_global(f, compute_stats(f))
-    return f
+    f = log_mel_spectrogram(w, FrontendConfig(num_mels=feat_dim))
+    return normalize_global(f, compute_stats(f))
 
 
 def _decode_segment(model, f: FeatureMatrix, offset: float, opts: DecodeOptions):
     enc_out, attn_in = encode(f, model, opts.policy)
-    transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs,
-                                 opts.max_expansions)
+    transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs)
     tokens = [
         TimedToken(tok, offset + frame * enc_out.frame_rate)
         for tok, frame in zip(transcript.token_ids, transcript.frames)
@@ -147,7 +136,7 @@ def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
     results = []
     all_attn_in = []
     total_lp = 0.0
-    min_frames = _min_input_frames(model.config.encoder, opts.frontend, w.sample_rate)
+    min_frames = _min_input_frames(model.config.encoder, w.sample_rate)
     for seg in segments:
         lo = int(round(seg.start * w.sample_rate))
         hi = int(round(seg.end * w.sample_rate))
@@ -156,7 +145,7 @@ def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
             results.append((seg, []))
             continue
         try:
-            f = _features(piece, opts, model.config.feat_dim)
+            f = _features(piece, model.config.feat_dim)
             tokens, attn_in, lp = _decode_segment(model, f, seg.start, opts)
         except EmptyInputError:
             results.append((seg, []))
@@ -173,8 +162,9 @@ def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
     return DecodeResult(text, merged, all_attn_in, total_lp)
 
 
-def _min_input_frames(enc_cfg, fe_cfg: FrontendConfig, sample_rate: int) -> int:
+def _min_input_frames(enc_cfg, sample_rate: int) -> int:
     """Smallest sample count yielding at least one encoder output frame."""
+    fe_cfg = FrontendConfig()
     win = int(round(fe_cfg.window * sample_rate))
     hop = int(round(fe_cfg.hop * sample_rate))
     t = 1
@@ -195,7 +185,7 @@ def encode_file(model, path, opts: DecodeOptions):
     """Encode a whole .wav or feature file, unsegmented, without decoding."""
     path = Path(path)
     if path.suffix.lower() == ".wav":
-        f = _features(read_wav(path), opts, model.config.feat_dim)
+        f = _features(read_wav(path), model.config.feat_dim)
     else:
         f = read_feature_file(path)
     return encode(f, model, opts.policy)

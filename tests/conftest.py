@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sparse_rnnt.model_io import ModelConfig, Vocabulary, random_model
 from sparse_rnnt.encoder import EncoderConfig
+
+# property and fuzz tests draw the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          max_examples=100)
+settings.load_profile("deterministic")
 
 
 def tiny_config(num_layers=2, model_dim=8, num_heads=2, vocab_size=5,

@@ -50,6 +50,39 @@ class TestGenModel:
         assert code == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("text", [
+        '{"encoder": {"subsample_stride": 0}}', '{"encoder": {"num_layers": -1}}',
+        '{"encoder": {"bogus": 1}}', '{"bogus": 1}', '["encoder"]', '{"feat_dim": ',
+    ])
+    def test_bad_config_file_one_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code = main(["gen-model", "--config", str(cfg),
+                     "--out", str(tmp_path / "m.model")])
+        assert code == EXIT_CONFIG
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(manifest):
+        for key in keys:
+            manifest = manifest[key]
+        manifest[last] = value
+    return edit
+
+
+def _drop(*keys):
+    *keys, last = keys
+
+    def edit(manifest):
+        for key in keys:
+            manifest = manifest[key]
+        del manifest[last]
+    return edit
+
+
 class TestDecode:
     def test_rerun_byte_identical(self, model_path, wav_path, tmp_path):
         outs = [tmp_path / "a.txt", tmp_path / "b.txt"]
@@ -154,6 +187,30 @@ class TestDecode:
         code = main(["decode", "--model", str(model_path), str(feats)])
         assert code == EXIT_DATA
         assert "row 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: [m],
+        _drop("blob_bytes"),
+        _drop("tensors", 0, "name"),
+        _set("config", "encoder", "num_layers", "4"),
+        _set("config", "encoder", "bogus", 1),
+        _set("tensors", 0, "offset", -8),
+        _set("config", "encoder", "subsample_stride", 0),
+        _set("config", "vocab", "tokens", []),
+    ], ids=["json-list", "no-blob-bytes", "tensor-without-name", "str-num-layers",
+            "unknown-encoder-key", "negative-offset", "zero-stride", "empty-vocab"])
+    def test_malformed_manifest_exit_io(self, model_path, wav_path, tmp_path,
+                                        capsys, edit):
+        raw = model_path.read_bytes()
+        sep = raw.index(b"\x00")
+        manifest = json.loads(raw[:sep])
+        manifest = edit(manifest) or manifest
+        bad = tmp_path / "bad.model"
+        bad.write_bytes(json.dumps(manifest).encode() + raw[sep:])
+        code = main(["decode", "--model", str(bad), str(wav_path)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"i/o error: {bad}:")
 
     @pytest.mark.parametrize("name,value", [("joint.out", np.nan),
                                             ("blocks.0.heads.1.w_k", np.inf)])

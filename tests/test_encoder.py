@@ -247,6 +247,14 @@ class TestConfig:
             EncoderConfig(num_layers=1, model_dim=8, num_heads=2, head_dim=4,
                           conv_kernel=4)
 
+    @pytest.mark.parametrize("field,value", [
+        ("subsample_stride", 0), ("subsample_kernel", -1), ("num_layers", 0),
+        ("conv_kernel", -3), ("ff_dim", "4"), ("num_layers", 2.0),
+    ])
+    def test_non_positive_or_non_int_size_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=field):
+            EncoderConfig(**{field: value})
+
     def test_paper_defaults(self):
         cfg = EncoderConfig()
         assert cfg.num_layers == 12

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,31 @@ class TestWavIo:
         path = tmp_path / "bad.wav"
         path.write_bytes(b"RIFFgarbage-not-a-wave-file")
         with pytest.raises(AudioFormatError):
+            read_wav(path)
+
+    def test_fmt_chunk_overrunning_data_header(self, tmp_path):
+        # the fmt chunk declares 32 bytes, so the audio bytes are read as a
+        # chunk header whose size sends wave's seek out of range
+        header = bytes.fromhex(
+            "52494646a43e000057415645666d74202000000001000100803e0000"
+            "007d003c0200100064617461803e0000"
+        )
+        path = tmp_path / "bad.wav"
+        path.write_bytes(header + b"\x01" * 200)
+        with pytest.raises(AudioFormatError, match="malformed"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("channels,present", [(1, 16001), (2, 16002)])
+    def test_data_chunk_ending_inside_a_frame(self, tmp_path, channels, present):
+        # the data chunk declares 32000 bytes per channel; fewer are present
+        declared = 32000 * channels
+        fmt = struct.pack("<IHHIIHH", 16, 1, channels, 16000, 32000 * channels,
+                          2 * channels, 16)
+        path = tmp_path / "short.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 36 + declared) + b"WAVEfmt "
+                         + fmt + b"data" + struct.pack("<I", declared)
+                         + bytes(present))
+        with pytest.raises(AudioFormatError, match="truncated"):
             read_wav(path)
 
     def test_zero_length_payload(self, tmp_path):
@@ -196,6 +223,14 @@ class TestFeatureFile:
         path = tmp_path / "bad.txt"
         path.write_text(f"3 2 0.01 0.025\n1 2\n3 4\n{value} 5\n")
         with pytest.raises(DataError, match="row 2"):
+            read_feature_file(path)
+
+    @pytest.mark.parametrize("times", ["nan 0.025", "inf 0.025", "-0.01 0.025",
+                                       "0.01 0", "0.01 -inf"])
+    def test_bad_header_times_rejected(self, tmp_path, times):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"2 2 {times}\n1 2\n3 4\n")
+        with pytest.raises(DataError, match="header"):
             read_feature_file(path)
 
     def test_ragged_row_names_row(self, tmp_path):
