@@ -4,11 +4,16 @@ The attended index set for query i is the union of a fixed local window
 and the keys whose raw score strictly exceeds the query's mean score.
 With several heads the global parts can be kept per head, intersected,
 or unioned before attending.
+
+The local-only policy forms each query's scores for its window alone,
+in O(T·w) memory. The global mask needs every score of a row for its
+mean, so the other policies hold one head's (T, T) scores at a time.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,6 +26,7 @@ __all__ = [
     "AttentionHeadWeights",
     "MultiHeadWeights",
     "ScoreMatrix",
+    "BandScores",
     "AttentionMask",
     "MaskPolicy",
     "SparsityReport",
@@ -88,34 +94,93 @@ class ScoreMatrix:
     def length(self) -> int:
         return self.e.shape[0]
 
+    def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+        """Scores of query rows at their keys (len(rows), n); None means every key."""
+        if keys is None:
+            return self.e[rows]
+        # np.take, not fancy indexing: about 3x faster for these gathers
+        return np.take(self.e, keys + (rows * self.length)[:, None])
+
 
 @dataclass
-class AttentionMask:
-    """Per-query attended-key sets as a boolean (T, T) matrix."""
+class BandScores:
+    """Scores kept as their query and key projections, formed only where read.
 
-    rows: np.ndarray
+    `local` reads each query's band alone, so no (T, T) array is formed.
+    An entry is the same dot product as in compute_scores, but may differ
+    from that one gemm in the last bits.
+    """
 
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=bool)
-        if self.rows.ndim != 2 or self.rows.shape[0] != self.rows.shape[1]:
-            raise ShapeError(f"mask must be square, got {self.rows.shape}")
+    q: np.ndarray  # (T, d)
+    k: np.ndarray  # (T, d)
 
     @property
     def length(self) -> int:
-        return self.rows.shape[0]
+        return self.q.shape[0]
+
+    def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+        """Scores of query rows at their keys (len(rows), n); None means every key."""
+        if keys is None:
+            keys = np.broadcast_to(np.arange(self.length), (len(rows), self.length))
+        # one gemv per row: (n, d) keys times the row's (d,) query
+        k = np.take(self.k, keys, axis=0)
+        return (k @ self.q[rows, :, None])[:, :, 0] / np.sqrt(self.q.shape[1])
+
+
+class AttentionMask:
+    """Per-query attended-key sets: a band |i - j| <= w, or a boolean (T, T) matrix.
+
+    A band holds only T and w; its key sets and counts are derived on
+    demand, and its (T, T) view `rows` is built only when read.
+    """
+
+    def __init__(self, rows: np.ndarray | None = None, *, length: int | None = None,
+                 w: int | None = None):
+        if rows is None:  # a band
+            # w >= T already spans every key
+            self.length, self.w, self._rows = length, min(w, length), None
+            return
+        rows = np.asarray(rows, dtype=bool)
+        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
+            raise ShapeError(f"mask must be square, got {rows.shape}")
+        self.length, self.w, self._rows = rows.shape[0], None, rows
+
+    @property
+    def rows(self) -> np.ndarray:
+        """rows[i, j] is True iff query i attends key j."""
+        if self._rows is not None:
+            return self._rows
+        T, w = self.length, self.w
+        # |i - j| <= w as j <= i + w and not j <= i - w - 1, with no int temporaries
+        return np.tri(T, k=w, dtype=bool) & ~np.tri(T, k=-w - 1, dtype=bool)
+
+    def counts(self) -> np.ndarray:
+        """Number of attended keys of each query, (T,)."""
+        if self._rows is not None:
+            return self._rows.sum(axis=1)
+        i = np.arange(self.length)
+        return np.minimum(i + self.w + 1, self.length) - np.maximum(i - self.w, 0)
+
+    def keys(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Sorted attended keys of query rows that each attend n keys, (len(rows), n)."""
+        if self._rows is not None:
+            return np.flatnonzero(self._rows[rows]).reshape(len(rows), n) % self.length
+        return np.maximum(rows - self.w, 0)[:, None] + np.arange(n)
 
     def indices(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.rows[i])
+        if self._rows is not None:
+            return np.flatnonzero(self._rows[i])
+        return np.arange(max(0, i - self.w), min(self.length, i + self.w + 1))
 
     def union(self, other: "AttentionMask") -> "AttentionMask":
         return AttentionMask(self.rows | other.rows)
 
     def row_density(self) -> np.ndarray:
-        return self.rows.sum(axis=1) / self.length
+        return self.counts() / self.length
 
     @classmethod
     def full(cls, T: int) -> "AttentionMask":
-        return cls(np.ones((T, T), dtype=bool))
+        return cls(length=T, w=T)
 
 
 @dataclass
@@ -165,9 +230,7 @@ def local_mask(T: int, w: int) -> AttentionMask:
     """Banded window mask: query i attends keys within +-w, clamped to range."""
     if T < 1:
         raise ParameterError(f"sequence length must be >= 1, got {T}")
-    # |i - j| <= w as j <= i + w and not j <= i - w - 1, with no int temporaries
-    rows = np.tri(T, k=w, dtype=bool) & ~np.tri(T, k=-w - 1, dtype=bool)
-    return AttentionMask(rows)
+    return AttentionMask(length=T, w=w)
 
 
 def global_mask(scores: ScoreMatrix) -> AttentionMask:
@@ -179,60 +242,115 @@ def global_mask(scores: ScoreMatrix) -> AttentionMask:
     return AttentionMask(scores.e > scores.row_means[:, None])
 
 
-def fuse_heads(per_head_globals: list[AttentionMask], fusion: str) -> list[AttentionMask]:
-    """Combine per-head global masks; returns one mask per head."""
-    if not per_head_globals:
-        raise ParameterError("fuse_heads requires at least one head mask")
+def fuse_heads(per_head_globals: Iterable[AttentionMask],
+               fusion: str) -> list[AttentionMask]:
+    """Combine per-head global masks; returns one mask per head.
+
+    The masks may come from a generator: intersection and union keep only
+    the running result and the current head's mask.
+    """
     if fusion == FUSION_PER_HEAD:
-        return list(per_head_globals)
-    stacked = np.stack([m.rows for m in per_head_globals])
-    if fusion == FUSION_AND:
-        fused = AttentionMask(stacked.all(axis=0))
-    elif fusion == FUSION_OR:
-        fused = AttentionMask(stacked.any(axis=0))
-    else:
+        masks = list(per_head_globals)
+        if not masks:
+            raise ParameterError("fuse_heads requires at least one head mask")
+        return masks
+    combine = {FUSION_AND: np.logical_and, FUSION_OR: np.logical_or}.get(fusion)
+    if combine is None:
         raise ParameterError(f"unknown fusion variant {fusion!r}")
-    return [fused] * len(per_head_globals)
+    fused, heads = None, 0
+    for heads, mask in enumerate(per_head_globals, 1):
+        fused = mask.rows.copy() if fused is None else combine(fused, mask.rows, out=fused)
+    if fused is None:
+        raise ParameterError("fuse_heads requires at least one head mask")
+    return [AttentionMask(fused)] * heads
+
+
+def _policy_mask(T: int, policy: MaskPolicy, g: AttentionMask | None) -> AttentionMask:
+    """One head's attended sets S_i, given its global mask g if local_global."""
+    if policy.variant == DENSE:
+        return AttentionMask.full(T)
+    loc = local_mask(T, policy.w)
+    return loc if policy.variant == LOCAL_ONLY else loc.union(g)
 
 
 def build_masks(per_head_scores: list[ScoreMatrix], policy: MaskPolicy,
                 global_masks: list[AttentionMask] | None = None) -> list[AttentionMask]:
     """Per-head attended sets S_i; fused global masks are derived if not given."""
-    T = per_head_scores[0].length
-    if policy.variant == DENSE:
-        return [AttentionMask.full(T)] * len(per_head_scores)
-    loc = local_mask(T, policy.w)
-    if policy.variant == LOCAL_ONLY:
-        return [loc] * len(per_head_scores)
-    if global_masks is None:
+    if policy.variant == LOCAL_PLUS_GLOBAL and global_masks is None:
         global_masks = fuse_heads([global_mask(s) for s in per_head_scores],
                                   policy.fusion)
-    return [loc.union(g) for g in global_masks]
+    T = per_head_scores[0].length
+    return [_policy_mask(T, policy, None if global_masks is None else global_masks[h])
+            for h in range(len(per_head_scores))]
 
 
 @dataclass
 class AttentionInternals:
-    """One layer's per-head scores, attended sets and fused global masks."""
+    """One layer's attention state, derived from its input z one head at a time.
 
-    scores: list[ScoreMatrix]
-    masks: list[AttentionMask]
-    global_masks: list[AttentionMask] | None  # None unless local_global
+    Attended sets shared by every head are built once; only sgm2 derives
+    each head's from that head's scores. Scores are derived afresh when
+    asked for, so a caller walking the heads holds at most one head's.
+    """
+
+    z: np.ndarray
+    mh: MultiHeadWeights
+    policy: MaskPolicy
+    shared: AttentionMask | None  # every head's attended sets; None for sgm2
+    fused: AttentionMask | None  # sgm1/sgm3's fused global mask
+
+    def head_scores(self, h: int) -> ScoreMatrix | BandScores:
+        """Head h's scores: `local` forms only those it reads, the rest the full matrix."""
+        head = self.mh.heads[h]
+        if self.policy.variant == LOCAL_ONLY:
+            return BandScores(matmul(self.z, head.w_q), matmul(self.z, head.w_k))
+        return compute_scores(self.z, head)
+
+    def head_masks(self, h: int, scores: ScoreMatrix | None = None
+                   ) -> tuple[AttentionMask, AttentionMask | None]:
+        """Head h's attended sets and global mask (None unless local_global).
+
+        sgm2 derives the global mask from the head's own scores; pass them
+        if they are at hand.
+        """
+        if self.shared is not None:
+            return self.shared, self.fused
+        g = global_mask(scores if scores is not None else self.head_scores(h))
+        return _policy_mask(self.z.shape[0], self.policy, g), g
+
+    @property
+    def scores(self) -> list[ScoreMatrix | BandScores]:
+        return [self.head_scores(h) for h in range(self.mh.num_heads)]
+
+    @property
+    def masks(self) -> list[AttentionMask]:
+        return [self.head_masks(h)[0] for h in range(self.mh.num_heads)]
+
+    @property
+    def global_masks(self) -> list[AttentionMask] | None:
+        if self.policy.variant != LOCAL_PLUS_GLOBAL:
+            return None
+        return [self.head_masks(h)[1] for h in range(self.mh.num_heads)]
 
 
 def attention_internals(z: np.ndarray, mh: MultiHeadWeights,
                         policy: MaskPolicy) -> AttentionInternals:
-    """Scores and masks of one attention layer, derived from its input z.
+    """The state of one attention layer, derived from its input z.
 
-    sparse_attend takes its masks from here, so recomputing them from a
-    layer's input gives exactly the sets that attention used.
+    sparse_attend takes its scores and masks from here, so recomputing
+    them from a layer's input gives exactly the sets that attention used.
     """
     z = np.asarray(z, dtype=np.float64)
-    scores = [compute_scores(z, head) for head in mh.heads]
-    global_masks = None
+    if policy.variant == LOCAL_PLUS_GLOBAL and policy.fusion == FUSION_PER_HEAD:
+        return AttentionInternals(z, mh, policy, None, None)
+    fused = None
     if policy.variant == LOCAL_PLUS_GLOBAL:
-        global_masks = fuse_heads([global_mask(s) for s in scores], policy.fusion)
-    return AttentionInternals(scores, build_masks(scores, policy, global_masks),
-                              global_masks)
+        # each head's scores live only until its boolean global mask is
+        # folded in; attention computes them again with the same gemm
+        fused = fuse_heads((global_mask(compute_scores(z, head)) for head in mh.heads),
+                           policy.fusion)[0]
+    return AttentionInternals(z, mh, policy, _policy_mask(z.shape[0], policy, fused),
+                              fused)
 
 
 @dataclass
@@ -245,43 +363,52 @@ class AttentionResult:
 _GATHER_KEYS = 1 << 14
 
 
-def _attend(e: np.ndarray, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _attend(scores: ScoreMatrix | BandScores, mask: AttentionMask,
+            v: np.ndarray) -> np.ndarray:
     """Softmax over each query's attended scores, applied to their values.
 
     Rows are batched by n, their number of attended keys; a batch gathers
     only its rows' keys, so off-mask entries never enter the arithmetic.
     (q,1,n) @ (q,n,d) makes one gemv per row, as a lone row's product does.
     """
-    T = e.shape[0]
+    T = mask.length
     out = np.empty((T, v.shape[1]))
-    counts = rows.sum(axis=1)
+    counts = mask.counts()
     for n in set(counts.tolist()):
         group = np.flatnonzero(counts == n)
         step = max(1, _GATHER_KEYS // n)
         for b in range(0, len(group), step):
             q = group[b : b + step]
             if n == T:
-                weights, values = softmax(e[q]), v
+                weights, values = softmax(scores.at(q)), v
             else:
-                keys = np.flatnonzero(rows[q]).reshape(len(q), n) % T
-                # np.take, not fancy indexing: about 3x faster for these gathers
-                weights = softmax(np.take(e, keys + (q * T)[:, None]))
+                keys = mask.keys(q, n)
+                weights = softmax(scores.at(q, keys))
                 values = np.take(v, keys, axis=0)
             out[q] = (weights[:, None, :] @ values)[:, 0]
     return out
 
 
+def _attend_head(layer: AttentionInternals, h: int,
+                 v: np.ndarray) -> tuple[np.ndarray, AttentionMask]:
+    # the head's scores die with this frame, before the next head's are formed
+    scores = layer.head_scores(h)
+    mask, _ = layer.head_masks(h, scores)
+    return _attend(scores, mask, v), mask
+
+
 def sparse_attend(
     z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy
 ) -> AttentionResult:
-    """Masked multi-head attention: per-head attend, concat, project by w_p."""
-    internals = attention_internals(z, mh, policy)
-    head_outputs = [
-        _attend(scores.e, mask.rows, matmul(z, head.w_v))
-        for head, scores, mask in zip(mh.heads, internals.scores, internals.masks)
-    ]
+    """Masked multi-head attention: per-head attend, concat, project by w_p.
+
+    Heads attend one at a time, so at most one head's scores are alive.
+    """
+    layer = attention_internals(z, mh, policy)
+    head_outputs, masks = zip(*(_attend_head(layer, h, matmul(layer.z, head.w_v))
+                                for h, head in enumerate(mh.heads)))
     concat = np.concatenate(head_outputs, axis=1)
-    return AttentionResult(matmul(concat, mh.w_p), internals.masks)
+    return AttentionResult(matmul(concat, mh.w_p), list(masks))
 
 
 @dataclass

@@ -75,9 +75,19 @@ def _sparsity_report(model, attn_in, policy) -> str:
     masks, global_masks = [], []
     for z, block in zip(attn_in, model.blocks):
         layer = attention_internals(z, block.mh, policy)
-        masks.append(layer.masks)
-        global_masks.append(layer.global_masks)
+        # one pass over the heads: sgm2 scores each head to find its masks
+        heads = [layer.head_masks(h) for h in range(block.mh.num_heads)]
+        masks.append([mask for mask, _ in heads])
+        global_masks.append(None if heads[0][1] is None else [g for _, g in heads])
     return format_sparsity_report(mask_stats(masks, global_masks))
+
+
+def _failed_input_message(path: Path, exc: Exception) -> str:
+    """`path: reason` for a failed input; readers' messages already lead with it."""
+    # str() of an OSError ends in its filename; strerror is the reason alone
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+    prefix = f"{path}: "
+    return reason if reason.startswith(prefix) else prefix + reason
 
 
 def _read_tsv(path) -> dict[str, str]:
@@ -113,7 +123,7 @@ def cmd_decode(args) -> int:
         try:
             res = decode_file(model, path, opts)
         except (SparseRnntError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            print(f"error: {_failed_input_message(path, exc)}", file=sys.stderr)
             failures.append(exc)
             continue
         utt_id = path.stem

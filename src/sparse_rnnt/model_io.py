@@ -341,21 +341,30 @@ def _read_tensors(path, head: bytes, blob: bytes):
     tensors = {}
     # the spec is lazy: a config naming more tensors than the file holds
     # stops at the first missing one
+    start = 0
     for name, shape in _tensor_specs(cfg):
         if name not in entries:
             raise ModelFormatError(f"{path}: missing tensor {name}")
-        found, start = tuple(entries[name]["shape"]), entries[name]["offset"]
+        found, offset = tuple(entries[name]["shape"]), entries[name]["offset"]
         end = start + 8 * math.prod(shape)
         if found != shape:
             raise ModelFormatError(
                 f"{path}: tensor {name} has shape {found}, config implies {shape}"
             )
-        if type(start) is not int or not 0 <= start <= end <= len(blob):
+        # the layout save_model writes: back to back, in spec order, so no
+        # two tensors can share bytes
+        if type(offset) is not int or offset != start or end > len(blob):
             raise ModelFormatError(
-                f"{path}: tensor {name} at offset {start!r} lies outside the blob"
+                f"{path}: tensor {name} at offset {offset!r}, expected {start} "
+                f"with {8 * math.prod(shape)} bytes in a blob of {len(blob)}"
             )
         tensors[name] = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
+        start = end
     extra = set(entries).difference(tensors)
     if extra:
         raise ModelFormatError(f"{path}: unexpected tensor {sorted(map(str, extra))[0]!r}")
+    if start != len(blob):
+        raise ModelFormatError(
+            f"{path}: tensors end at byte {start}, the blob at {len(blob)}"
+        )
     return cfg, tensors

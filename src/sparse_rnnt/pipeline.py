@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .attention import MaskPolicy
-from .encoder import encode, subsampled_length
+from .encoder import encode
 from .errors import EmptyInputError, ParameterError
 from .frontend import (
     FeatureMatrix,
@@ -167,9 +167,9 @@ def _min_input_frames(enc_cfg, sample_rate: int) -> int:
     fe_cfg = FrontendConfig()
     win = int(round(fe_cfg.window * sample_rate))
     hop = int(round(fe_cfg.hop * sample_rate))
-    t = 1
-    while subsampled_length(t, enc_cfg) < 1:
-        t += 1
+    # the second stage needs k frames, the first stage k + (k - 1) * s for them
+    k, s = enc_cfg.subsample_kernel, enc_cfg.subsample_stride
+    t = k + (k - 1) * s
     return win + (t - 1) * hop
 
 

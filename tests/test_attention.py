@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,15 @@ class TestSparseAttend:
         z = rng.normal(size=(T, 8))
         mh = random_mh(rng, 8, 2, 4)
         out = sparse_attend(z, mh, policy).output
-        assert np.array_equal(out, rowwise_sparse_attend(z, mh, policy))
+        if policy.variant == "local":
+            # `local` forms only its band's scores, whose last bits can
+            # differ from the full gemm's
+            assert np.array_equal(
+                out, rowwise_sparse_attend(z, mh, policy, band_scores=True))
+            full = rowwise_sparse_attend(z, mh, policy)
+            assert np.max(np.abs(out - full)) <= 1e-12
+        else:
+            assert np.array_equal(out, rowwise_sparse_attend(z, mh, policy))
 
     def test_mask_rows_nonempty_and_contain_self(self, rng):
         z = rng.normal(size=(9, 4))
@@ -236,6 +246,23 @@ class TestSparseAttend:
                 assert np.all(np.isfinite(pert[i]))
                 assert np.array_equal(base[i], pert[i])
 
+    def test_local_memory_linear_in_length(self, rng):
+        # a band of w = 40 costs O(T'·w): at T' = 8000 not even one T'xT'
+        # bool (64 MB) may be allocated, and doubling T' at most about
+        # doubles the peak
+        mh = random_mh(rng, 32, 4, 8)
+        peaks = {}
+        for T in (4000, 8000):  # the shorter first, so a quadratic path fails small
+            z = rng.normal(size=(T, 32))
+            tracemalloc.start()
+            try:
+                sparse_attend(z, mh, MaskPolicy.local(40))
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peaks[T] < T * T, peaks
+        assert peaks[8000] < 2.5 * peaks[4000], peaks
+
     def test_deterministic(self, rng):
         z = rng.normal(size=(8, 6))
         mh = random_mh(rng, 6, 3, 2)
@@ -265,6 +292,20 @@ class TestMaskStats:
         assert report.rows[0].mean_density == pytest.approx(0.4375)
         assert report.rows[0].min_density == pytest.approx(0.25)
         assert report.rows[0].max_density == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("T,w,mean,lo,hi", [
+        (5, 1, 13 / 25, 2 / 5, 3 / 5),  # counts 2 3 3 3 2
+        (7, 2, 29 / 49, 3 / 7, 5 / 7),  # counts 3 4 5 5 5 4 3
+        (6, 4, 34 / 36, 5 / 6, 6 / 6),  # counts 5 6 6 6 6 5
+        (4, 9, 1.0, 1.0, 1.0),  # the window spans every key
+        (1, 0, 1.0, 1.0, 1.0),
+    ])
+    def test_local_density(self, T, w, mean, lo, hi):
+        # each query i attends the keys j with |i - j| <= w
+        row = mask_stats([[local_mask(T, w)]]).rows[0]
+        assert (row.mean_density, row.min_density, row.max_density) == \
+            pytest.approx((mean, lo, hi), abs=1e-15)
+        assert row.global_density == 0.0
 
     def test_report_format(self):
         report = mask_stats([[AttentionMask.full(2), local_mask(2, 0)]])

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ def _drop(*keys):
     return edit
 
 
+def _alias_all(shape):
+    def edit(manifest):
+        same = [t for t in manifest["tensors"] if t["shape"] == list(shape)]
+        for t in same:
+            t["offset"] = same[0]["offset"]
+    return edit
+
+
 class TestDecode:
     def test_rerun_byte_identical(self, model_path, wav_path, tmp_path):
         outs = [tmp_path / "a.txt", tmp_path / "b.txt"]
@@ -150,6 +159,50 @@ class TestDecode:
         assert code == EXIT_DATA
 
 
+    @pytest.mark.parametrize("name,content,code", [
+        ("bad.wav", b"RIFX\x00\x00\x00\x00WAVE", EXIT_IO),
+        ("missing.wav", None, EXIT_IO),
+        ("missing.feats", None, EXIT_IO),
+        ("bad.feats", "not a header\n1 2 3\n", EXIT_DATA),
+        # two frames of the desk model's 16 features: too short for one
+        # encoder frame
+        ("short.feats", "2 16 0.01 0.025\n" + ("0 " * 16 + "\n") * 2, EXIT_DATA),
+    ], ids=["bad-wav-header", "missing-wav", "missing-feats", "bad-feats", "short-feats"])
+    def test_per_file_error_names_path_once(self, model_path, tmp_path, capsys,
+                                            name, content, code):
+        path = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        assert main(["decode", "--model", str(model_path), str(path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+        assert err[0].count(str(path)) == 1
+
+    def test_huge_subsample_stride_decodes_at_once(self, tmp_path, capsys):
+        # the shortest usable input is found in closed form, not by search
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"encoder": {"subsample_stride": 10**12}}))
+        model = tmp_path / "m.model"
+        assert main(["gen-model", "--config", str(cfg), "--out", str(model)]) == EXIT_OK
+        wav = tmp_path / "one.wav"
+        write_wav(wav, Waveform(np.zeros(16000), 16000))
+        capsys.readouterr()
+
+        def too_slow(signum, frame):
+            pytest.fail("decode did not finish in 10 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)
+        try:
+            code = main(["decode", "--model", str(model), str(wav)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "one\t\n"
+
     @pytest.mark.parametrize("flags", [
         ["--segmentation", "doi:abc"],
         ["--segmentation", "doi:3", "--overlap", "2"],
@@ -197,8 +250,10 @@ class TestDecode:
         _set("tensors", 0, "offset", -8),
         _set("config", "encoder", "subsample_stride", 0),
         _set("config", "vocab", "tokens", []),
+        _alias_all((32,)),
     ], ids=["json-list", "no-blob-bytes", "tensor-without-name", "str-num-layers",
-            "unknown-encoder-key", "negative-offset", "zero-stride", "empty-vocab"])
+            "unknown-encoder-key", "negative-offset", "zero-stride", "empty-vocab",
+            "aliased-offsets"])
     def test_malformed_manifest_exit_io(self, model_path, wav_path, tmp_path,
                                         capsys, edit):
         raw = model_path.read_bytes()

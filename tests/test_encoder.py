@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from sparse_rnnt.encoder import (
     _conv1d_valid,
 )
 from sparse_rnnt.errors import EmptyInputError, ParameterError
-from sparse_rnnt.frontend import FeatureMatrix
+from sparse_rnnt.frontend import FeatureMatrix, FrontendConfig
 from sparse_rnnt.model_io import random_model
 from sparse_rnnt.numerics import layer_norm, sigmoid
-from sparse_rnnt.pipeline import parse_policy
+from sparse_rnnt.pipeline import _min_input_frames, parse_policy
 
 POLICIES = ["dense", "local", "local+sgm1", "local+sgm2", "local+sgm3"]
 
@@ -67,6 +68,20 @@ class TestConvSubsample:
                 return (t - 3) // 2 + 1 if t >= 3 else 0
             expected = stage(stage(T)) if stage(T) >= 3 else 0
             assert subsampled_length(T, cfg) == max(expected, 0)
+
+    def test_min_input_frames_closed_form_matches_search(self):
+        fe = FrontendConfig()
+        win, hop = int(round(fe.window * 16000)), int(round(fe.hop * 16000))
+        for stride in range(1, 51):
+            for kernel in range(1, 8):
+                cfg = EncoderConfig(num_layers=1, model_dim=4, num_heads=1,
+                                    head_dim=4, ff_dim=4, conv_kernel=3,
+                                    subsample_channels=2, subsample_stride=stride,
+                                    subsample_kernel=kernel)
+                t = 1
+                while subsampled_length(t, cfg) < 1:
+                    t += 1
+                assert _min_input_frames(cfg, 16000) == win + (t - 1) * hop
 
     def test_zero_weights_zero_output(self, rng):
         cfg = tiny_config().encoder
@@ -200,13 +215,35 @@ class TestEncode:
         assert not np.array_equal(base.h[i], pert.h[i])
 
     @pytest.mark.parametrize("spec", POLICIES)
-    def test_keeps_nothing_quadratic(self, rng, spec):
+    def test_keeps_nothing_quadratic(self, rng, monkeypatch, spec):
         model = random_model(tiny_config(), 11)
-        out, attn_in = encode(feats(rng, 60, 6), model, parse_policy(spec, 2))
+        frames, peaks = 60, []
+        if spec == "local":
+            # `local` may not even create a T'xT' array: at T' ~ 2000 one
+            # T'xT' bool outweighs all that a band attention allocates, so
+            # each call's traced peak must stay below it
+            frames = 8000
+
+            def spy(z, mh, policy):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                res = sparse_attend(z, mh, policy)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+                return res
+
+            monkeypatch.setattr(encoder_module, "sparse_attend", spy)
+        tracemalloc.start()
+        try:
+            out, attn_in = encode(feats(rng, frames, 6), model, parse_policy(spec, 2))
+        finally:
+            tracemalloc.stop()
         T = out.length
         assert T * T != T * model.config.encoder.model_dim
         arrays = reachable_arrays((out, attn_in))
         assert arrays and all(a.size != T * T for a in arrays)
+        if spec == "local":
+            assert len(peaks) == len(model.blocks)
+            assert all(peak < T * T for peak in peaks), (T, peaks)
 
     @pytest.mark.parametrize("spec", POLICIES)
     def test_recomputed_masks_are_the_masks_attention_used(

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -115,6 +116,22 @@ class TestSerialization:
         path.write_bytes(json.dumps(manifest, sort_keys=True,
                                     separators=(",", ":")).encode() + raw[sep:])
         with pytest.raises(ModelFormatError, match=name.replace(".", r"\.")):
+            load_model(path)
+
+    def test_bytes_after_last_tensor_rejected(self, tmp_path):
+        # a consistent manifest (size and checksum) over a blob with 8
+        # bytes no tensor owns
+        m = random_model(tiny_config(), 5)
+        path = tmp_path / "m.model"
+        save_model(m, path)
+        raw = path.read_bytes()
+        sep = raw.index(b"\x00")
+        manifest = json.loads(raw[:sep])
+        blob = raw[sep + 1:] + bytes(8)
+        manifest["blob_bytes"] = len(blob)
+        manifest["blob_crc32"] = zlib.crc32(blob)
+        path.write_bytes(json.dumps(manifest).encode() + b"\x00" + blob)
+        with pytest.raises(ModelFormatError, match="tensors end at byte"):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):

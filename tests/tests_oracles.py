@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sparse_rnnt.attention import attention_internals
+from sparse_rnnt.attention import attention_internals, compute_scores
 from sparse_rnnt.numerics import layer_norm, sigmoid
 
 
@@ -49,21 +49,28 @@ def oracle_sparse_attend(z, mh, policy):
     return np.concatenate(head_outs, axis=1) @ mh.w_p
 
 
-def rowwise_sparse_attend(z, mh, policy):
+def rowwise_sparse_attend(z, mh, policy, band_scores=False):
     """The library's masks and scores, attended one query row at a time.
 
     Each row gathers its attended scores and values alone, so the
-    vectorised kernel must match it bit for bit.
+    vectorised kernel must match it bit for bit. Scores come from the full
+    (T, T) gemm of compute_scores, or with band_scores from the scores the
+    library attends over, which for `local` are formed for its band alone.
     """
     z = np.asarray(z, dtype=np.float64)
-    internals = attention_internals(z, mh, policy)
+    layer = attention_internals(z, mh, policy)
     head_outputs = []
-    for head, scores, mask in zip(mh.heads, internals.scores, internals.masks):
+    for h, head in enumerate(mh.heads):
+        scores = layer.head_scores(h) if band_scores else compute_scores(z, head)
+        mask, _ = layer.head_masks(h)
         v = z @ head.w_v
         out = np.empty((z.shape[0], head.inner_dim))
         for i in range(z.shape[0]):
             idx = mask.indices(i)
-            sub = scores.e[i, idx]
+            if band_scores:
+                sub = scores.at(np.array([i]), idx[None])[0]
+            else:
+                sub = scores.e[i, idx]
             weights = np.exp(sub - sub.max())
             out[i] = (weights / weights.sum()) @ v[idx]
         head_outputs.append(out)
