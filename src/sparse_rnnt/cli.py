@@ -21,14 +21,18 @@ from .errors import (
     ParameterError,
     SparseRnntError,
 )
+from .frontend import read_text
 from .metrics import breakdown_json, corpus_cer, edit_alignment, sweep_report
 from .model_io import Model, ModelConfig, Vocabulary, load_model, random_model, save_model
 from .pipeline import (
     DecodeOptions,
     decode_file,
+    decode_prepared,
     encode_file,
     parse_policy,
     parse_segmentation,
+    prepare_input,
+    read_input,
 )
 from .transducer import SrsParams
 
@@ -48,7 +52,7 @@ def _atomic_write(path, text: str) -> None:
 def _load_config(path: str | None) -> ModelConfig:
     if path is None:
         return ModelConfig.desk_scale()
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path, ParameterError)
     base = ModelConfig.desk_scale().to_dict()
     try:
         for key, val in json.loads(text).items():
@@ -92,7 +96,7 @@ def _failed_input_message(path: Path, exc: Exception) -> str:
 
 def _read_tsv(path) -> dict[str, str]:
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_text(path).splitlines():
         if not line.strip():
             continue
         if "\t" not in line:
@@ -169,12 +173,21 @@ def cmd_sweep(args) -> int:
     missing = [p.stem for p in paths if p.stem not in refs]
     if missing:
         raise DataError(f"no reference for: {', '.join(sorted(missing))}")
+    # each input is read once and featurised once per segmentation; only
+    # the encode and decode run for every mask
+    inputs = [(refs[path.stem], read_input(path)) for path in paths]
+    segmentations = []
+    for _, opts in grid:
+        if opts.segmentation not in segmentations:
+            segmentations.append(opts.segmentation)
     results = {}
-    for mask, opts in grid:
-        pairs = [(refs[path.stem], decode_file(model, path, opts).text)
-                 for path in paths]
-        seg = opts.segmentation
-        results[(mask, seg.kind, seg.doi_length)] = corpus_cer(pairs)
+    for seg in segmentations:
+        prepared = [(ref, prepare_input(model, x, seg)) for ref, x in inputs]
+        for mask, opts in grid:
+            if opts.segmentation == seg:
+                pairs = [(ref, decode_prepared(model, x, opts).text)
+                         for ref, x in prepared]
+                results[(mask, seg.kind, seg.doi_length)] = corpus_cer(pairs)
     sweep_report(results, args.out)
     print(f"wrote {len(results)} sweep rows to {args.out}")
     return EXIT_OK

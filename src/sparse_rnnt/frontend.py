@@ -25,6 +25,7 @@ __all__ = [
     "normalize_global",
     "read_feature_file",
     "write_feature_file",
+    "read_text",
 ]
 
 
@@ -216,8 +217,18 @@ def write_feature_file(path, f: FeatureMatrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_text(path, error: type[Exception] = DataError) -> str:
+    """A UTF-8 text file's contents; bytes that do not decode raise `error`
+    naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text (byte {exc.start}: {exc.reason})"
+        raise error(f"{path}: {reason}") from None
+
+
 def read_feature_file(path) -> FeatureMatrix:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    text = read_text(path).strip().splitlines()
     if not text:
         raise EmptyInputError(f"{path}: empty feature file")
     head = text[0].split()

@@ -101,6 +101,17 @@ class PredictionWeights:
     embedding: np.ndarray  # (|V|, embed_dim)
     lstm: LstmWeights
 
+    @functools.cached_property
+    def input_gates(self) -> np.ndarray:
+        """(|V| + 1, 4*pred_dim): row k is embedding[k] @ lstm.w_x, the last
+        row the start symbol's, whose embedding is zero.
+
+        One gemv per row, so each row has the bits of the product formed on
+        its own. Built on first use; the weights are read-only from then on.
+        """
+        rows = [*self.embedding, np.zeros(self.embedding.shape[1])]
+        return np.array([x @ self.lstm.w_x for x in rows])
+
 
 @dataclass
 class JointWeights:

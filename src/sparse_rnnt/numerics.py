@@ -100,23 +100,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def lstm_cell_step(
-    x: np.ndarray, state: RecurrentState, weights: LstmWeights
+    x_gates: np.ndarray, state: RecurrentState, weights: LstmWeights
 ) -> tuple[np.ndarray, RecurrentState]:
-    """One LSTM step; returns (output, new state) with output = new hidden."""
-    x = np.asarray(x, dtype=np.float64)
+    """One LSTM step from the input's share of the gates, x @ weights.w_x,
+    which a caller feeding the same inputs again can cache. Returns
+    (output, new state) with output = new hidden."""
     n = weights.cell_size
-    if weights.w_x.shape != (x.shape[0], 4 * n):
-        raise ShapeError(
-            f"w_x {weights.w_x.shape} incompatible with input {x.shape} "
-            f"and cell size {n}"
-        )
+    if x_gates.shape != (4 * n,):
+        raise ShapeError(f"input gates {x_gates.shape} != 4 x cell size {n}")
     if state.hidden.shape[0] != n:
         raise ShapeError(f"state size {state.hidden.shape[0]} != cell size {n}")
-    gates = x @ weights.w_x + state.hidden @ weights.w_h + weights.bias
-    i = sigmoid(gates[:n])
-    f = sigmoid(gates[n : 2 * n])
+    gates = x_gates + state.hidden @ weights.w_h + weights.bias
+    # one elementwise sigmoid over all four blocks (g's goes unused) has the
+    # bits of one call per block, in a quarter of the calls
+    s = sigmoid(gates)
     g = np.tanh(gates[2 * n : 3 * n])
-    o = sigmoid(gates[3 * n :])
-    c = f * state.cell + i * g
-    h = o * np.tanh(c)
+    c = s[n : 2 * n] * state.cell + s[:n] * g
+    h = s[3 * n :] * np.tanh(c)
     return h, RecurrentState(h, c)

@@ -25,7 +25,7 @@ from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
            "decode_features", "decode_file", "encode_file", "parse_policy",
-           "parse_segmentation"]
+           "parse_segmentation", "read_input", "prepare_input", "decode_prepared"]
 
 
 @dataclass
@@ -132,34 +132,7 @@ def decode_features(model, f: FeatureMatrix, opts: DecodeOptions) -> DecodeResul
 
 def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
     """Segment, decode each piece, and merge tokens by core ownership."""
-    segments = _segments_for(w, opts.segmentation)
-    results = []
-    all_attn_in = []
-    total_lp = 0.0
-    min_frames = _min_input_frames(model.config.encoder, w.sample_rate)
-    for seg in segments:
-        lo = int(round(seg.start * w.sample_rate))
-        hi = int(round(seg.end * w.sample_rate))
-        piece = Waveform(w.samples[lo:hi], w.sample_rate)
-        if len(piece.samples) < min_frames:
-            results.append((seg, []))
-            continue
-        try:
-            f = _features(piece, model.config.feat_dim)
-            tokens, attn_in, lp = _decode_segment(model, f, seg.start, opts)
-        except EmptyInputError:
-            results.append((seg, []))
-            continue
-        results.append((seg, tokens))
-        all_attn_in.append(attn_in)
-        total_lp += lp
-    if opts.segmentation.kind == "doi" and results:
-        merged = doi_merge(results)
-    else:
-        merged = [t for _, toks in sorted(results, key=lambda r: r[0].start)
-                  for t in toks]
-    text = model.config.vocab.render([t.token_id for t in merged])
-    return DecodeResult(text, merged, all_attn_in, total_lp)
+    return decode_prepared(model, prepare_input(model, w, opts.segmentation), opts)
 
 
 def _min_input_frames(enc_cfg, sample_rate: int) -> int:
@@ -173,19 +146,73 @@ def _min_input_frames(enc_cfg, sample_rate: int) -> int:
     return win + (t - 1) * hop
 
 
-def decode_file(model, path, opts: DecodeOptions) -> DecodeResult:
-    """Decode a .wav (with segmentation) or a feature text file (as is)."""
+def read_input(path) -> Waveform | FeatureMatrix:
+    """A .wav file as audio, any other file as a feature text file."""
     path = Path(path)
     if path.suffix.lower() == ".wav":
-        return decode_waveform(model, read_wav(path), opts)
-    return decode_features(model, read_feature_file(path), opts)
+        return read_wav(path)
+    return read_feature_file(path)
+
+
+def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
+    """Everything a decode reads before the encoder: a feature matrix as
+    is (never segmented), or each segment of a waveform with its
+    normalised features, None where the piece is too short to encode."""
+    if isinstance(x, FeatureMatrix):
+        return x
+    pieces = []
+    min_frames = _min_input_frames(model.config.encoder, x.sample_rate)
+    for seg in _segments_for(x, spec):
+        lo = int(round(seg.start * x.sample_rate))
+        hi = int(round(seg.end * x.sample_rate))
+        piece = Waveform(x.samples[lo:hi], x.sample_rate)
+        f = None
+        if len(piece.samples) >= min_frames:
+            try:
+                f = _features(piece, model.config.feat_dim)
+            except EmptyInputError:
+                pass
+        pieces.append((seg, f))
+    return pieces
+
+
+def decode_prepared(model, prepared, opts: DecodeOptions) -> DecodeResult:
+    """Encode and decode the output of prepare_input; a waveform's tokens
+    are merged by core ownership."""
+    if isinstance(prepared, FeatureMatrix):
+        return decode_features(model, prepared, opts)
+    results = []
+    all_attn_in = []
+    total_lp = 0.0
+    for seg, f in prepared:
+        tokens = []
+        if f is not None:
+            try:
+                tokens, attn_in, lp = _decode_segment(model, f, seg.start, opts)
+            except EmptyInputError:
+                pass
+            else:
+                all_attn_in.append(attn_in)
+                total_lp += lp
+        results.append((seg, tokens))
+    if opts.segmentation.kind == "doi" and results:
+        merged = doi_merge(results)
+    else:
+        merged = [t for _, toks in sorted(results, key=lambda r: r[0].start)
+                  for t in toks]
+    text = model.config.vocab.render([t.token_id for t in merged])
+    return DecodeResult(text, merged, all_attn_in, total_lp)
+
+
+def decode_file(model, path, opts: DecodeOptions) -> DecodeResult:
+    """Decode a .wav (with segmentation) or a feature text file (as is)."""
+    x = prepare_input(model, read_input(path), opts.segmentation)
+    return decode_prepared(model, x, opts)
 
 
 def encode_file(model, path, opts: DecodeOptions):
     """Encode a whole .wav or feature file, unsegmented, without decoding."""
-    path = Path(path)
-    if path.suffix.lower() == ".wav":
-        f = _features(read_wav(path), model.config.feat_dim)
-    else:
-        f = read_feature_file(path)
-    return encode(f, model, opts.policy)
+    x = read_input(path)
+    if isinstance(x, Waveform):
+        x = _features(x, model.config.feat_dim)
+    return encode(x, model, opts.policy)

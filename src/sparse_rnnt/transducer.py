@@ -8,7 +8,8 @@ emitted a non-blank token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,11 +18,13 @@ from .errors import ParameterError, ShapeError, VocabularyError
 from .numerics import RecurrentState, lstm_cell_step
 
 __all__ = [
+    "Prefix",
     "Hypothesis",
     "Transcript",
     "SrsParams",
     "SrsCounter",
     "predict_step",
+    "frame_projection",
     "joint",
     "beam_search_step",
     "check_blank_token",
@@ -31,14 +34,86 @@ __all__ = [
 ]
 
 
-@dataclass
+def _hash_step(prefix_hash: int, token: int) -> int:
+    """Hash of a prefix extended by one token, from the prefix's hash."""
+    return hash((prefix_hash, token))
+
+
+class Prefix:
+    """A token sequence as its last token and a pointer to the rest.
+
+    Extending a prefix by one token is O(1): the new node carries the
+    length and a hash extended from its parent's (`_hash_step`), so it can
+    key a dict in O(1) however long the sequence is. Prefixes built along
+    different chains are equal when their tokens are; two with equal hash
+    and length are compared token by token, so a hash collision never makes
+    different sequences equal. Each node also keeps the encoder frame of its
+    token. The root (no parent) is the empty prefix.
+    """
+
+    __slots__ = ("parent", "token", "frame", "length", "hash")
+
+    def __init__(self, parent: Prefix | None = None, token: int = -1,
+                 frame: int = -1):
+        self.parent = parent
+        self.token = token
+        self.frame = frame
+        if parent is None:
+            self.length, self.hash = 0, 0
+        else:
+            self.length = parent.length + 1
+            self.hash = _hash_step(parent.hash, token)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Prefix):
+            return NotImplemented
+        a, b = self, other
+        if a.hash != b.hash or a.length != b.length:
+            return False
+        while a is not b:  # stops at a shared node or past both roots
+            if a.token != b.token:
+                return False
+            a, b = a.parent, b.parent
+        return True
+
+    def _nodes(self) -> list[Prefix]:
+        nodes = []
+        node = self
+        while node.parent is not None:
+            nodes.append(node)
+            node = node.parent
+        return nodes[::-1]
+
+    def tokens(self) -> tuple[int, ...]:
+        return tuple(node.token for node in self._nodes())
+
+    def frames(self) -> tuple[int, ...]:
+        return tuple(node.frame for node in self._nodes())
+
+
+@dataclass(slots=True)
 class Hypothesis:
-    tokens: tuple[int, ...]
-    frames: tuple[int, ...]  # encoder frame index of each emission
+    prefix: Prefix
     log_prob: float
-    pred_state: RecurrentState
-    pred_out: np.ndarray  # prediction-network output for the current prefix
+    pred_state: RecurrentState  # its hidden vector is the prediction output
+    pred_proj: np.ndarray  # pred_state.hidden @ joint.pred_proj
     last_was_blank: bool = True
+
+    @property
+    def tokens(self) -> tuple[int, ...]:
+        return self.prefix.tokens()
+
+    @property
+    def frames(self) -> tuple[int, ...]:
+        """Encoder frame index of each emission."""
+        return self.prefix.frames()
+
+    @property
+    def pred_out(self) -> np.ndarray:
+        return self.pred_state.hidden
 
     def sort_key(self):
         return (-self.log_prob, self.tokens)
@@ -85,36 +160,47 @@ class SrsCounter:
 
 
 def predict_step(token_id, state: RecurrentState, model):
-    """Advance the prediction network by one token (None = start symbol)."""
+    """Advance the prediction network by one token (None = start symbol).
+
+    Returns the new state and its output's share of every joint call that
+    reads it, new_state.hidden @ joint.pred_proj.
+    """
+    pred = model.prediction
     if token_id is None:
-        emb = np.zeros(model.config.embed_dim)
-    else:
-        vocab_size = len(model.config.vocab)
-        if not 0 <= token_id < vocab_size:
-            raise VocabularyError(
-                f"token id {token_id} outside vocabulary of {vocab_size}"
-            )
-        emb = model.prediction.embedding[token_id]
-    g, new_state = lstm_cell_step(emb, state, model.prediction.lstm)
-    return g, new_state
-
-
-def joint(h_t: np.ndarray, g_u: np.ndarray, model) -> np.ndarray:
-    """Joint network: tanh combiner then log-softmax over the vocabulary."""
-    jw = model.joint
-    if h_t.shape[0] != jw.enc_proj.shape[0]:
-        raise ShapeError(
-            f"encoder frame dim {h_t.shape[0]} != joint input {jw.enc_proj.shape[0]}"
+        token_id = -1  # the start symbol's row of input_gates
+    elif not 0 <= token_id < len(pred.embedding):
+        raise VocabularyError(
+            f"token id {token_id} outside vocabulary of {len(pred.embedding)}"
         )
-    z = np.tanh(h_t @ jw.enc_proj + g_u @ jw.pred_proj + jw.bias)
+    g, new_state = lstm_cell_step(pred.input_gates[token_id], state, pred.lstm)
+    return new_state, g @ model.joint.pred_proj
+
+
+def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
+    """An encoder frame's share of every joint call on it, h_t @ joint.enc_proj."""
+    enc_proj = model.joint.enc_proj
+    if h_t.shape[0] != enc_proj.shape[0]:
+        raise ShapeError(
+            f"encoder frame dim {h_t.shape[0]} != joint input {enc_proj.shape[0]}"
+        )
+    return h_t @ enc_proj
+
+
+def joint(frame_proj: np.ndarray, pred_proj: np.ndarray, model) -> np.ndarray:
+    """Joint network on a frame's and a prefix's cached projections: tanh
+    combiner, then log-softmax over the vocabulary."""
+    jw = model.joint
+    z = np.tanh(frame_proj + pred_proj + jw.bias)
     logits = z @ jw.out + jw.out_bias
-    shifted = logits - logits.max()
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    # the ufunc reductions np.max/np.sum call, without their wrappers
+    shifted = logits - np.maximum.reduce(logits)
+    return shifted - np.log(np.add.reduce(np.exp(shifted)))
 
 
 def start_hypothesis(model) -> Hypothesis:
-    g, state = predict_step(None, RecurrentState.zeros(model.config.pred_dim), model)
-    return Hypothesis((), (), 0.0, state, g, last_was_blank=True)
+    state, proj = predict_step(None, RecurrentState.zeros(model.config.pred_dim),
+                               model)
+    return Hypothesis(Prefix(), 0.0, state, proj, last_was_blank=True)
 
 
 def _logsumexp(a: float, b: float) -> float:
@@ -122,54 +208,63 @@ def _logsumexp(a: float, b: float) -> float:
     return hi + np.log1p(np.exp(lo - hi))
 
 
-@dataclass
+@functools.cache
+def _child_tokens(V: int, blank: int) -> np.ndarray:
+    """Token of each child column: the blank child first, then the
+    non-blank tokens in order. Shared by every caller, so read-only."""
+    tokens = np.array([blank] + [k for k in range(V) if k != blank])
+    tokens.setflags(write=False)
+    return tokens
+
+
+@dataclass(slots=True)
 class _Entry:
     hyp: Hypothesis
     active: bool  # still expandable within the current frame
-    emitted: bool  # emitted a non-blank token during the current frame
+    emitted: bool  # an active entry emitted a token during the current frame
 
 
-def _blank_child(ent: _Entry, log_probs: np.ndarray, blank: int) -> _Entry:
-    """The entry's hypothesis closed with blank for the rest of the frame."""
-    return _Entry(
-        replace(
-            ent.hyp,
-            log_prob=ent.hyp.log_prob + log_probs[blank],
-            last_was_blank=not ent.emitted,
-        ),
-        active=False,
-        emitted=ent.emitted,
-    )
+def _merge_finished(scores: np.ndarray, finished, dropped: list[int]) -> None:
+    """Log-sum-exp merge of finished candidates on identical prefixes.
 
-
-def _merge_finished(entries: list[tuple[int, _Entry]]) -> list[tuple[int, _Entry]]:
-    """Log-sum-exp merge of finished entries on identical prefixes.
-
-    `entries` are (pool position, entry) pairs in pool order. The first
-    entry with a prefix keeps its position, hypothesis and prediction
-    state; later ones only add their score. Under SRS one prefix can
-    reach the merge with two different states: a finished entry carried
-    over from before a reset (zero state) and the same prefix re-emitted
-    after it by a shorter one (a stepped state). Carried entries come
-    first in pool order, so the carried state is the one kept. The rule
-    is part of the output: keeping the other state changes transcripts.
+    `finished` are (position, prefix) pairs in pool order and `scores` is
+    indexed by position. The first candidate with a prefix keeps its
+    position, hypothesis and prediction state and takes the merged score;
+    later ones go to `dropped`. Under SRS one prefix can reach the merge
+    with two different states: a finished entry carried over from before
+    a reset (zero state) and the same prefix re-emitted after it by a
+    shorter one (a stepped state). Carried entries come first in pool
+    order, so the carried state is the one kept. The rule is part of the
+    output: keeping the other state changes transcripts.
     """
-    merged: dict = {}
-    for pos, ent in entries:
-        first = merged.get(ent.hyp.tokens)
-        if first is None:
-            merged[ent.hyp.tokens] = (pos, ent)
-        else:
-            prev = first[1]
-            prev.hyp = replace(
-                prev.hyp, log_prob=_logsumexp(prev.hyp.log_prob, ent.hyp.log_prob)
-            )
-            prev.emitted = prev.emitted or ent.emitted
-    return list(merged.values())
+    first: dict = {}
+    for pos, prefix in finished:
+        kept = first.setdefault(prefix, pos)
+        if kept != pos:
+            scores[kept] = _logsumexp(scores[kept], scores[pos])
+            dropped.append(pos)
+
+
+def _merge_children(scores: np.ndarray, actives: list[_Entry], base: int, V: int,
+                    dropped: list[int]) -> None:
+    """Merge the children of parents that share a prefix, in pool order.
+
+    Folds each later duplicate's non-blank children into its first
+    parent's with log-sum-exp and drops them; a no-op when the prefixes
+    are distinct.
+    """
+    first: dict = {}
+    for a, ent in enumerate(actives):
+        kept = first.setdefault(ent.hyp.prefix, a)
+        if kept != a:
+            for c in range(1, V):
+                i, j = base + kept * V + c, base + a * V + c
+                scores[i] = _logsumexp(scores[i], scores[j])
+                dropped.append(j)
 
 
 def _expand_round(
-    h_i: np.ndarray,
+    frame_proj: np.ndarray,
     pool: list[_Entry],
     beam: int,
     model,
@@ -179,96 +274,91 @@ def _expand_round(
     """One expansion round: score from the joint, merge, prune, then step.
 
     Every active entry gets one joint call. Its blank child is finished;
-    with `grow`, its non-blank children are candidates known only by
-    (parent, token) and a score. Candidates are ranked on the key
-    (-log_prob, tokens), exact ties kept in pool order, and the LSTM is
-    stepped only for the children among the best `beam`. Children never
-    merge with finished entries (the merge key includes `active`), and
-    children of parents with distinct prefixes never merge at all; only
-    a caller's hypothesis list can repeat a prefix.
+    with `grow`, its non-blank children are candidates too. Candidates
+    are known by their pool position and a score until they survive:
+    positions number the carried (finished) entries first, then per
+    active its blank child followed by its non-blank children in token
+    order. Candidates are ranked on the key (-log_prob, tokens), exact
+    ties kept in pool order, and only the best `beam` become entries; the
+    LSTM is stepped for the children among them. Children never merge
+    with finished entries, and children of parents with distinct prefixes
+    never merge at all; only a caller's hypothesis list can repeat a
+    prefix.
     """
     blank = model.config.vocab.blank_id
+    V = len(model.config.vocab)
     carried = [e for e in pool if not e.active]
     actives = [e for e in pool if e.active]
-    log_probs = [joint(h_i, e.hyp.pred_out, model) for e in actives]
-    V = len(model.config.vocab)
-    # pool positions: carried entries first, then per active its blank
-    # child followed by its non-blank children in token order
     base = len(carried)
-    finished = _merge_finished(
-        list(enumerate(carried))
-        + [(base + a * V, _blank_child(e, lp, blank))
-           for a, (e, lp) in enumerate(zip(actives, log_probs))]
-    )
-    n_fin = len(finished)
-    scores = [e.hyp.log_prob for _, e in finished]
-    positions = [pos for pos, _ in finished]
-    rows: list[int] = []
-    cols = [k for k in range(V) if k != blank]
-    if grow and cols:
-        kid = np.array([e.hyp.log_prob for e in actives])[:, None] + np.array(log_probs)
-        kid = kid[:, cols]
-        rows = _merge_children(actives, kid)
-        kid_pos = base + np.array(rows)[:, None] * V + 1 + np.arange(len(cols))
-        scores = np.concatenate([scores, kid[rows].ravel()])
-        positions = np.concatenate([positions, kid_pos.ravel()])
-    scores = np.asarray(scores, dtype=float)
-    order = np.lexsort((positions, -scores))
+    tokens = _child_tokens(V, blank)
+    log_probs = np.array([joint(frame_proj, e.hyp.pred_proj, model) for e in actives])
+    kid = (np.array([e.hyp.log_prob for e in actives])[:, None]
+           + log_probs.take(tokens, axis=1))
+    scores = np.concatenate([[e.hyp.log_prob for e in carried], kid.ravel()])
+    dropped: list[int] = []
+    _merge_finished(scores, [(pos, e.hyp.prefix) for pos, e in enumerate(carried)]
+                    + [(base + a * V, e.hyp.prefix) for a, e in enumerate(actives)],
+                    dropped)
+    keep = np.ones(len(scores), dtype=bool)
+    if grow:
+        _merge_children(scores, actives, base, V, dropped)
+    else:
+        keep[base:] = False
+        keep[base::V] = True
+    keep[dropped] = False
+    candidates = np.flatnonzero(keep)
+    # a stable sort of candidates in position order on -score ranks them
+    # on (-score, position)
+    order = candidates[np.argsort(-scores[candidates], kind="stable")].tolist()
 
-    def child(f: int) -> tuple[Hypothesis, int]:
-        r, c = divmod(f - n_fin, len(cols))
-        return actives[rows[r]].hyp, cols[c]
-
-    def tokens_of(f: int) -> tuple[int, ...]:
-        if f < n_fin:
-            return finished[f][1].hyp.tokens
-        parent, k = child(f)
-        return parent.tokens + (k,)
+    def tokens_of(pos: int) -> tuple[int, ...]:
+        if pos < base:
+            return carried[pos].hyp.tokens
+        a, c = divmod(pos - base, V)
+        return actives[a].hyp.tokens + ((int(tokens[c]),) if c else ())
 
     # walk runs of equal score; only a run of ties needs the token tuples
-    ranked = scores[order].tolist()
     chosen: list[int] = []
     i = 0
-    while i < len(ranked) and len(chosen) < beam:
+    while i < len(order) and len(chosen) < beam:
         j = i + 1
-        while j < len(ranked) and ranked[j] == ranked[i]:
+        while j < len(order) and scores[order[j]] == scores[order[i]]:
             j += 1
-        run = order[i:j].tolist()
+        run = order[i:j]
         if len(run) > 1:
             run.sort(key=tokens_of)
         chosen += run
         i = j
     out = []
-    for f in chosen[:beam]:
-        if f < n_fin:
-            out.append(finished[f][1])
+    for pos in chosen[:beam]:
+        if pos < base:
+            ent = carried[pos]
+            h = ent.hyp
+            if scores[pos] != h.log_prob:  # the merge changed its score
+                ent = _Entry(Hypothesis(h.prefix, scores[pos], h.pred_state,
+                                        h.pred_proj, h.last_was_blank),
+                             active=False, emitted=ent.emitted)
+            out.append(ent)
             continue
-        parent, k = child(f)
-        g, state = predict_step(k, parent.pred_state, model)
+        a, c = divmod(pos - base, V)
+        parent = actives[a]
+        h = parent.hyp
+        if c == 0:  # closed with blank for the rest of the frame
+            out.append(_Entry(
+                Hypothesis(h.prefix, scores[pos], h.pred_state, h.pred_proj,
+                           last_was_blank=not parent.emitted),
+                active=False, emitted=parent.emitted,
+            ))
+            continue
+        k = int(tokens[c])
+        state, proj = predict_step(k, h.pred_state, model)
         out.append(_Entry(
-            Hypothesis(parent.tokens + (k,), parent.frames + (frame_idx,),
-                       scores[f], state, g, last_was_blank=False),
+            Hypothesis(Prefix(h.prefix, k, frame_idx), scores[pos], state, proj,
+                       last_was_blank=False),
             active=True,
             emitted=True,
         ))
     return out
-
-
-def _merge_children(actives: list[_Entry], kid: np.ndarray) -> list[int]:
-    """Merge the children of parents that share a prefix, in pool order.
-
-    Folds each later duplicate's row of child scores into its first
-    parent's row with log-sum-exp and returns the rows that remain (all
-    of them when the prefixes are distinct).
-    """
-    groups: dict = {}
-    for a, ent in enumerate(actives):
-        groups.setdefault(ent.hyp.tokens, []).append(a)
-    for first, *rest in groups.values():
-        for a in rest:
-            for c in range(kid.shape[1]):
-                kid[first, c] = _logsumexp(kid[first, c], kid[a, c])
-    return [g[0] for g in groups.values()]
 
 
 def beam_search_step(
@@ -291,14 +381,15 @@ def beam_search_step(
         raise ParameterError(f"beam must be >= 1, got {beam}")
     if not hyps_prev:
         raise ParameterError("beam_search_step requires at least one hypothesis")
+    frame_proj = frame_projection(h_i, model)
     pool = [_Entry(h, active=True, emitted=False) for h in hyps_prev]
     for _ in range(max_expansions):
         if not any(e.active for e in pool):
             break
-        pool = _expand_round(h_i, pool, beam, model, frame_idx, grow=True)
+        pool = _expand_round(frame_proj, pool, beam, model, frame_idx, grow=True)
     # force-terminate any hypotheses still mid-frame at the expansion cap
     if any(e.active for e in pool):
-        pool = _expand_round(h_i, pool, beam, model, frame_idx, grow=False)
+        pool = _expand_round(frame_proj, pool, beam, model, frame_idx, grow=False)
     return [e.hyp for e in pool]
 
 
@@ -310,12 +401,19 @@ def check_blank_token(hyps: list[Hypothesis]) -> bool:
 
 
 def reset_prediction_states(hyps: list[Hypothesis], model) -> list[Hypothesis]:
-    """Zero recurrent states (and thus outputs); prefixes and scores untouched."""
-    n = model.config.pred_dim
-    return [
-        replace(h, pred_state=RecurrentState.zeros(n), pred_out=np.zeros(n))
-        for h in hyps
-    ]
+    """Zero recurrent states, and with them outputs and their joint
+    projections; prefixes and scores untouched."""
+    state = RecurrentState.zeros(model.config.pred_dim)
+    proj = state.hidden @ model.joint.pred_proj
+    return [replace(h, pred_state=state, pred_proj=proj) for h in hyps]
+
+
+def _best(hyps: list[Hypothesis]) -> Hypothesis:
+    """The first hypothesis in sort_key order; token tuples are built only
+    to break an exact tie for the best score."""
+    top = max(h.log_prob for h in hyps)
+    tied = [h for h in hyps if h.log_prob == top]
+    return tied[0] if len(tied) == 1 else min(tied, key=lambda h: h.tokens)
 
 
 def decode_with_srs(
@@ -334,22 +432,24 @@ def decode_with_srs(
                                 max_expansions=max_expansions)
         if srs.enabled and counter.update(check_blank_token(hyps)):
             hyps = reset_prediction_states(hyps, model)
-    best = min(hyps, key=lambda hy: hy.sort_key())
+    best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
 
 
 def greedy_decode(h: EncoderOutputs, model, max_symbols: int = 5) -> Transcript:
-    """Argmax decoding; baseline and the beam=1 oracle."""
+    """Argmax decoding on the beam search's kernels; baseline and the beam=1
+    oracle."""
     blank = model.config.vocab.blank_id
     hyp = start_hypothesis(model)
     tokens: list[int] = []
     frames: list[int] = []
     log_prob = 0.0
-    state, g = hyp.pred_state, hyp.pred_out
+    state, proj = hyp.pred_state, hyp.pred_proj
     for i in range(h.length):
+        frame_proj = frame_projection(h.h[i], model)
         emitted = 0
         while True:
-            log_probs = joint(h.h[i], g, model)
+            log_probs = joint(frame_proj, proj, model)
             k = int(np.argmax(log_probs))
             if k == blank or emitted == max_symbols:
                 log_prob += log_probs[blank]
@@ -357,6 +457,6 @@ def greedy_decode(h: EncoderOutputs, model, max_symbols: int = 5) -> Transcript:
             tokens.append(k)
             frames.append(i)
             log_prob += log_probs[k]
-            g, state = predict_step(k, state, model)
+            state, proj = predict_step(k, state, model)
             emitted += 1
     return Transcript(tuple(tokens), tuple(frames), log_prob)

@@ -167,7 +167,9 @@ class TestDecode:
         # two frames of the desk model's 16 features: too short for one
         # encoder frame
         ("short.feats", "2 16 0.01 0.025\n" + ("0 " * 16 + "\n") * 2, EXIT_DATA),
-    ], ids=["bad-wav-header", "missing-wav", "missing-feats", "bad-feats", "short-feats"])
+        ("non-utf8.feats", b"bad\xff\xfe header\n", EXIT_DATA),
+    ], ids=["bad-wav-header", "missing-wav", "missing-feats", "bad-feats", "short-feats",
+            "non-utf8-feats"])
     def test_per_file_error_names_path_once(self, model_path, tmp_path, capsys,
                                             name, content, code):
         path = tmp_path / name
@@ -346,6 +348,49 @@ class TestEval:
         assert main(["eval", "--refs", str(refs), "--hyps", str(hyps)]) == EXIT_DATA
 
 
+class TestNonUtf8Text:
+    """Text inputs whose bytes are not UTF-8 map to documented exit codes,
+    with one message that names the file."""
+
+    def check(self, capsys, argv, code, path, kind):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{kind} error: {path}: not UTF-8 text")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["refs", "hyps"])
+    def test_eval_tsv(self, tmp_path, capsys, which):
+        files = {name: tmp_path / f"{name}.tsv" for name in ("refs", "hyps")}
+        for name, path in files.items():
+            path.write_bytes(b"u1\thel\xfflo\n" if name == which else b"u1\thello\n")
+        self.check(capsys, ["eval", "--refs", str(files["refs"]),
+                            "--hyps", str(files["hyps"])],
+                   EXIT_DATA, files[which], "data")
+
+    def test_sweep_reference(self, model_path, wav_path, tmp_path, capsys):
+        refs = tmp_path / "refs.tsv"
+        refs.write_bytes(b"utt1\thel\xfflo\n")
+        self.check(capsys, ["sweep", "--model", str(model_path), str(wav_path),
+                            "--refs", str(refs), "--out", str(tmp_path / "s.csv")],
+                   EXIT_DATA, refs, "data")
+
+    def test_sweep_feature_file(self, model_path, tmp_path, capsys):
+        feats = tmp_path / "utt1.feats"
+        feats.write_bytes(b"bad\xff\xfe header\n")
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("utt1\thello\n")
+        self.check(capsys, ["sweep", "--model", str(model_path), str(feats),
+                            "--refs", str(refs), "--out", str(tmp_path / "s.csv")],
+                   EXIT_DATA, feats, "data")
+
+    def test_gen_model_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"feat_dim": "\xff"}')
+        self.check(capsys, ["gen-model", "--config", str(cfg),
+                            "--out", str(tmp_path / "m.model")],
+                   EXIT_CONFIG, cfg, "config")
+
+
 class TestSweep:
     def test_grid_rows(self, model_path, wav_path, tmp_path):
         refs = tmp_path / "refs.tsv"
@@ -359,6 +404,26 @@ class TestSweep:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "policy,segmentation,doi_length,cer,del,ins,sub"
         assert len(lines) == 5
+
+    def test_reads_and_featurises_each_input_once(self, model_path, wav_path,
+                                                   tmp_path, monkeypatch):
+        from sparse_rnnt import pipeline
+
+        calls = {"read_wav": 0, "log_mel_spectrogram": 0, "encode": 0}
+        for name in calls:
+            def spy(*args, real=getattr(pipeline, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(pipeline, name, spy)
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("utt1\thello world\n")
+        code = main(["sweep", "--model", str(model_path), str(wav_path),
+                     "--refs", str(refs), "--masks", "dense,local,local+sgm3",
+                     "--segmentations", "none,doi:20", "--w", "8",
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == EXIT_OK
+        # the 3 s input is one segment under both segmentations
+        assert calls == {"read_wav": 1, "log_mel_spectrogram": 2, "encode": 6}
 
     @pytest.mark.parametrize("flags", [["--masks", "dense,banana"],
                                        ["--segmentations", "none,doi:abc"],

@@ -61,20 +61,23 @@ def test_wav_header_bytes(files, edits, cut):
 
 
 @given(source=st.text(max_size=60)
+       | st.binary(max_size=60)
        | st.lists(st.tuples(st.integers(0, 24), st.integers(0, 7), FEATURE_TOKENS),
                   max_size=4),
        drop=st.integers(0, 3))
 def test_feature_file_text(files, source, drop):
-    """`source` is either the whole text or (row, column, token) edits of a
-    valid file (row 0 is the header), which then loses `drop` rows."""
-    text = source
-    if not isinstance(source, str):
+    """`source` is the whole file as text or as raw bytes, or (row, column,
+    token) edits of a valid file (row 0 is the header), which then loses
+    `drop` rows."""
+    raw = source.encode("utf-8") if isinstance(source, str) else source
+    if isinstance(source, list):
         rows = [line.split() for line in (files / "ok.feats").read_text().splitlines()]
         for i, j, token in source:
             rows[i][j % len(rows[i])] = token
-        text = "\n".join(" ".join(row) for row in rows[: len(rows) - drop]) + "\n"
+        raw = ("\n".join(" ".join(row) for row in rows[: len(rows) - drop])
+               + "\n").encode("utf-8")
     path = files / "in.feats"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(raw)
     decode(files / "m.model", path)
 
 

@@ -104,7 +104,8 @@ def scalar_lstm_oracle(x, h, c, wx, wh, b):
 class TestLstmCell:
     def test_zero_weights_zero_state(self, rng):
         w = LstmWeights(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
-        out, state = lstm_cell_step(rng.normal(size=3), RecurrentState.zeros(2), w)
+        out, state = lstm_cell_step(rng.normal(size=3) @ w.w_x, RecurrentState.zeros(2),
+                                    w)
         assert np.array_equal(out, np.zeros(2))
         assert np.array_equal(state.cell, np.zeros(2))
 
@@ -114,7 +115,7 @@ class TestLstmCell:
         b = [0.01, -0.02, 0.03, -0.04]
         w = LstmWeights(np.array([wx]), np.array([wh]), np.array(b))
         x, h, c = 0.7, -0.3, 0.9
-        out, state = lstm_cell_step(np.array([x]), RecurrentState([h], [c]), w)
+        out, state = lstm_cell_step(np.array([x]) @ w.w_x, RecurrentState([h], [c]), w)
         h_ref, c_ref = scalar_lstm_oracle(x, h, c, wx, wh, b)
         assert abs(out[0] - h_ref) < 1e-12
         assert abs(state.cell[0] - c_ref) < 1e-12
@@ -122,7 +123,7 @@ class TestLstmCell:
     def test_deterministic(self, rng):
         w = LstmWeights(rng.normal(size=(3, 8)), rng.normal(size=(2, 8)),
                         rng.normal(size=8))
-        x = rng.normal(size=3)
+        x = rng.normal(size=3) @ w.w_x
         s = RecurrentState(rng.normal(size=2), rng.normal(size=2))
         o1, s1 = lstm_cell_step(x, s, w)
         o2, s2 = lstm_cell_step(x, s, w)

@@ -9,22 +9,30 @@ from conftest import tiny_config
 from sparse_rnnt import transducer
 from sparse_rnnt.encoder import EncoderOutputs
 from sparse_rnnt.errors import ParameterError, VocabularyError
-from sparse_rnnt.model_io import random_model
+from sparse_rnnt.model_io import ModelConfig, random_model
 from sparse_rnnt.numerics import RecurrentState
 from sparse_rnnt.transducer import (
-    Hypothesis,
+    Prefix,
     SrsCounter,
     SrsParams,
     beam_search_step,
     check_blank_token,
     decode_with_srs,
+    frame_projection,
     greedy_decode,
     joint,
     predict_step,
     reset_prediction_states,
     start_hypothesis,
 )
-from tests_oracles import eager_beam_search_step
+from tests_oracles import (
+    eager_beam_search_step,
+    hypothesis_of,
+    oracle_joint,
+    oracle_lstm_cell_step,
+    oracle_predict_step,
+    prefix_of,
+)
 
 
 def enc_outputs(rng, model, T):
@@ -38,40 +46,44 @@ class TestPredictStep:
         model.prediction.lstm.w_x[:] = 0
         model.prediction.lstm.w_h[:] = 0
         model.prediction.lstm.bias[:] = 0
-        g, _ = predict_step(None, RecurrentState.zeros(4), model)
-        assert np.array_equal(g, np.zeros(4))
+        state, _ = predict_step(None, RecurrentState.zeros(4), model)
+        assert np.array_equal(state.hidden, np.zeros(4))
 
     def test_deterministic(self, tiny_model):
         s = RecurrentState.zeros(4)
-        g1, s1 = predict_step(2, s, tiny_model)
-        g2, s2 = predict_step(2, s, tiny_model)
-        assert np.array_equal(g1, g2)
+        s1, p1 = predict_step(2, s, tiny_model)
+        s2, p2 = predict_step(2, s, tiny_model)
+        assert np.array_equal(s1.hidden, s2.hidden)
         assert np.array_equal(s1.cell, s2.cell)
+        assert np.array_equal(p1, p2)
 
     def test_invalid_token(self, tiny_model):
         with pytest.raises(VocabularyError):
             predict_step(99, RecurrentState.zeros(4), tiny_model)
 
     def test_start_symbol_uses_zero_embedding(self, tiny_model):
-        g1, _ = predict_step(None, RecurrentState.zeros(4), tiny_model)
+        s1, _ = predict_step(None, RecurrentState.zeros(4), tiny_model)
         # feeding an explicit zero embedding through the cell must agree
-        from sparse_rnnt.numerics import lstm_cell_step
+        g2, _ = oracle_lstm_cell_step(np.zeros(4), RecurrentState.zeros(4),
+                                      tiny_model.prediction.lstm)
+        assert np.array_equal(s1.hidden, g2)
 
-        g2, _ = lstm_cell_step(np.zeros(4), RecurrentState.zeros(4),
-                               tiny_model.prediction.lstm)
-        assert np.array_equal(g1, g2)
+
+def joint_on(h_t, g_u, model):
+    """The joint kernel on a raw frame and prediction output."""
+    return joint(frame_projection(h_t, model), g_u @ model.joint.pred_proj, model)
 
 
 class TestJoint:
     def test_equal_logits_uniform(self, tiny_model, rng):
         tiny_model.joint.out[:] = 0
         tiny_model.joint.out_bias[:] = 0.7
-        lp = joint(rng.normal(size=8), rng.normal(size=4), tiny_model)
+        lp = joint_on(rng.normal(size=8), rng.normal(size=4), tiny_model)
         V = len(tiny_model.config.vocab)
         assert np.allclose(lp, -np.log(V))
 
     def test_log_probs_normalize(self, tiny_model, rng):
-        lp = joint(rng.normal(size=8), rng.normal(size=4), tiny_model)
+        lp = joint_on(rng.normal(size=8), rng.normal(size=4), tiny_model)
         assert abs(np.exp(lp).sum() - 1.0) < 1e-9
 
     def test_two_token_hand_case(self):
@@ -79,8 +91,61 @@ class TestJoint:
         model = random_model(cfg, 0)
         model.joint.out[:] = 0
         model.joint.out_bias[:] = [0.0, math.log(3.0)]
-        lp = joint(np.zeros(8), np.zeros(4), model)
+        lp = joint_on(np.zeros(8), np.zeros(4), model)
         assert np.allclose(lp, [-math.log(4.0), math.log(3.0 / 4.0)])
+
+
+def kernel_models():
+    """A tiny, a desk-scale and a blank-biased desk-scale random model."""
+    desk, blank = (random_model(ModelConfig.desk_scale(), 7) for _ in range(2))
+    blank.joint.out_bias[blank.config.vocab.blank_id] += 1.5
+    return [random_model(tiny_config(), 3), desk, blank]
+
+
+@pytest.mark.parametrize("model", kernel_models(), ids=["tiny", "desk", "blank"])
+class TestCachedKernels:
+    """The cached kernels against the uncached formulas, bit for bit."""
+
+    def states(self, model):
+        n = model.config.pred_dim
+        rng = np.random.default_rng(11)
+        return [RecurrentState.zeros(n),
+                RecurrentState(rng.normal(size=n), rng.normal(size=n))]
+
+    def test_predict_step_every_token(self, model):
+        for state in self.states(model):
+            for k in [None, *range(len(model.config.vocab))]:
+                got, proj = predict_step(k, state, model)
+                g, want = oracle_predict_step(k, state, model)
+                assert np.array_equal(got.hidden, want.hidden)
+                assert np.array_equal(got.cell, want.cell)
+                assert np.array_equal(proj, g @ model.joint.pred_proj)
+
+    def test_joint_every_token(self, model):
+        rng = np.random.default_rng(12)
+        for state in self.states(model):
+            for k in [None, *range(len(model.config.vocab))]:
+                after, proj = predict_step(k, state, model)
+                h_t = rng.normal(size=model.config.encoder.model_dim)
+                assert np.array_equal(joint(frame_projection(h_t, model), proj, model),
+                                      oracle_joint(h_t, after.hidden, model))
+
+    def test_after_reset(self, model):
+        rng = np.random.default_rng(13)
+        D, n = model.config.encoder.model_dim, model.config.pred_dim
+        hyps = [start_hypothesis(model)]
+        for i in range(3):
+            hyps = beam_search_step(rng.normal(size=D), hyps, 4, model, frame_idx=i)
+        for h in reset_prediction_states(hyps, model):
+            h_t = rng.normal(size=D)
+            assert np.array_equal(joint(frame_projection(h_t, model), h.pred_proj, model),
+                                  oracle_joint(h_t, np.zeros(n), model))
+            for k in (None, 1):
+                got, proj = predict_step(k, h.pred_state, model)
+                g, want = oracle_predict_step(k, RecurrentState.zeros(n), model)
+                assert np.array_equal(got.hidden, want.hidden)
+                assert np.array_equal(got.cell, want.cell)
+                assert np.array_equal(proj, g @ model.joint.pred_proj)
 
 
 class TestCheckBlankToken:
@@ -184,7 +249,7 @@ class TestBeamSearch:
                 yield tokens, lp
                 return
             def expand(emitted, state, g, lp_now):
-                probs = joint(out.h[frame], g, model)
+                probs = oracle_joint(out.h[frame], g, model)
                 # end the frame with blank
                 yield from paths(frame + 1, state, g, lp_now + probs[blank],
                                  emitted)
@@ -192,7 +257,7 @@ class TestBeamSearch:
                     for k in range(len(probs)):
                         if k == blank:
                             continue
-                        g2, s2 = predict_step(k, state, model)
+                        g2, s2 = oracle_predict_step(k, state, model)
                         yield from expand(emitted + (k,), s2, g2,
                                           lp_now + probs[k])
                 else:
@@ -248,6 +313,7 @@ def assert_same_hyps(got, want):
         assert np.array_equal(a.pred_state.hidden, b.pred_state.hidden)
         assert np.array_equal(a.pred_state.cell, b.pred_state.cell)
         assert np.array_equal(a.pred_out, b.pred_out)
+        assert np.array_equal(a.pred_proj, b.pred_proj)
         assert a.last_was_blank == b.last_was_blank
 
 
@@ -295,11 +361,11 @@ class TestDeferredExpansion:
         # (2, ...) first, so only the token tie-break picks the survivors.
         model = equivalence_models()[-1]
         h0 = start_hypothesis(model)
-        g, state = predict_step(1, h0.pred_state, model)
-        lp = joint(np.zeros(8), g, model)
+        state, _ = predict_step(1, h0.pred_state, model)
+        lp = oracle_joint(np.zeros(8), state.hidden, model)
         assert lp[1] == lp[2]
-        hyps = [Hypothesis((2,), (0,), -1.0, state, g),
-                Hypothesis((1,), (0,), -1.0, state, g)]
+        hyps = [hypothesis_of((2,), (0,), -1.0, state, model),
+                hypothesis_of((1,), (0,), -1.0, state, model)]
         for beam in range(1, 7):
             for max_exp in (1, 2):
                 got = beam_search_step(np.zeros(8), hyps, beam, model,
@@ -318,13 +384,14 @@ class TestDeferredExpansion:
         model = random_model(tiny_config(vocab_size=29), 5)
         blank = model.config.vocab.blank_id
         h0 = start_hypothesis(model)
-        g, state = predict_step(1, h0.pred_state, model)
+        state, _ = predict_step(1, h0.pred_state, model)
         h_i = rng.normal(size=8)
-        lp_a, lp_b = joint(h_i, g, model), joint(h_i, h0.pred_out, model)
+        lp_a = oracle_joint(h_i, state.hidden, model)
+        lp_b = oracle_joint(h_i, h0.pred_out, model)
         target = -2.0 + lp_b[1]
         a_lp = target - lp_a[blank]
         assert a_lp + lp_a[blank] == target
-        a = Hypothesis((1,), (0,), a_lp, state, g)
+        a = hypothesis_of((1,), (0,), a_lp, state, model)
         b = replace(h0, log_prob=-2.0)
         scores = np.concatenate([a_lp + lp_a, -2.0 + lp_b])
         beam = int(np.sum(scores > target)) + 1
@@ -336,9 +403,9 @@ class TestDeferredExpansion:
 
     def test_duplicate_prefixes_in_input_merge_like_eager(self, tiny_model, rng):
         h0 = start_hypothesis(tiny_model)
-        g, state = predict_step(1, h0.pred_state, tiny_model)
-        other = replace(h0, log_prob=-0.7, pred_state=state, pred_out=g)
-        hyps = [h0, other, replace(h0, tokens=(3,), frames=(0,), log_prob=-1.1)]
+        state, proj = predict_step(1, h0.pred_state, tiny_model)
+        other = replace(h0, log_prob=-0.7, pred_state=state, pred_proj=proj)
+        hyps = [h0, other, replace(h0, prefix=prefix_of((3,), (0,)), log_prob=-1.1)]
         for beam in (2, 5, 40):
             h_i = rng.normal(size=8)
             got = beam_search_step(h_i, hyps, beam, tiny_model, frame_idx=1,
@@ -372,6 +439,77 @@ class TestDeferredExpansion:
         assert calls == [None]
 
 
+class TestPrefixIdentity:
+    def test_equal_tokens_on_different_chains_are_equal(self):
+        a = prefix_of((1, 2, 3), (0, 0, 1))
+        b = prefix_of((1, 2, 3), (0, 1, 2))
+        c = Prefix(prefix_of((1, 2), (0, 0)), 3, 1)
+        assert a is not b and a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        assert len({a, b, c}) == 1
+        assert a != prefix_of((1, 2, 4), (0, 0, 1))
+        assert a != prefix_of((1, 2), (0, 0))
+        assert prefix_of((), ()) == Prefix()
+
+    def test_equal_tokens_on_different_chains_merge(self, tiny_model, rng):
+        # (1, 2) twice, on separate chains and with different states
+        h0 = start_hypothesis(tiny_model)
+        s1, _ = predict_step(1, h0.pred_state, tiny_model)
+        hyps = [hypothesis_of((1, 2), (0, 0), -0.3, s1, tiny_model),
+                hypothesis_of((3,), (0,), -0.9, h0.pred_state, tiny_model),
+                hypothesis_of((1, 2), (0, 0), -0.6, h0.pred_state, tiny_model)]
+        for beam in (2, 5, 40):
+            for max_exp in (1, 2):
+                h_i = rng.normal(size=8)
+                got = beam_search_step(h_i, hyps, beam, tiny_model, frame_idx=1,
+                                       max_expansions=max_exp)
+                assert_same_hyps(got, eager_beam_search_step(h_i, hyps, beam,
+                                                             tiny_model, 1, max_exp))
+                prefixes = [h.tokens for h in got]
+                assert len(set(prefixes)) == len(prefixes)
+                # with room for every candidate, the merged blank child is kept
+                assert (1, 2) in prefixes or (beam, max_exp) != (40, 1)
+
+    def test_hash_collision_never_merges(self, monkeypatch, rng):
+        models = equivalence_models()[::5]
+        outs = [enc_outputs(rng, m, 8) for m in models]
+        want = [decode_with_srs(out, m, beam=4, srs=SrsParams(t_sil=1))
+                for m, out in zip(models, outs)]
+        # every prefix of a length now shares one hash
+        monkeypatch.setattr(transducer, "_hash_step", lambda prefix_hash, token: 0)
+        a, b = prefix_of((1, 2), (0, 0)), prefix_of((2, 1), (0, 0))
+        assert hash(a) == hash(b) and a.length == b.length
+        assert a != b and len({a, b}) == 2
+        for m, out, w in zip(models, outs, want):
+            assert decode_with_srs(out, m, beam=4, srs=SrsParams(t_sil=1)) == w
+        model = models[0]
+        h0 = start_hypothesis(model)
+        hyps = [hypothesis_of((1,), (0,), -0.5, h0.pred_state, model),
+                hypothesis_of((2,), (0,), -0.5, h0.pred_state, model)]
+        h_i = rng.normal(size=8)
+        got = beam_search_step(h_i, hyps, 8, model, frame_idx=1, max_expansions=2)
+        assert_same_hyps(got, eager_beam_search_step(h_i, hyps, 8, model, 1, 2))
+
+    def test_token_tuples_built_only_for_the_transcript(self, monkeypatch, rng):
+        built = {"tokens": 0, "frames": 0}
+        for name in built:
+            def spy(prefix, real=getattr(Prefix, name), name=name):
+                built[name] += 1
+                return real(prefix)
+            monkeypatch.setattr(Prefix, name, spy)
+        model = random_model(tiny_config(vocab_size=29), 3)
+        model.joint.out_bias[model.config.vocab.blank_id] -= 20.0
+        out = enc_outputs(rng, model, 12)
+        t = decode_with_srs(out, model, beam=4, srs=SrsParams(enabled=False))
+        assert len(t.token_ids) == 5 * out.length  # saturated
+        assert built == {"tokens": 1, "frames": 1}
+        # exact ties at the beam boundary are broken on the token tuples
+        tied = equivalence_models()[-1]
+        tied.joint.out_bias[tied.config.vocab.blank_id] -= 20.0
+        decode_with_srs(out, tied, beam=4, srs=SrsParams(enabled=False))
+        assert built["tokens"] > 2 and built["frames"] == 2
+
+
 class TestSrsMergeState:
     def test_carried_prefix_keeps_its_state_after_reset(self, tiny_model, rng):
         # Pool after a reset: prefix (1,) and its parent (), both zeroed.
@@ -380,8 +518,8 @@ class TestSrsMergeState:
         # carried-over finished (1,). The carried entry is first in pool
         # order, so its zero state is the one kept.
         h0 = start_hypothesis(tiny_model)
-        g1, s1 = predict_step(1, h0.pred_state, tiny_model)
-        h1 = Hypothesis((1,), (0,), -0.25, s1, g1, last_was_blank=True)
+        s1, _ = predict_step(1, h0.pred_state, tiny_model)
+        h1 = hypothesis_of((1,), (0,), -0.25, s1, tiny_model, last_was_blank=True)
         pool = reset_prediction_states([h1, replace(h0, log_prob=-0.5)], tiny_model)
         h_i = rng.normal(size=8)
         got = beam_search_step(h_i, pool, 64, tiny_model, frame_idx=1,
@@ -391,16 +529,17 @@ class TestSrsMergeState:
         merged = next(h for h in got if h.tokens == (1,))
         blank = tiny_model.config.vocab.blank_id
         zero_out = np.zeros(4)
-        g_re, s_re = predict_step(1, pool[1].pred_state, tiny_model)
-        carried = -0.25 + joint(h_i, zero_out, tiny_model)[blank]
-        reemitted = (-0.5 + joint(h_i, zero_out, tiny_model)[1]
-                     + joint(h_i, g_re, tiny_model)[blank])
+        g_re, s_re = oracle_predict_step(1, pool[1].pred_state, tiny_model)
+        carried = -0.25 + oracle_joint(h_i, zero_out, tiny_model)[blank]
+        reemitted = (-0.5 + oracle_joint(h_i, zero_out, tiny_model)[1]
+                     + oracle_joint(h_i, g_re, tiny_model)[blank])
         assert merged.log_prob == pytest.approx(np.logaddexp(carried, reemitted),
                                                 abs=1e-12)
         assert not np.array_equal(s_re.hidden, np.zeros(4))
         assert np.array_equal(merged.pred_state.hidden, np.zeros(4))
         assert np.array_equal(merged.pred_state.cell, np.zeros(4))
         assert np.array_equal(merged.pred_out, zero_out)
+        assert np.array_equal(merged.pred_proj, zero_out @ tiny_model.joint.pred_proj)
 
 
 class TestDecodeWithSrs:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from sparse_rnnt.attention import attention_internals, compute_scores
-from sparse_rnnt.numerics import layer_norm, sigmoid
+from sparse_rnnt.numerics import RecurrentState, layer_norm, sigmoid
 
 
 def oracle_sparse_attend(z, mh, policy):
@@ -107,20 +107,80 @@ def oracle_conformer_block(x, block, policy):
     return layer_norm(x, block.final_norm_gain, block.final_norm_bias)
 
 
+def oracle_lstm_cell_step(x, state, weights):
+    """The LSTM step on a raw input, every gate block taken on its own."""
+    n = weights.cell_size
+    gates = x @ weights.w_x + state.hidden @ weights.w_h + weights.bias
+    i = sigmoid(gates[:n])
+    f = sigmoid(gates[n : 2 * n])
+    g = np.tanh(gates[2 * n : 3 * n])
+    o = sigmoid(gates[3 * n :])
+    c = f * state.cell + i * g
+    h = o * np.tanh(c)
+    return h, RecurrentState(h, c)
+
+
+def oracle_predict_step(token_id, state, model):
+    """(output, new state) from the embedding row (zero for the start
+    symbol, None) with no cached product."""
+    if token_id is None:
+        emb = np.zeros(model.config.embed_dim)
+    else:
+        emb = model.prediction.embedding[token_id]
+    return oracle_lstm_cell_step(emb, state, model.prediction.lstm)
+
+
+def oracle_joint(h_t, g_u, model):
+    """Joint network on a raw encoder frame and prediction output."""
+    jw = model.joint
+    z = np.tanh(h_t @ jw.enc_proj + g_u @ jw.pred_proj + jw.bias)
+    logits = z @ jw.out + jw.out_bias
+    shifted = logits - logits.max()
+    return shifted - np.log(np.sum(np.exp(shifted)))
+
+
+def prefix_of(tokens, frames):
+    """A fresh prefix chain holding `tokens`, emitted at `frames`."""
+    from sparse_rnnt.transducer import Prefix
+
+    prefix = Prefix()
+    for k, t in zip(tokens, frames, strict=True):
+        prefix = Prefix(prefix, k, t)
+    return prefix
+
+
+def hypothesis_of(tokens, frames, log_prob, state, model, last_was_blank=True):
+    """A hypothesis on a fresh prefix chain, its joint projection formed
+    from `state` with no cached product."""
+    from sparse_rnnt.transducer import Hypothesis
+
+    return Hypothesis(prefix_of(tokens, frames), log_prob, state,
+                      state.hidden @ model.joint.pred_proj, last_was_blank)
+
+
 def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
                            max_expansions=5):
     """The eager beam-search step: every non-blank child of every active
     hypothesis is stepped through the prediction network and built as a
-    full hypothesis before the pool is merged and pruned. Reference for
-    the deferred-expansion `transducer.beam_search_step`."""
+    full hypothesis before the pool is merged and pruned. Prefixes are
+    token tuples and the kernels the uncached oracle formulas above.
+    Reference for the deferred-expansion `transducer.beam_search_step`."""
     from dataclasses import dataclass, replace
 
-    from sparse_rnnt import transducer
-    from sparse_rnnt.transducer import Hypothesis
+    @dataclass
+    class Hyp:
+        tokens: tuple
+        frames: tuple
+        log_prob: float
+        pred_state: RecurrentState
+        last_was_blank: bool
+
+        def sort_key(self):
+            return (-self.log_prob, self.tokens)
 
     @dataclass
     class Entry:
-        hyp: Hypothesis
+        hyp: Hyp
         active: bool
         emitted: bool
 
@@ -151,23 +211,24 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
         )
 
     blank = model.config.vocab.blank_id
-    pool = [Entry(h, active=True, emitted=False) for h in hyps_prev]
+    pool = [Entry(Hyp(h.tokens, h.frames, h.log_prob, h.pred_state, h.last_was_blank),
+                  active=True, emitted=False)
+            for h in hyps_prev]
     for _ in range(max_expansions):
         actives = [e for e in pool if e.active]
         if not actives:
             break
         new_entries = [e for e in pool if not e.active]
         for ent in actives:
-            log_probs = transducer.joint(h_i, ent.hyp.pred_out, model)
+            log_probs = oracle_joint(h_i, ent.hyp.pred_state.hidden, model)
             new_entries.append(blank_child(ent, log_probs))
             for k in range(len(log_probs)):
                 if k == blank:
                     continue
-                g, state = transducer.predict_step(k, ent.hyp.pred_state, model)
+                _, state = oracle_predict_step(k, ent.hyp.pred_state, model)
                 new_entries.append(Entry(
-                    Hypothesis(ent.hyp.tokens + (k,), ent.hyp.frames + (frame_idx,),
-                               ent.hyp.log_prob + log_probs[k], state, g,
-                               last_was_blank=False),
+                    Hyp(ent.hyp.tokens + (k,), ent.hyp.frames + (frame_idx,),
+                        ent.hyp.log_prob + log_probs[k], state, last_was_blank=False),
                     active=True, emitted=True,
                 ))
         pool = merge_and_prune(new_entries)
@@ -176,6 +237,8 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
         finished = [e for e in pool if not e.active]
         for ent in leftover:
             finished.append(blank_child(
-                ent, transducer.joint(h_i, ent.hyp.pred_out, model)))
+                ent, oracle_joint(h_i, ent.hyp.pred_state.hidden, model)))
         pool = merge_and_prune(finished)
-    return [e.hyp for e in pool]
+    return [hypothesis_of(e.hyp.tokens, e.hyp.frames, e.hyp.log_prob,
+                          e.hyp.pred_state, model, e.hyp.last_was_blank)
+            for e in pool]
