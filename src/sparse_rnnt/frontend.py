@@ -75,6 +75,9 @@ class FrontendConfig:
 
 
 _LOG_FLOOR = 1e-10  # mel energies are floored here before the log
+# frames per batched FFT: bounds the frontend's temporaries (windowed
+# frames, complex spectra) to a few MB whatever the input's length
+_FRAME_BLOCK = 64
 
 
 @dataclass
@@ -185,11 +188,16 @@ def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> Featu
         raise EmptyInputError(f"fft_size {fft_size} < window of {win} samples")
     window_fn = np.hanning(win)
     fb = mel_filterbank(fft_size, w.sample_rate, cfg.num_mels)
+    # (T, win), a view of the samples
+    framed = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
     frames = np.empty((T, cfg.num_mels))
-    for t in range(T):
-        seg = samples[t * hop : t * hop + win] * window_fn
-        spectrum = np.abs(np.fft.rfft(seg, n=fft_size)) ** 2
-        frames[t] = np.log(np.maximum(fb @ spectrum, _LOG_FLOOR))
+    for t in range(0, T, _FRAME_BLOCK):
+        spectrum = np.abs(np.fft.rfft(framed[t : t + _FRAME_BLOCK] * window_fn,
+                                      n=fft_size)) ** 2
+        # one gemv per frame, so each frame has the bits of fb @ its spectrum
+        # taken alone; the gemm spectrum @ fb.T would not
+        energies = (fb @ spectrum[:, :, None])[:, :, 0]
+        frames[t : t + _FRAME_BLOCK] = np.log(np.maximum(energies, _LOG_FLOOR))
     return FeatureMatrix(frames, cfg.hop, cfg.window)
 
 

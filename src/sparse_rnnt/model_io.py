@@ -247,15 +247,22 @@ class SplitMix64:
     """SplitMix64 generator; update equations documented in the README."""
 
     _MASK = (1 << 64) - 1
+    _GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
         self.state = seed & self._MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        """The next draw; the scalar reference for uniform_array."""
+        self.state = (self.state + self._GAMMA) & self._MASK
+        return self._mix(self.state)
+
+    @staticmethod
+    def _mix(z):
+        """The output function, on a Python int or a uint64 array alike."""
+        mask = SplitMix64._MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         return z ^ (z >> 31)
 
     def next_float(self) -> float:
@@ -263,8 +270,15 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def uniform_array(self, shape: tuple[int, ...], scale: float) -> np.ndarray:
+        """The next prod(shape) draws as next_float gives them, mapped to
+        [-scale, scale). The stream is counter-based (draw i reads state
+        seed + i * gamma mod 2^64), so all draws are formed at once."""
         n = int(np.prod(shape))
-        vals = np.array([self.next_float() for _ in range(n)])
+        i = np.arange(1, n + 1, dtype=np.uint64)
+        # uint64 arithmetic wraps mod 2^64
+        states = np.uint64(self.state) + i * np.uint64(self._GAMMA)
+        self.state = (self.state + n * self._GAMMA) & self._MASK
+        vals = (self._mix(states) >> np.uint64(11)) * (2.0 ** -53)
         return ((2.0 * vals - 1.0) * scale).reshape(shape)
 
 

@@ -42,6 +42,18 @@ class RecurrentState:
     def zeros(cls, size: int) -> "RecurrentState":
         return cls(np.zeros(size), np.zeros(size))
 
+    @classmethod
+    def rows(cls, hidden: np.ndarray, cell: np.ndarray) -> list["RecurrentState"]:
+        """One state per row of a cell step's stacked float64 output, as
+        views. The kernel made the two arrays with one shape, so the
+        per-state conversion and check are skipped."""
+        states = []
+        for h, c in zip(hidden, cell):
+            state = object.__new__(cls)
+            state.hidden, state.cell = h, c
+            states.append(state)
+        return states
+
 
 @dataclass
 class LstmWeights:
@@ -100,21 +112,27 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def lstm_cell_step(
-    x_gates: np.ndarray, state: RecurrentState, weights: LstmWeights
-) -> tuple[np.ndarray, RecurrentState]:
-    """One LSTM step from the input's share of the gates, x @ weights.w_x,
-    which a caller feeding the same inputs again can cache. Returns
-    (output, new state) with output = new hidden."""
+    x_gates: np.ndarray, hidden: np.ndarray, cell: np.ndarray, weights: LstmWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LSTM step for a stack of B rows: input gates (B, 4n), the
+    inputs' share x @ weights.w_x, which a caller feeding the same inputs
+    again can cache, and hidden/cell (B, n). Returns the new (hidden,
+    cell); the output is the new hidden.
+
+    Each row's recurrent product is its own gemv, (B, 1, n) @ (n, 4n), so
+    a row has the bits of a step taken alone; a (B, n) gemm would not.
+    """
     n = weights.cell_size
-    if x_gates.shape != (4 * n,):
-        raise ShapeError(f"input gates {x_gates.shape} != 4 x cell size {n}")
-    if state.hidden.shape[0] != n:
-        raise ShapeError(f"state size {state.hidden.shape[0]} != cell size {n}")
-    gates = x_gates + state.hidden @ weights.w_h + weights.bias
+    B = x_gates.shape[0]
+    if x_gates.shape != (B, 4 * n):
+        raise ShapeError(f"input gates {x_gates.shape} != (rows, 4 x cell size {n})")
+    if hidden.shape != (B, n) or cell.shape != (B, n):
+        raise ShapeError(f"states {hidden.shape}/{cell.shape} != ({B}, cell size {n})")
+    gates = x_gates + (hidden[:, None, :] @ weights.w_h)[:, 0] + weights.bias
     # one elementwise sigmoid over all four blocks (g's goes unused) has the
     # bits of one call per block, in a quarter of the calls
     s = sigmoid(gates)
-    g = np.tanh(gates[2 * n : 3 * n])
-    c = s[n : 2 * n] * state.cell + s[:n] * g
-    h = s[3 * n :] * np.tanh(c)
-    return h, RecurrentState(h, c)
+    g = np.tanh(gates[:, 2 * n : 3 * n])
+    c = s[:, n : 2 * n] * cell + s[:, :n] * g
+    h = s[:, 3 * n :] * np.tanh(c)
+    return h, c

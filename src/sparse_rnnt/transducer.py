@@ -159,21 +159,23 @@ class SrsCounter:
         return False
 
 
-def predict_step(token_id, state: RecurrentState, model):
-    """Advance the prediction network by one token (None = start symbol).
+def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
+    """Advance the prediction network by one token on each of B rows.
 
-    Returns the new state and its output's share of every joint call that
-    reads it, new_state.hidden @ joint.pred_proj.
+    `tokens` holds B token ids (None = start symbol) and hidden/cell are
+    the rows' (B, pred_dim) states. Returns the B new states and their
+    outputs' share of every joint call that reads them, the (B, joint_dim)
+    rows hidden @ joint.pred_proj, each its own gemv.
     """
     pred = model.prediction
-    if token_id is None:
-        token_id = -1  # the start symbol's row of input_gates
-    elif not 0 <= token_id < len(pred.embedding):
-        raise VocabularyError(
-            f"token id {token_id} outside vocabulary of {len(pred.embedding)}"
-        )
-    g, new_state = lstm_cell_step(pred.input_gates[token_id], state, pred.lstm)
-    return new_state, g @ model.joint.pred_proj
+    V = len(pred.embedding)
+    for k in tokens:
+        if k is not None and not 0 <= k < V:
+            raise VocabularyError(f"token id {k} outside vocabulary of {V}")
+    # -1: the start symbol's row of input_gates
+    x_gates = pred.input_gates[[-1 if k is None else k for k in tokens]]
+    h, c = lstm_cell_step(x_gates, hidden, cell, pred.lstm)
+    return RecurrentState.rows(h, c), (h[:, None, :] @ model.joint.pred_proj)[:, 0]
 
 
 def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
@@ -186,20 +188,22 @@ def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
     return h_t @ enc_proj
 
 
-def joint(frame_proj: np.ndarray, pred_proj: np.ndarray, model) -> np.ndarray:
-    """Joint network on a frame's and a prefix's cached projections: tanh
-    combiner, then log-softmax over the vocabulary."""
+def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
+    """Joint network on a frame's cached projection and the cached (A,
+    joint_dim) projections of A prefixes: tanh combiner, then log-softmax
+    over the vocabulary, (A, V). Each row's output product is its own gemv,
+    so a row has the bits of the joint taken on it alone."""
     jw = model.joint
-    z = np.tanh(frame_proj + pred_proj + jw.bias)
-    logits = z @ jw.out + jw.out_bias
+    z = np.tanh(frame_proj + pred_projs + jw.bias)
+    logits = (z[:, None, :] @ jw.out)[:, 0] + jw.out_bias
     # the ufunc reductions np.max/np.sum call, without their wrappers
-    shifted = logits - np.maximum.reduce(logits)
-    return shifted - np.log(np.add.reduce(np.exp(shifted)))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def start_hypothesis(model) -> Hypothesis:
-    state, proj = predict_step(None, RecurrentState.zeros(model.config.pred_dim),
-                               model)
+    zero = np.zeros((1, model.config.pred_dim))
+    (state,), (proj,) = predict_step([None], zero, zero, model)
     return Hypothesis(Prefix(), 0.0, state, proj, last_was_blank=True)
 
 
@@ -273,14 +277,14 @@ def _expand_round(
 ) -> list[_Entry]:
     """One expansion round: score from the joint, merge, prune, then step.
 
-    Every active entry gets one joint call. Its blank child is finished;
+    One joint call scores every active entry. Its blank child is finished;
     with `grow`, its non-blank children are candidates too. Candidates
     are known by their pool position and a score until they survive:
     positions number the carried (finished) entries first, then per
     active its blank child followed by its non-blank children in token
     order. Candidates are ranked on the key (-log_prob, tokens), exact
-    ties kept in pool order, and only the best `beam` become entries; the
-    LSTM is stepped for the children among them. Children never merge
+    ties kept in pool order, and only the best `beam` become entries; one
+    predict_step call steps the children among them. Children never merge
     with finished entries, and children of parents with distinct prefixes
     never merge at all; only a caller's hypothesis list can repeat a
     prefix.
@@ -291,7 +295,7 @@ def _expand_round(
     actives = [e for e in pool if e.active]
     base = len(carried)
     tokens = _child_tokens(V, blank)
-    log_probs = np.array([joint(frame_proj, e.hyp.pred_proj, model) for e in actives])
+    log_probs = joint(frame_proj, np.array([e.hyp.pred_proj for e in actives]), model)
     kid = (np.array([e.hyp.log_prob for e in actives])[:, None]
            + log_probs.take(tokens, axis=1))
     scores = np.concatenate([[e.hyp.log_prob for e in carried], kid.ravel()])
@@ -329,7 +333,8 @@ def _expand_round(
             run.sort(key=tokens_of)
         chosen += run
         i = j
-    out = []
+    out: list[_Entry | None] = []
+    grown = []  # (slot in out, parent, token, score) of each surviving child
     for pos in chosen[:beam]:
         if pos < base:
             ent = carried[pos]
@@ -350,14 +355,22 @@ def _expand_round(
                 active=False, emitted=parent.emitted,
             ))
             continue
-        k = int(tokens[c])
-        state, proj = predict_step(k, h.pred_state, model)
-        out.append(_Entry(
-            Hypothesis(Prefix(h.prefix, k, frame_idx), scores[pos], state, proj,
-                       last_was_blank=False),
-            active=True,
-            emitted=True,
-        ))
+        grown.append((len(out), h, int(tokens[c]), scores[pos]))
+        out.append(None)
+    if grown:
+        states, projs = predict_step(
+            [k for _, _, k, _ in grown],
+            np.array([h.pred_state.hidden for _, h, _, _ in grown]),
+            np.array([h.pred_state.cell for _, h, _, _ in grown]),
+            model,
+        )
+        for (i, h, k, score), state, proj in zip(grown, states, projs):
+            out[i] = _Entry(
+                Hypothesis(Prefix(h.prefix, k, frame_idx), score, state, proj,
+                           last_was_blank=False),
+                active=True,
+                emitted=True,
+            )
     return out
 
 
@@ -444,12 +457,12 @@ def greedy_decode(h: EncoderOutputs, model, max_symbols: int = 5) -> Transcript:
     tokens: list[int] = []
     frames: list[int] = []
     log_prob = 0.0
-    state, proj = hyp.pred_state, hyp.pred_proj
+    state, proj = hyp.pred_state, hyp.pred_proj[None]
     for i in range(h.length):
         frame_proj = frame_projection(h.h[i], model)
         emitted = 0
         while True:
-            log_probs = joint(frame_proj, proj, model)
+            (log_probs,) = joint(frame_proj, proj, model)
             k = int(np.argmax(log_probs))
             if k == blank or emitted == max_symbols:
                 log_prob += log_probs[blank]
@@ -457,6 +470,7 @@ def greedy_decode(h: EncoderOutputs, model, max_symbols: int = 5) -> Transcript:
             tokens.append(k)
             frames.append(i)
             log_prob += log_probs[k]
-            state, proj = predict_step(k, state, model)
+            (state,), proj = predict_step([k], state.hidden[None],
+                                          state.cell[None], model)
             emitted += 1
     return Transcript(tuple(tokens), tuple(frames), log_prob)

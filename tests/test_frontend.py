@@ -1,8 +1,10 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sparse_rnnt import frontend
 from sparse_rnnt.errors import AudioFormatError, DataError, EmptyInputError, ShapeError
 from sparse_rnnt.frontend import (
     FeatureMatrix,
@@ -21,6 +23,7 @@ from sparse_rnnt.frontend import (
     write_feature_file,
     write_wav,
 )
+from tests_oracles import oracle_log_mel_spectrogram
 
 
 class TestWavIo:
@@ -143,6 +146,34 @@ class TestLogMel:
         a = log_mel_spectrogram(w)
         b = log_mel_spectrogram(w)
         assert np.array_equal(a.frames, b.frames)
+
+    @pytest.mark.parametrize("num_mels", [16, 80])
+    def test_blocks_match_per_frame_loop(self, rng, num_mels):
+        # frame counts on both sides of the block edges, silence included
+        cfg = FrontendConfig(num_mels=num_mels)
+        B = frontend._FRAME_BLOCK
+        for T in (1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7):
+            n = 400 + 160 * (T - 1) + int(rng.integers(0, 160))
+            samples = rng.uniform(-0.5, 0.5, size=n)
+            samples[: n // 3] = 0.0
+            w = Waveform(samples, 16000)
+            got = log_mel_spectrogram(w, cfg)
+            assert got.num_frames == T
+            assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, cfg))
+
+    def test_memory_bounded_on_long_input(self, rng):
+        # 80 s at 80 mels: the output is 5.1 MB, and one block's temporaries
+        # add about 1 MB; framing and transforming all 7,998 frames at
+        # once would hold about 75 MB
+        w = Waveform(rng.uniform(-0.5, 0.5, size=80 * 16000), 16000)
+        tracemalloc.start()
+        try:
+            feats = log_mel_spectrogram(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feats.num_frames == 7998
+        assert peak < 8e6
 
 
 class TestMelFilterbank:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import zlib
 
@@ -36,6 +37,32 @@ class TestSplitMix64:
         a = SplitMix64(42).uniform_array((3, 4), 0.5)
         b = SplitMix64(42).uniform_array((3, 4), 0.5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_arrays_continue_the_scalar_stream(self, seed):
+        # odd sizes, and a seed whose counter wraps at once
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for shape in [(1,), (3,), (2, 5), (7, 3, 1), (0,), (13,)]:
+            got = rng.uniform_array(shape, 0.25)
+            n = int(np.prod(shape))
+            want = [(2.0 * ref.next_float() - 1.0) * 0.25 for _ in range(n)]
+            assert got.shape == shape
+            assert np.array_equal(got.ravel(), np.array(want, dtype=np.float64))
+            assert rng.state == ref.state
+        assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("config,digest", [
+    (ModelConfig.desk_scale,
+     "db3fb19f0c8056a88fc852a402abaeee2854b8704450edfad16e2423c3313e5b"),
+    (tiny_config,
+     "642709a9eac32df9e07f5e2f11a6949dc4617b805638477737bf25facc39478b"),
+], ids=["desk", "tiny"])
+def test_model_bytes_pinned(tmp_path, config, digest):
+    # a seed means the same model file on every build
+    path = tmp_path / "m.model"
+    save_model(random_model(config(), 7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRandomModel:

@@ -104,10 +104,10 @@ def scalar_lstm_oracle(x, h, c, wx, wh, b):
 class TestLstmCell:
     def test_zero_weights_zero_state(self, rng):
         w = LstmWeights(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
-        out, state = lstm_cell_step(rng.normal(size=3) @ w.w_x, RecurrentState.zeros(2),
-                                    w)
-        assert np.array_equal(out, np.zeros(2))
-        assert np.array_equal(state.cell, np.zeros(2))
+        zero = np.zeros((1, 2))
+        out, cell = lstm_cell_step((rng.normal(size=3) @ w.w_x)[None], zero, zero, w)
+        assert np.array_equal(out, zero)
+        assert np.array_equal(cell, zero)
 
     def test_single_unit_matches_scalar_oracle(self):
         wx = [0.3, -0.2, 0.5, 0.1]
@@ -115,22 +115,60 @@ class TestLstmCell:
         b = [0.01, -0.02, 0.03, -0.04]
         w = LstmWeights(np.array([wx]), np.array([wh]), np.array(b))
         x, h, c = 0.7, -0.3, 0.9
-        out, state = lstm_cell_step(np.array([x]) @ w.w_x, RecurrentState([h], [c]), w)
+        out, cell = lstm_cell_step(np.array([[x]]) @ w.w_x, np.array([[h]]),
+                                   np.array([[c]]), w)
         h_ref, c_ref = scalar_lstm_oracle(x, h, c, wx, wh, b)
-        assert abs(out[0] - h_ref) < 1e-12
-        assert abs(state.cell[0] - c_ref) < 1e-12
+        assert abs(out[0, 0] - h_ref) < 1e-12
+        assert abs(cell[0, 0] - c_ref) < 1e-12
 
     def test_deterministic(self, rng):
         w = LstmWeights(rng.normal(size=(3, 8)), rng.normal(size=(2, 8)),
                         rng.normal(size=8))
-        x = rng.normal(size=3) @ w.w_x
-        s = RecurrentState(rng.normal(size=2), rng.normal(size=2))
-        o1, s1 = lstm_cell_step(x, s, w)
-        o2, s2 = lstm_cell_step(x, s, w)
+        x = rng.normal(size=(1, 3)) @ w.w_x
+        h, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
+        o1, c1 = lstm_cell_step(x, h, c, w)
+        o2, c2 = lstm_cell_step(x, h, c, w)
         assert np.array_equal(o1, o2)
-        assert np.array_equal(s1.cell, s2.cell)
+        assert np.array_equal(c1, c2)
+
+    @pytest.mark.parametrize("n", [1, 4, 16, 33])
+    def test_stacked_rows_match_lone_rows(self, rng, n):
+        # each row's recurrent product is its own gemv, so a stack of B rows
+        # gives every row the bits of the step taken on it alone
+        w = LstmWeights(rng.normal(size=(5, 4 * n)), rng.normal(size=(n, 4 * n)),
+                        rng.normal(size=4 * n))
+        for B in range(1, 9):
+            x = rng.normal(size=(B, 5)) @ w.w_x
+            h, c = rng.normal(size=(B, n)), rng.normal(size=(B, n))
+            out, cell = lstm_cell_step(x, h, c, w)
+            for r in range(B):
+                o1, c1 = lstm_cell_step(x[r : r + 1], h[r : r + 1], c[r : r + 1], w)
+                assert np.array_equal(out[r], o1[0])
+                assert np.array_equal(cell[r], c1[0])
 
     def test_dimension_mismatch(self):
         w = LstmWeights(np.zeros((3, 8)), np.zeros((2, 8)), np.zeros(8))
+        zero = np.zeros((1, 2))
         with pytest.raises(ShapeError):
-            lstm_cell_step(np.zeros(4), RecurrentState.zeros(2), w)
+            lstm_cell_step(np.zeros((1, 4)), zero, zero, w)
+        with pytest.raises(ShapeError):
+            lstm_cell_step(np.zeros((2, 8)), zero, zero, w)
+        with pytest.raises(ShapeError):
+            lstm_cell_step(np.zeros((1, 8)), zero, np.zeros((1, 3)), w)
+
+
+class TestRecurrentState:
+    def test_callers_states_checked(self):
+        state = RecurrentState([1, 2], [3, 4])
+        assert state.hidden.dtype == np.float64
+        with pytest.raises(ShapeError):
+            RecurrentState(np.zeros(2), np.zeros(3))
+
+    def test_rows_are_views_of_the_stack(self, rng):
+        h, c = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        states = RecurrentState.rows(h, c)
+        assert len(states) == 3
+        for r, state in enumerate(states):
+            assert state.hidden.base is h and state.cell.base is c
+            assert np.array_equal(state.hidden, h[r])
+            assert np.array_equal(state.cell, c[r])

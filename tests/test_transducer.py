@@ -40,29 +40,42 @@ def enc_outputs(rng, model, T):
     return EncoderOutputs(rng.normal(size=(T, dim)), 0.04)
 
 
+def predict_one(token_id, state, model):
+    """predict_step on one row: (new state, its pred_proj row)."""
+    (new,), (proj,) = predict_step([token_id], state.hidden[None], state.cell[None],
+                                   model)
+    return new, proj
+
+
+def joint_one(frame_proj, pred_proj, model):
+    """joint on one row: its log-probabilities over the vocabulary."""
+    (log_probs,) = joint(frame_proj, pred_proj[None], model)
+    return log_probs
+
+
 class TestPredictStep:
     def test_zero_weights_zero_output(self):
         model = random_model(tiny_config(), 0)
         model.prediction.lstm.w_x[:] = 0
         model.prediction.lstm.w_h[:] = 0
         model.prediction.lstm.bias[:] = 0
-        state, _ = predict_step(None, RecurrentState.zeros(4), model)
+        state, _ = predict_one(None, RecurrentState.zeros(4), model)
         assert np.array_equal(state.hidden, np.zeros(4))
 
     def test_deterministic(self, tiny_model):
         s = RecurrentState.zeros(4)
-        s1, p1 = predict_step(2, s, tiny_model)
-        s2, p2 = predict_step(2, s, tiny_model)
+        s1, p1 = predict_one(2, s, tiny_model)
+        s2, p2 = predict_one(2, s, tiny_model)
         assert np.array_equal(s1.hidden, s2.hidden)
         assert np.array_equal(s1.cell, s2.cell)
         assert np.array_equal(p1, p2)
 
     def test_invalid_token(self, tiny_model):
         with pytest.raises(VocabularyError):
-            predict_step(99, RecurrentState.zeros(4), tiny_model)
+            predict_one(99, RecurrentState.zeros(4), tiny_model)
 
     def test_start_symbol_uses_zero_embedding(self, tiny_model):
-        s1, _ = predict_step(None, RecurrentState.zeros(4), tiny_model)
+        s1, _ = predict_one(None, RecurrentState.zeros(4), tiny_model)
         # feeding an explicit zero embedding through the cell must agree
         g2, _ = oracle_lstm_cell_step(np.zeros(4), RecurrentState.zeros(4),
                                       tiny_model.prediction.lstm)
@@ -71,7 +84,7 @@ class TestPredictStep:
 
 def joint_on(h_t, g_u, model):
     """The joint kernel on a raw frame and prediction output."""
-    return joint(frame_projection(h_t, model), g_u @ model.joint.pred_proj, model)
+    return joint_one(frame_projection(h_t, model), g_u @ model.joint.pred_proj, model)
 
 
 class TestJoint:
@@ -104,31 +117,62 @@ def kernel_models():
 
 @pytest.mark.parametrize("model", kernel_models(), ids=["tiny", "desk", "blank"])
 class TestCachedKernels:
-    """The cached kernels against the uncached formulas, bit for bit."""
+    """The stacked kernels against lone rows and the uncached formulas, bit
+    for bit."""
 
     def states(self, model):
+        """A zero state, two random ones, and the states of a beam-4 pool
+        right after reset_prediction_states."""
         n = model.config.pred_dim
         rng = np.random.default_rng(11)
+        D = model.config.encoder.model_dim
+        hyps = [start_hypothesis(model)]
+        for i in range(3):
+            hyps = beam_search_step(rng.normal(size=D), hyps, 4, model, frame_idx=i)
+        reset = [h.pred_state for h in reset_prediction_states(hyps, model)]
         return [RecurrentState.zeros(n),
-                RecurrentState(rng.normal(size=n), rng.normal(size=n))]
+                RecurrentState(rng.normal(size=n), rng.normal(size=n)),
+                RecurrentState(rng.normal(size=n), rng.normal(size=n)), *reset]
 
     def test_predict_step_every_token(self, model):
-        for state in self.states(model):
-            for k in [None, *range(len(model.config.vocab))]:
-                got, proj = predict_step(k, state, model)
-                g, want = oracle_predict_step(k, state, model)
-                assert np.array_equal(got.hidden, want.hidden)
-                assert np.array_equal(got.cell, want.cell)
-                assert np.array_equal(proj, g @ model.joint.pred_proj)
+        # stacks of B = 1..8 rows, mixing every token with every state
+        states = self.states(model)
+        tokens = [None, *range(len(model.config.vocab))]
+        for B in range(1, 9):
+            for first in range(0, len(tokens), B):
+                rows = [(tokens[(first + r) % len(tokens)],
+                         states[(first + 3 * r) % len(states)]) for r in range(B)]
+                got, projs = predict_step(
+                    [k for k, _ in rows], np.array([s.hidden for _, s in rows]),
+                    np.array([s.cell for _, s in rows]), model)
+                assert len(got) == B and projs.shape == (B, model.config.joint_dim)
+                for (k, state), new, proj in zip(rows, got, projs):
+                    one, one_proj = predict_one(k, state, model)
+                    g, want = oracle_predict_step(k, state, model)
+                    for a in (one, want):
+                        assert np.array_equal(new.hidden, a.hidden)
+                        assert np.array_equal(new.cell, a.cell)
+                    assert np.array_equal(proj, one_proj)
+                    assert np.array_equal(proj, g @ model.joint.pred_proj)
 
     def test_joint_every_token(self, model):
+        # stacks of A = 1..8 prefixes, each after one token from one state
         rng = np.random.default_rng(12)
-        for state in self.states(model):
-            for k in [None, *range(len(model.config.vocab))]:
-                after, proj = predict_step(k, state, model)
-                h_t = rng.normal(size=model.config.encoder.model_dim)
-                assert np.array_equal(joint(frame_projection(h_t, model), proj, model),
-                                      oracle_joint(h_t, after.hidden, model))
+        states = self.states(model)
+        tokens = [None, *range(len(model.config.vocab))]
+        D = model.config.encoder.model_dim
+        for A in range(1, 9):
+            for first in range(0, len(tokens), A):
+                after = [predict_one(tokens[(first + r) % len(tokens)],
+                                     states[(first + 2 * r) % len(states)], model)
+                         for r in range(A)]
+                h_t = rng.normal(size=D)
+                frame_proj = frame_projection(h_t, model)
+                got = joint(frame_proj, np.array([p for _, p in after]), model)
+                assert got.shape == (A, len(model.config.vocab))
+                for (state, proj), row in zip(after, got):
+                    assert np.array_equal(row, joint_one(frame_proj, proj, model))
+                    assert np.array_equal(row, oracle_joint(h_t, state.hidden, model))
 
     def test_after_reset(self, model):
         rng = np.random.default_rng(13)
@@ -136,16 +180,31 @@ class TestCachedKernels:
         hyps = [start_hypothesis(model)]
         for i in range(3):
             hyps = beam_search_step(rng.normal(size=D), hyps, 4, model, frame_idx=i)
-        for h in reset_prediction_states(hyps, model):
-            h_t = rng.normal(size=D)
-            assert np.array_equal(joint(frame_projection(h_t, model), h.pred_proj, model),
-                                  oracle_joint(h_t, np.zeros(n), model))
-            for k in (None, 1):
-                got, proj = predict_step(k, h.pred_state, model)
-                g, want = oracle_predict_step(k, RecurrentState.zeros(n), model)
-                assert np.array_equal(got.hidden, want.hidden)
-                assert np.array_equal(got.cell, want.cell)
-                assert np.array_equal(proj, g @ model.joint.pred_proj)
+        reset = reset_prediction_states(hyps, model)
+        h_t = rng.normal(size=D)
+        got = joint(frame_projection(h_t, model),
+                    np.array([h.pred_proj for h in reset]), model)
+        for row in got:
+            assert np.array_equal(row, oracle_joint(h_t, np.zeros(n), model))
+        tokens = [(None, 1)[r % 2] for r in range(len(reset))]
+        states, projs = predict_step(
+            tokens, np.array([h.pred_state.hidden for h in reset]),
+            np.array([h.pred_state.cell for h in reset]), model)
+        for k, state, proj in zip(tokens, states, projs):
+            g, want = oracle_predict_step(k, RecurrentState.zeros(n), model)
+            assert np.array_equal(state.hidden, want.hidden)
+            assert np.array_equal(state.cell, want.cell)
+            assert np.array_equal(proj, g @ model.joint.pred_proj)
+
+    def test_invalid_token_inside_a_stack(self, model):
+        V = len(model.config.vocab)
+        zero = np.zeros((3, model.config.pred_dim))
+        for bad in (-1, V, 10 * V):
+            for slot in range(3):
+                tokens = [None, 1, V - 1]
+                tokens[slot] = bad
+                with pytest.raises(VocabularyError, match=str(bad)):
+                    predict_step(tokens, zero, zero, model)
 
 
 class TestCheckBlankToken:
@@ -361,7 +420,7 @@ class TestDeferredExpansion:
         # (2, ...) first, so only the token tie-break picks the survivors.
         model = equivalence_models()[-1]
         h0 = start_hypothesis(model)
-        state, _ = predict_step(1, h0.pred_state, model)
+        state, _ = predict_one(1, h0.pred_state, model)
         lp = oracle_joint(np.zeros(8), state.hidden, model)
         assert lp[1] == lp[2]
         hyps = [hypothesis_of((2,), (0,), -1.0, state, model),
@@ -384,7 +443,7 @@ class TestDeferredExpansion:
         model = random_model(tiny_config(vocab_size=29), 5)
         blank = model.config.vocab.blank_id
         h0 = start_hypothesis(model)
-        state, _ = predict_step(1, h0.pred_state, model)
+        state, _ = predict_one(1, h0.pred_state, model)
         h_i = rng.normal(size=8)
         lp_a = oracle_joint(h_i, state.hidden, model)
         lp_b = oracle_joint(h_i, h0.pred_out, model)
@@ -403,7 +462,7 @@ class TestDeferredExpansion:
 
     def test_duplicate_prefixes_in_input_merge_like_eager(self, tiny_model, rng):
         h0 = start_hypothesis(tiny_model)
-        state, proj = predict_step(1, h0.pred_state, tiny_model)
+        state, proj = predict_one(1, h0.pred_state, tiny_model)
         other = replace(h0, log_prob=-0.7, pred_state=state, pred_proj=proj)
         hyps = [h0, other, replace(h0, prefix=prefix_of((3,), (0,)), log_prob=-1.1)]
         for beam in (2, 5, 40):
@@ -417,9 +476,9 @@ class TestDeferredExpansion:
         calls = []
         real = transducer.predict_step
 
-        def counting(token_id, state, model):
-            calls.append(token_id)
-            return real(token_id, state, model)
+        def counting(tokens, hidden, cell, model):
+            calls.extend(tokens)
+            return real(tokens, hidden, cell, model)
 
         monkeypatch.setattr(transducer, "predict_step", counting)
         model = random_model(tiny_config(vocab_size=29), 3)
@@ -438,6 +497,38 @@ class TestDeferredExpansion:
         decode_with_srs(out, model, beam=1, srs=SrsParams(t_sil=1))
         assert calls == [None]
 
+    def test_one_kernel_call_per_round(self, rng, monkeypatch):
+        # a saturated beam-4 decode: every expansion round scores all its
+        # active entries in one joint call and steps all its surviving
+        # children in at most one predict_step call
+        calls = {"joint": [], "predict_step": []}
+        for name, rows in (("joint", lambda args: len(args[1])),
+                           ("predict_step", lambda args: len(args[0]))):
+            def spy(*args, real=getattr(transducer, name), name=name, rows=rows):
+                calls[name].append(rows(args))
+                return real(*args)
+            monkeypatch.setattr(transducer, name, spy)
+        rounds = []
+        real_round = transducer._expand_round
+
+        def round_spy(*args, **kwargs):
+            before = {name: len(c) for name, c in calls.items()}
+            out = real_round(*args, **kwargs)
+            rounds.append({name: len(c) - before[name] for name, c in calls.items()})
+            return out
+
+        monkeypatch.setattr(transducer, "_expand_round", round_spy)
+        model = random_model(tiny_config(vocab_size=29), 3)
+        model.joint.out_bias[model.config.vocab.blank_id] -= 20.0
+        out = enc_outputs(rng, model, 12)
+        t = decode_with_srs(out, model, beam=4, srs=SrsParams(enabled=False))
+        assert len(t.token_ids) == 5 * out.length  # saturated
+        assert calls["predict_step"][0] == 1  # the start symbol
+        assert len(rounds) == 6 * out.length  # 5 growing rounds and the cap
+        assert all(r["joint"] == 1 and r["predict_step"] <= 1 for r in rounds)
+        assert sum(r["predict_step"] for r in rounds) == 5 * out.length
+        assert max(calls["joint"]) == 4 and max(calls["predict_step"]) == 4
+
 
 class TestPrefixIdentity:
     def test_equal_tokens_on_different_chains_are_equal(self):
@@ -454,7 +545,7 @@ class TestPrefixIdentity:
     def test_equal_tokens_on_different_chains_merge(self, tiny_model, rng):
         # (1, 2) twice, on separate chains and with different states
         h0 = start_hypothesis(tiny_model)
-        s1, _ = predict_step(1, h0.pred_state, tiny_model)
+        s1, _ = predict_one(1, h0.pred_state, tiny_model)
         hyps = [hypothesis_of((1, 2), (0, 0), -0.3, s1, tiny_model),
                 hypothesis_of((3,), (0,), -0.9, h0.pred_state, tiny_model),
                 hypothesis_of((1, 2), (0, 0), -0.6, h0.pred_state, tiny_model)]
@@ -518,7 +609,7 @@ class TestSrsMergeState:
         # carried-over finished (1,). The carried entry is first in pool
         # order, so its zero state is the one kept.
         h0 = start_hypothesis(tiny_model)
-        s1, _ = predict_step(1, h0.pred_state, tiny_model)
+        s1, _ = predict_one(1, h0.pred_state, tiny_model)
         h1 = hypothesis_of((1,), (0,), -0.25, s1, tiny_model, last_was_blank=True)
         pool = reset_prediction_states([h1, replace(h0, log_prob=-0.5)], tiny_model)
         h_i = rng.normal(size=8)

@@ -107,6 +107,25 @@ def oracle_conformer_block(x, block, policy):
     return layer_norm(x, block.final_norm_gain, block.final_norm_bias)
 
 
+def oracle_log_mel_spectrogram(w, cfg):
+    """Log-mel features one 10 ms frame at a time: window, power spectrum,
+    filterbank gemv, floored log."""
+    from sparse_rnnt.frontend import _LOG_FLOOR, frame_count, mel_filterbank
+
+    win = int(round(cfg.window * w.sample_rate))
+    hop = int(round(cfg.hop * w.sample_rate))
+    samples = w.samples
+    T = frame_count(len(samples), win, hop)
+    window_fn = np.hanning(win)
+    fb = mel_filterbank(cfg.fft_size, w.sample_rate, cfg.num_mels)
+    frames = np.empty((T, cfg.num_mels))
+    for t in range(T):
+        seg = samples[t * hop : t * hop + win] * window_fn
+        spectrum = np.abs(np.fft.rfft(seg, n=cfg.fft_size)) ** 2
+        frames[t] = np.log(np.maximum(fb @ spectrum, _LOG_FLOOR))
+    return frames
+
+
 def oracle_lstm_cell_step(x, state, weights):
     """The LSTM step on a raw input, every gate block taken on its own."""
     n = weights.cell_size
