@@ -273,15 +273,15 @@ def _policy_mask(T: int, policy: MaskPolicy, g: AttentionMask | None) -> Attenti
     return loc if policy.variant == LOCAL_ONLY else loc.union(g)
 
 
-def build_masks(per_head_scores: list[ScoreMatrix], policy: MaskPolicy,
-                global_masks: list[AttentionMask] | None = None) -> list[AttentionMask]:
-    """Per-head attended sets S_i; fused global masks are derived if not given."""
-    if policy.variant == LOCAL_PLUS_GLOBAL and global_masks is None:
+def build_masks(per_head_scores: list[ScoreMatrix],
+                policy: MaskPolicy) -> list[AttentionMask]:
+    """Per-head attended sets S_i, with fused global masks if the policy has them."""
+    global_masks = [None] * len(per_head_scores)
+    if policy.variant == LOCAL_PLUS_GLOBAL:
         global_masks = fuse_heads([global_mask(s) for s in per_head_scores],
                                   policy.fusion)
     T = per_head_scores[0].length
-    return [_policy_mask(T, policy, None if global_masks is None else global_masks[h])
-            for h in range(len(per_head_scores))]
+    return [_policy_mask(T, policy, g) for g in global_masks]
 
 
 @dataclass

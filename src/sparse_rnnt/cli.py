@@ -102,6 +102,8 @@ def _read_tsv(path) -> dict[str, str]:
         if "\t" not in line:
             raise DataError(f"{path}: line without tab separator: {line!r}")
         utt_id, text = line.split("\t", 1)
+        if utt_id in out:
+            raise DataError(f"{path}: repeated id {utt_id!r}")
         out[utt_id] = text
     return out
 

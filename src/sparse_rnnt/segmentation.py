@@ -105,7 +105,7 @@ def doi_split(duration: float, doi_length: float, overlap: float = 2.0) -> list[
 def doi_merge(
     segment_results: list[tuple[Segment, list[TimedToken]]]
 ) -> list[TimedToken]:
-    """Keep tokens emitted inside each segment's core; concatenate in order.
+    """Keep tokens decoded inside each segment's core; concatenate in order.
 
     Token times must already be absolute (utterance-relative) seconds.
     """

@@ -1,9 +1,9 @@
 """RNN-T decoding: prediction/joint networks, beam search, silence reset.
 
-Beam search is time-synchronous with bounded within-frame expansion.
-The silence reset (SRS) zeroes every hypothesis's prediction-network
-state after more than t_sil consecutive frames in which no hypothesis
-emitted a non-blank token.
+Beam search is time-synchronous with at most MAX_SYMBOLS non-blank
+emissions per frame. The silence reset (SRS) zeroes every hypothesis's
+prediction-network state after more than t_sil consecutive frames in which
+no hypothesis produced a non-blank token.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ __all__ = [
     "decode_with_srs",
     "greedy_decode",
 ]
+
+# non-blank emissions allowed per encoder frame, in beam search and greedy
+MAX_SYMBOLS = 5
 
 
 def _hash_step(prefix_hash: int, token: int) -> int:
@@ -96,11 +99,14 @@ class Prefix:
 
 @dataclass(slots=True)
 class Hypothesis:
+    """A prefix, its score, and the prediction state and projection the
+    prefix leaves. Whether it produced a token in frame i is read off its
+    prefix: the last node's frame is i."""
+
     prefix: Prefix
     log_prob: float
     pred_state: RecurrentState  # its hidden vector is the prediction output
     pred_proj: np.ndarray  # pred_state.hidden @ joint.pred_proj
-    last_was_blank: bool = True
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -111,22 +117,12 @@ class Hypothesis:
         """Encoder frame index of each emission."""
         return self.prefix.frames()
 
-    @property
-    def pred_out(self) -> np.ndarray:
-        return self.pred_state.hidden
-
-    def sort_key(self):
-        return (-self.log_prob, self.tokens)
-
 
 @dataclass
 class Transcript:
     token_ids: tuple[int, ...]
     frames: tuple[int, ...]
     log_prob: float
-
-    def render(self, vocab) -> str:
-        return vocab.render(self.token_ids)
 
 
 @dataclass
@@ -204,7 +200,7 @@ def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
 def start_hypothesis(model) -> Hypothesis:
     zero = np.zeros((1, model.config.pred_dim))
     (state,), (proj,) = predict_step([None], zero, zero, model)
-    return Hypothesis(Prefix(), 0.0, state, proj, last_was_blank=True)
+    return Hypothesis(Prefix(), 0.0, state, proj)
 
 
 def _logsumexp(a: float, b: float) -> float:
@@ -221,24 +217,17 @@ def _child_tokens(V: int, blank: int) -> np.ndarray:
     return tokens
 
 
-@dataclass(slots=True)
-class _Entry:
-    hyp: Hypothesis
-    active: bool  # still expandable within the current frame
-    emitted: bool  # an active entry emitted a token during the current frame
-
-
 def _merge_finished(scores: np.ndarray, finished, dropped: list[int]) -> None:
     """Log-sum-exp merge of finished candidates on identical prefixes.
 
-    `finished` are (position, prefix) pairs in pool order and `scores` is
-    indexed by position. The first candidate with a prefix keeps its
+    `finished` are (position, prefix) pairs in position order and `scores`
+    is indexed by position. The first candidate with a prefix keeps its
     position, hypothesis and prediction state and takes the merged score;
     later ones go to `dropped`. Under SRS one prefix can reach the merge
     with two different states: a finished entry carried over from before
-    a reset (zero state) and the same prefix re-emitted after it by a
-    shorter one (a stepped state). Carried entries come first in pool
-    order, so the carried state is the one kept. The rule is part of the
+    a reset (zero state) and the same prefix produced again after it by a
+    shorter one (a stepped state). Carried entries have the lower
+    positions, so the carried state is the one kept. The rule is part of the
     output: keeping the other state changes transcripts.
     """
     first: dict = {}
@@ -249,17 +238,17 @@ def _merge_finished(scores: np.ndarray, finished, dropped: list[int]) -> None:
             dropped.append(pos)
 
 
-def _merge_children(scores: np.ndarray, actives: list[_Entry], base: int, V: int,
-                    dropped: list[int]) -> None:
-    """Merge the children of parents that share a prefix, in pool order.
+def _merge_children(scores: np.ndarray, actives: list[Hypothesis], base: int,
+                    V: int, dropped: list[int]) -> None:
+    """Merge the children of parents that share a prefix, in list order.
 
     Folds each later duplicate's non-blank children into its first
     parent's with log-sum-exp and drops them; a no-op when the prefixes
     are distinct.
     """
     first: dict = {}
-    for a, ent in enumerate(actives):
-        kept = first.setdefault(ent.hyp.prefix, a)
+    for a, hyp in enumerate(actives):
+        kept = first.setdefault(hyp.prefix, a)
         if kept != a:
             for c in range(1, V):
                 i, j = base + kept * V + c, base + a * V + c
@@ -269,39 +258,40 @@ def _merge_children(scores: np.ndarray, actives: list[_Entry], base: int, V: int
 
 def _expand_round(
     frame_proj: np.ndarray,
-    pool: list[_Entry],
+    finished: list[Hypothesis],
+    actives: list[Hypothesis],
     beam: int,
     model,
     frame_idx: int,
     grow: bool,
-) -> list[_Entry]:
+) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """One expansion round: score from the joint, merge, prune, then step.
 
-    One joint call scores every active entry. Its blank child is finished;
-    with `grow`, its non-blank children are candidates too. Candidates
-    are known by their pool position and a score until they survive:
-    positions number the carried (finished) entries first, then per
-    active its blank child followed by its non-blank children in token
-    order. Candidates are ranked on the key (-log_prob, tokens), exact
-    ties kept in pool order, and only the best `beam` become entries; one
-    predict_step call steps the children among them. Children never merge
-    with finished entries, and children of parents with distinct prefixes
-    never merge at all; only a caller's hypothesis list can repeat a
-    prefix.
+    `finished` have taken blank in this frame and `actives` may still
+    emit in it. One joint call scores every active. Its blank child is
+    finished; with `grow`, its non-blank children are candidates too.
+    Candidates are known by their position and a score until they
+    survive: positions number the carried finished hypotheses first,
+    then per active its blank child followed by its non-blank children
+    in token order. Candidates are ranked on the key (-log_prob, tokens),
+    exact ties kept in position order, and only the best `beam` survive;
+    one predict_step call steps the children among them. Returns the
+    survivors as (finished, actives), each in rank order. Children never
+    merge with finished hypotheses, and children of parents with distinct
+    prefixes never merge at all; only a caller's hypothesis list can
+    repeat a prefix.
     """
     blank = model.config.vocab.blank_id
     V = len(model.config.vocab)
-    carried = [e for e in pool if not e.active]
-    actives = [e for e in pool if e.active]
-    base = len(carried)
+    base = len(finished)
     tokens = _child_tokens(V, blank)
-    log_probs = joint(frame_proj, np.array([e.hyp.pred_proj for e in actives]), model)
-    kid = (np.array([e.hyp.log_prob for e in actives])[:, None]
+    log_probs = joint(frame_proj, np.array([h.pred_proj for h in actives]), model)
+    kid = (np.array([h.log_prob for h in actives])[:, None]
            + log_probs.take(tokens, axis=1))
-    scores = np.concatenate([[e.hyp.log_prob for e in carried], kid.ravel()])
+    scores = np.concatenate([[h.log_prob for h in finished], kid.ravel()])
     dropped: list[int] = []
-    _merge_finished(scores, [(pos, e.hyp.prefix) for pos, e in enumerate(carried)]
-                    + [(base + a * V, e.hyp.prefix) for a, e in enumerate(actives)],
+    _merge_finished(scores, [(pos, h.prefix) for pos, h in enumerate(finished)]
+                    + [(base + a * V, h.prefix) for a, h in enumerate(actives)],
                     dropped)
     keep = np.ones(len(scores), dtype=bool)
     if grow:
@@ -317,9 +307,9 @@ def _expand_round(
 
     def tokens_of(pos: int) -> tuple[int, ...]:
         if pos < base:
-            return carried[pos].hyp.tokens
+            return finished[pos].tokens
         a, c = divmod(pos - base, V)
-        return actives[a].hyp.tokens + ((int(tokens[c]),) if c else ())
+        return actives[a].tokens + ((int(tokens[c]),) if c else ())
 
     # walk runs of equal score; only a run of ties needs the token tuples
     chosen: list[int] = []
@@ -333,45 +323,31 @@ def _expand_round(
             run.sort(key=tokens_of)
         chosen += run
         i = j
-    out: list[_Entry | None] = []
-    grown = []  # (slot in out, parent, token, score) of each surviving child
+    done: list[Hypothesis] = []
+    grown = []  # (parent, token, score) of each surviving child
     for pos in chosen[:beam]:
         if pos < base:
-            ent = carried[pos]
-            h = ent.hyp
+            h = finished[pos]
             if scores[pos] != h.log_prob:  # the merge changed its score
-                ent = _Entry(Hypothesis(h.prefix, scores[pos], h.pred_state,
-                                        h.pred_proj, h.last_was_blank),
-                             active=False, emitted=ent.emitted)
-            out.append(ent)
+                h = Hypothesis(h.prefix, scores[pos], h.pred_state, h.pred_proj)
+            done.append(h)
             continue
         a, c = divmod(pos - base, V)
-        parent = actives[a]
-        h = parent.hyp
+        h = actives[a]
         if c == 0:  # closed with blank for the rest of the frame
-            out.append(_Entry(
-                Hypothesis(h.prefix, scores[pos], h.pred_state, h.pred_proj,
-                           last_was_blank=not parent.emitted),
-                active=False, emitted=parent.emitted,
-            ))
-            continue
-        grown.append((len(out), h, int(tokens[c]), scores[pos]))
-        out.append(None)
-    if grown:
-        states, projs = predict_step(
-            [k for _, _, k, _ in grown],
-            np.array([h.pred_state.hidden for _, h, _, _ in grown]),
-            np.array([h.pred_state.cell for _, h, _, _ in grown]),
-            model,
-        )
-        for (i, h, k, score), state, proj in zip(grown, states, projs):
-            out[i] = _Entry(
-                Hypothesis(Prefix(h.prefix, k, frame_idx), score, state, proj,
-                           last_was_blank=False),
-                active=True,
-                emitted=True,
-            )
-    return out
+            done.append(Hypothesis(h.prefix, scores[pos], h.pred_state, h.pred_proj))
+        else:
+            grown.append((h, int(tokens[c]), scores[pos]))
+    if not grown:
+        return done, []
+    states, projs = predict_step(
+        [k for _, k, _ in grown],
+        np.array([h.pred_state.hidden for h, _, _ in grown]),
+        np.array([h.pred_state.cell for h, _, _ in grown]),
+        model,
+    )
+    return done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state, proj)
+                  for (h, k, score), state, proj in zip(grown, states, projs)]
 
 
 def beam_search_step(
@@ -380,37 +356,38 @@ def beam_search_step(
     beam: int,
     model,
     frame_idx: int = 0,
-    max_expansions: int = 5,
+    max_expansions: int = MAX_SYMBOLS,
 ) -> list[Hypothesis]:
     """Consume one encoder frame; every returned hypothesis has taken blank.
 
     Within the frame, hypotheses may emit up to max_expansions non-blank
-    tokens; after each expansion round the pool is merged (log-sum-exp on
-    identical prefixes) and pruned to the beam width. Ties break on the
-    lexicographic token sequence. The prediction network is stepped only
-    for the at most `beam` expansions that survive each round's prune.
+    tokens; after each expansion round the hypotheses are merged
+    (log-sum-exp on identical prefixes) and pruned to the beam width. Ties
+    break on the lexicographic token sequence. The prediction network is
+    stepped only for the at most `beam` expansions that survive each
+    round's prune.
     """
     if beam < 1:
         raise ParameterError(f"beam must be >= 1, got {beam}")
     if not hyps_prev:
         raise ParameterError("beam_search_step requires at least one hypothesis")
     frame_proj = frame_projection(h_i, model)
-    pool = [_Entry(h, active=True, emitted=False) for h in hyps_prev]
-    for _ in range(max_expansions):
-        if not any(e.active for e in pool):
+    finished, actives = [], list(hyps_prev)
+    for r in range(max_expansions + 1):
+        if not actives:
             break
-        pool = _expand_round(frame_proj, pool, beam, model, frame_idx, grow=True)
-    # force-terminate any hypotheses still mid-frame at the expansion cap
-    if any(e.active for e in pool):
-        pool = _expand_round(frame_proj, pool, beam, model, frame_idx, grow=False)
-    return [e.hyp for e in pool]
+        # the round past the cap force-terminates hypotheses still mid-frame
+        finished, actives = _expand_round(frame_proj, finished, actives, beam, model,
+                                          frame_idx, grow=r < max_expansions)
+    return finished
 
 
-def check_blank_token(hyps: list[Hypothesis]) -> bool:
-    """True iff no hypothesis emitted a non-blank token at the last step."""
+def check_blank_token(hyps: list[Hypothesis], frame_idx: int) -> bool:
+    """True iff no hypothesis produced a non-blank token in frame
+    `frame_idx`, that is, none has its last token there."""
     if not hyps:
         raise ParameterError("check_blank_token requires at least one hypothesis")
-    return all(h.last_was_blank for h in hyps)
+    return all(h.prefix.frame != frame_idx for h in hyps)
 
 
 def reset_prediction_states(hyps: list[Hypothesis], model) -> list[Hypothesis]:
@@ -422,8 +399,8 @@ def reset_prediction_states(hyps: list[Hypothesis], model) -> list[Hypothesis]:
 
 
 def _best(hyps: list[Hypothesis]) -> Hypothesis:
-    """The first hypothesis in sort_key order; token tuples are built only
-    to break an exact tie for the best score."""
+    """The first hypothesis in (-log_prob, tokens) order; token tuples are
+    built only to break an exact tie for the best score."""
     top = max(h.log_prob for h in hyps)
     tied = [h for h in hyps if h.log_prob == top]
     return tied[0] if len(tied) == 1 else min(tied, key=lambda h: h.tokens)
@@ -434,22 +411,20 @@ def decode_with_srs(
     model,
     beam: int = 4,
     srs: SrsParams | None = None,
-    max_expansions: int = 5,
 ) -> Transcript:
     """Beam decoding over all encoder frames with the optional silence reset."""
     srs = srs or SrsParams()
     hyps = [start_hypothesis(model)]
     counter = SrsCounter(srs.t_sil)
     for i in range(h.length):
-        hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i,
-                                max_expansions=max_expansions)
-        if srs.enabled and counter.update(check_blank_token(hyps)):
+        hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
+        if srs.enabled and counter.update(check_blank_token(hyps, i)):
             hyps = reset_prediction_states(hyps, model)
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
 
 
-def greedy_decode(h: EncoderOutputs, model, max_symbols: int = 5) -> Transcript:
+def greedy_decode(h: EncoderOutputs, model) -> Transcript:
     """Argmax decoding on the beam search's kernels; baseline and the beam=1
     oracle."""
     blank = model.config.vocab.blank_id
@@ -460,11 +435,11 @@ def greedy_decode(h: EncoderOutputs, model, max_symbols: int = 5) -> Transcript:
     state, proj = hyp.pred_state, hyp.pred_proj[None]
     for i in range(h.length):
         frame_proj = frame_projection(h.h[i], model)
-        emitted = 0
+        symbols = 0
         while True:
             (log_probs,) = joint(frame_proj, proj, model)
             k = int(np.argmax(log_probs))
-            if k == blank or emitted == max_symbols:
+            if k == blank or symbols == MAX_SYMBOLS:
                 log_prob += log_probs[blank]
                 break
             tokens.append(k)
@@ -472,5 +447,5 @@ def greedy_decode(h: EncoderOutputs, model, max_symbols: int = 5) -> Transcript:
             log_prob += log_probs[k]
             (state,), proj = predict_step([k], state.hidden[None],
                                           state.cell[None], model)
-            emitted += 1
+            symbols += 1
     return Transcript(tuple(tokens), tuple(frames), log_prob)

@@ -348,6 +348,38 @@ class TestEval:
         assert main(["eval", "--refs", str(refs), "--hyps", str(hyps)]) == EXIT_DATA
 
 
+class TestRepeatedTsvId:
+    """A TSV id on two lines is a data error naming the file and the id,
+    never a silent overwrite by the later line."""
+
+    def check(self, capsys, argv, path):
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: repeated id 'u1'")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["refs", "hyps"])
+    def test_eval(self, tmp_path, capsys, which):
+        files = {name: tmp_path / f"{name}.tsv" for name in ("refs", "hyps")}
+        files["refs"].write_text("u1\tabc\nu1\txyz\n" if which == "refs"
+                                 else "u1\txyz\n")
+        files["hyps"].write_text("u1\txyz\nu2\tq\nu1\tabc\n" if which == "hyps"
+                                 else "u1\txyz\n")
+        out = tmp_path / "per_utt.jsonl"
+        self.check(capsys, ["eval", "--refs", str(files["refs"]),
+                            "--hyps", str(files["hyps"]), "--out", str(out)],
+                   files[which])
+        assert not out.exists()
+
+    def test_sweep_reference(self, model_path, wav_path, tmp_path, capsys):
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("u1\tabc\nutt1\thello\nu1\tabc\n")
+        out = tmp_path / "s.csv"
+        self.check(capsys, ["sweep", "--model", str(model_path), str(wav_path),
+                            "--refs", str(refs), "--out", str(out)], refs)
+        assert not out.exists()
+
+
 class TestNonUtf8Text:
     """Text inputs whose bytes are not UTF-8 map to documented exit codes,
     with one message that names the file."""

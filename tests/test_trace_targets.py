@@ -1,27 +1,66 @@
-"""The benchmark tracer's call sites exist in the program.
+"""The benchmark tracer's call sites exist in the program and still trace.
 
 `bench/tracer.py` wraps module attributes by name and refuses to install
-when one is missing, so a rename would otherwise surface only in a traced
-bench run. The tracer file is imported read-only, for its TARGETS table.
+when one is missing, and its notes read the traced calls' arguments and
+results, so a rename or a change of a traced call's shape would otherwise
+surface only in a traced bench run. The tracer file is imported read-only.
 """
 
 import importlib
 import importlib.util
+import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from conftest import tiny_config
+from sparse_rnnt import cli
+from sparse_rnnt.frontend import Waveform, write_wav
+from sparse_rnnt.model_io import random_model, save_model
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
-def trace_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(module, attr) for module, attr, _, _ in tracer.TARGETS]
+    return tracer
+
+
+def trace_targets():
+    return [(module, attr) for module, attr, _, _ in load_tracer().TARGETS]
 
 
 @pytest.mark.parametrize("module,attr", trace_targets())
 def test_trace_target_exists(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), \
         f"{module}.{attr} is gone; bench/tracer.py would fail to install"
+
+
+def test_traced_decode_reports_every_layer_metric(tmp_path):
+    model = tmp_path / "tiny.model"
+    save_model(random_model(tiny_config(), 3), model)
+    wav = tmp_path / "utt1.wav"
+    write_wav(wav, Waveform(0.1 * np.random.default_rng(5).normal(size=16000), 16000))
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["decode", "--model", str(model), str(wav), "--beam", "2",
+                         "--srs", "--t-sil", "1", "--out", str(tmp_path / "hyps.tsv")])
+    finally:
+        assert t.uninstall()
+    assert code == cli.EXIT_OK
+    metrics = tracer.layer_metrics(t.to_json())
+    # the per-layer metrics the bench reads from a trace; cli.* and trace.*
+    # come from the traced process itself
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())
+             ["per_layer"] if not m["name"].startswith(("cli.", "trace."))]
+    assert set(names) <= set(metrics)
+    assert all(math.isfinite(metrics[n]) for n in names)
+    assert metrics["encoder.frames"] > 0
+    assert metrics["transducer.beam_steps"] == metrics["encoder.frames"]

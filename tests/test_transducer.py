@@ -208,26 +208,31 @@ class TestCachedKernels:
 
 
 class TestCheckBlankToken:
+    """A hypothesis produced a token in frame i iff its prefix's last
+    token is at frame i."""
+
     def test_all_blank(self, tiny_model):
         h = start_hypothesis(tiny_model)
-        assert check_blank_token([h, h]) is True
+        assert check_blank_token([h, h], 0) is True
+
+    def test_earlier_emissions_are_blank_now(self, tiny_model):
+        h = replace(start_hypothesis(tiny_model), prefix=prefix_of((1, 2), (0, 2)))
+        assert check_blank_token([h], 3) is True
+        assert check_blank_token([h], 2) is False
 
     def test_one_non_blank(self, tiny_model):
-        from dataclasses import replace
-
         h = start_hypothesis(tiny_model)
-        hyps = [h] * 3 + [replace(h, last_was_blank=False)]
-        assert check_blank_token(hyps) is False
+        hyps = [h] * 3 + [replace(h, prefix=prefix_of((1,), (4,)))]
+        assert check_blank_token(hyps, 4) is False
+        assert check_blank_token(hyps, 5) is True
 
     def test_single_non_blank(self, tiny_model):
-        from dataclasses import replace
-
-        h = replace(start_hypothesis(tiny_model), last_was_blank=False)
-        assert check_blank_token([h]) is False
+        h = replace(start_hypothesis(tiny_model), prefix=prefix_of((3,), (0,)))
+        assert check_blank_token([h], 0) is False
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            check_blank_token([])
+            check_blank_token([], 0)
 
 
 class TestSrsCounter:
@@ -281,7 +286,7 @@ class TestBeamSearch:
         assert len(hyps) == 1
         assert hyps[0].tokens == ()
         assert np.array_equal(hyps[0].pred_state.hidden, state_before)
-        assert hyps[0].last_was_blank
+        assert check_blank_token(hyps, 4)
 
     def test_beam_one_equals_greedy(self, rng):
         for seed in range(20):
@@ -325,7 +330,7 @@ class TestBeamSearch:
 
         h0 = start_hypothesis(model)
         totals = {}
-        for tokens, lp in paths(0, h0.pred_state, h0.pred_out, 0.0, ()):
+        for tokens, lp in paths(0, h0.pred_state, h0.pred_state.hidden, 0.0, ()):
             totals.setdefault(tokens, []).append(lp)
         expected = {
             t: np.logaddexp.reduce(np.array(lps)) for t, lps in totals.items()
@@ -363,17 +368,19 @@ class TestBeamSearch:
                 assert b >= a - 1e-12
 
 
-def assert_same_hyps(got, want):
+def assert_same_hyps(got, want, frame_idx):
+    """`got` from beam_search_step on frame `frame_idx` equals the eager
+    step's (hypothesis, emitted) pairs `want`; a hypothesis produced a
+    token in the frame iff its prefix's last token is there."""
     assert len(got) == len(want)
-    for a, b in zip(got, want):
+    for a, (b, emitted) in zip(got, want):
         assert a.tokens == b.tokens
         assert a.frames == b.frames
         assert a.log_prob == b.log_prob
         assert np.array_equal(a.pred_state.hidden, b.pred_state.hidden)
         assert np.array_equal(a.pred_state.cell, b.pred_state.cell)
-        assert np.array_equal(a.pred_out, b.pred_out)
         assert np.array_equal(a.pred_proj, b.pred_proj)
-        assert a.last_was_blank == b.last_was_blank
+        assert (a.prefix.frame == frame_idx) == emitted
 
 
 def equivalence_models():
@@ -409,8 +416,8 @@ class TestDeferredExpansion:
                                                       i, max_exp)
                         hyps = beam_search_step(out.h[i], hyps, beam, model,
                                                 frame_idx=i, max_expansions=max_exp)
-                        assert_same_hyps(hyps, want)
-                        if counter and counter.update(check_blank_token(hyps)):
+                        assert_same_hyps(hyps, want, i)
+                        if counter and counter.update(check_blank_token(hyps, i)):
                             hyps = reset_prediction_states(hyps, model)
 
     def test_tied_columns_decide_at_beam_boundary(self):
@@ -431,8 +438,8 @@ class TestDeferredExpansion:
                                        frame_idx=1, max_expansions=max_exp)
                 want = eager_beam_search_step(np.zeros(8), hyps, beam, model,
                                               1, max_exp)
-                assert_same_hyps(got, want)
-                ranked = sorted(got, key=lambda h: h.sort_key())
+                assert_same_hyps(got, want, 1)
+                ranked = sorted(got, key=lambda h: (-h.log_prob, h.tokens))
                 assert [h.tokens for h in got] == [h.tokens for h in ranked]
 
     def test_equal_keys_keep_pool_order(self, rng):
@@ -446,7 +453,7 @@ class TestDeferredExpansion:
         state, _ = predict_one(1, h0.pred_state, model)
         h_i = rng.normal(size=8)
         lp_a = oracle_joint(h_i, state.hidden, model)
-        lp_b = oracle_joint(h_i, h0.pred_out, model)
+        lp_b = oracle_joint(h_i, h0.pred_state.hidden, model)
         target = -2.0 + lp_b[1]
         a_lp = target - lp_a[blank]
         assert a_lp + lp_a[blank] == target
@@ -458,7 +465,7 @@ class TestDeferredExpansion:
             got = beam_search_step(h_i, hyps, beam, model, frame_idx=1,
                                    max_expansions=1)
             want = eager_beam_search_step(h_i, hyps, beam, model, 1, 1)
-            assert_same_hyps(got, want)
+            assert_same_hyps(got, want, 1)
 
     def test_duplicate_prefixes_in_input_merge_like_eager(self, tiny_model, rng):
         h0 = start_hypothesis(tiny_model)
@@ -470,7 +477,7 @@ class TestDeferredExpansion:
             got = beam_search_step(h_i, hyps, beam, tiny_model, frame_idx=1,
                                    max_expansions=2)
             want = eager_beam_search_step(h_i, hyps, beam, tiny_model, 1, 2)
-            assert_same_hyps(got, want)
+            assert_same_hyps(got, want, 1)
 
     def test_lstm_steps_bounded_by_survivors(self, rng, monkeypatch):
         calls = []
@@ -554,8 +561,8 @@ class TestPrefixIdentity:
                 h_i = rng.normal(size=8)
                 got = beam_search_step(h_i, hyps, beam, tiny_model, frame_idx=1,
                                        max_expansions=max_exp)
-                assert_same_hyps(got, eager_beam_search_step(h_i, hyps, beam,
-                                                             tiny_model, 1, max_exp))
+                want = eager_beam_search_step(h_i, hyps, beam, tiny_model, 1, max_exp)
+                assert_same_hyps(got, want, 1)
                 prefixes = [h.tokens for h in got]
                 assert len(set(prefixes)) == len(prefixes)
                 # with room for every candidate, the merged blank child is kept
@@ -579,7 +586,7 @@ class TestPrefixIdentity:
                 hypothesis_of((2,), (0,), -0.5, h0.pred_state, model)]
         h_i = rng.normal(size=8)
         got = beam_search_step(h_i, hyps, 8, model, frame_idx=1, max_expansions=2)
-        assert_same_hyps(got, eager_beam_search_step(h_i, hyps, 8, model, 1, 2))
+        assert_same_hyps(got, eager_beam_search_step(h_i, hyps, 8, model, 1, 2), 1)
 
     def test_token_tuples_built_only_for_the_transcript(self, monkeypatch, rng):
         built = {"tokens": 0, "frames": 0}
@@ -610,13 +617,13 @@ class TestSrsMergeState:
         # order, so its zero state is the one kept.
         h0 = start_hypothesis(tiny_model)
         s1, _ = predict_one(1, h0.pred_state, tiny_model)
-        h1 = hypothesis_of((1,), (0,), -0.25, s1, tiny_model, last_was_blank=True)
+        h1 = hypothesis_of((1,), (0,), -0.25, s1, tiny_model)
         pool = reset_prediction_states([h1, replace(h0, log_prob=-0.5)], tiny_model)
         h_i = rng.normal(size=8)
         got = beam_search_step(h_i, pool, 64, tiny_model, frame_idx=1,
                                max_expansions=2)
         assert_same_hyps(got, eager_beam_search_step(h_i, pool, 64, tiny_model,
-                                                     1, 2))
+                                                     1, 2), 1)
         merged = next(h for h in got if h.tokens == (1,))
         blank = tiny_model.config.vocab.blank_id
         zero_out = np.zeros(4)
@@ -629,7 +636,7 @@ class TestSrsMergeState:
         assert not np.array_equal(s_re.hidden, np.zeros(4))
         assert np.array_equal(merged.pred_state.hidden, np.zeros(4))
         assert np.array_equal(merged.pred_state.cell, np.zeros(4))
-        assert np.array_equal(merged.pred_out, zero_out)
+        assert np.array_equal(merged.pred_state.hidden, zero_out)
         assert np.array_equal(merged.pred_proj, zero_out @ tiny_model.joint.pred_proj)
 
 
@@ -664,7 +671,7 @@ class TestDecodeWithSrs:
         for x in after:
             assert np.array_equal(x.pred_state.hidden, np.zeros(4))
             assert np.array_equal(x.pred_state.cell, np.zeros(4))
-            assert np.array_equal(x.pred_out, np.zeros(4))
+            assert np.array_equal(x.pred_state.hidden, np.zeros(4))
 
     def test_srs_changes_decoding_after_long_silence(self, rng):
         # engineered model: emit, then a long silent stretch, then emit again;
@@ -703,5 +710,5 @@ class TestGreedy:
         model.joint.out_bias[:] = -5.0
         model.joint.out_bias[1] = 5.0
         out = EncoderOutputs(np.zeros((4, 8)), 0.04)
-        t = greedy_decode(out, model, max_symbols=5)
-        assert len(t.token_ids) == 4 * 5
+        t = greedy_decode(out, model)
+        assert len(t.token_ids) == 4 * transducer.MAX_SYMBOLS

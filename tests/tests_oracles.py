@@ -168,13 +168,13 @@ def prefix_of(tokens, frames):
     return prefix
 
 
-def hypothesis_of(tokens, frames, log_prob, state, model, last_was_blank=True):
+def hypothesis_of(tokens, frames, log_prob, state, model):
     """A hypothesis on a fresh prefix chain, its joint projection formed
     from `state` with no cached product."""
     from sparse_rnnt.transducer import Hypothesis
 
     return Hypothesis(prefix_of(tokens, frames), log_prob, state,
-                      state.hidden @ model.joint.pred_proj, last_was_blank)
+                      state.hidden @ model.joint.pred_proj)
 
 
 def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
@@ -183,7 +183,11 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
     hypothesis is stepped through the prediction network and built as a
     full hypothesis before the pool is merged and pruned. Prefixes are
     token tuples and the kernels the uncached oracle formulas above.
-    Reference for the deferred-expansion `transducer.beam_search_step`."""
+    Reference for the deferred-expansion `transducer.beam_search_step`.
+
+    Returns (hypothesis, emitted) pairs: `emitted` is this step's own
+    record of whether the hypothesis produced a token in the frame, kept
+    apart from the frames on its prefix."""
     from dataclasses import dataclass, replace
 
     @dataclass
@@ -230,8 +234,8 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
         )
 
     blank = model.config.vocab.blank_id
-    pool = [Entry(Hyp(h.tokens, h.frames, h.log_prob, h.pred_state, h.last_was_blank),
-                  active=True, emitted=False)
+    pool = [Entry(Hyp(h.tokens, h.frames, h.log_prob, h.pred_state,
+                      last_was_blank=True), active=True, emitted=False)
             for h in hyps_prev]
     for _ in range(max_expansions):
         actives = [e for e in pool if e.active]
@@ -258,6 +262,6 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
             finished.append(blank_child(
                 ent, oracle_joint(h_i, ent.hyp.pred_state.hidden, model)))
         pool = merge_and_prune(finished)
-    return [hypothesis_of(e.hyp.tokens, e.hyp.frames, e.hyp.log_prob,
-                          e.hyp.pred_state, model, e.hyp.last_was_blank)
+    return [(hypothesis_of(e.hyp.tokens, e.hyp.frames, e.hyp.log_prob,
+                           e.hyp.pred_state, model), not e.hyp.last_was_blank)
             for e in pool]
