@@ -13,7 +13,7 @@ mean, so the other policies hold one head's (T, T) scores at a time.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,6 +102,23 @@ class ScoreMatrix:
         return np.take(self.e, keys + (rows * self.length)[:, None])
 
 
+@dataclass(frozen=True)
+class _Window:
+    """A band's interior batch: its r-th row attends the n keys from start + r on."""
+
+    start: int
+    n: int
+
+    def of(self, x: np.ndarray, q: int) -> np.ndarray:
+        """The first q rows' keys of x as a (q, n, d) strided view, with no copy.
+
+        Each row's (n, d) block is a C-contiguous run of x, laid out as a
+        gathered copy would be, so products over it keep their bits.
+        """
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.n, axis=0)
+        return windows[self.start : self.start + q].transpose(0, 2, 1)
+
+
 @dataclass
 class BandScores:
     """Scores kept as their query and key projections, formed only where read.
@@ -118,12 +135,14 @@ class BandScores:
     def length(self) -> int:
         return self.q.shape[0]
 
-    def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+    def at(self, rows: np.ndarray, keys: np.ndarray | _Window | None = None
+           ) -> np.ndarray:
         """Scores of query rows at their keys (len(rows), n); None means every key."""
         if keys is None:
             keys = np.broadcast_to(np.arange(self.length), (len(rows), self.length))
         # one gemv per row: (n, d) keys times the row's (d,) query
-        k = np.take(self.k, keys, axis=0)
+        k = (keys.of(self.k, len(rows)) if isinstance(keys, _Window)
+             else np.take(self.k, keys, axis=0))
         return (k @ self.q[rows, :, None])[:, :, 0] / np.sqrt(self.q.shape[1])
 
 
@@ -359,42 +378,55 @@ class AttentionResult:
     masks: list[AttentionMask]  # per head, the S_i actually used
 
 
-# bounds the keys one batch of rows gathers, and so the kernel's transient memory
+# bounds the keys one batch of rows reads, and so the kernel's transient memory
 _GATHER_KEYS = 1 << 14
 
 
-def _attend(scores: ScoreMatrix | BandScores, mask: AttentionMask,
-            v: np.ndarray) -> np.ndarray:
-    """Softmax over each query's attended scores, applied to their values.
+def _plan(mask: AttentionMask) -> Iterator[tuple[np.ndarray, np.ndarray | _Window | None]]:
+    """The row batches that attend a mask, as (rows, keys), one at a time.
 
-    Rows are batched by n, their number of attended keys; a batch gathers
-    only its rows' keys, so off-mask entries never enter the arithmetic.
-    (q,1,n) @ (q,n,d) makes one gemv per row, as a lone row's product does.
+    Rows are batched by n, their number of attended keys, at most
+    _GATHER_KEYS keys a batch. keys is None where the rows attend every
+    key, a _Window in a band's interior (only `local`, whose scores are
+    BandScores, attends a band narrower than T), else the rows' gathered
+    (len(rows), n) keys. Those are kept in the narrowest unsigned type
+    that holds T - 1, since a plan that every head shares holds all of a
+    layer's at once.
     """
-    T = mask.length
-    out = np.empty((T, v.shape[1]))
+    T, w = mask.length, mask.w
+    key_type = np.min_scalar_type(T - 1)
     counts = mask.counts()
     for n in set(counts.tolist()):
         group = np.flatnonzero(counts == n)
         step = max(1, _GATHER_KEYS // n)
         for b in range(0, len(group), step):
-            q = group[b : b + step]
+            rows = group[b : b + step]
             if n == T:
-                weights, values = softmax(scores.at(q)), v
+                keys = None
+            elif w is not None and n == 2 * w + 1:  # interior rows are consecutive
+                keys = _Window(int(rows[0]) - w, n)
             else:
-                keys = mask.keys(q, n)
-                weights = softmax(scores.at(q, keys))
-                values = np.take(v, keys, axis=0)
-            out[q] = (weights[:, None, :] @ values)[:, 0]
+                keys = mask.keys(rows, n).astype(key_type)
+            yield rows, keys
+
+
+def _attend(plan: Iterable, scores: ScoreMatrix | BandScores, v: np.ndarray) -> np.ndarray:
+    """Softmax over each query's attended scores, applied to their values.
+
+    Each batch reads only its rows' keys, so off-mask entries never enter
+    the arithmetic. (q,1,n) @ (q,n,d) makes one gemv per row, as a lone
+    row's product does.
+    """
+    out = np.empty((scores.length, v.shape[1]))
+    for rows, keys in plan:
+        if keys is None:
+            weights, values = softmax(scores.at(rows)), v
+        else:
+            weights = softmax(scores.at(rows, keys))
+            values = (keys.of(v, len(rows)) if isinstance(keys, _Window)
+                      else np.take(v, keys, axis=0))
+        out[rows] = (weights[:, None, :] @ values)[:, 0]
     return out
-
-
-def _attend_head(layer: AttentionInternals, h: int,
-                 v: np.ndarray) -> tuple[np.ndarray, AttentionMask]:
-    # the head's scores die with this frame, before the next head's are formed
-    scores = layer.head_scores(h)
-    mask, _ = layer.head_masks(h, scores)
-    return _attend(scores, mask, v), mask
 
 
 def sparse_attend(
@@ -403,12 +435,21 @@ def sparse_attend(
     """Masked multi-head attention: per-head attend, concat, project by w_p.
 
     Heads attend one at a time, so at most one head's scores are alive.
+    Attended sets that every head shares are planned once for the layer;
+    sgm2 plans each head's own, a batch at a time as it attends.
     """
     layer = attention_internals(z, mh, policy)
-    head_outputs, masks = zip(*(_attend_head(layer, h, matmul(layer.z, head.w_v))
-                                for h, head in enumerate(mh.heads)))
+    shared = None if layer.shared is None else list(_plan(layer.shared))
+    head_outputs, masks = [], []
+    for h, head in enumerate(mh.heads):
+        v = matmul(layer.z, head.w_v)
+        scores = layer.head_scores(h)
+        mask = layer.head_masks(h, scores)[0]
+        head_outputs.append(_attend(_plan(mask) if shared is None else shared, scores, v))
+        masks.append(mask)
+        del scores  # before the next head's are formed
     concat = np.concatenate(head_outputs, axis=1)
-    return AttentionResult(matmul(concat, mh.w_p), list(masks))
+    return AttentionResult(matmul(concat, mh.w_p), masks)
 
 
 @dataclass

@@ -94,6 +94,17 @@ def _failed_input_message(path: Path, exc: Exception) -> str:
     return reason if reason.startswith(prefix) else prefix + reason
 
 
+def _input_paths(inputs: list[str]) -> list[Path]:
+    """The input paths; a file's stem is its utterance id, so none may repeat."""
+    paths = {}
+    for path in map(Path, inputs):
+        if path.stem in paths:
+            raise ParameterError(f"inputs {paths[path.stem]} and {path} share the "
+                                 f"id {path.stem!r} (a file's name without its suffix)")
+        paths[path.stem] = path
+    return list(paths.values())
+
+
 def _read_tsv(path) -> dict[str, str]:
     out = {}
     for line in read_text(path).splitlines():
@@ -118,14 +129,15 @@ def cmd_gen_model(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    # options are checked before the model or any input is read
+    # options and input ids are checked before the model or any input is read
     opts = _decode_options(args, args.mask, args.segmentation)
+    paths = _input_paths(args.inputs)
     model = load_model(args.model)
     failures = []
     lines = []
     detail_lines = []
     stats_blocks = []
-    for path in map(Path, args.inputs):
+    for path in paths:
         try:
             res = decode_file(model, path, opts)
         except (SparseRnntError, OSError) as exc:
@@ -165,13 +177,14 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # the whole grid is checked before the model or any input is read
+    # the whole grid and the input ids are checked before the model or any
+    # input is read
     grid = [(mask.strip(), _decode_options(args, mask, seg))
             for mask in args.masks.split(",")
             for seg in args.segmentations.split(",")]
+    paths = _input_paths(args.inputs)
     model = load_model(args.model)
     refs = _read_tsv(args.refs)
-    paths = [Path(p) for p in args.inputs]
     missing = [p.stem for p in paths if p.stem not in refs]
     if missing:
         raise DataError(f"no reference for: {', '.join(sorted(missing))}")

@@ -17,6 +17,7 @@ __all__ = [
     "NormalizationStats",
     "read_wav",
     "write_wav",
+    "frame_lengths",
     "log_mel_spectrogram",
     "mel_filterbank",
     "hz_to_mel",
@@ -167,13 +168,23 @@ def frame_count(num_samples: int, window_samples: int, hop_samples: int) -> int:
     return 1 + (num_samples - window_samples) // hop_samples
 
 
+def frame_lengths(cfg: FrontendConfig, sample_rate: int) -> tuple[int, int]:
+    """Window and hop in samples at this rate; a DataError if they cannot
+    frame it (the hop rounds to 0 or the window outgrows the FFT)."""
+    win = int(round(cfg.window * sample_rate))
+    hop = int(round(cfg.hop * sample_rate))
+    if hop <= 0 or win < hop or win > cfg.fft_size:
+        raise DataError(
+            f"sample rate {sample_rate} Hz cannot be framed: the {cfg.window:g} s "
+            f"window and {cfg.hop:g} s hop are {win} and {hop} samples "
+            f"(a {cfg.fft_size}-point FFT needs 1 <= hop <= window <= {cfg.fft_size})")
+    return win, hop
+
+
 def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> FeatureMatrix:
     """Log mel-filterbank energies: Hann window, power spectrum, natural log."""
     cfg = cfg or FrontendConfig()
-    win = int(round(cfg.window * w.sample_rate))
-    hop = int(round(cfg.hop * w.sample_rate))
-    if hop <= 0 or win < hop:
-        raise EmptyInputError(f"invalid window/hop ({cfg.window}/{cfg.hop})")
+    win, hop = frame_lengths(cfg, w.sample_rate)
     if cfg.num_mels < 1:
         raise EmptyInputError(f"num_mels must be >= 1, got {cfg.num_mels}")
     samples = w.samples
@@ -184,8 +195,6 @@ def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> Featu
             f"{win}-sample window"
         )
     fft_size = cfg.fft_size
-    if fft_size < win:
-        raise EmptyInputError(f"fft_size {fft_size} < window of {win} samples")
     window_fn = np.hanning(win)
     fb = mel_filterbank(fft_size, w.sample_rate, cfg.num_mels)
     # (T, win), a view of the samples

@@ -9,12 +9,13 @@ import numpy as np
 
 from .attention import MaskPolicy
 from .encoder import encode
-from .errors import EmptyInputError, ParameterError
+from .errors import DataError, EmptyInputError, ParameterError
 from .frontend import (
     FeatureMatrix,
     FrontendConfig,
     Waveform,
     compute_stats,
+    frame_lengths,
     log_mel_spectrogram,
     normalize_global,
     read_feature_file,
@@ -137,9 +138,7 @@ def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
 
 def _min_input_frames(enc_cfg, sample_rate: int) -> int:
     """Smallest sample count yielding at least one encoder output frame."""
-    fe_cfg = FrontendConfig()
-    win = int(round(fe_cfg.window * sample_rate))
-    hop = int(round(fe_cfg.hop * sample_rate))
+    win, hop = frame_lengths(FrontendConfig(), sample_rate)
     # the second stage needs k frames, the first stage k + (k - 1) * s for them
     k, s = enc_cfg.subsample_kernel, enc_cfg.subsample_stride
     t = k + (k - 1) * s
@@ -147,11 +146,20 @@ def _min_input_frames(enc_cfg, sample_rate: int) -> int:
 
 
 def read_input(path) -> Waveform | FeatureMatrix:
-    """A .wav file as audio, any other file as a feature text file."""
+    """A .wav file as audio, any other file as a feature text file.
+
+    A WAV whose sample rate the frontend cannot frame is a DataError
+    naming the file.
+    """
     path = Path(path)
-    if path.suffix.lower() == ".wav":
-        return read_wav(path)
-    return read_feature_file(path)
+    if path.suffix.lower() != ".wav":
+        return read_feature_file(path)
+    w = read_wav(path)
+    try:
+        frame_lengths(FrontendConfig(), w.sample_rate)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return w
 
 
 def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
@@ -168,10 +176,7 @@ def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
         piece = Waveform(x.samples[lo:hi], x.sample_rate)
         f = None
         if len(piece.samples) >= min_frames:
-            try:
-                f = _features(piece, model.config.feat_dim)
-            except EmptyInputError:
-                pass
+            f = _features(piece, model.config.feat_dim)
         pieces.append((seg, f))
     return pieces
 

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -186,23 +187,55 @@ class TestSparseAttend:
         MaskPolicy.local_global(30, FUSION_AND),
     ], ids=["dense", "local", "sgm1", "sgm2", "sgm3"])
     def test_matches_rowwise_bit_for_bit(self, rng, policy):
-        # the all-keys rows (dense) and the band's interior rows (local) each
-        # span several gather batches; the band's edge rows and the global
-        # sets give rows of differing counts
-        T, w = 400, 30
-        assert (T - 2 * w) * (2 * w + 1) > attention._GATHER_KEYS
+        # at T = 400, w = 30 the all-keys rows (dense) and the band's interior
+        # rows (local) each span several batches; the band's edge rows and
+        # the global sets give rows of differing counts. The other shapes
+        # are where the band's interior windows start or stop: w = 0 (every
+        # row interior), T = 2w + 1 (the one interior row attends every
+        # key), T = 2w + 2 (two interior rows) and w >= T (no band left)
+        assert (400 - 2 * 30) * (2 * 30 + 1) > attention._GATHER_KEYS
+        for T, w in ((400, 30), (40, 0), (61, 30), (62, 30), (20, 30), (20, 20)):
+            policy = dataclasses.replace(policy, w=w)
+            z = rng.normal(size=(T, 8))
+            mh = random_mh(rng, 8, 2, 4)
+            out = sparse_attend(z, mh, policy).output
+            if policy.variant == "local":
+                # `local` forms only its band's scores, whose last bits can
+                # differ from the full gemm's
+                assert np.array_equal(
+                    out, rowwise_sparse_attend(z, mh, policy, band_scores=True)), (T, w)
+                full = rowwise_sparse_attend(z, mh, policy)
+                assert np.max(np.abs(out - full)) <= 1e-12, (T, w)
+            else:
+                assert np.array_equal(out, rowwise_sparse_attend(z, mh, policy)), (T, w)
+
+    @pytest.mark.parametrize("fusion", [FUSION_OR, FUSION_PER_HEAD, FUSION_AND])
+    def test_key_sets_planned_once_per_layer(self, rng, monkeypatch, fusion):
+        # a mask every head shares is planned once, so its key sets are
+        # gathered once per batch, not once per head; sgm2 plans each head
+        T, H = 60, 4
         z = rng.normal(size=(T, 8))
-        mh = random_mh(rng, 8, 2, 4)
-        out = sparse_attend(z, mh, policy).output
-        if policy.variant == "local":
-            # `local` forms only its band's scores, whose last bits can
-            # differ from the full gemm's
-            assert np.array_equal(
-                out, rowwise_sparse_attend(z, mh, policy, band_scores=True))
-            full = rowwise_sparse_attend(z, mh, policy)
-            assert np.max(np.abs(out - full)) <= 1e-12
+        mh = random_mh(rng, 8, H, 2)
+        policy = MaskPolicy.local_global(2, fusion)
+        calls = []
+        keys = AttentionMask.keys
+
+        def spy(mask, rows, n):
+            calls.append((id(mask), n))
+            return keys(mask, rows, n)
+
+        monkeypatch.setattr(AttentionMask, "keys", spy)
+        masks = sparse_attend(z, mh, policy).masks
+        # T * max count is within _GATHER_KEYS, so each count is one batch
+        assert T * T <= attention._GATHER_KEYS
+        per_head = [sorted({int(n) for n in m.counts()} - {T}) for m in masks]
+        if fusion == FUSION_PER_HEAD:
+            want = [(id(m), n) for m, ns in zip(masks, per_head) for n in ns]
         else:
-            assert np.array_equal(out, rowwise_sparse_attend(z, mh, policy))
+            assert all(m is masks[0] for m in masks)
+            want = [(id(masks[0]), n) for n in per_head[0]]
+        assert sorted(calls) == sorted(want)
+        assert len(calls) >= len(per_head[0]) > 1
 
     def test_mask_rows_nonempty_and_contain_self(self, rng):
         z = rng.normal(size=(9, 4))

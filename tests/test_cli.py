@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
-from sparse_rnnt.frontend import Waveform, write_wav
+from sparse_rnnt.errors import DataError
+from sparse_rnnt.frontend import Waveform, read_wav, write_wav
+from sparse_rnnt.pipeline import DecodeOptions, decode_waveform
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +380,84 @@ class TestRepeatedTsvId:
         self.check(capsys, ["sweep", "--model", str(model_path), str(wav_path),
                             "--refs", str(refs), "--out", str(out)], refs)
         assert not out.exists()
+
+
+class TestRepeatedInputId:
+    """Inputs whose ids (file stems) repeat are a config error naming the
+    id, found before the model is read: the model path does not exist."""
+
+    @pytest.mark.parametrize("command", ["decode", "sweep"])
+    def test_rejected_before_model(self, tmp_path, capsys, command):
+        paths = [tmp_path / d / "x.wav" for d in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            write_wav(path, Waveform(np.zeros(16000), 16000))
+        out = tmp_path / "out.tsv"
+        argv = [command, "--model", str(tmp_path / "nope.model"), *map(str, paths),
+                "--out", str(out)]
+        if command == "sweep":
+            argv += ["--refs", str(tmp_path / "nope.tsv")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'x'" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestUnframeableRate:
+    """A WAV whose rate the frontend cannot frame (the 10 ms hop rounds to
+    0 samples below 51 Hz; the 25 ms window outgrows the 512-point FFT
+    above 20500 Hz) is a data error naming the file and the rate, never
+    an empty transcript."""
+
+    @pytest.fixture(params=[1, 40, 22050])
+    def wav(self, request, tmp_path):
+        rate = request.param
+        path = tmp_path / "odd.wav"
+        seconds = 600 if rate < 50 else 1
+        write_wav(path, Waveform(0.1 * np.ones(seconds * rate), rate))
+        return path, rate
+
+    def test_decode(self, model_path, wav, tmp_path, capsys):
+        path, rate = wav
+        out = tmp_path / "hyps.tsv"
+        assert main(["decode", "--model", str(model_path), str(path),
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {path}: sample rate {rate} Hz cannot be framed")
+        assert out.read_text() == ""
+
+    def test_sweep(self, model_path, wav, tmp_path, capsys):
+        path, rate = wav
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("odd\tabc\n")
+        assert main(["sweep", "--model", str(model_path), str(path), "--refs",
+                     str(refs), "--out", str(tmp_path / "s.csv")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: sample rate {rate} Hz ")
+
+    def test_decode_waveform(self, tiny_model, wav):
+        # the pipeline refuses such audio too, wherever it was read from
+        path, rate = wav
+        with pytest.raises(DataError, match=f"^sample rate {rate} Hz cannot be framed"):
+            decode_waveform(tiny_model, read_wav(path), DecodeOptions())
+
+    def test_short_doi_piece_still_decodes_to_nothing(self, model_path, wav_path,
+                                                      tmp_path):
+        # doi:3 with no overlap cuts the 3.005 s input into 3 s and 5 ms;
+        # the 5 ms piece is too short to encode and adds no tokens
+        longer = tmp_path / wav_path.name
+        x = read_wav(wav_path)
+        write_wav(longer, Waveform(np.concatenate([x.samples, np.zeros(80)]),
+                                   x.sample_rate))
+        plain, doi = tmp_path / "p.txt", tmp_path / "s.txt"
+        assert main(["decode", "--model", str(model_path), str(wav_path),
+                     "--out", str(plain)]) == EXIT_OK
+        assert main(["decode", "--model", str(model_path), str(longer),
+                     "--segmentation", "doi:3", "--overlap", "0",
+                     "--out", str(doi)]) == EXIT_OK
+        assert plain.read_text() == doi.read_text()
 
 
 class TestNonUtf8Text:
