@@ -107,8 +107,12 @@ class PredictionWeights:
         row the start symbol's, whose embedding is zero.
 
         One gemv per row, so each row has the bits of the product formed on
-        its own. Built on first use; the weights are read-only from then on.
+        its own. Built on first use, which makes `embedding` and `lstm.w_x`
+        read-only: an in-place edit afterwards raises instead of leaving the
+        table stale.
         """
+        self.embedding.setflags(write=False)
+        self.lstm.w_x.setflags(write=False)
         rows = [*self.embedding, np.zeros(self.embedding.shape[1])]
         return np.array([x @ self.lstm.w_x for x in rows])
 

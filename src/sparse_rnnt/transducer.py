@@ -175,20 +175,23 @@ def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
 
 
 def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
-    """An encoder frame's share of every joint call on it, h_t @ joint.enc_proj."""
+    """Encoder frames' share of every joint call on them, h_t @ joint.enc_proj:
+    (joint_dim,) for one frame, (L, joint_dim) for a block of L frames. Each
+    frame is its own gemv, so a row has the bits of its lone product."""
     enc_proj = model.joint.enc_proj
-    if h_t.shape[0] != enc_proj.shape[0]:
+    if h_t.shape[-1] != enc_proj.shape[0]:
         raise ShapeError(
-            f"encoder frame dim {h_t.shape[0]} != joint input {enc_proj.shape[0]}"
+            f"encoder frame dim {h_t.shape[-1]} != joint input {enc_proj.shape[0]}"
         )
-    return h_t @ enc_proj
+    return h_t @ enc_proj if h_t.ndim == 1 else (h_t[:, None, :] @ enc_proj)[:, 0]
 
 
 def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
-    """Joint network on a frame's cached projection and the cached (A,
-    joint_dim) projections of A prefixes: tanh combiner, then log-softmax
-    over the vocabulary, (A, V). Each row's output product is its own gemv,
-    so a row has the bits of the joint taken on it alone."""
+    """Joint network on cached projections: tanh combiner, then log-softmax
+    over the vocabulary. Takes one frame's and A prefixes' (A, joint_dim),
+    giving (A, V), or L frames' (L, joint_dim) and one prefix's, giving (L,
+    V). Each row's output product is its own gemv, so a row has the bits of
+    the joint taken on it alone."""
     jw = model.joint
     z = np.tanh(frame_proj + pred_projs + jw.bias)
     logits = (z[:, None, :] @ jw.out)[:, 0] + jw.out_bias
@@ -412,21 +415,56 @@ def decode_with_srs(
     beam: int = 4,
     srs: SrsParams | None = None,
 ) -> Transcript:
-    """Beam decoding over all encoder frames with the optional silence reset."""
+    """Beam decoding over all encoder frames with the optional silence reset.
+
+    At beam 1 the frames after one that emitted nothing go in runs (label
+    looping): with the prediction state fixed, one joint call scores a run
+    and its all-blank prefix is taken in one step; the first frame where a
+    token beats blank (blank wins ties) goes through beam_search_step. A run
+    is one frame, then doubles while all-blank, up to the next reset.
+    """
     srs = srs or SrsParams()
+    blank = model.config.vocab.blank_id
     hyps = [start_hypothesis(model)]
     counter = SrsCounter(srs.t_sil)
-    for i in range(h.length):
+    projs = None  # every frame's projection, formed when the first run starts
+    run = 0  # frames the next beam-1 run scores; 0: the next frame goes alone
+    i = 0
+    while i < h.length:
+        if run:
+            if projs is None:
+                projs = frame_projection(h.h, model)
+            (hyp,) = hyps
+            n = min(run, h.length - i,
+                    srs.t_sil + 1 - counter.count if srs.enabled else h.length)
+            log_probs = joint(projs[i:i + n], hyp.pred_proj[None], model)
+            # sequential sums: entry r + 1 has the bits of the per-frame scores
+            cum = np.cumsum(np.concatenate([[hyp.log_prob], log_probs[:, blank]]))
+            beaten = ~(cum[:-1, None] + log_probs <= cum[1:, None]).all(axis=1)
+            k = int(beaten.argmax()) if beaten.any() else n
+            if k:
+                hyps = [Hypothesis(hyp.prefix, cum[k], hyp.pred_state, hyp.pred_proj)]
+                i += k
+                # runs end by the reset, so only their last frame can fire it
+                if srs.enabled and [counter.update(True) for _ in range(k)][-1]:
+                    hyps = reset_prediction_states(hyps, model)
+            if k == n:
+                run = 2 * n
+                continue
         hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
-        if srs.enabled and counter.update(check_blank_token(hyps, i)):
+        all_blank = check_blank_token(hyps, i)
+        if srs.enabled and counter.update(all_blank):
             hyps = reset_prediction_states(hyps, model)
+        run = int(beam == 1 and all_blank)
+        i += 1
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
 
 
 def greedy_decode(h: EncoderOutputs, model) -> Transcript:
     """Argmax decoding on the beam search's kernels; baseline and the beam=1
-    oracle."""
+    oracle. Like the beam, it ranks the running scores log_prob + log_probs,
+    and blank wins an exact tie."""
     blank = model.config.vocab.blank_id
     hyp = start_hypothesis(model)
     tokens: list[int] = []
@@ -438,13 +476,14 @@ def greedy_decode(h: EncoderOutputs, model) -> Transcript:
         symbols = 0
         while True:
             (log_probs,) = joint(frame_proj, proj, model)
-            k = int(np.argmax(log_probs))
-            if k == blank or symbols == MAX_SYMBOLS:
-                log_prob += log_probs[blank]
+            scores = log_prob + log_probs
+            k = int(np.argmax(scores))
+            if k == blank or scores[blank] >= scores[k] or symbols == MAX_SYMBOLS:
+                log_prob = scores[blank]
                 break
             tokens.append(k)
             frames.append(i)
-            log_prob += log_probs[k]
+            log_prob = scores[k]
             (state,), proj = predict_step([k], state.hidden[None],
                                           state.cell[None], model)
             symbols += 1

@@ -64,3 +64,34 @@ def test_traced_decode_reports_every_layer_metric(tmp_path):
     assert all(math.isfinite(metrics[n]) for n in names)
     assert metrics["encoder.frames"] > 0
     assert metrics["transducer.beam_steps"] == metrics["encoder.frames"]
+
+
+def test_beam_one_blank_decode_goes_through_the_traced_attributes(tmp_path,
+                                                                   monkeypatch):
+    # The long80s regime guard counts transducer.reset_prediction_states
+    # spans against the frames of pipeline.decode_with_srs spans. A beam-1
+    # decode that bypassed either attribute would leave both counts at 0,
+    # and the guard would pass without checking anything.
+    from sparse_rnnt import pipeline, transducer
+    from sparse_rnnt.pipeline import DecodeOptions
+    from sparse_rnnt.transducer import SrsParams
+
+    model = random_model(tiny_config(), 3)
+    model.joint.out_bias[model.config.vocab.blank_id] += 50.0
+    wav = tmp_path / "utt1.wav"
+    write_wav(wav, Waveform(0.1 * np.random.default_rng(5).normal(size=32000), 16000))
+    frames, resets = [], []
+    for module, attr, record in ((pipeline, "decode_with_srs",
+                                  lambda args: frames.append(args[0].length)),
+                                 (transducer, "reset_prediction_states",
+                                  lambda args: resets.append(1))):
+        def spy(*args, real=getattr(module, attr), record=record):
+            record(args)
+            return real(*args)
+        monkeypatch.setattr(module, attr, spy)
+    t_sil = 2
+    result = pipeline.decode_file(model, wav,
+                                  DecodeOptions(beam=1, srs=SrsParams(t_sil=t_sil)))
+    assert result.tokens == []
+    assert len(frames) == 1 and frames[0] > 3 * (t_sil + 1)
+    assert len(resets) == frames[0] // (t_sil + 1)

@@ -8,8 +8,8 @@ import pytest
 from conftest import tiny_config
 from sparse_rnnt import transducer
 from sparse_rnnt.encoder import EncoderOutputs
-from sparse_rnnt.errors import ParameterError, VocabularyError
-from sparse_rnnt.model_io import ModelConfig, random_model
+from sparse_rnnt.errors import ParameterError, ShapeError, VocabularyError
+from sparse_rnnt.model_io import ModelConfig, Vocabulary, random_model
 from sparse_rnnt.numerics import RecurrentState
 from sparse_rnnt.transducer import (
     Prefix,
@@ -27,6 +27,7 @@ from sparse_rnnt.transducer import (
 )
 from tests_oracles import (
     eager_beam_search_step,
+    frame_by_frame_decode,
     hypothesis_of,
     oracle_joint,
     oracle_lstm_cell_step,
@@ -73,6 +74,19 @@ class TestPredictStep:
     def test_invalid_token(self, tiny_model):
         with pytest.raises(VocabularyError):
             predict_one(99, RecurrentState.zeros(4), tiny_model)
+
+    def test_weights_read_only_once_cached(self):
+        # the input_gates table is built on first use; editing the weights
+        # it was built from afterwards must fail loudly, not decode stale
+        model = random_model(tiny_config(), 0)
+        pred = model.prediction
+        pred.embedding[0, 0] += 1.0
+        pred.lstm.w_x[0, 0] += 1.0
+        predict_one(1, RecurrentState.zeros(4), model)
+        for weights in (pred.embedding, pred.lstm.w_x):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 0.0
+        pred.lstm.w_h[0, 0] += 1.0  # not cached, stays writable
 
     def test_start_symbol_uses_zero_embedding(self, tiny_model):
         s1, _ = predict_one(None, RecurrentState.zeros(4), tiny_model)
@@ -173,6 +187,31 @@ class TestCachedKernels:
                 for (state, proj), row in zip(after, got):
                     assert np.array_equal(row, joint_one(frame_proj, proj, model))
                     assert np.array_equal(row, oracle_joint(h_t, state.hidden, model))
+
+    def test_block_of_frames(self, model):
+        # run-ahead scoring: L frames' projections as one stacked gemv and
+        # one joint call against a single prefix, each row bit for bit the
+        # lone frame's
+        rng = np.random.default_rng(14)
+        D = model.config.encoder.model_dim
+        (state,), (proj,) = predict_step([1], np.zeros((1, model.config.pred_dim)),
+                                         np.zeros((1, model.config.pred_dim)), model)
+        for L in (1, 2, 17, 300):
+            h = rng.normal(size=(L, D))
+            projs = frame_projection(h, model)
+            block = joint(projs, proj[None], model)
+            assert projs.shape == (L, model.config.joint_dim)
+            assert block.shape == (L, len(model.config.vocab))
+            for h_t, row_proj, row in zip(h, projs, block):
+                assert np.array_equal(row_proj, frame_projection(h_t, model))
+                assert np.array_equal(row, joint_one(row_proj, proj, model))
+                assert np.array_equal(row, oracle_joint(h_t, state.hidden, model))
+
+    def test_frame_projection_rejects_wrong_dim(self, model):
+        D = model.config.encoder.model_dim
+        for shape in ((D + 1,), (3, D - 1)):
+            with pytest.raises(ShapeError, match=f"{shape[-1]} != joint input {D}"):
+                frame_projection(np.zeros(shape), model)
 
     def test_after_reset(self, model):
         rng = np.random.default_rng(13)
@@ -297,7 +336,7 @@ class TestBeamSearch:
                                 srs=SrsParams(t_sil=1, enabled=False))
             assert b.token_ids == g.token_ids
             assert b.frames == g.frames
-            assert b.log_prob == pytest.approx(g.log_prob, abs=1e-12)
+            assert b.log_prob == g.log_prob
 
     def test_prefix_merge_log_sum_exp(self, rng):
         # brute-force alignment lattice over 2 frames, <=2 emissions per frame
@@ -703,6 +742,23 @@ class TestGreedy:
         out = enc_outputs(rng, model, 7)
         assert greedy_decode(out, model) == greedy_decode(out, model)
 
+    @pytest.mark.parametrize("blank_id", [0, 2])
+    def test_blank_wins_exact_ties(self, rng, blank_id):
+        # token 1 and blank share a joint column and dominate the rest, so
+        # they tie exactly on every row; the beam ranks blank first
+        cfg = tiny_config()
+        cfg.vocab = Vocabulary(cfg.vocab.tokens, blank_id=blank_id)
+        model = random_model(cfg, 4)
+        jw = model.joint
+        jw.out_bias[:] -= 5.0
+        jw.out[:, 1] = jw.out[:, blank_id]
+        jw.out_bias[1] = jw.out_bias[blank_id] = 5.0
+        out = enc_outputs(rng, model, 4)
+        g = greedy_decode(out, model)
+        b = decode_with_srs(out, model, beam=1, srs=SrsParams(enabled=False))
+        assert g.token_ids == b.token_ids == ()
+        assert g.log_prob == b.log_prob
+
     def test_symbol_cap_terminates(self, rng):
         # model that always prefers a non-blank token must still halt
         model = random_model(tiny_config(), 1)
@@ -712,3 +768,121 @@ class TestGreedy:
         out = EncoderOutputs(np.zeros((4, 8)), 0.04)
         t = greedy_decode(out, model)
         assert len(t.token_ids) == 4 * transducer.MAX_SYMBOLS
+
+
+def run_ahead_models():
+    """Tiny models over blank biases 0-4, a desk-scale one that emits on
+    some random frames and not others, a blank-biased desk-scale one, and a
+    model whose token 1 ties blank exactly on every row."""
+    models = []
+    for bias in range(5):
+        model = random_model(tiny_config(), 40 + bias)
+        model.joint.out_bias[model.config.vocab.blank_id] += bias
+        models.append(model)
+    desk, blank = (random_model(ModelConfig.desk_scale(), 7) for _ in range(2))
+    blank.joint.out_bias[blank.config.vocab.blank_id] += 1.5
+    tied = random_model(tiny_config(), 45)
+    tied.joint.out[:, 1] = tied.joint.out[:, 0]
+    tied.joint.out_bias[1] = tied.joint.out_bias[0] = tied.joint.out_bias.max() + 1.0
+    return models + [desk, blank, tied]
+
+
+def same_transcript(got, want):
+    """Tokens, frames and log_prob bits equal."""
+    return (got.token_ids == want.token_ids and got.frames == want.frames
+            and float(got.log_prob).hex() == float(want.log_prob).hex())
+
+
+def joint_rows_of(args):
+    """Rows a joint call scores: A prefixes on one frame, or L frames."""
+    return np.broadcast_shapes(args[0].shape, args[1].shape)[0]
+
+
+def spy_rows(monkeypatch, name, rows_of):
+    """Record rows_of(args) for each call of transducer.<name>."""
+    calls = []
+    real = getattr(transducer, name)
+
+    def spy(*args, **kwargs):
+        calls.append(rows_of(args))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transducer, name, spy)
+    return calls
+
+
+class TestBeamOneRunAhead:
+    """decode_with_srs, which scans blank frames ahead at beam 1, against
+    the frame-by-frame loop in tests_oracles."""
+
+    @pytest.mark.parametrize("t_sil", [1, 4, 15])
+    def test_identical_to_frame_by_frame(self, t_sil):
+        rng = np.random.default_rng(900 + t_sil)
+        period = t_sil + 1
+        # T' within one reset period, multiples of it, and neither
+        lengths = sorted({1, t_sil, period, 2 * period, 2 * period + 3, 24})
+        emitted = blank_frames = 0
+        for model in run_ahead_models():
+            for T in lengths:
+                out = enc_outputs(rng, model, T)
+                for beam in (1, 2, 4):
+                    for enabled in (True, False):
+                        srs = SrsParams(t_sil=t_sil, enabled=enabled)
+                        got = decode_with_srs(out, model, beam=beam, srs=srs)
+                        want = frame_by_frame_decode(out, model, beam=beam, srs=srs)
+                        assert same_transcript(got, want), (T, beam, srs)
+                        if beam == 1:
+                            emitted += len(got.frames) > 0
+                            blank_frames += T - len(set(got.frames))
+        # both regimes were exercised: runs that stop at an emission, and
+        # long all-blank stretches
+        assert emitted > 20 and blank_frames > 200
+
+    def test_resets_at_the_end_of_runs(self, monkeypatch):
+        # blank on every frame: frame 0 goes alone (no frame before it),
+        # runs of 1 + 2 + 4 + 8 frames reach the first reset, then one run
+        # of t_sil + 1 = 16 frames per reset and one of the last 14 frames
+        model = random_model(ModelConfig.desk_scale(), 7)
+        model.joint.out_bias[model.config.vocab.blank_id] += 10.0
+        out = enc_outputs(np.random.default_rng(5), model, 1998)
+        srs = SrsParams(t_sil=15)
+        joint_rows = spy_rows(monkeypatch, "joint", joint_rows_of)
+        resets = spy_rows(monkeypatch, "reset_prediction_states", lambda args: 1)
+        steps = spy_rows(monkeypatch, "beam_search_step", lambda args: 1)
+        got = decode_with_srs(out, model, beam=1, srs=srs)
+        assert got.token_ids == ()
+        assert len(resets) == 1998 // 16 == 124
+        assert len(joint_rows) == 1 + 4 + 123 + 1
+        assert joint_rows[:6] == [1, 1, 2, 4, 8, 16] and joint_rows[-1] == 14
+        assert sum(joint_rows) == 1998
+        assert len(steps) == 1
+        monkeypatch.undo()
+        assert same_transcript(got, frame_by_frame_decode(out, model, beam=1, srs=srs))
+
+    def test_rows_bounded_by_the_frame_by_frame_search(self, monkeypatch):
+        # A saturated decode never starts a run, so it scores exactly the
+        # frame-by-frame search's joint rows. On a mixed decode, doubling
+        # from one row after each blank frame wastes at most one row per
+        # blank frame; a fixed run length wastes up to a whole run at every
+        # emission that ends a gap.
+        rng = np.random.default_rng(6)
+        saturated = random_model(ModelConfig.desk_scale(), 7)
+        saturated.joint.out_bias[saturated.config.vocab.blank_id] -= 20.0
+        mixed = random_model(ModelConfig.desk_scale(), 7)
+        mixed.joint.out_bias[mixed.config.vocab.blank_id] += 1.25
+        rows = spy_rows(monkeypatch, "joint", joint_rows_of)
+        for model, T in ((saturated, 300), (mixed, 600)):
+            out = enc_outputs(rng, model, T)
+            for srs in (SrsParams(t_sil=15), SrsParams(enabled=False)):
+                del rows[:]
+                got = decode_with_srs(out, model, beam=1, srs=srs)
+                ours = sum(rows)
+                del rows[:]
+                want = frame_by_frame_decode(out, model, beam=1, srs=srs)
+                assert same_transcript(got, want)
+                blank_frames = T - len(set(got.frames))
+                if model is saturated:
+                    assert blank_frames == 0 and ours == sum(rows) == 6 * T
+                else:
+                    assert 0.2 * T < blank_frames < 0.8 * T
+                    assert sum(rows) < ours <= sum(rows) + blank_frames

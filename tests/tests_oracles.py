@@ -265,3 +265,21 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
     return [(hypothesis_of(e.hyp.tokens, e.hyp.frames, e.hyp.log_prob,
                            e.hyp.pred_state, model), not e.hyp.last_was_blank)
             for e in pool]
+
+
+def frame_by_frame_decode(h, model, beam=4, srs=None):
+    """`decode_with_srs` one frame at a time: one beam_search_step per
+    frame, then the silence reset. Reference for the beam-1 run-ahead."""
+    from sparse_rnnt.transducer import (SrsCounter, SrsParams, Transcript, _best,
+                                        beam_search_step, check_blank_token,
+                                        reset_prediction_states, start_hypothesis)
+
+    srs = srs or SrsParams()
+    hyps = [start_hypothesis(model)]
+    counter = SrsCounter(srs.t_sil)
+    for i in range(h.length):
+        hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
+        if srs.enabled and counter.update(check_blank_token(hyps, i)):
+            hyps = reset_prediction_states(hyps, model)
+    best = _best(hyps)
+    return Transcript(best.tokens, best.frames, best.log_prob)
