@@ -3,10 +3,10 @@
 from .attention import (
     AttentionMask,
     MaskPolicy,
-    compute_scores,
     fuse_heads,
     global_mask,
     local_mask,
+    score_blocks,
     sparse_attend,
 )
 from .encoder import EncoderConfig, encode

@@ -7,26 +7,29 @@ or unioned before attending.
 
 The local-only policy forms each query's scores for its window alone,
 in O(T·w) memory. The global mask needs every score of a row for its
-mean, so the other policies hold one head's (T, T) scores at a time.
+mean, and nothing outside that row, so the other policies score, mask
+and attend b query rows of every head at a time (score_blocks), in
+O(b·T) memory.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 from .numerics import matmul, softmax
 
 __all__ = [
     "AttentionHeadWeights",
     "MultiHeadWeights",
-    "ScoreMatrix",
     "BandScores",
+    "ScoreBlock",
     "AttentionMask",
     "MaskPolicy",
     "SparsityReport",
@@ -36,11 +39,11 @@ __all__ = [
     "FUSION_OR",
     "FUSION_PER_HEAD",
     "FUSION_AND",
-    "compute_scores",
     "local_mask",
     "global_mask",
     "fuse_heads",
-    "attention_internals",
+    "score_blocks",
+    "attended_counts",
     "sparse_attend",
     "mask_stats",
     "format_sparsity_report",
@@ -58,6 +61,13 @@ FUSION_AND = "sgm3_and"
 
 _VARIANTS = (DENSE, LOCAL_ONLY, LOCAL_PLUS_GLOBAL)
 _FUSIONS = (FUSION_OR, FUSION_PER_HEAD, FUSION_AND)
+
+# bounds the scores one block of query rows holds over all heads (16 MB);
+# a 20 s DOI window (T' up to about 600 at H = 4) is one block
+_BLOCK_SCORES = 1 << 21
+# bounds the keys one batch of rows reads over the heads it attends at
+# once, and so the kernel's transient memory
+_GATHER_KEYS = 1 << 14
 
 
 @dataclass
@@ -83,23 +93,9 @@ class MultiHeadWeights:
         return len(self.heads)
 
 
-@dataclass
-class ScoreMatrix:
-    """Raw pre-softmax scores e[i, j] with per-query mean scores."""
-
-    e: np.ndarray  # (T, T)
-    row_means: np.ndarray  # (T,)
-
-    @property
-    def length(self) -> int:
-        return self.e.shape[0]
-
-    def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
-        """Scores of query rows at their keys (len(rows), n); None means every key."""
-        if keys is None:
-            return self.e[rows]
-        # np.take, not fancy indexing: about 3x faster for these gathers
-        return np.take(self.e, keys + (rows * self.length)[:, None])
+def _per_head(z: np.ndarray, weights: Iterable[np.ndarray]) -> np.ndarray:
+    """z times each head's projection, stacked (H, T, inner_dim)."""
+    return np.stack([matmul(z, w) for w in weights])
 
 
 @dataclass(frozen=True)
@@ -110,96 +106,97 @@ class _Window:
     n: int
 
     def of(self, x: np.ndarray, q: int) -> np.ndarray:
-        """The first q rows' keys of x as a (q, n, d) strided view, with no copy.
+        """The first q rows' keys of every head's x (H, T, d), as a (H, q, n, d)
+        strided view, with no copy.
 
         Each row's (n, d) block is a C-contiguous run of x, laid out as a
         gathered copy would be, so products over it keep their bits.
         """
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.n, axis=0)
-        return windows[self.start : self.start + q].transpose(0, 2, 1)
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.n, axis=1)
+        return windows[:, self.start : self.start + q].transpose(0, 1, 3, 2)
 
 
 @dataclass
 class BandScores:
-    """Scores kept as their query and key projections, formed only where read.
+    """Every head's scores kept as their query and key projections, formed
+    only where read.
 
     `local` reads each query's band alone, so no (T, T) array is formed.
-    An entry is the same dot product as in compute_scores, but may differ
-    from that one gemm in the last bits.
+    An entry is the same dot product as in score_blocks, but may differ
+    from that gemm in the last bits.
     """
 
-    q: np.ndarray  # (T, d)
-    k: np.ndarray  # (T, d)
-
-    @property
-    def length(self) -> int:
-        return self.q.shape[0]
+    q: np.ndarray  # (H, T, d)
+    k: np.ndarray  # (H, T, d)
 
     def at(self, rows: np.ndarray, keys: np.ndarray | _Window | None = None
            ) -> np.ndarray:
-        """Scores of query rows at their keys (len(rows), n); None means every key."""
+        """Scores of query rows at their keys (H, len(rows), n); None means every key."""
         if keys is None:
-            keys = np.broadcast_to(np.arange(self.length), (len(rows), self.length))
-        # one gemv per row: (n, d) keys times the row's (d,) query
+            T = self.q.shape[1]
+            keys = np.broadcast_to(np.arange(T), (len(rows), T))
+        # one gemv per row and head: (n, d) keys times the row's (d,) query
         k = (keys.of(self.k, len(rows)) if isinstance(keys, _Window)
-             else np.take(self.k, keys, axis=0))
-        return (k @ self.q[rows, :, None])[:, :, 0] / np.sqrt(self.q.shape[1])
+             else np.take(self.k, keys, axis=1))
+        return (k @ self.q[:, rows, :, None])[..., 0] / np.sqrt(self.q.shape[2])
+
+
+@dataclass
+class ScoreBlock:
+    """Query rows start, start + 1, ... of a layer: every head's scores and
+    attended sets.
+
+    sets[h, r, j] is True iff query start + r attends key j in head h, and
+    g[h, r, j] iff the fused global mask selects it. Both have one slice
+    per head under sgm2, else one slice that every head shares.
+    """
+
+    start: int
+    e: np.ndarray  # (H, b, T) raw scores
+    sets: np.ndarray | None  # (1 or H, b, T); None where every query attends every key
+    g: np.ndarray | None  # (1 or H, b, T); None unless local_global
+
+    def counts(self) -> np.ndarray:
+        """Number of attended keys of each query, (1 or H, b)."""
+        if self.sets is None:
+            return np.full((1, self.e.shape[1]), self.e.shape[2])
+        return self.sets.sum(axis=2)
+
+    def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
+        """Scores of block rows at their keys (H, len(rows), n); None means every key."""
+        if keys is None:
+            return self.e[:, rows]
+        # np.take, not fancy indexing: about 3x faster for these gathers
+        flat = self.e.reshape(len(self.e), -1)
+        return np.take(flat, keys + (rows * self.e.shape[2])[:, None], axis=1)
 
 
 class AttentionMask:
-    """Per-query attended-key sets: a band |i - j| <= w, or a boolean (T, T) matrix.
+    """The local band: query i attends the keys j with |i - j| <= w, of T.
 
-    A band holds only T and w; its key sets and counts are derived on
-    demand, and its (T, T) view `rows` is built only when read.
+    It holds only T and w; its key sets and counts are derived on demand,
+    and boolean rows only for the queries asked for.
     """
 
-    def __init__(self, rows: np.ndarray | None = None, *, length: int | None = None,
-                 w: int | None = None):
-        if rows is None:  # a band
-            # w >= T already spans every key
-            self.length, self.w, self._rows = length, min(w, length), None
-            return
-        rows = np.asarray(rows, dtype=bool)
-        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
-            raise ShapeError(f"mask must be square, got {rows.shape}")
-        self.length, self.w, self._rows = rows.shape[0], None, rows
+    def __init__(self, length: int, w: int):
+        # w >= T already spans every key
+        self.length, self.w = length, min(w, length)
 
-    @property
-    def rows(self) -> np.ndarray:
-        """rows[i, j] is True iff query i attends key j."""
-        if self._rows is not None:
-            return self._rows
-        T, w = self.length, self.w
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """[r, j] is True iff query start + r attends key j, (stop - start, T)."""
+        b, T, w = stop - start, self.length, self.w
         # |i - j| <= w as j <= i + w and not j <= i - w - 1, with no int temporaries
-        return np.tri(T, k=w, dtype=bool) & ~np.tri(T, k=-w - 1, dtype=bool)
+        return (np.tri(b, T, k=start + w, dtype=bool)
+                & ~np.tri(b, T, k=start - w - 1, dtype=bool))
 
     def counts(self) -> np.ndarray:
         """Number of attended keys of each query, (T,)."""
-        if self._rows is not None:
-            return self._rows.sum(axis=1)
         i = np.arange(self.length)
         return np.minimum(i + self.w + 1, self.length) - np.maximum(i - self.w, 0)
 
     def keys(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Sorted attended keys of query rows that each attend n keys, (len(rows), n)."""
-        if self._rows is not None:
-            return np.flatnonzero(self._rows[rows]).reshape(len(rows), n) % self.length
         return np.maximum(rows - self.w, 0)[:, None] + np.arange(n)
-
-    def indices(self, i: int) -> np.ndarray:
-        if self._rows is not None:
-            return np.flatnonzero(self._rows[i])
-        return np.arange(max(0, i - self.w), min(self.length, i + self.w + 1))
-
-    def union(self, other: "AttentionMask") -> "AttentionMask":
-        return AttentionMask(self.rows | other.rows)
-
-    def row_density(self) -> np.ndarray:
-        return self.counts() / self.length
-
-    @classmethod
-    def full(cls, T: int) -> "AttentionMask":
-        return cls(length=T, w=T)
 
 
 @dataclass
@@ -235,198 +232,157 @@ class MaskPolicy:
         return cls(variant=LOCAL_PLUS_GLOBAL, w=w, fusion=fusion)
 
 
-def compute_scores(z: np.ndarray, head: AttentionHeadWeights) -> ScoreMatrix:
-    """Scaled dot-product scores Q Kᵀ / sqrt(d) plus per-row means."""
-    z = np.asarray(z, dtype=np.float64)
-    d = head.inner_dim
-    q = matmul(z, head.w_q)
-    k = matmul(z, head.w_k)
-    e = (q @ k.T) / np.sqrt(d)
-    return ScoreMatrix(e, e.mean(axis=1))
-
-
 def local_mask(T: int, w: int) -> AttentionMask:
     """Banded window mask: query i attends keys within +-w, clamped to range."""
     if T < 1:
         raise ParameterError(f"sequence length must be >= 1, got {T}")
-    return AttentionMask(length=T, w=w)
+    return AttentionMask(T, w)
 
 
-def global_mask(scores: ScoreMatrix) -> AttentionMask:
+def global_mask(e: np.ndarray) -> np.ndarray:
     """Keys whose raw score strictly exceeds the query's mean score.
 
-    Constant rows yield empty sets; callers keep rows nonempty via the
-    local window union.
+    e holds one query's scores per row of its last axis, such as a block's
+    (H, b, T); each row is thresholded at its own mean. Constant rows
+    yield empty sets; callers keep rows nonempty via the local window union.
     """
-    return AttentionMask(scores.e > scores.row_means[:, None])
+    return e > e.mean(axis=-1, keepdims=True)
 
 
-def fuse_heads(per_head_globals: Iterable[AttentionMask],
-               fusion: str) -> list[AttentionMask]:
-    """Combine per-head global masks; returns one mask per head.
+def fuse_heads(g: np.ndarray, fusion: str) -> np.ndarray:
+    """Combine the heads' global masks g, stacked along the first axis.
 
-    The masks may come from a generator: intersection and union keep only
-    the running result and the current head's mask.
+    sgm1 keeps a key that any head keeps and sgm3 one that every head
+    keeps, as one slice (1, ...) that every head shares; sgm2 keeps each
+    head's own.
     """
-    if fusion == FUSION_PER_HEAD:
-        masks = list(per_head_globals)
-        if not masks:
-            raise ParameterError("fuse_heads requires at least one head mask")
-        return masks
-    combine = {FUSION_AND: np.logical_and, FUSION_OR: np.logical_or}.get(fusion)
-    if combine is None:
-        raise ParameterError(f"unknown fusion variant {fusion!r}")
-    fused, heads = None, 0
-    for heads, mask in enumerate(per_head_globals, 1):
-        fused = mask.rows.copy() if fused is None else combine(fused, mask.rows, out=fused)
-    if fused is None:
+    if len(g) == 0:
         raise ParameterError("fuse_heads requires at least one head mask")
-    return [AttentionMask(fused)] * heads
+    if fusion == FUSION_PER_HEAD:
+        return g
+    if fusion == FUSION_OR:
+        return g.any(axis=0, keepdims=True)
+    if fusion == FUSION_AND:
+        return g.all(axis=0, keepdims=True)
+    raise ParameterError(f"unknown fusion variant {fusion!r}")
 
 
-def _policy_mask(T: int, policy: MaskPolicy, g: AttentionMask | None) -> AttentionMask:
-    """One head's attended sets S_i, given its global mask g if local_global."""
-    if policy.variant == DENSE:
-        return AttentionMask.full(T)
-    loc = local_mask(T, policy.w)
-    return loc if policy.variant == LOCAL_ONLY else loc.union(g)
+def score_blocks(z: np.ndarray, heads: list[AttentionHeadWeights],
+                 policy: MaskPolicy) -> Iterator[ScoreBlock]:
+    """A layer's scores and attended sets, b query rows of every head at a time.
 
-
-def build_masks(per_head_scores: list[ScoreMatrix],
-                policy: MaskPolicy) -> list[AttentionMask]:
-    """Per-head attended sets S_i, with fused global masks if the policy has them."""
-    global_masks = [None] * len(per_head_scores)
-    if policy.variant == LOCAL_PLUS_GLOBAL:
-        global_masks = fuse_heads([global_mask(s) for s in per_head_scores],
-                                  policy.fusion)
-    T = per_head_scores[0].length
-    return [_policy_mask(T, policy, g) for g in global_masks]
-
-
-@dataclass
-class AttentionInternals:
-    """One layer's attention state, derived from its input z one head at a time.
-
-    Attended sets shared by every head are built once; only sgm2 derives
-    each head's from that head's scores. Scores are derived afresh when
-    asked for, so a caller walking the heads holds at most one head's.
-    """
-
-    z: np.ndarray
-    mh: MultiHeadWeights
-    policy: MaskPolicy
-    shared: AttentionMask | None  # every head's attended sets; None for sgm2
-    fused: AttentionMask | None  # sgm1/sgm3's fused global mask
-
-    def head_scores(self, h: int) -> ScoreMatrix | BandScores:
-        """Head h's scores: `local` forms only those it reads, the rest the full matrix."""
-        head = self.mh.heads[h]
-        if self.policy.variant == LOCAL_ONLY:
-            return BandScores(matmul(self.z, head.w_q), matmul(self.z, head.w_k))
-        return compute_scores(self.z, head)
-
-    def head_masks(self, h: int, scores: ScoreMatrix | None = None
-                   ) -> tuple[AttentionMask, AttentionMask | None]:
-        """Head h's attended sets and global mask (None unless local_global).
-
-        sgm2 derives the global mask from the head's own scores; pass them
-        if they are at hand.
-        """
-        if self.shared is not None:
-            return self.shared, self.fused
-        g = global_mask(scores if scores is not None else self.head_scores(h))
-        return _policy_mask(self.z.shape[0], self.policy, g), g
-
-    @property
-    def scores(self) -> list[ScoreMatrix | BandScores]:
-        return [self.head_scores(h) for h in range(self.mh.num_heads)]
-
-    @property
-    def masks(self) -> list[AttentionMask]:
-        return [self.head_masks(h)[0] for h in range(self.mh.num_heads)]
-
-    @property
-    def global_masks(self) -> list[AttentionMask] | None:
-        if self.policy.variant != LOCAL_PLUS_GLOBAL:
-            return None
-        return [self.head_masks(h)[1] for h in range(self.mh.num_heads)]
-
-
-def attention_internals(z: np.ndarray, mh: MultiHeadWeights,
-                        policy: MaskPolicy) -> AttentionInternals:
-    """The state of one attention layer, derived from its input z.
-
-    sparse_attend takes its scores and masks from here, so recomputing
-    them from a layer's input gives exactly the sets that attention used.
+    Each block's scores are one stacked (H, b, d) @ (H, d, T) product. Its
+    rows are thresholded at their means, fused across heads and unioned
+    with the band. b keeps a block within _BLOCK_SCORES scores, so a short
+    layer is one block, whose scores have the bits of one (T, T) gemm per
+    head; a gemm over fewer rows can differ from that in the last bits.
     """
     z = np.asarray(z, dtype=np.float64)
-    if policy.variant == LOCAL_PLUS_GLOBAL and policy.fusion == FUSION_PER_HEAD:
-        return AttentionInternals(z, mh, policy, None, None)
-    fused = None
-    if policy.variant == LOCAL_PLUS_GLOBAL:
-        # each head's scores live only until its boolean global mask is
-        # folded in; attention computes them again with the same gemm
-        fused = fuse_heads((global_mask(compute_scores(z, head)) for head in mh.heads),
-                           policy.fusion)[0]
-    return AttentionInternals(z, mh, policy, _policy_mask(z.shape[0], policy, fused),
-                              fused)
+    T = z.shape[0]
+    band = local_mask(T, policy.w)
+    q = _per_head(z, [head.w_q for head in heads])
+    # each head's K^T as a transposed view, as a lone q @ k.T reads it
+    k_t = _per_head(z, [head.w_k for head in heads]).transpose(0, 2, 1)
+    scale = np.sqrt(q.shape[2])
+    b = max(1, _BLOCK_SCORES // (len(heads) * T))
+    for start in range(0, T, b):
+        e = (q[:, start : start + b] @ k_t) / scale
+        sets = g = None
+        if policy.variant != DENSE:
+            sets = band.block(start, start + e.shape[1])[None]
+            if policy.variant == LOCAL_PLUS_GLOBAL:
+                g = fuse_heads(global_mask(e), policy.fusion)
+                sets = sets | g
+        yield ScoreBlock(start, e, sets, g)
+        del e, sets, g  # before the next block is scored
+
+
+def attended_counts(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy
+                    ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each head's number of attended keys and of global keys per query,
+    (H, T) each; the global counts are None unless local_global.
+
+    They are counted on score_blocks, whose sets sparse_attend attends;
+    `local` counts its band.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    T, H = z.shape[0], mh.num_heads
+    if policy.variant == LOCAL_ONLY:
+        return np.broadcast_to(local_mask(T, policy.w).counts(), (H, T)), None
+    counts = np.empty((H, T), dtype=np.int64)
+    global_counts = (np.empty((H, T), dtype=np.int64)
+                     if policy.variant == LOCAL_PLUS_GLOBAL else None)
+    for block in score_blocks(z, mh.heads, policy):
+        rows = slice(block.start, block.start + block.e.shape[1])
+        counts[:, rows] = block.counts()
+        if global_counts is not None:
+            global_counts[:, rows] = block.g.sum(axis=2)
+        del block  # before the next block is scored
+    return counts, global_counts
 
 
 @dataclass
 class AttentionResult:
     output: np.ndarray  # (T, model_dim)
-    masks: list[AttentionMask]  # per head, the S_i actually used
 
 
-# bounds the keys one batch of rows reads, and so the kernel's transient memory
-_GATHER_KEYS = 1 << 14
+def _plan(counts: np.ndarray, keys: Callable | None, T: int, heads: int,
+          w: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray | _Window | None]]:
+    """The row batches that attend a run of query rows, as (rows, keys),
+    one at a time.
 
-
-def _plan(mask: AttentionMask) -> Iterator[tuple[np.ndarray, np.ndarray | _Window | None]]:
-    """The row batches that attend a mask, as (rows, keys), one at a time.
-
-    Rows are batched by n, their number of attended keys, at most
-    _GATHER_KEYS keys a batch. keys is None where the rows attend every
-    key, a _Window in a band's interior (only `local`, whose scores are
-    BandScores, attends a band narrower than T), else the rows' gathered
-    (len(rows), n) keys. Those are kept in the narrowest unsigned type
-    that holds T - 1, since a plan that every head shares holds all of a
-    layer's at once.
+    counts[r] is row r's number of attended keys, of T, and keys(rows, n)
+    gives the sorted keys of rows that each attend n. Rows are batched by
+    n, at most _GATHER_KEYS keys a batch over the `heads` heads that
+    attend it at once. keys is None where the rows attend every key, a
+    _Window in the interior of a band of half-width w (only `local`, whose
+    scores are BandScores, passes one), else the rows' gathered
+    (len(rows), n) keys.
     """
-    T, w = mask.length, mask.w
-    key_type = np.min_scalar_type(T - 1)
-    counts = mask.counts()
-    for n in set(counts.tolist()):
-        group = np.flatnonzero(counts == n)
-        step = max(1, _GATHER_KEYS // n)
+    # rows sorted by count, each count's rows in ascending order
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        n = int(counts[group[0]])
+        step = max(1, _GATHER_KEYS // (heads * n))
         for b in range(0, len(group), step):
             rows = group[b : b + step]
             if n == T:
-                keys = None
+                yield rows, None
             elif w is not None and n == 2 * w + 1:  # interior rows are consecutive
-                keys = _Window(int(rows[0]) - w, n)
+                yield rows, _Window(int(rows[0]) - w, n)
             else:
-                keys = mask.keys(rows, n).astype(key_type)
-            yield rows, keys
+                yield rows, keys(rows, n)
 
 
-def _attend(plan: Iterable, scores: ScoreMatrix | BandScores, v: np.ndarray) -> np.ndarray:
+def _block_keys(sets: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sorted attended keys of block rows that each attend n keys, (len(rows), n)."""
+    return np.flatnonzero(sets[rows]).reshape(len(rows), n) % sets.shape[1]
+
+
+def _attend(plan: Iterable, at: Callable, v: np.ndarray, out: np.ndarray) -> None:
     """Softmax over each query's attended scores, applied to their values.
 
-    Each batch reads only its rows' keys, so off-mask entries never enter
-    the arithmetic. (q,1,n) @ (q,n,d) makes one gemv per row, as a lone
-    row's product does.
+    at(rows, keys) gives the scores of the heads attended at once,
+    (H, len(rows), n), v their values (H, T, d) and out their outputs for
+    the planned rows. Each batch reads only its rows' keys, so off-mask
+    entries never enter the arithmetic. (H, q, 1, n) @ (H, q, n, d) makes
+    one gemv per row and head, as a lone row's product does.
     """
-    out = np.empty((scores.length, v.shape[1]))
     for rows, keys in plan:
         if keys is None:
-            weights, values = softmax(scores.at(rows)), v
+            weights, values = softmax(at(rows)), v[:, None]
         else:
-            weights = softmax(scores.at(rows, keys))
+            weights = softmax(at(rows, keys))
             values = (keys.of(v, len(rows)) if isinstance(keys, _Window)
-                      else np.take(v, keys, axis=0))
-        out[rows] = (weights[:, None, :] @ values)[:, 0]
-    return out
+                      else np.take(v, keys, axis=1))
+        out[:, rows] = (weights[:, :, None, :] @ values)[:, :, 0]
+
+
+def _attend_block(block: ScoreBlock, v: np.ndarray, out: np.ndarray) -> None:
+    """Attend a block's rows, every head of its one slice of sets at once."""
+    T = block.e.shape[2]
+    keys = None if block.sets is None else partial(_block_keys, block.sets[0])
+    _attend(_plan(block.counts()[0], keys, T, len(block.e)), block.at, v, out)
 
 
 def sparse_attend(
@@ -434,22 +390,33 @@ def sparse_attend(
 ) -> AttentionResult:
     """Masked multi-head attention: per-head attend, concat, project by w_p.
 
-    Heads attend one at a time, so at most one head's scores are alive.
-    Attended sets that every head shares are planned once for the layer;
-    sgm2 plans each head's own, a batch at a time as it attends.
+    `local` attends its band, its scores formed where read. The other
+    policies attend the blocks of score_blocks as they come, all heads at
+    once where they share attended sets; sgm2 attends each head's own.
     """
-    layer = attention_internals(z, mh, policy)
-    shared = None if layer.shared is None else list(_plan(layer.shared))
-    head_outputs, masks = [], []
-    for h, head in enumerate(mh.heads):
-        v = matmul(layer.z, head.w_v)
-        scores = layer.head_scores(h)
-        mask = layer.head_masks(h, scores)[0]
-        head_outputs.append(_attend(_plan(mask) if shared is None else shared, scores, v))
-        masks.append(mask)
-        del scores  # before the next head's are formed
-    concat = np.concatenate(head_outputs, axis=1)
-    return AttentionResult(matmul(concat, mh.w_p), masks)
+    z = np.asarray(z, dtype=np.float64)
+    T = z.shape[0]
+    v = _per_head(z, [head.w_v for head in mh.heads])
+    out = np.empty_like(v)
+    if policy.variant == LOCAL_ONLY:
+        band = local_mask(T, policy.w)
+        scores = BandScores(_per_head(z, [head.w_q for head in mh.heads]),
+                            _per_head(z, [head.w_k for head in mh.heads]))
+        _attend(_plan(band.counts(), band.keys, T, len(v), band.w), scores.at, v, out)
+    else:
+        for block in score_blocks(z, mh.heads, policy):
+            rows = slice(block.start, block.start + block.e.shape[1])
+            if block.sets is None or len(block.sets) == 1:
+                _attend_block(block, v, out[:, rows])
+            else:  # sgm2
+                for h in range(len(v)):
+                    one = slice(h, h + 1)
+                    _attend_block(ScoreBlock(block.start, block.e[one], block.sets[one],
+                                             None), v[one], out[one, rows])
+            del block  # before the next block is scored
+    # the heads' (T, d) outputs side by side, (T, H * d)
+    concat = out.transpose(1, 0, 2).reshape(T, -1)
+    return AttentionResult(matmul(concat, mh.w_p))
 
 
 @dataclass
@@ -468,19 +435,22 @@ class SparsityReport:
 
 
 def mask_stats(
-    masks: list[list[AttentionMask]],
-    global_masks: list[list[AttentionMask] | None] | None = None,
+    counts: list[np.ndarray],
+    global_counts: list[np.ndarray | None] | None = None,
 ) -> SparsityReport:
-    """Density stats per (layer, head); global density 0 when no global mask."""
-    if not masks:
+    """Density stats per (layer, head) from each layer's per-query counts of
+    attended keys and of global keys, (H, T) each; global density 0 where
+    a layer has none."""
+    if not counts:
         raise ParameterError("mask_stats requires at least one layer")
     report = SparsityReport()
-    for li, layer_masks in enumerate(masks):
-        for hi, mask in enumerate(layer_masks):
-            dens = mask.row_density()
+    for li, layer_counts in enumerate(counts):
+        T = layer_counts.shape[1]
+        for hi, head_counts in enumerate(layer_counts):
+            dens = head_counts / T
             gdens = 0.0
-            if global_masks is not None and global_masks[li] is not None:
-                gdens = float(global_masks[li][hi].row_density().mean())
+            if global_counts is not None and global_counts[li] is not None:
+                gdens = float((global_counts[li][hi] / T).mean())
             report.rows.append(
                 SparsityRow(li, hi, float(dens.mean()), float(dens.min()),
                             float(dens.max()), gdens)
@@ -498,15 +468,16 @@ def format_sparsity_report(report: SparsityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_heatmap(scores: ScoreMatrix, path) -> None:
-    """Write the dense post-softmax attention matrix as a T x T CSV.
+def export_heatmap(z: np.ndarray, head: AttentionHeadWeights, path) -> None:
+    """Write one head's dense post-softmax attention matrix as a T x T CSV,
+    a block of rows at a time.
 
     Rows are queries, columns keys; values in [0, 1].
     """
-    weights = softmax(scores.e)
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        for row in weights:
-            fh.write(",".join(f"{v:.12f}" for v in row) + "\n")
+        for block in score_blocks(z, [head], MaskPolicy.dense()):
+            for row in softmax(block.e[0]):
+                fh.write(",".join(f"{v:.12f}" for v in row) + "\n")
     os.replace(tmp, path)

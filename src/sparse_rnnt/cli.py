@@ -12,8 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from .attention import (attention_internals, compute_scores, export_heatmap,
-                        format_sparsity_report, mask_stats)
+from .attention import (attended_counts, export_heatmap, format_sparsity_report,
+                        mask_stats)
 from .errors import (
     AudioFormatError,
     DataError,
@@ -75,15 +75,11 @@ def _decode_options(args, mask: str, segmentation: str) -> DecodeOptions:
 
 
 def _sparsity_report(model, attn_in, policy) -> str:
-    """Recompute one segment's masks layer by layer and format their stats."""
-    masks, global_masks = [], []
-    for z, block in zip(attn_in, model.blocks):
-        layer = attention_internals(z, block.mh, policy)
-        # one pass over the heads: sgm2 scores each head to find its masks
-        heads = [layer.head_masks(h) for h in range(block.mh.num_heads)]
-        masks.append([mask for mask, _ in heads])
-        global_masks.append(None if heads[0][1] is None else [g for _, g in heads])
-    return format_sparsity_report(mask_stats(masks, global_masks))
+    """Recount one segment's attended sets layer by layer and format their stats."""
+    counts = [attended_counts(z, block.mh, policy)
+              for z, block in zip(attn_in, model.blocks)]
+    return format_sparsity_report(mask_stats([c for c, _ in counts],
+                                             [g for _, g in counts]))
 
 
 def _failed_input_message(path: Path, exc: Exception) -> str:
@@ -220,9 +216,9 @@ def cmd_heatmap(args) -> int:
     if not 0 <= args.head < mh.num_heads:
         raise ParameterError(f"head {args.head} out of range [0, {mh.num_heads})")
     _, attn_in = encode_file(model, args.input, opts)
-    scores = compute_scores(attn_in[args.layer], mh.heads[args.head])
-    export_heatmap(scores, args.out)
-    print(f"wrote {scores.length}x{scores.length} heatmap to {args.out}")
+    z = attn_in[args.layer]
+    export_heatmap(z, mh.heads[args.head], args.out)
+    print(f"wrote {len(z)}x{len(z)} heatmap to {args.out}")
     return EXIT_OK
 
 

@@ -204,7 +204,7 @@ def conformer_block_forward(
     """One macaron block; returns its output and its attention input.
 
     The attention input is all a caller needs to recompute the layer's
-    scores and masks (attention.attention_internals).
+    scores and attended sets (attention.score_blocks).
     """
     x = x + 0.5 * _feed_forward(x, block.ffn1)
     attn_in = layer_norm(x, block.attn_norm_gain, block.attn_norm_bias)

@@ -72,7 +72,6 @@ class FrontendConfig:
     window: float = 0.025
     hop: float = 0.010
     num_mels: int = 80
-    fft_size: int = 512
 
 
 _LOG_FLOOR = 1e-10  # mel energies are floored here before the log
@@ -170,14 +169,14 @@ def frame_count(num_samples: int, window_samples: int, hop_samples: int) -> int:
 
 def frame_lengths(cfg: FrontendConfig, sample_rate: int) -> tuple[int, int]:
     """Window and hop in samples at this rate; a DataError if they cannot
-    frame it (the hop rounds to 0 or the window outgrows the FFT)."""
+    frame it (the hop rounds to 0 or outgrows the window)."""
     win = int(round(cfg.window * sample_rate))
     hop = int(round(cfg.hop * sample_rate))
-    if hop <= 0 or win < hop or win > cfg.fft_size:
+    if hop <= 0 or win < hop:
         raise DataError(
             f"sample rate {sample_rate} Hz cannot be framed: the {cfg.window:g} s "
             f"window and {cfg.hop:g} s hop are {win} and {hop} samples "
-            f"(a {cfg.fft_size}-point FFT needs 1 <= hop <= window <= {cfg.fft_size})")
+            f"(framing needs 1 <= hop <= window)")
     return win, hop
 
 
@@ -194,15 +193,17 @@ def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> Featu
             f"utterance of {len(samples)} samples shorter than one "
             f"{win}-sample window"
         )
-    fft_size = cfg.fft_size
+    # the least power of two that holds the window, at least 512 (the
+    # length at 8 and 16 kHz)
+    n_fft = max(512, 1 << (win - 1).bit_length())
     window_fn = np.hanning(win)
-    fb = mel_filterbank(fft_size, w.sample_rate, cfg.num_mels)
+    fb = mel_filterbank(n_fft, w.sample_rate, cfg.num_mels)
     # (T, win), a view of the samples
     framed = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
     frames = np.empty((T, cfg.num_mels))
     for t in range(0, T, _FRAME_BLOCK):
         spectrum = np.abs(np.fft.rfft(framed[t : t + _FRAME_BLOCK] * window_fn,
-                                      n=fft_size)) ** 2
+                                      n=n_fft)) ** 2
         # one gemv per frame, so each frame has the bits of fb @ its spectrum
         # taken alone; the gemm spectrum @ fb.T would not
         energies = (fb @ spectrum[:, :, None])[:, :, 0]

@@ -18,10 +18,9 @@ from sparse_rnnt.attention import (
     AttentionHeadWeights,
     MaskPolicy,
     MultiHeadWeights,
-    ScoreMatrix,
-    build_masks,
     fuse_heads,
     global_mask,
+    local_mask,
     sparse_attend,
 )
 from sparse_rnnt.cli import main
@@ -71,10 +70,6 @@ def random_mh(rng, model_dim, num_heads, inner_dim):
     return MultiHeadWeights(heads, rng.normal(size=(num_heads * inner_dim, model_dim)))
 
 
-def scores_from(e):
-    return ScoreMatrix(e, e.mean(axis=1))
-
-
 def test_mask_algebra_subset_and_monotonicity():
     rng = np.random.default_rng(101)
     started = time.monotonic()
@@ -82,19 +77,19 @@ def test_mask_algebra_subset_and_monotonicity():
         for _ in range(1000):
             T = int(rng.integers(2, 65))
             H = int(rng.choice([1, 2, 4, 8]))
-            per_head = [scores_from(rng.normal(size=(T, T))) for _ in range(H)]
-            per_head_globals = [global_mask(s) for s in per_head]
+            per_head_globals = global_mask(rng.normal(size=(H, T, T)))
             fused_and = fuse_heads(per_head_globals, "sgm3_and")[0]
             fused_or = fuse_heads(per_head_globals, "sgm1_or")[0]
             for g in per_head_globals:
                 # intersection <= each head <= union, elementwise
-                assert not np.any(fused_and.rows & ~g.rows)
-                assert not np.any(g.rows & ~fused_or.rows)
+                assert not np.any(fused_and & ~g)
+                assert not np.any(g & ~fused_or)
             w = int(rng.integers(0, 4))
+            band = local_mask(T, w).block(0, T)
             sizes = {}
             for name in ("sgm1_or", "sgm2_per_head", "sgm3_and"):
-                masks = build_masks(per_head, MaskPolicy.local_global(w, name))
-                sizes[name] = np.stack([m.rows.sum(axis=1) for m in masks])
+                masks = band | fuse_heads(per_head_globals, name)
+                sizes[name] = np.broadcast_to(masks.sum(axis=2), (H, T))
             assert np.all(sizes["sgm3_and"] <= sizes["sgm2_per_head"])
             assert np.all(sizes["sgm2_per_head"] <= sizes["sgm1_or"])
         assert time.monotonic() - started < 10.0
@@ -278,8 +273,8 @@ def test_above_mean_mask_density_near_half():
         rng = np.random.default_rng(909)
         T = 1000
         e = rng.uniform(size=(T, T))
-        mask = global_mask(scores_from(e))
-        density = mask.rows.sum(axis=1).mean() / T
+        mask = global_mask(e)
+        density = mask.sum(axis=1).mean() / T
         assert abs(density - 0.5) < 0.05
 
 

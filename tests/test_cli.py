@@ -406,16 +406,14 @@ class TestRepeatedInputId:
 
 class TestUnframeableRate:
     """A WAV whose rate the frontend cannot frame (the 10 ms hop rounds to
-    0 samples below 51 Hz; the 25 ms window outgrows the 512-point FFT
-    above 20500 Hz) is a data error naming the file and the rate, never
-    an empty transcript."""
+    0 samples below 51 Hz) is a data error naming the file and the rate,
+    never an empty transcript."""
 
-    @pytest.fixture(params=[1, 40, 22050])
+    @pytest.fixture(params=[1, 40])
     def wav(self, request, tmp_path):
         rate = request.param
         path = tmp_path / "odd.wav"
-        seconds = 600 if rate < 50 else 1
-        write_wav(path, Waveform(0.1 * np.ones(seconds * rate), rate))
+        write_wav(path, Waveform(0.1 * np.ones(600 * rate), rate))
         return path, rate
 
     def test_decode(self, model_path, wav, tmp_path, capsys):
@@ -458,6 +456,39 @@ class TestUnframeableRate:
                      "--segmentation", "doi:3", "--overlap", "0",
                      "--out", str(doi)]) == EXIT_OK
         assert plain.read_text() == doi.read_text()
+
+
+class TestCommonRates:
+    """22.05, 44.1 and 48 kHz WAVs, whose 25 ms window outgrows a 512-point
+    FFT, are framed with the next power of two and decode."""
+
+    @pytest.fixture(params=[22050, 44100, 48000])
+    def wav(self, request, tmp_path):
+        rate = request.param
+        path = tmp_path / "hifi.wav"
+        noise = np.random.default_rng(rate).normal(size=rate)
+        write_wav(path, Waveform(0.1 * noise, rate))
+        return path
+
+    def test_decode(self, model_path, wav, tmp_path, capsys):
+        out = tmp_path / "hyps.tsv"
+        assert main(["decode", "--model", str(model_path), str(wav),
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.read_text().startswith("hifi\t")
+
+    def test_sweep(self, model_path, wav, tmp_path):
+        refs = tmp_path / "refs.tsv"
+        refs.write_text("hifi\tabc\n")
+        assert main(["sweep", "--model", str(model_path), str(wav), "--refs",
+                     str(refs), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+
+    def test_decode_waveform(self, tiny_model, wav):
+        # 1 s gives the encoder as many frames as at 16 kHz
+        at_16k = Waveform(np.zeros(16000), 16000)
+        frames = [len(decode_waveform(tiny_model, x, DecodeOptions()).attn_in[0][0])
+                  for x in (read_wav(wav), at_16k)]
+        assert frames[0] == frames[1] > 0
 
 
 class TestNonUtf8Text:

@@ -6,12 +6,16 @@ import pytest
 
 from conftest import tiny_config
 from sparse_rnnt import encoder as encoder_module
+from sparse_rnnt import attention
 from sparse_rnnt.attention import (
     MaskPolicy,
-    attention_internals,
+    attended_counts,
+    format_sparsity_report,
     mask_stats,
+    score_blocks,
     sparse_attend,
 )
+from sparse_rnnt.cli import _sparsity_report
 from sparse_rnnt.encoder import (
     EncoderConfig,
     SubsampleWeights,
@@ -27,6 +31,7 @@ from sparse_rnnt.frontend import FeatureMatrix, FrontendConfig
 from sparse_rnnt.model_io import random_model
 from sparse_rnnt.numerics import layer_norm, sigmoid
 from sparse_rnnt.pipeline import _min_input_frames, parse_policy
+from tests_oracles import rowwise_sets, rowwise_sparse_attend
 
 POLICIES = ["dense", "local", "local+sgm1", "local+sgm2", "local+sgm3"]
 
@@ -156,11 +161,10 @@ class TestConformerBlock:
         policy = MaskPolicy.local_global(2)
         _, attn_in = conformer_block_forward(x, block, policy)
         assert attn_in.shape == (6, 8)
-        diag = attention_internals(attn_in, block.mh, policy)
-        assert len(diag.scores) == 2
-        assert diag.scores[0].e.shape == (6, 6)
-        assert len(diag.masks) == 2
-        assert diag.global_masks is not None
+        (diag,) = score_blocks(attn_in, block.mh.heads, policy)
+        assert diag.e.shape == (2, 6, 6)
+        # sgm3's fused sets, one slice that both heads share
+        assert diag.sets.shape == diag.g.shape == (1, 6, 6)
 
 
 class TestEncode:
@@ -216,57 +220,71 @@ class TestEncode:
 
     @pytest.mark.parametrize("spec", POLICIES)
     def test_keeps_nothing_quadratic(self, rng, monkeypatch, spec):
+        # no policy may create a T'xT' array: at T' ~ 2000 one T'xT' bool
+        # outweighs all that a band attention allocates, and all that a
+        # global one allocates besides its block of scores. _BLOCK_SCORES
+        # bounds that block (test_attention checks it at its real size),
+        # so with blocks of 2^16 scores each call's traced peak must stay
+        # below one T'xT' bool
         model = random_model(tiny_config(), 11)
-        frames, peaks = 60, []
-        if spec == "local":
-            # `local` may not even create a T'xT' array: at T' ~ 2000 one
-            # T'xT' bool outweighs all that a band attention allocates, so
-            # each call's traced peak must stay below it
-            frames = 8000
+        monkeypatch.setattr(attention, "_BLOCK_SCORES", 1 << 16)
+        peaks = []
 
-            def spy(z, mh, policy):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                res = sparse_attend(z, mh, policy)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
-                return res
+        def spy(z, mh, policy):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            res = sparse_attend(z, mh, policy)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return res
 
-            monkeypatch.setattr(encoder_module, "sparse_attend", spy)
+        monkeypatch.setattr(encoder_module, "sparse_attend", spy)
         tracemalloc.start()
         try:
-            out, attn_in = encode(feats(rng, frames, 6), model, parse_policy(spec, 2))
+            out, attn_in = encode(feats(rng, 8000, 6), model, parse_policy(spec, 2))
         finally:
             tracemalloc.stop()
         T = out.length
         assert T * T != T * model.config.encoder.model_dim
         arrays = reachable_arrays((out, attn_in))
         assert arrays and all(a.size != T * T for a in arrays)
-        if spec == "local":
-            assert len(peaks) == len(model.blocks)
-            assert all(peak < T * T for peak in peaks), (T, peaks)
+        assert len(peaks) == len(model.blocks)
+        assert all(peak < T * T for peak in peaks), (T, peaks)
 
     @pytest.mark.parametrize("spec", POLICIES)
     def test_recomputed_masks_are_the_masks_attention_used(
             self, rng, monkeypatch, spec):
+        # `decode --stats` counts each layer's sets again from its attention
+        # input. They must be the sets attention used: the rowwise oracle,
+        # which derives its sets itself, gives attention's output bit for
+        # bit, and its set sizes are the counts
         used = []
 
         def spy(z, mh, policy):
             res = sparse_attend(z, mh, policy)
-            used.append(res.masks)
+            used.append((z, res.output))
             return res
 
         monkeypatch.setattr(encoder_module, "sparse_attend", spy)
         model = random_model(tiny_config(), 11)
         policy = parse_policy(spec, 2)
         _, attn_in = encode(feats(rng, 60, 6), model, policy)
-        again = [attention_internals(z, block.mh, policy).masks
-                 for z, block in zip(attn_in, model.blocks)]
-        assert len(used) == len(again) == len(model.blocks)
-        for used_layer, again_layer in zip(used, again):
-            assert len(used_layer) == len(again_layer)
-            for a, b in zip(used_layer, again_layer):
-                assert np.array_equal(a.rows, b.rows)
-        assert mask_stats(used) == mask_stats(again)
+        assert len(used) == len(attn_in) == len(model.blocks)
+        oracle_counts, oracle_global = [], []
+        for (z, output), again, block in zip(used, attn_in, model.blocks):
+            assert np.array_equal(z, again)
+            assert np.array_equal(
+                output, rowwise_sparse_attend(again, block.mh, policy, library_scores=True))
+            _, attended, global_ = rowwise_sets(again, block.mh, policy, library_scores=True)
+            oracle_counts.append(np.array([[len(s) for s in head] for head in attended]))
+            oracle_global.append(None if global_ is None else
+                                 np.array([[len(s) for s in head] for head in global_]))
+            counts, global_counts = attended_counts(again, block.mh, policy)
+            assert np.array_equal(counts, oracle_counts[-1])
+            assert (global_counts is None) == (global_ is None)
+            if global_ is not None:
+                assert np.array_equal(global_counts, oracle_global[-1])
+        assert _sparsity_report(model, attn_in, policy) == \
+            format_sparsity_report(mask_stats(oracle_counts, oracle_global))
 
     def test_receptive_field_requires_local(self):
         cfg = tiny_config().encoder

@@ -133,8 +133,7 @@ class TestLogMel:
             win = int(rng.integers(80, 800))
             hop = int(rng.integers(40, win + 1))
             sr = 16000
-            cfg = FrontendConfig(window=win / sr, hop=hop / sr, num_mels=8,
-                                 fft_size=1024)
+            cfg = FrontendConfig(window=win / sr, hop=hop / sr, num_mels=8)
             if n < win:
                 continue
             feats = log_mel_spectrogram(Waveform(rng.normal(size=n) * 0.1, sr), cfg)
@@ -159,7 +158,18 @@ class TestLogMel:
             w = Waveform(samples, 16000)
             got = log_mel_spectrogram(w, cfg)
             assert got.num_frames == T
-            assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, cfg))
+            assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, cfg, 512))
+
+    @pytest.mark.parametrize("sr,n_fft", [(8000, 512), (16000, 512), (22050, 1024),
+                                          (44100, 2048), (48000, 2048)])
+    def test_fft_holds_the_window(self, rng, sr, n_fft):
+        # the FFT is the least power of two that holds the 25 ms window, at
+        # least 512: 8 and 16 kHz features keep the bits of a 512-point FFT
+        w = Waveform(rng.uniform(-0.5, 0.5, size=sr // 2), sr)
+        cfg = FrontendConfig(num_mels=40)
+        got = log_mel_spectrogram(w, cfg)
+        assert got.num_frames == 48
+        assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, cfg, n_fft))
 
     def test_memory_bounded_on_long_input(self, rng):
         # 80 s at 80 mels: the output is 5.1 MB, and one block's temporaries

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sparse_rnnt.attention import attention_internals, compute_scores
+from sparse_rnnt.attention import BandScores, score_blocks
 from sparse_rnnt.numerics import RecurrentState, layer_norm, sigmoid
 
 
@@ -49,28 +49,72 @@ def oracle_sparse_attend(z, mh, policy):
     return np.concatenate(head_outs, axis=1) @ mh.w_p
 
 
-def rowwise_sparse_attend(z, mh, policy, band_scores=False):
-    """The library's masks and scores, attended one query row at a time.
+def rowwise_sets(z, mh, policy, library_scores=False):
+    """Each head's attended and global key sets, derived one query row at a
+    time from the scores: (scores, attended, global), where scores(h, i,
+    idx) gives head h's scores of row i at keys idx, and attended[h][i] /
+    global_[h][i] are index arrays (global_ is None unless local_global).
 
-    Each row gathers its attended scores and values alone, so the
-    vectorised kernel must match it bit for bit. Scores come from the full
-    (T, T) gemm of compute_scores, or with band_scores from the scores the
-    library attends over, which for `local` are formed for its band alone.
+    The scores are one full (T, T) gemm per head, or with library_scores
+    those the library attends over: the blocks of score_blocks, or for
+    `local` its band alone.
     """
     z = np.asarray(z, dtype=np.float64)
-    layer = attention_internals(z, mh, policy)
+    T, H = z.shape[0], mh.num_heads
+    q = np.stack([z @ head.w_q for head in mh.heads])
+    k = np.stack([z @ head.w_k for head in mh.heads])
+    if library_scores and policy.variant == "local":
+        band = BandScores(q, k)
+
+        def scores(h, i, idx):
+            return band.at(np.array([i]), idx[None])[h, 0]
+    else:
+        if library_scores:
+            e = np.concatenate([b.e for b in score_blocks(z, mh.heads, policy)], axis=1)
+        else:
+            e = np.stack([q[h] @ k[h].T / np.sqrt(q.shape[2]) for h in range(H)])
+
+        def scores(h, i, idx):
+            return e[h, i, idx]
+    keys = np.arange(T)
+    attended = [[None] * T for _ in range(H)]
+    global_ = [[None] * T for _ in range(H)] if policy.variant == "local_global" else None
+    for i in range(T):
+        if policy.variant == "dense":
+            for h in range(H):
+                attended[h][i] = keys
+            continue
+        band_row = np.abs(keys - i) <= policy.w
+        g = None
+        if global_ is not None:
+            rows = [scores(h, i, keys) for h in range(H)]
+            g = np.array([row > row.mean() for row in rows])
+            if policy.fusion == "sgm3_and":
+                g = np.broadcast_to(np.logical_and.reduce(g), g.shape)
+            elif policy.fusion == "sgm1_or":
+                g = np.broadcast_to(np.logical_or.reduce(g), g.shape)
+        for h in range(H):
+            attended[h][i] = np.flatnonzero(band_row if g is None else band_row | g[h])
+            if g is not None:
+                global_[h][i] = np.flatnonzero(g[h])
+    return scores, attended, global_
+
+
+def rowwise_sparse_attend(z, mh, policy, library_scores=False):
+    """Attention one query row at a time, over the sets of rowwise_sets.
+
+    Each row gathers its attended scores and values alone, so the
+    vectorised kernel must match it bit for bit where both read the same
+    scores.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    scores, attended, _ = rowwise_sets(z, mh, policy, library_scores)
     head_outputs = []
     for h, head in enumerate(mh.heads):
-        scores = layer.head_scores(h) if band_scores else compute_scores(z, head)
-        mask, _ = layer.head_masks(h)
         v = z @ head.w_v
         out = np.empty((z.shape[0], head.inner_dim))
-        for i in range(z.shape[0]):
-            idx = mask.indices(i)
-            if band_scores:
-                sub = scores.at(np.array([i]), idx[None])[0]
-            else:
-                sub = scores.e[i, idx]
+        for i, idx in enumerate(attended[h]):
+            sub = scores(h, i, idx)
             weights = np.exp(sub - sub.max())
             out[i] = (weights / weights.sum()) @ v[idx]
         head_outputs.append(out)
@@ -107,9 +151,9 @@ def oracle_conformer_block(x, block, policy):
     return layer_norm(x, block.final_norm_gain, block.final_norm_bias)
 
 
-def oracle_log_mel_spectrogram(w, cfg):
-    """Log-mel features one 10 ms frame at a time: window, power spectrum,
-    filterbank gemv, floored log."""
+def oracle_log_mel_spectrogram(w, cfg, fft_size):
+    """Log-mel features one 10 ms frame at a time: window, power spectrum
+    of an fft_size-point FFT, filterbank gemv, floored log."""
     from sparse_rnnt.frontend import _LOG_FLOOR, frame_count, mel_filterbank
 
     win = int(round(cfg.window * w.sample_rate))
@@ -117,11 +161,11 @@ def oracle_log_mel_spectrogram(w, cfg):
     samples = w.samples
     T = frame_count(len(samples), win, hop)
     window_fn = np.hanning(win)
-    fb = mel_filterbank(cfg.fft_size, w.sample_rate, cfg.num_mels)
+    fb = mel_filterbank(fft_size, w.sample_rate, cfg.num_mels)
     frames = np.empty((T, cfg.num_mels))
     for t in range(T):
         seg = samples[t * hop : t * hop + win] * window_fn
-        spectrum = np.abs(np.fft.rfft(seg, n=cfg.fft_size)) ** 2
+        spectrum = np.abs(np.fft.rfft(seg, n=fft_size)) ** 2
         frames[t] = np.log(np.maximum(fb @ spectrum, _LOG_FLOOR))
     return frames
 
