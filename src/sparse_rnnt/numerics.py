@@ -6,7 +6,7 @@ package builds on these four primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,15 @@ __all__ = [
 
 @dataclass
 class RecurrentState:
-    """Hidden/cell vectors of a recurrent cell."""
+    """Hidden/cell vectors of a recurrent cell.
+
+    `children` is a cache for the caller that steps the cell: what it
+    stepped from this state, kept no longer than the state itself.
+    """
 
     hidden: np.ndarray
     cell: np.ndarray
+    children: dict | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.hidden = np.asarray(self.hidden, dtype=np.float64)

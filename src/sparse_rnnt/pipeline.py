@@ -40,12 +40,15 @@ class SegmentationSpec:
             raise ParameterError(f"unknown segmentation {self.kind!r}")
         if not self.overlap >= 0:
             raise ParameterError(f"overlap must be >= 0, got {self.overlap}")
-        if self.kind == "doi" and (self.doi_length is None
-                                   or not self.doi_length > 2 * self.overlap):
+        if self.kind != "doi":
+            return
+        if self.doi_length is None or not self.doi_length > 2 * self.overlap:
             raise ParameterError(
                 f"doi segmentation needs a length greater than twice the "
                 f"overlap, got {self.doi_length} / {self.overlap}"
             )
+        if not np.isfinite(self.doi_length):
+            raise ParameterError(f"doi length must be finite, got {self.doi_length}")
 
 
 @dataclass

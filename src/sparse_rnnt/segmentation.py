@@ -77,6 +77,8 @@ def doi_split(duration: float, doi_length: float, overlap: float = 2.0) -> list[
     """
     if duration <= 0:
         raise ParameterError(f"duration must be positive, got {duration}")
+    if not np.isfinite(doi_length):
+        raise ParameterError(f"doi length must be finite, got {doi_length}")
     if overlap < 0 or doi_length <= 2 * overlap:
         raise ParameterError(
             f"need doi_length > 2*overlap >= 0, got {doi_length} / {overlap}"

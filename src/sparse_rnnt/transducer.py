@@ -259,54 +259,94 @@ def _merge_children(scores: np.ndarray, actives: list[Hypothesis], base: int,
                 dropped.append(j)
 
 
-def _expand_round(
-    frame_proj: np.ndarray,
-    finished: list[Hypothesis],
-    actives: list[Hypothesis],
-    beam: int,
-    model,
-    frame_idx: int,
-    grow: bool,
-) -> tuple[list[Hypothesis], list[Hypothesis]]:
-    """One expansion round: score from the joint, merge, prune, then step.
+def _joint_rows(frame_proj: np.ndarray, actives: list[Hypothesis], scored,
+                model) -> np.ndarray:
+    """Joint rows of `actives` on one frame, in one joint call.
 
-    `finished` have taken blank in this frame and `actives` may still
-    emit in it. One joint call scores every active. Its blank child is
-    finished; with `grow`, its non-blank children are candidates too.
-    Candidates are known by their position and a score until they
-    survive: positions number the carried finished hypotheses first,
-    then per active its blank child followed by its non-blank children
-    in token order. Candidates are ranked on the key (-log_prob, tokens),
-    exact ties kept in position order, and only the best `beam` survive;
-    one predict_step call steps the children among them. Returns the
-    survivors as (finished, actives), each in rank order. Children never
-    merge with finished hypotheses, and children of parents with distinct
-    prefixes never merge at all; only a caller's hypothesis list can
-    repeat a prefix.
+    `scored` holds the (hypotheses, rows) of the frame's earlier rounds to
+    read, if any: an active whose pred_proj is an array scored there (or
+    an earlier active's) takes that row, and only the others are scored.
+    A row has the bits of its lone call either way.
     """
-    blank = model.config.vocab.blank_id
-    V = len(model.config.vocab)
+    if not scored:
+        return joint(frame_proj, np.array([h.pred_proj for h in actives]), model)
+    # keyed on arrays that `scored` and `actives` hold for the whole call
+    row_of, rows = {}, []
+    for hyps, block in scored:
+        for h, row in zip(hyps, block):
+            row_of.setdefault(id(h.pred_proj), len(rows))
+            rows.append(row)
+    index, new = [], []
+    for h in actives:
+        i = row_of.get(id(h.pred_proj))
+        if i is None:
+            i = row_of[id(h.pred_proj)] = len(rows) + len(new)
+            new.append(h.pred_proj)
+        index.append(i)
+    if new:
+        rows.extend(joint(frame_proj, np.array(new), model))
+    return np.array(rows)[index]
+
+
+def _step(grown, model) -> list:
+    """(state, pred_proj) of each (parent, token, score) child, from one
+    predict_step call."""
+    states, projs = predict_step(
+        [k for _, k, _ in grown],
+        np.array([h.pred_state.hidden for h, _, _ in grown]),
+        np.array([h.pred_state.cell for h, _, _ in grown]),
+        model,
+    )
+    return list(zip(states, projs))
+
+
+def _step_cached(grown, model) -> tuple[list, bool]:
+    """_step through the parents' caches, and whether any child was reused.
+
+    A parent state keeps, in its `children`, the (state, pred_proj) stepped
+    from it by each token: a child stepped before, on this frame or an
+    earlier one, is that same pair. The others are stepped in one call and
+    kept. Equal pairs are equal bits, since each row of predict_step is its
+    own gemv. A reset makes a new zero state, so nothing stepped before it
+    is reused after it.
+    """
+    todo = []
+    for g in grown:
+        h, k, _ = g
+        kids = h.pred_state.children
+        if kids is None:
+            kids = h.pred_state.children = {}
+        if k not in kids:
+            kids[k] = None  # stepped below, once
+            todo.append(g)
+    if todo:
+        for (h, k, _), kid in zip(todo, _step(todo, model)):
+            h.pred_state.children[k] = kid
+    return ([h.pred_state.children[k] for h, k, _ in grown],
+            len(todo) < len(grown))
+
+
+def _prune_children(hyps: list[Hypothesis]) -> None:
+    """Keep cached children only on the states `hyps` hold: a cached child
+    they do not hold drops its own cache. Every state with a cache is then
+    held, so at most len(hyps) * (V - 1) children stay cached."""
+    held = {id(h.pred_state) for h in hyps}  # states `hyps` hold
+    for h in hyps:
+        kids = h.pred_state.children
+        if kids:
+            for state, _ in kids.values():
+                if id(state) not in held:
+                    state.children = None
+
+
+def _break_ties(order: list[int], scores: np.ndarray, beam: int,
+                finished: list[Hypothesis], actives: list[Hypothesis], V: int,
+                tokens: np.ndarray) -> list[int]:
+    """The best `beam` positions of `order`, which is in (-score, position)
+    order, after each run of exactly equal scores is sorted on its token
+    sequences (a stable sort, so equal keys keep position order). Token
+    tuples are built only for the runs walked."""
     base = len(finished)
-    tokens = _child_tokens(V, blank)
-    log_probs = joint(frame_proj, np.array([h.pred_proj for h in actives]), model)
-    kid = (np.array([h.log_prob for h in actives])[:, None]
-           + log_probs.take(tokens, axis=1))
-    scores = np.concatenate([[h.log_prob for h in finished], kid.ravel()])
-    dropped: list[int] = []
-    _merge_finished(scores, [(pos, h.prefix) for pos, h in enumerate(finished)]
-                    + [(base + a * V, h.prefix) for a, h in enumerate(actives)],
-                    dropped)
-    keep = np.ones(len(scores), dtype=bool)
-    if grow:
-        _merge_children(scores, actives, base, V, dropped)
-    else:
-        keep[base:] = False
-        keep[base::V] = True
-    keep[dropped] = False
-    candidates = np.flatnonzero(keep)
-    # a stable sort of candidates in position order on -score ranks them
-    # on (-score, position)
-    order = candidates[np.argsort(-scores[candidates], kind="stable")].tolist()
 
     def tokens_of(pos: int) -> tuple[int, ...]:
         if pos < base:
@@ -314,7 +354,6 @@ def _expand_round(
         a, c = divmod(pos - base, V)
         return actives[a].tokens + ((int(tokens[c]),) if c else ())
 
-    # walk runs of equal score; only a run of ties needs the token tuples
     chosen: list[int] = []
     i = 0
     while i < len(order) and len(chosen) < beam:
@@ -326,9 +365,79 @@ def _expand_round(
             run.sort(key=tokens_of)
         chosen += run
         i = j
+    return chosen[:beam]
+
+
+def _expand_round(
+    frame_proj: np.ndarray,
+    finished: list[Hypothesis],
+    actives: list[Hypothesis],
+    beam: int,
+    model,
+    frame_idx: int,
+    grow: bool,
+    cached: bool,
+    scored: list,
+) -> tuple[list[Hypothesis], list[Hypothesis], bool]:
+    """One expansion round: score from the joint, merge, prune, then step.
+
+    `finished` have taken blank in this frame and `actives` may still
+    emit in it. One joint call scores every active; the round's (actives,
+    rows) go on `scored`, the frame's list. Its blank child is finished;
+    with `grow`, its non-blank children are candidates too. Candidates are
+    known by their position and a score until they survive: positions
+    number the carried finished hypotheses first, then per active its
+    blank child followed by its non-blank children in token order.
+    Candidates are ranked on the key (-log_prob, tokens), exact ties kept
+    in position order, and only the best `beam` survive; one predict_step
+    call steps the children among them. Returns the survivors as
+    (finished, actives), each in rank order, and whether a child was
+    reused. Children never merge with finished hypotheses, and children of
+    parents with distinct prefixes never merge at all; only a caller's
+    hypothesis list can repeat a prefix.
+
+    With `cached`, children are stepped through their parents' caches
+    (`_step_cached`), and an active takes a row scored earlier in the
+    frame (`_joint_rows`). Only states carried in from earlier frames or
+    reused in the round before can hold a cache or such a row, so other
+    rounds skip both.
+    """
+    blank = model.config.vocab.blank_id
+    V = len(model.config.vocab)
+    base = len(finished)
+    tokens = _child_tokens(V, blank)
+    log_probs = _joint_rows(frame_proj, actives, scored if cached else None, model)
+    scored.append((actives, log_probs))
+    kid = (np.array([h.log_prob for h in actives])[:, None]
+           + log_probs.take(tokens, axis=1))
+    scores = np.concatenate([[h.log_prob for h in finished], kid.ravel()])
+    dropped: list[int] = []
+    _merge_finished(scores, [(pos, h.prefix) for pos, h in enumerate(finished)]
+                    + [(base + a * V, h.prefix) for a, h in enumerate(actives)],
+                    dropped)
+    if grow:
+        _merge_children(scores, actives, base, V, dropped)
+    # a stable sort of candidates in position order on -score ranks them
+    # on (-score, position)
+    if grow and not dropped:  # every position is a candidate
+        order = np.argsort(-scores, kind="stable")
+    else:
+        keep = np.ones(len(scores), dtype=bool)
+        if not grow:
+            keep[base:] = False
+            keep[base::V] = True
+        keep[dropped] = False
+        candidates = np.flatnonzero(keep)
+        order = candidates[np.argsort(-scores[candidates], kind="stable")]
+    head = order[:beam + 1]
+    top = scores[head].tolist()
+    if len(set(top)) == len(top):  # no exact tie decides who survives
+        chosen = head[:beam].tolist()
+    else:
+        chosen = _break_ties(order.tolist(), scores, beam, finished, actives, V, tokens)
     done: list[Hypothesis] = []
     grown = []  # (parent, token, score) of each surviving child
-    for pos in chosen[:beam]:
+    for pos in chosen:
         if pos < base:
             h = finished[pos]
             if scores[pos] != h.log_prob:  # the merge changed its score
@@ -342,15 +451,11 @@ def _expand_round(
         else:
             grown.append((h, int(tokens[c]), scores[pos]))
     if not grown:
-        return done, []
-    states, projs = predict_step(
-        [k for _, k, _ in grown],
-        np.array([h.pred_state.hidden for h, _, _ in grown]),
-        np.array([h.pred_state.cell for h, _, _ in grown]),
-        model,
-    )
-    return done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state, proj)
-                  for (h, k, score), state, proj in zip(grown, states, projs)]
+        return done, [], False
+    kids, reused = _step_cached(grown, model) if cached else (_step(grown, model), False)
+    return (done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state, proj)
+                   for (h, k, score), (state, proj) in zip(grown, kids)],
+            reused)
 
 
 def beam_search_step(
@@ -368,7 +473,9 @@ def beam_search_step(
     (log-sum-exp on identical prefixes) and pruned to the beam width. Ties
     break on the lexicographic token sequence. The prediction network is
     stepped only for the at most `beam` expansions that survive each
-    round's prune.
+    round's prune, and once per parent state and token: a child stepped
+    on an earlier frame is reused, and so is the joint row of a state
+    already scored on this frame.
     """
     if beam < 1:
         raise ParameterError(f"beam must be >= 1, got {beam}")
@@ -376,12 +483,16 @@ def beam_search_step(
         raise ParameterError("beam_search_step requires at least one hypothesis")
     frame_proj = frame_projection(h_i, model)
     finished, actives = [], list(hyps_prev)
+    scored: list = []  # (actives, joint rows) of each round
+    cached = True  # the first round's parents were carried in
     for r in range(max_expansions + 1):
         if not actives:
             break
         # the round past the cap force-terminates hypotheses still mid-frame
-        finished, actives = _expand_round(frame_proj, finished, actives, beam, model,
-                                          frame_idx, grow=r < max_expansions)
+        finished, actives, cached = _expand_round(
+            frame_proj, finished, actives, beam, model, frame_idx,
+            grow=r < max_expansions, cached=cached, scored=scored)
+    _prune_children(finished)
     return finished
 
 

@@ -221,6 +221,16 @@ class TestDecode:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    def test_infinite_doi_length_is_a_config_error(self, model_path, wav_path,
+                                                   capsys):
+        # past the check, an infinite window's first hop offset is 0 * inf,
+        # nan, and the file would fail on nan segment bounds
+        code = main(["decode", "--model", str(model_path), str(wav_path),
+                     "--segmentation", "doi:inf"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: doi length must be finite, got inf\n")
+
     @pytest.mark.parametrize("flags", [["--beam", "0"], ["--beam", "-3"]])
     def test_bad_beam_one_config_error_before_model(self, tmp_path, capsys,
                                                     flags):
@@ -577,6 +587,17 @@ class TestSweep:
                      str(wav_path), "--refs", str(tmp_path / "nope.tsv"),
                      *flags, "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_CONFIG
+
+    def test_infinite_doi_length_is_a_config_error(self, wav_path, tmp_path,
+                                                   capsys):
+        # model and references are missing: the length is refused first
+        code = main(["sweep", "--model", str(tmp_path / "nope.model"),
+                     str(wav_path), "--refs", str(tmp_path / "nope.tsv"),
+                     "--segmentations", "none,doi:inf",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: doi length must be finite, got inf\n")
 
     def test_rejects_decode_mask_flag(self, wav_path, tmp_path):
         # sweep reads --masks; a --mask it would ignore is a usage error

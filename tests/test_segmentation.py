@@ -40,6 +40,9 @@ class TestDoiSplit:
             doi_split(0.0, 20.0, 2.0)
         with pytest.raises(ParameterError):
             doi_split(10.0, 20.0, -1.0)
+        for length in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="doi length must be finite"):
+                doi_split(10.0, length, 2.0)
 
     @pytest.mark.parametrize("doi_length", [8, 18, 20, 28, 38, 48, 58])
     def test_cores_partition_random_durations(self, doi_length, rng):

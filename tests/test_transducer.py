@@ -886,3 +886,178 @@ class TestBeamOneRunAhead:
                 else:
                     assert 0.2 * T < blank_frames < 0.8 * T
                     assert sum(rows) < ours <= sum(rows) + blank_frames
+
+
+def cache_models():
+    """(model, frames) pairs for the child cache: tiny models from emitting
+    to blank-heavy (with blank bias 3 or 4, SRS at t_sil 1 or 2 fires
+    between reuses), the desk model, the desk model with the bench's blank
+    bias 1.5, and the tied model of equivalence_models. Regimes that emit
+    on every frame reuse nothing and get fewer frames."""
+    models = []
+    for seed, bias, T in ((1, 0.0, 8), (1, 4.0, 24), (3, 4.0, 24), (4, 3.0, 24)):
+        model = random_model(tiny_config(), seed)
+        model.joint.out_bias[model.config.vocab.blank_id] += bias
+        models.append((model, T))
+    desk, blank = (random_model(ModelConfig.desk_scale(), 7) for _ in range(2))
+    blank.joint.out_bias[blank.config.vocab.blank_id] += 1.5
+    return models + [(desk, 4), (blank, 12), (equivalence_models()[-1], 16)]
+
+
+def live_children(hyps):
+    """Cached children reachable from the states of `hyps`, through each
+    state's cache and its cached children's, each state counted once."""
+    seen, stack, n = set(), [h.pred_state for h in hyps], 0
+    while stack:
+        state = stack.pop()
+        if id(state) in seen:  # every state stays reachable from `hyps`
+            continue
+        seen.add(id(state))
+        kids = state.children or {}
+        n += len(kids)
+        stack.extend(child for child, _ in kids.values())
+    return n
+
+
+def prune_only_outputs():
+    """The desk model with the bench's blank bias and its encoder output on
+    random features: every frame keeps the all-blank prefix and three of
+    its one-token children, and no round after the first grows."""
+    from sparse_rnnt.attention import MaskPolicy
+    from sparse_rnnt.encoder import encode
+    from sparse_rnnt.frontend import FeatureMatrix
+
+    model = random_model(ModelConfig.desk_scale(), 7)
+    model.joint.out_bias[model.config.vocab.blank_id] += 1.5
+    rng = np.random.default_rng(0)
+    f = FeatureMatrix(rng.normal(size=(1200, model.config.feat_dim)), 0.01, 0.025)
+    return model, encode(f, model, MaskPolicy.local())[0]
+
+
+class TestChildCache:
+    """beam_search_step steps each (parent state, token) once and scores
+    each prediction state once per frame, with the bits of the uncached
+    search."""
+
+    @pytest.mark.parametrize("t_sil", [None, 1, 2])
+    def test_identical_to_uncached_search(self, t_sil, monkeypatch):
+        # the eager step recomputes every child and row with the oracle
+        # kernels; SRS resets fall between reuses of a state's children
+        reuses = []
+        real = transducer._step_cached
+
+        def spy(grown, model):
+            kids, reused = real(grown, model)
+            reuses.append(reused)
+            return kids, reused
+
+        monkeypatch.setattr(transducer, "_step_cached", spy)
+        srs = SrsParams(t_sil=t_sil or 1, enabled=t_sil is not None)
+        resets = reused_after_reset = 0
+        for seed, (model, T) in enumerate(cache_models()):
+            out = enc_outputs(np.random.default_rng(seed), model, T)
+            for beam in (2, 4, 8):
+                hyps, eager = [start_hypothesis(model)], [start_hypothesis(model)]
+                counter, since = SrsCounter(srs.t_sil), None
+                for i in range(out.length):
+                    want = eager_beam_search_step(out.h[i], eager, beam, model, i)
+                    hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+                    assert_same_hyps(hyps, want, i)
+                    eager = [h for h, _ in want]
+                    if srs.enabled and counter.update(check_blank_token(hyps, i)):
+                        hyps = reset_prediction_states(hyps, model)
+                        eager = reset_prediction_states(eager, model)
+                        resets += 1
+                        since = len(reuses)
+                reused_after_reset += since is not None and any(reuses[since:])
+                best = transducer._best(hyps)
+                want = transducer.Transcript(best.tokens, best.frames, best.log_prob)
+                got = decode_with_srs(out, model, beam=beam, srs=srs)
+                assert same_transcript(got, want), (beam, srs)
+                assert same_transcript(frame_by_frame_decode(out, model, beam, srs), want)
+        assert any(reuses)
+        if t_sil is not None:
+            assert resets >= 10 and reused_after_reset >= 3
+
+    def test_same_prefix_same_state(self, monkeypatch):
+        # Without SRS a prefix's prediction state is a function of its
+        # tokens. The merge keeps one state per prefix and the cache hands
+        # back a child stepped on an earlier frame, so both rely on it.
+        # Checked on every hypothesis entering or leaving a round, against
+        # the first one seen with its tokens in the decode.
+        seen = {}
+        compared = [0]
+
+        def check(hyps):
+            for h in hyps:
+                first = seen.setdefault(h.tokens, h)
+                compared[0] += first is not h
+                assert np.array_equal(first.pred_state.hidden, h.pred_state.hidden)
+                assert np.array_equal(first.pred_state.cell, h.pred_state.cell)
+                assert np.array_equal(first.pred_proj, h.pred_proj)
+
+        real = transducer._expand_round
+
+        def spy(frame_proj, finished, actives, *args, **kwargs):
+            check(finished + actives)
+            out = real(frame_proj, finished, actives, *args, **kwargs)
+            check(out[0] + out[1])
+            return out
+
+        monkeypatch.setattr(transducer, "_expand_round", spy)
+        rng = np.random.default_rng(31)
+        for config, seed in ((tiny_config(), 5), (ModelConfig.desk_scale(), 7)):
+            for bias in (0.0, 1.17, 1.5):
+                model = random_model(config, seed)
+                model.joint.out_bias[model.config.vocab.blank_id] += bias
+                out = enc_outputs(rng, model, 12)
+                for beam in (2, 4, 8):
+                    seen.clear()
+                    decode_with_srs(out, model, beam=beam, srs=SrsParams(enabled=False))
+        assert compared[0] > 1000
+
+    def test_prune_only_rows(self, monkeypatch):
+        # Each frame re-expands the same carried states with the same
+        # tokens: the LSTM steps each (state, token) pair once, counted by
+        # value within a reset period, and after the first frame one joint
+        # call per frame scores the carried states, whose rows the
+        # closing round reuses.
+        model, out = prune_only_outputs()
+        period = [0]
+        pairs = []
+        real_step, real_reset = transducer.predict_step, transducer.reset_prediction_states
+
+        def step(tokens, hidden, cell, model):
+            pairs.extend((period[0], k, h.tobytes(), c.tobytes())
+                         for k, h, c in zip(tokens, hidden, cell))
+            return real_step(tokens, hidden, cell, model)
+
+        def reset(hyps, model):
+            period[0] += 1
+            return real_reset(hyps, model)
+
+        monkeypatch.setattr(transducer, "predict_step", step)
+        monkeypatch.setattr(transducer, "reset_prediction_states", reset)
+        joint_rows = spy_rows(monkeypatch, "joint", joint_rows_of)
+        for srs in (SrsParams(t_sil=15), SrsParams(t_sil=1), SrsParams(enabled=False)):
+            del pairs[:], joint_rows[:]
+            assert decode_with_srs(out, model, beam=4, srs=srs).token_ids == ()
+            assert len(pairs) == len(set(pairs)) == 4  # start symbol + 3 children
+            assert len(joint_rows) == out.length + 1
+            assert sum(joint_rows) == 4 * out.length
+
+    def test_cache_bounded(self):
+        # a mixed regime with SRS off, so states live long and carried
+        # states keep growing children: after every frame the cached
+        # children reachable from the beam stay within beam * (V - 1)
+        model = random_model(tiny_config(), 1)
+        model.joint.out_bias[model.config.vocab.blank_id] += 1.5
+        out = enc_outputs(np.random.default_rng(3), model, 2000)
+        V, beam = len(model.config.vocab), 4
+        hyps = [start_hypothesis(model)]
+        live = []
+        for i in range(out.length):
+            hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+            live.append(live_children(hyps))
+        assert max(live) <= beam * (V - 1)
+        assert max(live) > V - 1  # more than one state holds a cache
