@@ -1,19 +1,18 @@
-"""Dense numeric kernels: matmul, softmax, layer norm, LSTM cell step.
+"""Dense numeric kernels: matmul, softmax, layer norm, sigmoid, LSTM cell step.
 
-Everything here is pure, float64, and deterministic; the rest of the
-package builds on these four primitives.
+Array in, array out: everything here is pure, float64 and deterministic,
+and holds no state of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 
 __all__ = [
-    "RecurrentState",
     "LstmWeights",
     "matmul",
     "softmax",
@@ -21,43 +20,6 @@ __all__ = [
     "lstm_cell_step",
     "sigmoid",
 ]
-
-
-@dataclass
-class RecurrentState:
-    """Hidden/cell vectors of a recurrent cell.
-
-    `children` is a cache for the caller that steps the cell: what it
-    stepped from this state, kept no longer than the state itself.
-    """
-
-    hidden: np.ndarray
-    cell: np.ndarray
-    children: dict | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.hidden = np.asarray(self.hidden, dtype=np.float64)
-        self.cell = np.asarray(self.cell, dtype=np.float64)
-        if self.hidden.shape != self.cell.shape:
-            raise ShapeError(
-                f"hidden {self.hidden.shape} and cell {self.cell.shape} differ"
-            )
-
-    @classmethod
-    def zeros(cls, size: int) -> "RecurrentState":
-        return cls(np.zeros(size), np.zeros(size))
-
-    @classmethod
-    def rows(cls, hidden: np.ndarray, cell: np.ndarray) -> list["RecurrentState"]:
-        """One state per row of a cell step's stacked float64 output, as
-        views. The kernel made the two arrays with one shape, so the
-        per-state conversion and check are skipped."""
-        states = []
-        for h, c in zip(hidden, cell):
-            state = object.__new__(cls)
-            state.hidden, state.cell = h, c
-            states.append(state)
-        return states
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numpy as np
 
 from .attention import MaskPolicy
 from .encoder import encode
-from .errors import DataError, EmptyInputError, ParameterError
+from .errors import DataError, ParameterError
 from .frontend import (
     FeatureMatrix,
     FrontendConfig,
@@ -25,8 +25,8 @@ from .segmentation import Segment, TimedToken, doi_merge, doi_split, epd_split
 from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
-           "decode_features", "decode_file", "encode_file", "parse_policy",
-           "parse_segmentation", "read_input", "prepare_input", "decode_prepared"]
+           "decode_file", "encode_file", "parse_policy", "parse_segmentation",
+           "read_input", "prepare_input", "decode_prepared"]
 
 
 @dataclass
@@ -127,13 +127,6 @@ def _decode_segment(model, f: FeatureMatrix, offset: float, opts: DecodeOptions)
     return tokens, attn_in, transcript.log_prob
 
 
-def decode_features(model, f: FeatureMatrix, opts: DecodeOptions) -> DecodeResult:
-    """Decode a pre-extracted feature matrix (no segmentation)."""
-    tokens, attn_in, lp = _decode_segment(model, f, 0.0, opts)
-    text = model.config.vocab.render([t.token_id for t in tokens])
-    return DecodeResult(text, tokens, [attn_in], lp)
-
-
 def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
     """Segment, decode each piece, and merge tokens by core ownership."""
     return decode_prepared(model, prepare_input(model, w, opts.segmentation), opts)
@@ -166,11 +159,13 @@ def read_input(path) -> Waveform | FeatureMatrix:
 
 
 def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
-    """Everything a decode reads before the encoder: a feature matrix as
-    is (never segmented), or each segment of a waveform with its
-    normalised features, None where the piece is too short to encode."""
+    """Everything a decode reads before the encoder: (segment, features)
+    pairs in time order. A feature matrix is one whole segment, as is
+    (never segmented); a waveform gives each segment with its normalised
+    features, None where the piece is too short to encode."""
     if isinstance(x, FeatureMatrix):
-        return x
+        d = x.num_frames * x.frame_shift
+        return [(Segment(0.0, d, 0.0, d), x)]
     pieces = []
     min_frames = _min_input_frames(model.config.encoder, x.sample_rate)
     for seg in _segments_for(x, spec):
@@ -185,29 +180,22 @@ def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
 
 
 def decode_prepared(model, prepared, opts: DecodeOptions) -> DecodeResult:
-    """Encode and decode the output of prepare_input; a waveform's tokens
-    are merged by core ownership."""
-    if isinstance(prepared, FeatureMatrix):
-        return decode_features(model, prepared, opts)
+    """Encode and decode the output of prepare_input; under doi
+    segmentation, tokens are merged by core ownership."""
     results = []
     all_attn_in = []
     total_lp = 0.0
     for seg, f in prepared:
         tokens = []
         if f is not None:
-            try:
-                tokens, attn_in, lp = _decode_segment(model, f, seg.start, opts)
-            except EmptyInputError:
-                pass
-            else:
-                all_attn_in.append(attn_in)
-                total_lp += lp
+            tokens, attn_in, lp = _decode_segment(model, f, seg.start, opts)
+            all_attn_in.append(attn_in)
+            total_lp += lp
         results.append((seg, tokens))
     if opts.segmentation.kind == "doi" and results:
         merged = doi_merge(results)
     else:
-        merged = [t for _, toks in sorted(results, key=lambda r: r[0].start)
-                  for t in toks]
+        merged = [t for _, toks in results for t in toks]
     text = model.config.vocab.render([t.token_id for t in merged])
     return DecodeResult(text, merged, all_attn_in, total_lp)
 

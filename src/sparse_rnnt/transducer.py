@@ -9,16 +9,17 @@ no hypothesis produced a non-blank token.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import EncoderOutputs
 from .errors import ParameterError, ShapeError, VocabularyError
-from .numerics import RecurrentState, lstm_cell_step
+from .numerics import lstm_cell_step
 
 __all__ = [
     "Prefix",
+    "PredictionState",
     "Hypothesis",
     "Transcript",
     "SrsParams",
@@ -97,16 +98,28 @@ class Prefix:
         return tuple(node.frame for node in self._nodes())
 
 
+class PredictionState:
+    """The prediction network's state after a prefix: the LSTM's hidden and
+    cell vectors, `proj` = hidden @ joint.pred_proj (their share of every
+    joint call), and `children`, beam search's cache of the states stepped
+    from this one, by token. Only the cache ever changes."""
+
+    __slots__ = ("hidden", "cell", "proj", "children")
+
+    def __init__(self, hidden: np.ndarray, cell: np.ndarray, proj: np.ndarray):
+        self.hidden, self.cell, self.proj = hidden, cell, proj
+        self.children: dict[int, PredictionState] | None = None
+
+
 @dataclass(slots=True)
 class Hypothesis:
-    """A prefix, its score, and the prediction state and projection the
-    prefix leaves. Whether it produced a token in frame i is read off its
-    prefix: the last node's frame is i."""
+    """A prefix, its score, and the prediction state the prefix leaves.
+    Whether it produced a token in frame i is read off its prefix: the
+    last node's frame is i."""
 
     prefix: Prefix
     log_prob: float
-    pred_state: RecurrentState  # its hidden vector is the prediction output
-    pred_proj: np.ndarray  # pred_state.hidden @ joint.pred_proj
+    state: PredictionState
 
     @property
     def tokens(self) -> tuple[int, ...]:
@@ -159,9 +172,9 @@ def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
     """Advance the prediction network by one token on each of B rows.
 
     `tokens` holds B token ids (None = start symbol) and hidden/cell are
-    the rows' (B, pred_dim) states. Returns the B new states and their
-    outputs' share of every joint call that reads them, the (B, joint_dim)
-    rows hidden @ joint.pred_proj, each its own gemv.
+    the rows' (B, pred_dim) states. Returns the B new states, whose
+    vectors are rows (views) of the stacked output: hidden, cell and their
+    projection hidden @ joint.pred_proj, each row its own gemv.
     """
     pred = model.prediction
     V = len(pred.embedding)
@@ -171,7 +184,8 @@ def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
     # -1: the start symbol's row of input_gates
     x_gates = pred.input_gates[[-1 if k is None else k for k in tokens]]
     h, c = lstm_cell_step(x_gates, hidden, cell, pred.lstm)
-    return RecurrentState.rows(h, c), (h[:, None, :] @ model.joint.pred_proj)[:, 0]
+    projs = (h[:, None, :] @ model.joint.pred_proj)[:, 0]
+    return list(map(PredictionState, h, c, projs))
 
 
 def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
@@ -202,8 +216,8 @@ def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
 
 def start_hypothesis(model) -> Hypothesis:
     zero = np.zeros((1, model.config.pred_dim))
-    (state,), (proj,) = predict_step([None], zero, zero, model)
-    return Hypothesis(Prefix(), 0.0, state, proj)
+    (state,) = predict_step([None], zero, zero, model)
+    return Hypothesis(Prefix(), 0.0, state)
 
 
 def _logsumexp(a: float, b: float) -> float:
@@ -261,81 +275,79 @@ def _merge_children(scores: np.ndarray, actives: list[Hypothesis], base: int,
 
 def _joint_rows(frame_proj: np.ndarray, actives: list[Hypothesis], scored,
                 model) -> np.ndarray:
-    """Joint rows of `actives` on one frame, in one joint call.
+    """Joint rows of `actives` on one frame, in at most one joint call.
 
     `scored` holds the (hypotheses, rows) of the frame's earlier rounds to
-    read, if any: an active whose pred_proj is an array scored there (or
-    an earlier active's) takes that row, and only the others are scored.
-    A row has the bits of its lone call either way.
+    read, or is None: an active whose state was scored there (or is an
+    earlier active's) takes that row, and only the other states are
+    scored. States are shared after a reset, so a first round (`scored`
+    empty) looks them up too unless they are all distinct. A row has the
+    bits of its lone call either way.
     """
-    if not scored:
-        return joint(frame_proj, np.array([h.pred_proj for h in actives]), model)
-    # keyed on arrays that `scored` and `actives` hold for the whole call
+    if scored is None or (not scored and len({h.state for h in actives}) == len(actives)):
+        return joint(frame_proj, np.array([h.state.proj for h in actives]), model)
     row_of, rows = {}, []
     for hyps, block in scored:
         for h, row in zip(hyps, block):
-            row_of.setdefault(id(h.pred_proj), len(rows))
+            row_of.setdefault(h.state, len(rows))
             rows.append(row)
     index, new = [], []
     for h in actives:
-        i = row_of.get(id(h.pred_proj))
+        i = row_of.get(h.state)
         if i is None:
-            i = row_of[id(h.pred_proj)] = len(rows) + len(new)
-            new.append(h.pred_proj)
+            i = row_of[h.state] = len(rows) + len(new)
+            new.append(h.state.proj)
         index.append(i)
     if new:
         rows.extend(joint(frame_proj, np.array(new), model))
     return np.array(rows)[index]
 
 
-def _step(grown, model) -> list:
-    """(state, pred_proj) of each (parent, token, score) child, from one
-    predict_step call."""
-    states, projs = predict_step(
+def _step(grown, model) -> list[PredictionState]:
+    """The state of each (parent, token, score) child, in one predict_step call."""
+    return predict_step(
         [k for _, k, _ in grown],
-        np.array([h.pred_state.hidden for h, _, _ in grown]),
-        np.array([h.pred_state.cell for h, _, _ in grown]),
+        np.array([h.state.hidden for h, _, _ in grown]),
+        np.array([h.state.cell for h, _, _ in grown]),
         model,
     )
-    return list(zip(states, projs))
 
 
 def _step_cached(grown, model) -> tuple[list, bool]:
     """_step through the parents' caches, and whether any child was reused.
 
-    A parent state keeps, in its `children`, the (state, pred_proj) stepped
-    from it by each token: a child stepped before, on this frame or an
-    earlier one, is that same pair. The others are stepped in one call and
-    kept. Equal pairs are equal bits, since each row of predict_step is its
-    own gemv. A reset makes a new zero state, so nothing stepped before it
-    is reused after it.
+    A parent state keeps, in its `children`, the state stepped from it by
+    each token: a child stepped before, on this frame or an earlier one, is
+    that same state. The others are stepped in one call and kept. A reused
+    child has the bits of a new step, since each row of predict_step is
+    its own gemv. A reset makes a new zero state, so nothing stepped before
+    it is reused after it.
     """
     todo = []
     for g in grown:
         h, k, _ = g
-        kids = h.pred_state.children
+        kids = h.state.children
         if kids is None:
-            kids = h.pred_state.children = {}
+            kids = h.state.children = {}
         if k not in kids:
             kids[k] = None  # stepped below, once
             todo.append(g)
     if todo:
         for (h, k, _), kid in zip(todo, _step(todo, model)):
-            h.pred_state.children[k] = kid
-    return ([h.pred_state.children[k] for h, k, _ in grown],
-            len(todo) < len(grown))
+            h.state.children[k] = kid
+    return [h.state.children[k] for h, k, _ in grown], len(todo) < len(grown)
 
 
 def _prune_children(hyps: list[Hypothesis]) -> None:
     """Keep cached children only on the states `hyps` hold: a cached child
     they do not hold drops its own cache. Every state with a cache is then
     held, so at most len(hyps) * (V - 1) children stay cached."""
-    held = {id(h.pred_state) for h in hyps}  # states `hyps` hold
+    held = {h.state for h in hyps}
     for h in hyps:
-        kids = h.pred_state.children
+        kids = h.state.children
         if kids:
-            for state, _ in kids.values():
-                if id(state) not in held:
+            for state in kids.values():
+                if state not in held:
                     state.children = None
 
 
@@ -441,20 +453,20 @@ def _expand_round(
         if pos < base:
             h = finished[pos]
             if scores[pos] != h.log_prob:  # the merge changed its score
-                h = Hypothesis(h.prefix, scores[pos], h.pred_state, h.pred_proj)
+                h = Hypothesis(h.prefix, scores[pos], h.state)
             done.append(h)
             continue
         a, c = divmod(pos - base, V)
         h = actives[a]
         if c == 0:  # closed with blank for the rest of the frame
-            done.append(Hypothesis(h.prefix, scores[pos], h.pred_state, h.pred_proj))
+            done.append(Hypothesis(h.prefix, scores[pos], h.state))
         else:
             grown.append((h, int(tokens[c]), scores[pos]))
     if not grown:
         return done, [], False
     kids, reused = _step_cached(grown, model) if cached else (_step(grown, model), False)
-    return (done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state, proj)
-                   for (h, k, score), (state, proj) in zip(grown, kids)],
+    return (done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state)
+                   for (h, k, score), state in zip(grown, kids)],
             reused)
 
 
@@ -505,11 +517,12 @@ def check_blank_token(hyps: list[Hypothesis], frame_idx: int) -> bool:
 
 
 def reset_prediction_states(hyps: list[Hypothesis], model) -> list[Hypothesis]:
-    """Zero recurrent states, and with them outputs and their joint
-    projections; prefixes and scores untouched."""
-    state = RecurrentState.zeros(model.config.pred_dim)
-    proj = state.hidden @ model.joint.pred_proj
-    return [replace(h, pred_state=state, pred_proj=proj) for h in hyps]
+    """Give every hypothesis one new zero state, whose projection is
+    zeros @ joint.pred_proj; prefixes and scores untouched. Nothing cached
+    on the old states is read after it."""
+    zero = np.zeros(model.config.pred_dim)
+    state = PredictionState(zero, zero, zero @ model.joint.pred_proj)
+    return [Hypothesis(h.prefix, h.log_prob, state) for h in hyps]
 
 
 def _best(hyps: list[Hypothesis]) -> Hypothesis:
@@ -548,13 +561,13 @@ def decode_with_srs(
             (hyp,) = hyps
             n = min(run, h.length - i,
                     srs.t_sil + 1 - counter.count if srs.enabled else h.length)
-            log_probs = joint(projs[i:i + n], hyp.pred_proj[None], model)
+            log_probs = joint(projs[i:i + n], hyp.state.proj[None], model)
             # sequential sums: entry r + 1 has the bits of the per-frame scores
             cum = np.cumsum(np.concatenate([[hyp.log_prob], log_probs[:, blank]]))
             beaten = ~(cum[:-1, None] + log_probs <= cum[1:, None]).all(axis=1)
             k = int(beaten.argmax()) if beaten.any() else n
             if k:
-                hyps = [Hypothesis(hyp.prefix, cum[k], hyp.pred_state, hyp.pred_proj)]
+                hyps = [Hypothesis(hyp.prefix, cum[k], hyp.state)]
                 i += k
                 # runs end by the reset, so only their last frame can fire it
                 if srs.enabled and [counter.update(True) for _ in range(k)][-1]:
@@ -577,16 +590,15 @@ def greedy_decode(h: EncoderOutputs, model) -> Transcript:
     oracle. Like the beam, it ranks the running scores log_prob + log_probs,
     and blank wins an exact tie."""
     blank = model.config.vocab.blank_id
-    hyp = start_hypothesis(model)
+    state = start_hypothesis(model).state
     tokens: list[int] = []
     frames: list[int] = []
     log_prob = 0.0
-    state, proj = hyp.pred_state, hyp.pred_proj[None]
     for i in range(h.length):
         frame_proj = frame_projection(h.h[i], model)
         symbols = 0
         while True:
-            (log_probs,) = joint(frame_proj, proj, model)
+            (log_probs,) = joint(frame_proj, state.proj[None], model)
             scores = log_prob + log_probs
             k = int(np.argmax(scores))
             if k == blank or scores[blank] >= scores[k] or symbols == MAX_SYMBOLS:
@@ -595,7 +607,6 @@ def greedy_decode(h: EncoderOutputs, model) -> Transcript:
             tokens.append(k)
             frames.append(i)
             log_prob = scores[k]
-            (state,), proj = predict_step([k], state.hidden[None],
-                                          state.cell[None], model)
+            (state,) = predict_step([k], state.hidden[None], state.cell[None], model)
             symbols += 1
     return Transcript(tuple(tokens), tuple(frames), log_prob)

@@ -27,10 +27,16 @@ from sparse_rnnt.encoder import (
     _conv1d_valid,
 )
 from sparse_rnnt.errors import EmptyInputError, ParameterError
-from sparse_rnnt.frontend import FeatureMatrix, FrontendConfig
-from sparse_rnnt.model_io import random_model
+from sparse_rnnt.frontend import FeatureMatrix, FrontendConfig, Waveform
+from sparse_rnnt.model_io import ModelConfig, random_model
 from sparse_rnnt.numerics import layer_norm, sigmoid
-from sparse_rnnt.pipeline import _min_input_frames, parse_policy
+from sparse_rnnt.pipeline import (
+    SegmentationSpec,
+    _features,
+    _min_input_frames,
+    parse_policy,
+    prepare_input,
+)
 from tests_oracles import rowwise_sets, rowwise_sparse_attend
 
 POLICIES = ["dense", "local", "local+sgm1", "local+sgm2", "local+sgm3"]
@@ -87,6 +93,23 @@ class TestConvSubsample:
                 while subsampled_length(t, cfg) < 1:
                     t += 1
                 assert _min_input_frames(cfg, 16000) == win + (t - 1) * hop
+
+    def test_min_input_frames_encode_to_one_frame(self, rng):
+        # the shortest waveform prepare_input keeps encodes to exactly one
+        # frame, and one sample less is skipped: it could not be encoded
+        for model in (random_model(tiny_config(), 0),
+                      random_model(ModelConfig.desk_scale(), 7)):
+            F = model.config.feat_dim
+            for rate in (51, 100, 8000, 16000, 22050, 44100, 48000):
+                n = _min_input_frames(model.config.encoder, rate)
+                w = Waveform(rng.normal(size=n), rate)
+                ((_, f),) = prepare_input(model, w, SegmentationSpec())
+                assert encode(f, model, MaskPolicy.local())[0].length == 1
+                short = Waveform(w.samples[:-1], rate)
+                ((_, none),) = prepare_input(model, short, SegmentationSpec())
+                assert none is None
+                with pytest.raises(EmptyInputError):
+                    encode(_features(short, F), model, MaskPolicy.local())
 
     def test_zero_weights_zero_output(self, rng):
         cfg = tiny_config().encoder

@@ -4,7 +4,6 @@ import pytest
 from sparse_rnnt.errors import ShapeError
 from sparse_rnnt.numerics import (
     LstmWeights,
-    RecurrentState,
     layer_norm,
     lstm_cell_step,
     matmul,
@@ -155,20 +154,3 @@ class TestLstmCell:
             lstm_cell_step(np.zeros((2, 8)), zero, zero, w)
         with pytest.raises(ShapeError):
             lstm_cell_step(np.zeros((1, 8)), zero, np.zeros((1, 3)), w)
-
-
-class TestRecurrentState:
-    def test_callers_states_checked(self):
-        state = RecurrentState([1, 2], [3, 4])
-        assert state.hidden.dtype == np.float64
-        with pytest.raises(ShapeError):
-            RecurrentState(np.zeros(2), np.zeros(3))
-
-    def test_rows_are_views_of_the_stack(self, rng):
-        h, c = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        states = RecurrentState.rows(h, c)
-        assert len(states) == 3
-        for r, state in enumerate(states):
-            assert state.hidden.base is h and state.cell.base is c
-            assert np.array_equal(state.hidden, h[r])
-            assert np.array_equal(state.cell, c[r])

@@ -10,7 +10,6 @@ from sparse_rnnt import transducer
 from sparse_rnnt.encoder import EncoderOutputs
 from sparse_rnnt.errors import ParameterError, ShapeError, VocabularyError
 from sparse_rnnt.model_io import ModelConfig, Vocabulary, random_model
-from sparse_rnnt.numerics import RecurrentState
 from sparse_rnnt.transducer import (
     Prefix,
     SrsCounter,
@@ -26,6 +25,7 @@ from sparse_rnnt.transducer import (
     start_hypothesis,
 )
 from tests_oracles import (
+    LstmState,
     eager_beam_search_step,
     frame_by_frame_decode,
     hypothesis_of,
@@ -42,10 +42,9 @@ def enc_outputs(rng, model, T):
 
 
 def predict_one(token_id, state, model):
-    """predict_step on one row: (new state, its pred_proj row)."""
-    (new,), (proj,) = predict_step([token_id], state.hidden[None], state.cell[None],
-                                   model)
-    return new, proj
+    """predict_step on one row: (new state, its projection)."""
+    (new,) = predict_step([token_id], state.hidden[None], state.cell[None], model)
+    return new, new.proj
 
 
 def joint_one(frame_proj, pred_proj, model):
@@ -60,11 +59,11 @@ class TestPredictStep:
         model.prediction.lstm.w_x[:] = 0
         model.prediction.lstm.w_h[:] = 0
         model.prediction.lstm.bias[:] = 0
-        state, _ = predict_one(None, RecurrentState.zeros(4), model)
+        state, _ = predict_one(None, LstmState.zeros(4), model)
         assert np.array_equal(state.hidden, np.zeros(4))
 
     def test_deterministic(self, tiny_model):
-        s = RecurrentState.zeros(4)
+        s = LstmState.zeros(4)
         s1, p1 = predict_one(2, s, tiny_model)
         s2, p2 = predict_one(2, s, tiny_model)
         assert np.array_equal(s1.hidden, s2.hidden)
@@ -73,7 +72,7 @@ class TestPredictStep:
 
     def test_invalid_token(self, tiny_model):
         with pytest.raises(VocabularyError):
-            predict_one(99, RecurrentState.zeros(4), tiny_model)
+            predict_one(99, LstmState.zeros(4), tiny_model)
 
     def test_weights_read_only_once_cached(self):
         # the input_gates table is built on first use; editing the weights
@@ -82,16 +81,36 @@ class TestPredictStep:
         pred = model.prediction
         pred.embedding[0, 0] += 1.0
         pred.lstm.w_x[0, 0] += 1.0
-        predict_one(1, RecurrentState.zeros(4), model)
+        predict_one(1, LstmState.zeros(4), model)
         for weights in (pred.embedding, pred.lstm.w_x):
             with pytest.raises(ValueError, match="read-only"):
                 weights[0, 0] = 0.0
         pred.lstm.w_h[0, 0] += 1.0  # not cached, stays writable
 
+    def test_states_are_views_of_the_stack(self, tiny_model, rng, monkeypatch):
+        stacks = []
+        real = transducer.lstm_cell_step
+
+        def spy(*args):
+            stacks.append(real(*args))
+            return stacks[-1]
+
+        monkeypatch.setattr(transducer, "lstm_cell_step", spy)
+        hidden, cell = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        states = predict_step([None, 1, 2], hidden, cell, tiny_model)
+        ((h, c),) = stacks
+        assert len(states) == 3
+        for r, state in enumerate(states):
+            assert state.hidden.base is h and state.cell.base is c
+            assert state.proj.base is states[0].proj.base
+            assert np.array_equal(state.hidden, h[r])
+            assert np.array_equal(state.cell, c[r])
+            assert np.array_equal(state.proj, h[r] @ tiny_model.joint.pred_proj)
+
     def test_start_symbol_uses_zero_embedding(self, tiny_model):
-        s1, _ = predict_one(None, RecurrentState.zeros(4), tiny_model)
+        s1, _ = predict_one(None, LstmState.zeros(4), tiny_model)
         # feeding an explicit zero embedding through the cell must agree
-        g2, _ = oracle_lstm_cell_step(np.zeros(4), RecurrentState.zeros(4),
+        g2, _ = oracle_lstm_cell_step(np.zeros(4), LstmState.zeros(4),
                                       tiny_model.prediction.lstm)
         assert np.array_equal(s1.hidden, g2)
 
@@ -143,10 +162,10 @@ class TestCachedKernels:
         hyps = [start_hypothesis(model)]
         for i in range(3):
             hyps = beam_search_step(rng.normal(size=D), hyps, 4, model, frame_idx=i)
-        reset = [h.pred_state for h in reset_prediction_states(hyps, model)]
-        return [RecurrentState.zeros(n),
-                RecurrentState(rng.normal(size=n), rng.normal(size=n)),
-                RecurrentState(rng.normal(size=n), rng.normal(size=n)), *reset]
+        reset = [h.state for h in reset_prediction_states(hyps, model)]
+        return [LstmState.zeros(n),
+                LstmState(rng.normal(size=n), rng.normal(size=n)),
+                LstmState(rng.normal(size=n), rng.normal(size=n)), *reset]
 
     def test_predict_step_every_token(self, model):
         # stacks of B = 1..8 rows, mixing every token with every state
@@ -156,9 +175,10 @@ class TestCachedKernels:
             for first in range(0, len(tokens), B):
                 rows = [(tokens[(first + r) % len(tokens)],
                          states[(first + 3 * r) % len(states)]) for r in range(B)]
-                got, projs = predict_step(
+                got = predict_step(
                     [k for k, _ in rows], np.array([s.hidden for _, s in rows]),
                     np.array([s.cell for _, s in rows]), model)
+                projs = np.array([s.proj for s in got])
                 assert len(got) == B and projs.shape == (B, model.config.joint_dim)
                 for (k, state), new, proj in zip(rows, got, projs):
                     one, one_proj = predict_one(k, state, model)
@@ -194,8 +214,9 @@ class TestCachedKernels:
         # lone frame's
         rng = np.random.default_rng(14)
         D = model.config.encoder.model_dim
-        (state,), (proj,) = predict_step([1], np.zeros((1, model.config.pred_dim)),
-                                         np.zeros((1, model.config.pred_dim)), model)
+        (state,) = predict_step([1], np.zeros((1, model.config.pred_dim)),
+                                np.zeros((1, model.config.pred_dim)), model)
+        proj = state.proj
         for L in (1, 2, 17, 300):
             h = rng.normal(size=(L, D))
             projs = frame_projection(h, model)
@@ -222,18 +243,18 @@ class TestCachedKernels:
         reset = reset_prediction_states(hyps, model)
         h_t = rng.normal(size=D)
         got = joint(frame_projection(h_t, model),
-                    np.array([h.pred_proj for h in reset]), model)
+                    np.array([h.state.proj for h in reset]), model)
         for row in got:
             assert np.array_equal(row, oracle_joint(h_t, np.zeros(n), model))
         tokens = [(None, 1)[r % 2] for r in range(len(reset))]
-        states, projs = predict_step(
-            tokens, np.array([h.pred_state.hidden for h in reset]),
-            np.array([h.pred_state.cell for h in reset]), model)
-        for k, state, proj in zip(tokens, states, projs):
-            g, want = oracle_predict_step(k, RecurrentState.zeros(n), model)
+        states = predict_step(
+            tokens, np.array([h.state.hidden for h in reset]),
+            np.array([h.state.cell for h in reset]), model)
+        for k, state in zip(tokens, states):
+            g, want = oracle_predict_step(k, LstmState.zeros(n), model)
             assert np.array_equal(state.hidden, want.hidden)
             assert np.array_equal(state.cell, want.cell)
-            assert np.array_equal(proj, g @ model.joint.pred_proj)
+            assert np.array_equal(state.proj, g @ model.joint.pred_proj)
 
     def test_invalid_token_inside_a_stack(self, model):
         V = len(model.config.vocab)
@@ -318,13 +339,13 @@ class TestBeamSearch:
         model.joint.out_bias[:] = -10.0
         model.joint.out_bias[model.config.vocab.blank_id] = 10.0
         h = start_hypothesis(model)
-        state_before = h.pred_state.hidden.copy()
+        state_before = h.state.hidden.copy()
         hyps = [h]
         for i in range(5):
             hyps = beam_search_step(np.zeros(8), hyps, 1, model, frame_idx=i)
         assert len(hyps) == 1
         assert hyps[0].tokens == ()
-        assert np.array_equal(hyps[0].pred_state.hidden, state_before)
+        assert np.array_equal(hyps[0].state.hidden, state_before)
         assert check_blank_token(hyps, 4)
 
     def test_beam_one_equals_greedy(self, rng):
@@ -369,7 +390,7 @@ class TestBeamSearch:
 
         h0 = start_hypothesis(model)
         totals = {}
-        for tokens, lp in paths(0, h0.pred_state, h0.pred_state.hidden, 0.0, ()):
+        for tokens, lp in paths(0, h0.state, h0.state.hidden, 0.0, ()):
             totals.setdefault(tokens, []).append(lp)
         expected = {
             t: np.logaddexp.reduce(np.array(lps)) for t, lps in totals.items()
@@ -416,9 +437,9 @@ def assert_same_hyps(got, want, frame_idx):
         assert a.tokens == b.tokens
         assert a.frames == b.frames
         assert a.log_prob == b.log_prob
-        assert np.array_equal(a.pred_state.hidden, b.pred_state.hidden)
-        assert np.array_equal(a.pred_state.cell, b.pred_state.cell)
-        assert np.array_equal(a.pred_proj, b.pred_proj)
+        assert np.array_equal(a.state.hidden, b.state.hidden)
+        assert np.array_equal(a.state.cell, b.state.cell)
+        assert np.array_equal(a.state.proj, b.state.proj)
         assert (a.prefix.frame == frame_idx) == emitted
 
 
@@ -466,7 +487,7 @@ class TestDeferredExpansion:
         # (2, ...) first, so only the token tie-break picks the survivors.
         model = equivalence_models()[-1]
         h0 = start_hypothesis(model)
-        state, _ = predict_one(1, h0.pred_state, model)
+        state, _ = predict_one(1, h0.state, model)
         lp = oracle_joint(np.zeros(8), state.hidden, model)
         assert lp[1] == lp[2]
         hyps = [hypothesis_of((2,), (0,), -1.0, state, model),
@@ -489,10 +510,10 @@ class TestDeferredExpansion:
         model = random_model(tiny_config(vocab_size=29), 5)
         blank = model.config.vocab.blank_id
         h0 = start_hypothesis(model)
-        state, _ = predict_one(1, h0.pred_state, model)
+        state, _ = predict_one(1, h0.state, model)
         h_i = rng.normal(size=8)
         lp_a = oracle_joint(h_i, state.hidden, model)
-        lp_b = oracle_joint(h_i, h0.pred_state.hidden, model)
+        lp_b = oracle_joint(h_i, h0.state.hidden, model)
         target = -2.0 + lp_b[1]
         a_lp = target - lp_a[blank]
         assert a_lp + lp_a[blank] == target
@@ -508,8 +529,8 @@ class TestDeferredExpansion:
 
     def test_duplicate_prefixes_in_input_merge_like_eager(self, tiny_model, rng):
         h0 = start_hypothesis(tiny_model)
-        state, proj = predict_one(1, h0.pred_state, tiny_model)
-        other = replace(h0, log_prob=-0.7, pred_state=state, pred_proj=proj)
+        state, _ = predict_one(1, h0.state, tiny_model)
+        other = replace(h0, log_prob=-0.7, state=state)
         hyps = [h0, other, replace(h0, prefix=prefix_of((3,), (0,)), log_prob=-1.1)]
         for beam in (2, 5, 40):
             h_i = rng.normal(size=8)
@@ -591,10 +612,10 @@ class TestPrefixIdentity:
     def test_equal_tokens_on_different_chains_merge(self, tiny_model, rng):
         # (1, 2) twice, on separate chains and with different states
         h0 = start_hypothesis(tiny_model)
-        s1, _ = predict_one(1, h0.pred_state, tiny_model)
+        s1, _ = predict_one(1, h0.state, tiny_model)
         hyps = [hypothesis_of((1, 2), (0, 0), -0.3, s1, tiny_model),
-                hypothesis_of((3,), (0,), -0.9, h0.pred_state, tiny_model),
-                hypothesis_of((1, 2), (0, 0), -0.6, h0.pred_state, tiny_model)]
+                hypothesis_of((3,), (0,), -0.9, h0.state, tiny_model),
+                hypothesis_of((1, 2), (0, 0), -0.6, h0.state, tiny_model)]
         for beam in (2, 5, 40):
             for max_exp in (1, 2):
                 h_i = rng.normal(size=8)
@@ -621,8 +642,8 @@ class TestPrefixIdentity:
             assert decode_with_srs(out, m, beam=4, srs=SrsParams(t_sil=1)) == w
         model = models[0]
         h0 = start_hypothesis(model)
-        hyps = [hypothesis_of((1,), (0,), -0.5, h0.pred_state, model),
-                hypothesis_of((2,), (0,), -0.5, h0.pred_state, model)]
+        hyps = [hypothesis_of((1,), (0,), -0.5, h0.state, model),
+                hypothesis_of((2,), (0,), -0.5, h0.state, model)]
         h_i = rng.normal(size=8)
         got = beam_search_step(h_i, hyps, 8, model, frame_idx=1, max_expansions=2)
         assert_same_hyps(got, eager_beam_search_step(h_i, hyps, 8, model, 1, 2), 1)
@@ -655,7 +676,7 @@ class TestSrsMergeState:
         # carried-over finished (1,). The carried entry is first in pool
         # order, so its zero state is the one kept.
         h0 = start_hypothesis(tiny_model)
-        s1, _ = predict_one(1, h0.pred_state, tiny_model)
+        s1, _ = predict_one(1, h0.state, tiny_model)
         h1 = hypothesis_of((1,), (0,), -0.25, s1, tiny_model)
         pool = reset_prediction_states([h1, replace(h0, log_prob=-0.5)], tiny_model)
         h_i = rng.normal(size=8)
@@ -666,17 +687,17 @@ class TestSrsMergeState:
         merged = next(h for h in got if h.tokens == (1,))
         blank = tiny_model.config.vocab.blank_id
         zero_out = np.zeros(4)
-        g_re, s_re = oracle_predict_step(1, pool[1].pred_state, tiny_model)
+        g_re, s_re = oracle_predict_step(1, pool[1].state, tiny_model)
         carried = -0.25 + oracle_joint(h_i, zero_out, tiny_model)[blank]
         reemitted = (-0.5 + oracle_joint(h_i, zero_out, tiny_model)[1]
                      + oracle_joint(h_i, g_re, tiny_model)[blank])
         assert merged.log_prob == pytest.approx(np.logaddexp(carried, reemitted),
                                                 abs=1e-12)
         assert not np.array_equal(s_re.hidden, np.zeros(4))
-        assert np.array_equal(merged.pred_state.hidden, np.zeros(4))
-        assert np.array_equal(merged.pred_state.cell, np.zeros(4))
-        assert np.array_equal(merged.pred_state.hidden, zero_out)
-        assert np.array_equal(merged.pred_proj, zero_out @ tiny_model.joint.pred_proj)
+        assert np.array_equal(merged.state.hidden, np.zeros(4))
+        assert np.array_equal(merged.state.cell, np.zeros(4))
+        assert np.array_equal(merged.state.hidden, zero_out)
+        assert np.array_equal(merged.state.proj, zero_out @ tiny_model.joint.pred_proj)
 
 
 class TestDecodeWithSrs:
@@ -708,9 +729,9 @@ class TestDecodeWithSrs:
         after = reset_prediction_states(hyps, tiny_model)
         assert [(x.tokens, x.log_prob) for x in after] == before
         for x in after:
-            assert np.array_equal(x.pred_state.hidden, np.zeros(4))
-            assert np.array_equal(x.pred_state.cell, np.zeros(4))
-            assert np.array_equal(x.pred_state.hidden, np.zeros(4))
+            assert np.array_equal(x.state.hidden, np.zeros(4))
+            assert np.array_equal(x.state.cell, np.zeros(4))
+            assert np.array_equal(x.state.hidden, np.zeros(4))
 
     def test_srs_changes_decoding_after_long_silence(self, rng):
         # engineered model: emit, then a long silent stretch, then emit again;
@@ -907,7 +928,7 @@ def cache_models():
 def live_children(hyps):
     """Cached children reachable from the states of `hyps`, through each
     state's cache and its cached children's, each state counted once."""
-    seen, stack, n = set(), [h.pred_state for h in hyps], 0
+    seen, stack, n = set(), [h.state for h in hyps], 0
     while stack:
         state = stack.pop()
         if id(state) in seen:  # every state stays reachable from `hyps`
@@ -915,7 +936,7 @@ def live_children(hyps):
         seen.add(id(state))
         kids = state.children or {}
         n += len(kids)
-        stack.extend(child for child, _ in kids.values())
+        stack.extend(kids.values())
     return n
 
 
@@ -992,9 +1013,9 @@ class TestChildCache:
             for h in hyps:
                 first = seen.setdefault(h.tokens, h)
                 compared[0] += first is not h
-                assert np.array_equal(first.pred_state.hidden, h.pred_state.hidden)
-                assert np.array_equal(first.pred_state.cell, h.pred_state.cell)
-                assert np.array_equal(first.pred_proj, h.pred_proj)
+                assert np.array_equal(first.state.hidden, h.state.hidden)
+                assert np.array_equal(first.state.cell, h.state.cell)
+                assert np.array_equal(first.state.proj, h.state.proj)
 
         real = transducer._expand_round
 
@@ -1045,6 +1066,60 @@ class TestChildCache:
             assert len(pairs) == len(set(pairs)) == 4  # start symbol + 3 children
             assert len(joint_rows) == out.length + 1
             assert sum(joint_rows) == 4 * out.length
+
+    @pytest.mark.parametrize("t_sil", [None, 1, 2])
+    def test_state_invariants(self, t_sil):
+        # after every frame each state's projection is its hidden vector's;
+        # right after a reset every hypothesis holds one new zero state,
+        # with nothing cached on it
+        srs = SrsParams(t_sil=t_sil or 1, enabled=t_sil is not None)
+        resets = 0
+        for seed, (model, T) in enumerate(cache_models()):
+            out = enc_outputs(np.random.default_rng(seed), model, T)
+            W = model.joint.pred_proj
+            for beam in (2, 4, 8):
+                hyps, counter = [start_hypothesis(model)], SrsCounter(srs.t_sil)
+                for i in range(out.length):
+                    hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+                    if srs.enabled and counter.update(check_blank_token(hyps, i)):
+                        hyps = reset_prediction_states(hyps, model)
+                        state = hyps[0].state
+                        assert all(h.state is state for h in hyps)
+                        assert state.children is None
+                        assert not state.hidden.any() and not state.cell.any()
+                        resets += 1
+                    for h in hyps:
+                        assert np.array_equal(h.state.proj, h.state.hidden @ W)
+        assert resets >= 10 or t_sil is None
+
+    def test_reset_state_scored_once(self, monkeypatch):
+        # after a reset every hypothesis holds one zero state; the first
+        # round scores its joint row once, not once per hypothesis, and the
+        # decode keeps the uncached search's bits
+        model = random_model(tiny_config(), 3)
+        model.joint.out_bias[model.config.vocab.blank_id] += 4.0
+        out = enc_outputs(np.random.default_rng(0), model, 200)
+        srs, beam = SrsParams(t_sil=1), 4
+        hyps, counter, resets = [start_hypothesis(model)], SrsCounter(1), 0
+        for i in range(out.length):
+            hyps = [h for h, _ in eager_beam_search_step(out.h[i], hyps, beam, model, i)]
+            if counter.update(check_blank_token(hyps, i)):
+                hyps = reset_prediction_states(hyps, model)
+                resets += 1
+        best = transducer._best(hyps)
+        want = transducer.Transcript(best.tokens, best.frames, best.log_prob)
+        repeated = []
+        real = transducer.joint
+
+        def spy(frame_proj, pred_projs, model):
+            repeated.append(len(pred_projs) - len(np.unique(pred_projs, axis=0)))
+            return real(frame_proj, pred_projs, model)
+
+        monkeypatch.setattr(transducer, "joint", spy)
+        got = decode_with_srs(out, model, beam=beam, srs=srs)
+        assert resets > 40 and len(got.token_ids) > 0
+        assert same_transcript(got, want)
+        assert sum(repeated) == 0
 
     def test_cache_bounded(self):
         # a mixed regime with SRS off, so states live long and carried

@@ -1,9 +1,11 @@
 """Test-only straight-line oracles, independent of the library code paths."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from sparse_rnnt.attention import BandScores, score_blocks
-from sparse_rnnt.numerics import RecurrentState, layer_norm, sigmoid
+from sparse_rnnt.numerics import layer_norm, sigmoid
 
 
 def oracle_sparse_attend(z, mh, policy):
@@ -170,6 +172,17 @@ def oracle_log_mel_spectrogram(w, cfg, fft_size):
     return frames
 
 
+class LstmState(NamedTuple):
+    """Hidden and cell vectors of an LSTM, as the oracles step them."""
+
+    hidden: np.ndarray
+    cell: np.ndarray
+
+    @classmethod
+    def zeros(cls, size):
+        return cls(np.zeros(size), np.zeros(size))
+
+
 def oracle_lstm_cell_step(x, state, weights):
     """The LSTM step on a raw input, every gate block taken on its own."""
     n = weights.cell_size
@@ -180,7 +193,7 @@ def oracle_lstm_cell_step(x, state, weights):
     o = sigmoid(gates[3 * n :])
     c = f * state.cell + i * g
     h = o * np.tanh(c)
-    return h, RecurrentState(h, c)
+    return h, LstmState(h, c)
 
 
 def oracle_predict_step(token_id, state, model):
@@ -213,12 +226,12 @@ def prefix_of(tokens, frames):
 
 
 def hypothesis_of(tokens, frames, log_prob, state, model):
-    """A hypothesis on a fresh prefix chain, its joint projection formed
-    from `state` with no cached product."""
-    from sparse_rnnt.transducer import Hypothesis
+    """A hypothesis on a fresh prefix chain and a new state holding the
+    vectors of `state`, its joint projection formed with no cached product."""
+    from sparse_rnnt.transducer import Hypothesis, PredictionState
 
-    return Hypothesis(prefix_of(tokens, frames), log_prob, state,
-                      state.hidden @ model.joint.pred_proj)
+    return Hypothesis(prefix_of(tokens, frames), log_prob, PredictionState(
+        state.hidden, state.cell, state.hidden @ model.joint.pred_proj))
 
 
 def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
@@ -239,7 +252,7 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
         tokens: tuple
         frames: tuple
         log_prob: float
-        pred_state: RecurrentState
+        state: LstmState
         last_was_blank: bool
 
         def sort_key(self):
@@ -278,7 +291,7 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
         )
 
     blank = model.config.vocab.blank_id
-    pool = [Entry(Hyp(h.tokens, h.frames, h.log_prob, h.pred_state,
+    pool = [Entry(Hyp(h.tokens, h.frames, h.log_prob, h.state,
                       last_was_blank=True), active=True, emitted=False)
             for h in hyps_prev]
     for _ in range(max_expansions):
@@ -287,12 +300,12 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
             break
         new_entries = [e for e in pool if not e.active]
         for ent in actives:
-            log_probs = oracle_joint(h_i, ent.hyp.pred_state.hidden, model)
+            log_probs = oracle_joint(h_i, ent.hyp.state.hidden, model)
             new_entries.append(blank_child(ent, log_probs))
             for k in range(len(log_probs)):
                 if k == blank:
                     continue
-                _, state = oracle_predict_step(k, ent.hyp.pred_state, model)
+                _, state = oracle_predict_step(k, ent.hyp.state, model)
                 new_entries.append(Entry(
                     Hyp(ent.hyp.tokens + (k,), ent.hyp.frames + (frame_idx,),
                         ent.hyp.log_prob + log_probs[k], state, last_was_blank=False),
@@ -304,10 +317,10 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
         finished = [e for e in pool if not e.active]
         for ent in leftover:
             finished.append(blank_child(
-                ent, oracle_joint(h_i, ent.hyp.pred_state.hidden, model)))
+                ent, oracle_joint(h_i, ent.hyp.state.hidden, model)))
         pool = merge_and_prune(finished)
     return [(hypothesis_of(e.hyp.tokens, e.hyp.frames, e.hyp.log_prob,
-                           e.hyp.pred_state, model), not e.hyp.last_was_blank)
+                           e.hyp.state, model), not e.hyp.last_was_blank)
             for e in pool]
 
 
