@@ -175,9 +175,17 @@ def cmd_decode(args) -> int:
 def cmd_sweep(args) -> int:
     # the whole grid and the input ids are checked before the model or any
     # input is read
-    grid = [(mask.strip(), _decode_options(args, mask, seg))
-            for mask in args.masks.split(",")
-            for seg in args.segmentations.split(",")]
+    grid = {}  # (policy, segmentation kind, doi length) -> (as given, options)
+    for mask in args.masks.split(","):
+        for seg in args.segmentations.split(","):
+            opts = _decode_options(args, mask, seg)
+            key = (mask.strip().lower(), opts.segmentation.kind,
+                   opts.segmentation.doi_length)
+            point = f"{mask.strip()}/{seg.strip()}"
+            if key in grid:
+                raise ParameterError(f"grid points {grid[key][0]} and {point} "
+                                     f"are the same")
+            grid[key] = point, opts
     paths = _input_paths(args.inputs)
     model = load_model(args.model)
     refs = _read_tsv(args.refs)
@@ -188,17 +196,17 @@ def cmd_sweep(args) -> int:
     # the encode and decode run for every mask
     inputs = [(refs[path.stem], read_input(path)) for path in paths]
     segmentations = []
-    for _, opts in grid:
+    for _, opts in grid.values():
         if opts.segmentation not in segmentations:
             segmentations.append(opts.segmentation)
     results = {}
     for seg in segmentations:
         prepared = [(ref, prepare_input(model, x, seg)) for ref, x in inputs]
-        for mask, opts in grid:
+        for key, (_, opts) in grid.items():
             if opts.segmentation == seg:
                 pairs = [(ref, decode_prepared(model, x, opts).text)
                          for ref, x in prepared]
-                results[(mask, seg.kind, seg.doi_length)] = corpus_cer(pairs)
+                results[key] = corpus_cer(pairs)
     sweep_report(results, args.out)
     print(f"wrote {len(results)} sweep rows to {args.out}")
     return EXIT_OK

@@ -255,52 +255,25 @@ def _merge_finished(scores: np.ndarray, finished, dropped: list[int]) -> None:
             dropped.append(pos)
 
 
-def _merge_children(scores: np.ndarray, actives: list[Hypothesis], base: int,
-                    V: int, dropped: list[int]) -> None:
-    """Merge the children of parents that share a prefix, in list order.
-
-    Folds each later duplicate's non-blank children into its first
-    parent's with log-sum-exp and drops them; a no-op when the prefixes
-    are distinct.
-    """
-    first: dict = {}
-    for a, hyp in enumerate(actives):
-        kept = first.setdefault(hyp.prefix, a)
-        if kept != a:
-            for c in range(1, V):
-                i, j = base + kept * V + c, base + a * V + c
-                scores[i] = _logsumexp(scores[i], scores[j])
-                dropped.append(j)
-
-
-def _joint_rows(frame_proj: np.ndarray, actives: list[Hypothesis], scored,
-                model) -> np.ndarray:
+def _joint_rows(frame_proj: np.ndarray, actives: list[Hypothesis], rows: dict,
+                cached: bool, model) -> np.ndarray:
     """Joint rows of `actives` on one frame, in at most one joint call.
 
-    `scored` holds the (hypotheses, rows) of the frame's earlier rounds to
-    read, or is None: an active whose state was scored there (or is an
-    earlier active's) takes that row, and only the other states are
-    scored. States are shared after a reset, so a first round (`scored`
-    empty) looks them up too unless they are all distinct. A row has the
-    bits of its lone call either way.
+    `rows`, the frame's table of each scored state's row, takes the rows
+    scored here. With `cached`, once `rows` is filled or when actives share
+    a state (after a reset), an active whose state has a row takes it and
+    only new states are scored; otherwise one direct call scores them all.
+    A row has the bits of its lone call either way.
     """
-    if scored is None or (not scored and len({h.state for h in actives}) == len(actives)):
-        return joint(frame_proj, np.array([h.state.proj for h in actives]), model)
-    row_of, rows = {}, []
-    for hyps, block in scored:
-        for h, row in zip(hyps, block):
-            row_of.setdefault(h.state, len(rows))
-            rows.append(row)
-    index, new = [], []
-    for h in actives:
-        i = row_of.get(h.state)
-        if i is None:
-            i = row_of[h.state] = len(rows) + len(new)
-            new.append(h.state.proj)
-        index.append(i)
-    if new:
-        rows.extend(joint(frame_proj, np.array(new), model))
-    return np.array(rows)[index]
+    states = [h.state for h in actives]
+    if cached and (rows or len(set(states)) < len(states)):
+        new = list(dict.fromkeys(s for s in states if s not in rows))
+        if new:
+            rows.update(zip(new, joint(frame_proj, np.array([s.proj for s in new]), model)))
+        return np.array([rows[s] for s in states])
+    log_probs = joint(frame_proj, np.array([s.proj for s in states]), model)
+    rows.update(zip(states, log_probs))
+    return log_probs
 
 
 def _step(grown, model) -> list[PredictionState]:
@@ -352,8 +325,8 @@ def _prune_children(hyps: list[Hypothesis]) -> None:
 
 
 def _break_ties(order: list[int], scores: np.ndarray, beam: int,
-                finished: list[Hypothesis], actives: list[Hypothesis], V: int,
-                tokens: np.ndarray) -> list[int]:
+                finished: list[Hypothesis], actives: list[Hypothesis],
+                cols: np.ndarray) -> list[int]:
     """The best `beam` positions of `order`, which is in (-score, position)
     order, after each run of exactly equal scores is sorted on its token
     sequences (a stable sort, so equal keys keep position order). Token
@@ -363,8 +336,8 @@ def _break_ties(order: list[int], scores: np.ndarray, beam: int,
     def tokens_of(pos: int) -> tuple[int, ...]:
         if pos < base:
             return finished[pos].tokens
-        a, c = divmod(pos - base, V)
-        return actives[a].tokens + ((int(tokens[c]),) if c else ())
+        a, c = divmod(pos - base, len(cols))
+        return actives[a].tokens + ((int(cols[c]),) if c else ())
 
     chosen: list[int] = []
     i = 0
@@ -389,24 +362,25 @@ def _expand_round(
     frame_idx: int,
     grow: bool,
     cached: bool,
-    scored: list,
+    rows: dict,
 ) -> tuple[list[Hypothesis], list[Hypothesis], bool]:
     """One expansion round: score from the joint, merge, prune, then step.
 
-    `finished` have taken blank in this frame and `actives` may still
-    emit in it. One joint call scores every active; the round's (actives,
-    rows) go on `scored`, the frame's list. Its blank child is finished;
-    with `grow`, its non-blank children are candidates too. Candidates are
-    known by their position and a score until they survive: positions
-    number the carried finished hypotheses first, then per active its
-    blank child followed by its non-blank children in token order.
-    Candidates are ranked on the key (-log_prob, tokens), exact ties kept
-    in position order, and only the best `beam` survive; one predict_step
-    call steps the children among them. Returns the survivors as
-    (finished, actives), each in rank order, and whether a child was
-    reused. Children never merge with finished hypotheses, and children of
-    parents with distinct prefixes never merge at all; only a caller's
-    hypothesis list can repeat a prefix.
+    `finished` have taken blank in this frame and `actives`, whose
+    prefixes are distinct, may still emit in it. One joint call at most
+    scores the actives (`_joint_rows`), whose rows join `rows`, the
+    frame's table. An active's blank child is finished; with `grow`, its
+    non-blank children are candidates too, and without it (the round past
+    the cap) it has only the blank child. Candidates are known by their
+    position and a score until they survive: positions number the carried
+    finished hypotheses first, then per active its blank child followed by
+    its non-blank children in token order. Only a blank child can merge,
+    with a finished hypothesis on its prefix: distinct parents give
+    distinct children. Candidates are ranked on the key (-log_prob,
+    tokens), exact ties kept in position order, and only the best `beam`
+    survive; one predict_step call steps the children among them. Returns
+    the survivors as (finished, actives), each in rank order, and whether
+    a child was reused.
 
     With `cached`, children are stepped through their parents' caches
     (`_step_cached`), and an active takes a row scored earlier in the
@@ -414,39 +388,32 @@ def _expand_round(
     reused in the round before can hold a cache or such a row, so other
     rounds skip both.
     """
-    blank = model.config.vocab.blank_id
-    V = len(model.config.vocab)
     base = len(finished)
-    tokens = _child_tokens(V, blank)
-    log_probs = _joint_rows(frame_proj, actives, scored if cached else None, model)
-    scored.append((actives, log_probs))
+    cols = _child_tokens(len(model.config.vocab), model.config.vocab.blank_id)
+    if not grow:
+        cols = cols[:1]
+    C = len(cols)
+    log_probs = _joint_rows(frame_proj, actives, rows, cached, model)
     kid = (np.array([h.log_prob for h in actives])[:, None]
-           + log_probs.take(tokens, axis=1))
+           + log_probs.take(cols, axis=1))
     scores = np.concatenate([[h.log_prob for h in finished], kid.ravel()])
     dropped: list[int] = []
     _merge_finished(scores, [(pos, h.prefix) for pos, h in enumerate(finished)]
-                    + [(base + a * V, h.prefix) for a, h in enumerate(actives)],
+                    + [(base + a * C, h.prefix) for a, h in enumerate(actives)],
                     dropped)
-    if grow:
-        _merge_children(scores, actives, base, V, dropped)
     # a stable sort of candidates in position order on -score ranks them
     # on (-score, position)
-    if grow and not dropped:  # every position is a candidate
-        order = np.argsort(-scores, kind="stable")
-    else:
+    order = np.argsort(-scores, kind="stable")
+    if dropped:
         keep = np.ones(len(scores), dtype=bool)
-        if not grow:
-            keep[base:] = False
-            keep[base::V] = True
         keep[dropped] = False
-        candidates = np.flatnonzero(keep)
-        order = candidates[np.argsort(-scores[candidates], kind="stable")]
+        order = order[keep[order]]
     head = order[:beam + 1]
     top = scores[head].tolist()
     if len(set(top)) == len(top):  # no exact tie decides who survives
         chosen = head[:beam].tolist()
     else:
-        chosen = _break_ties(order.tolist(), scores, beam, finished, actives, V, tokens)
+        chosen = _break_ties(order.tolist(), scores, beam, finished, actives, cols)
     done: list[Hypothesis] = []
     grown = []  # (parent, token, score) of each surviving child
     for pos in chosen:
@@ -456,12 +423,12 @@ def _expand_round(
                 h = Hypothesis(h.prefix, scores[pos], h.state)
             done.append(h)
             continue
-        a, c = divmod(pos - base, V)
+        a, c = divmod(pos - base, C)
         h = actives[a]
         if c == 0:  # closed with blank for the rest of the frame
             done.append(Hypothesis(h.prefix, scores[pos], h.state))
         else:
-            grown.append((h, int(tokens[c]), scores[pos]))
+            grown.append((h, int(cols[c]), scores[pos]))
     if not grown:
         return done, [], False
     kids, reused = _step_cached(grown, model) if cached else (_step(grown, model), False)
@@ -487,15 +454,18 @@ def beam_search_step(
     stepped only for the at most `beam` expansions that survive each
     round's prune, and once per parent state and token: a child stepped
     on an earlier frame is reused, and so is the joint row of a state
-    already scored on this frame.
+    already scored on this frame. `hyps_prev` must hold distinct prefixes,
+    as every step returns; a repeat is a ParameterError.
     """
     if beam < 1:
         raise ParameterError(f"beam must be >= 1, got {beam}")
     if not hyps_prev:
         raise ParameterError("beam_search_step requires at least one hypothesis")
+    if len({h.prefix for h in hyps_prev}) < len(hyps_prev):
+        raise ParameterError("beam_search_step requires distinct prefixes")
     frame_proj = frame_projection(h_i, model)
     finished, actives = [], list(hyps_prev)
-    scored: list = []  # (actives, joint rows) of each round
+    rows: dict = {}  # joint row of each state scored on this frame
     cached = True  # the first round's parents were carried in
     for r in range(max_expansions + 1):
         if not actives:
@@ -503,7 +473,7 @@ def beam_search_step(
         # the round past the cap force-terminates hypotheses still mid-frame
         finished, actives, cached = _expand_round(
             frame_proj, finished, actives, beam, model, frame_idx,
-            grow=r < max_expansions, cached=cached, scored=scored)
+            grow=r < max_expansions, cached=cached, rows=rows)
     _prune_children(finished)
     return finished
 

@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
+from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, main
 from sparse_rnnt.errors import DataError
 from sparse_rnnt.frontend import Waveform, read_wav, write_wav
 from sparse_rnnt.pipeline import DecodeOptions, decode_waveform
@@ -588,6 +591,22 @@ class TestSweep:
                      *flags, "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags, first, second", [
+        (["--masks", "dense,dense"], "dense/doi:20", "dense/doi:20"),
+        (["--masks", "dense,DENSE"], "dense/doi:20", "DENSE/doi:20"),
+        (["--masks", "dense", "--segmentations", "doi:10,doi:10.0"],
+         "dense/doi:10", "dense/doi:10.0")],
+        ids=["same-mask", "mask-case", "doi-spelling"])
+    def test_repeated_grid_point_exit_config_before_model(self, wav_path, tmp_path,
+                                                          capsys, flags, first, second):
+        # one grid point would be decoded twice or written as two rows
+        code = main(["sweep", "--model", str(tmp_path / "nope.model"),
+                     str(wav_path), "--refs", str(tmp_path / "nope.tsv"),
+                     *flags, "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: grid points {first} and {second} are the same\n")
+
     def test_infinite_doi_length_is_a_config_error(self, wav_path, tmp_path,
                                                    capsys):
         # model and references are missing: the length is refused first
@@ -613,3 +632,25 @@ class TestSweep:
         code = main(["sweep", "--model", str(model_path), str(wav_path),
                      "--refs", str(refs), "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_DATA
+
+
+def readme_commands():
+    """The argument lists of the `sparse-rnnt` lines in README.md's sh
+    blocks, with backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line)[1:]
+            for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("sparse-rnnt ")]
+
+
+def test_readme_commands_parse():
+    # a renamed or removed flag leaves the README's commands unrunnable
+    commands = readme_commands()
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: sparse-rnnt {shlex.join(argv)}")

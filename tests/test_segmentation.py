@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparse_rnnt import segmentation
 from sparse_rnnt.errors import DataError, ParameterError
 from sparse_rnnt.frontend import Waveform
 from sparse_rnnt.pipeline import SegmentationSpec, parse_segmentation
@@ -8,10 +9,12 @@ from sparse_rnnt.segmentation import (
     Segment,
     TimedToken,
     VadConfig,
+    _frame_energies_db,
     doi_merge,
     doi_split,
     epd_split,
 )
+from tests_oracles import oracle_epd_split, oracle_frame_energies_db
 
 
 class TestDoiSplit:
@@ -154,6 +157,59 @@ class TestEpdSplit:
         segs = epd_split(Waveform(tone(1.0, sr), sr))
         for s in segs:
             assert s.core_start == s.start and s.core_end == s.end
+
+    @pytest.mark.parametrize("overlapping", [False, True])
+    def test_identical_to_per_frame_oracle(self, overlapping, monkeypatch):
+        # blocks of 7 frames, so every case's energies cross block edges
+        monkeypatch.setattr(segmentation, "_ENERGY_BLOCK", 7)
+        split = overlaps = 0
+        for seed in range(120):
+            w, cfg = bursty_case(np.random.default_rng([seed, overlapping]), overlapping)
+            assert np.array_equal(_frame_energies_db(w, cfg),
+                                  oracle_frame_energies_db(w, cfg))
+            segs = outcome(epd_split, w, cfg)
+            assert segs == outcome(oracle_epd_split, w, cfg)
+            if isinstance(segs, list):
+                split += len(segs) > 1
+                overlaps += any(a.end > b.start for a, b in zip(segs, segs[1:]))
+        assert split > 60 and (overlaps > 40 or not overlapping)
+
+
+def bursty_case(rng, overlapping):
+    """Noise bursts and quiet gaps at random levels and lengths, then 0.4 s
+    of silence, with a random VadConfig. With `overlapping`, frames outlast
+    the gaps, so intervals overlap, and max_segment is shorter than the
+    overlap, so forced pieces of neighbours interleave; there, a cut window
+    past the last frame raises in both (an argmin of nothing)."""
+    sr = int(rng.choice([8000, 16000]))
+    longest_gap = 0.05 if overlapping else 0.4
+    pieces = []
+    while sum(map(len, pieces)) < rng.uniform(1.0, 4.0) * sr:
+        pieces.append(rng.normal(0.0, 10 ** rng.uniform(-3.0, -0.5),
+                                 int(rng.uniform(0.01, 0.25) * sr)))
+        pieces.append(rng.normal(0.0, 10 ** rng.uniform(-6.0, -4.0),
+                                 int(rng.uniform(0.01, longest_gap) * sr)))
+    w = Waveform(np.concatenate(pieces + [np.zeros(int(0.4 * sr))]), sr)
+    if overlapping:
+        return w, VadConfig(frame=rng.uniform(0.1, 0.3), hop=rng.uniform(0.005, 0.01),
+                            energy_threshold_db=rng.uniform(-55.0, -30.0),
+                            min_silence=rng.uniform(0.001, 0.02),
+                            min_segment=rng.uniform(0.0, 0.01),
+                            max_segment=rng.uniform(0.03, 0.1))
+    max_segment = rng.uniform(0.05, 1.0)
+    return w, VadConfig(frame=rng.uniform(0.01, 0.15), hop=rng.uniform(0.004, 0.02),
+                        energy_threshold_db=rng.uniform(-55.0, -30.0),
+                        min_silence=rng.uniform(0.005, 0.2),
+                        min_segment=rng.uniform(0.0, max_segment),
+                        max_segment=max_segment)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared, not handled
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_segment_invariants_enforced():

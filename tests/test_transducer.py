@@ -527,17 +527,21 @@ class TestDeferredExpansion:
             want = eager_beam_search_step(h_i, hyps, beam, model, 1, 1)
             assert_same_hyps(got, want, 1)
 
-    def test_duplicate_prefixes_in_input_merge_like_eager(self, tiny_model, rng):
+    def test_repeated_prefixes_in_input_rejected(self, tiny_model, rng):
+        # every step returns distinct prefixes, so a repeat is a caller's
+        # error, whatever the states and scores on it and on whichever chain
         h0 = start_hypothesis(tiny_model)
         state, _ = predict_one(1, h0.state, tiny_model)
-        other = replace(h0, log_prob=-0.7, state=state)
-        hyps = [h0, other, replace(h0, prefix=prefix_of((3,), (0,)), log_prob=-1.1)]
-        for beam in (2, 5, 40):
-            h_i = rng.normal(size=8)
-            got = beam_search_step(h_i, hyps, beam, tiny_model, frame_idx=1,
-                                   max_expansions=2)
-            want = eager_beam_search_step(h_i, hyps, beam, tiny_model, 1, 2)
-            assert_same_hyps(got, want, 1)
+        one_chain = [h0, replace(h0, log_prob=-0.7, state=state),
+                     replace(h0, prefix=prefix_of((3,), (0,)), log_prob=-1.1)]
+        two_chains = [hypothesis_of((1, 2), (0, 0), -0.3, state, tiny_model),
+                      hypothesis_of((3,), (0,), -0.9, h0.state, tiny_model),
+                      hypothesis_of((1, 2), (0, 0), -0.6, h0.state, tiny_model)]
+        for hyps in (one_chain, two_chains):
+            for beam in (1, 2, 5, 40):
+                with pytest.raises(ParameterError, match="distinct prefixes"):
+                    beam_search_step(rng.normal(size=8), hyps, beam, tiny_model,
+                                     frame_idx=1, max_expansions=2)
 
     def test_lstm_steps_bounded_by_survivors(self, rng, monkeypatch):
         calls = []
@@ -610,23 +614,20 @@ class TestPrefixIdentity:
         assert prefix_of((), ()) == Prefix()
 
     def test_equal_tokens_on_different_chains_merge(self, tiny_model, rng):
-        # (1, 2) twice, on separate chains and with different states
+        # (1,) emits 2 onto a new chain; its child takes blank and merges
+        # with the carried (1, 2), built on a chain of its own
         h0 = start_hypothesis(tiny_model)
         s1, _ = predict_one(1, h0.state, tiny_model)
-        hyps = [hypothesis_of((1, 2), (0, 0), -0.3, s1, tiny_model),
-                hypothesis_of((3,), (0,), -0.9, h0.state, tiny_model),
-                hypothesis_of((1, 2), (0, 0), -0.6, h0.state, tiny_model)]
-        for beam in (2, 5, 40):
-            for max_exp in (1, 2):
-                h_i = rng.normal(size=8)
-                got = beam_search_step(h_i, hyps, beam, tiny_model, frame_idx=1,
-                                       max_expansions=max_exp)
-                want = eager_beam_search_step(h_i, hyps, beam, tiny_model, 1, max_exp)
-                assert_same_hyps(got, want, 1)
-                prefixes = [h.tokens for h in got]
-                assert len(set(prefixes)) == len(prefixes)
-                # with room for every candidate, the merged blank child is kept
-                assert (1, 2) in prefixes or (beam, max_exp) != (40, 1)
+        s12, _ = predict_one(2, s1, tiny_model)
+        hyps = [hypothesis_of((1, 2), (0, 0), -0.3, s12, tiny_model),
+                hypothesis_of((1,), (0,), -0.6, s1, tiny_model)]
+        for max_exp in (1, 2):
+            h_i = rng.normal(size=8)
+            got = beam_search_step(h_i, hyps, 40, tiny_model, frame_idx=1,
+                                   max_expansions=max_exp)
+            assert_same_hyps(got, eager_beam_search_step(h_i, hyps, 40, tiny_model,
+                                                         1, max_exp), 1)
+            assert [h.tokens for h in got].count((1, 2)) == 1
 
     def test_hash_collision_never_merges(self, monkeypatch, rng):
         models = equivalence_models()[::5]

@@ -340,3 +340,92 @@ def frame_by_frame_decode(h, model, beam=4, srs=None):
             hyps = reset_prediction_states(hyps, model)
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
+
+
+def oracle_frame_energies_db(w, cfg):
+    """Each frame's energy in dB, one frame at a time."""
+    win = max(1, int(round(cfg.frame * w.sample_rate)))
+    hop = max(1, int(round(cfg.hop * w.sample_rate)))
+    n = len(w.samples)
+    if n < win:
+        return np.empty(0)
+    T = 1 + (n - win) // hop
+    energies = np.empty(T)
+    for t in range(T):
+        seg = w.samples[t * hop : t * hop + win]
+        energies[t] = 10.0 * np.log10(np.mean(seg ** 2) + 1e-12)
+    return energies
+
+
+def oracle_epd_split(w, cfg):
+    """`segmentation.epd_split` as a per-frame loop that restarts its
+    absorb scan after each merge and force-splits through a stack, then
+    sorts. Reference for the single-pass epd_split."""
+    from sparse_rnnt.segmentation import Segment
+
+    energies = oracle_frame_energies_db(w, cfg)
+    if energies.size == 0:
+        return []
+    speech = energies > cfg.energy_threshold_db
+    if not speech.any():
+        return []
+    # frame runs of speech, merging gaps shorter than min_silence
+    min_gap = max(1, int(round(cfg.min_silence / cfg.hop)))
+    runs: list[list[int]] = []
+    idx = np.flatnonzero(speech)
+    start = prev = idx[0]
+    for i in idx[1:]:
+        if i - prev - 1 >= min_gap:
+            runs.append([start, prev])
+            start = i
+        prev = i
+    runs.append([start, prev])
+    # to seconds; a frame spans [t*hop, t*hop + frame)
+    intervals = [[s * cfg.hop, e * cfg.hop + cfg.frame] for s, e in runs]
+    # absorb too-short segments into the nearest neighbor
+    changed = True
+    while changed and len(intervals) > 1:
+        changed = False
+        for i, (s, e) in enumerate(intervals):
+            if e - s < cfg.min_segment:
+                if i == 0:
+                    j = 1
+                elif i == len(intervals) - 1:
+                    j = i - 1
+                else:
+                    j = i - 1 if s - intervals[i - 1][1] <= intervals[i + 1][0] - e else i + 1
+                lo, hi = min(i, j), max(i, j)
+                intervals[lo] = [intervals[lo][0], intervals[hi][1]]
+                del intervals[hi]
+                changed = True
+                break
+    # force-split anything longer than max_segment at its quietest frame
+    final: list[list[float]] = []
+    stack = list(intervals)
+    while stack:
+        s, e = stack.pop(0)
+        if e - s <= cfg.max_segment:
+            final.append([s, e])
+            continue
+        # cut only where the left piece stays within max_segment and the
+        # right piece is guaranteed to shrink
+        lo_t = max(s + cfg.min_segment, e - cfg.max_segment)
+        hi_t = min(e - cfg.min_segment, s + cfg.max_segment)
+        if lo_t >= hi_t:
+            cut = (s + e) / 2.0
+        else:
+            f_lo = int(np.ceil(lo_t / cfg.hop))
+            f_hi = max(f_lo + 1, int(np.floor(hi_t / cfg.hop)))
+            f_hi = min(f_hi, energies.size)
+            window = energies[f_lo:f_hi]
+            cut = (f_lo + int(np.argmin(window))) * cfg.hop
+        final.append([s, cut])
+        stack.insert(0, [cut, e])
+    final.sort()
+    dur = w.duration
+    return [
+        Segment(start=max(0.0, s), end=min(e, dur), core_start=max(0.0, s),
+                core_end=min(e, dur))
+        for s, e in final
+        if e > s
+    ]
