@@ -59,6 +59,12 @@ class VadConfig:
             raise ParameterError("min_silence must be positive")
         if self.min_segment > self.max_segment:
             raise ParameterError("min_segment must not exceed max_segment")
+        # a longer frame outlasts the gap between speech runs or a forced
+        # piece, so segments would overlap and audio be decoded twice
+        if not self.frame < min(self.min_silence, self.max_segment):
+            raise ParameterError(
+                f"frame ({self.frame:g} s) must be shorter than min_silence "
+                f"({self.min_silence:g} s) and max_segment ({self.max_segment:g} s)")
 
 
 @dataclass

@@ -203,12 +203,13 @@ def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
 def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
     """Joint network on cached projections: tanh combiner, then log-softmax
     over the vocabulary. Takes one frame's and A prefixes' (A, joint_dim),
-    giving (A, V), or L frames' (L, joint_dim) and one prefix's, giving (L,
-    V). Each row's output product is its own gemv, so a row has the bits of
-    the joint taken on it alone."""
+    giving (A, V), L frames' (L, joint_dim) and one prefix's, giving (L, V),
+    or L frames' (L, 1, joint_dim) and S prefixes', giving (L, S, V). Each
+    row's output product is its own gemv, so a row has the bits of the joint
+    taken on it alone."""
     jw = model.joint
     z = np.tanh(frame_proj + pred_projs + jw.bias)
-    logits = (z[:, None, :] @ jw.out)[:, 0] + jw.out_bias
+    logits = (z[..., None, :] @ jw.out)[..., 0, :] + jw.out_bias
     # the ufunc reductions np.max/np.sum call, without their wrappers
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
@@ -495,6 +496,143 @@ def reset_prediction_states(hyps: list[Hypothesis], model) -> list[Hypothesis]:
     return [Hypothesis(h.prefix, h.log_prob, state) for h in hyps]
 
 
+def _template(hyps: list[Hypothesis], frame_idx: int, beam: int, model):
+    """The decisions of frame `frame_idx`, which made `hyps`, for _replay to
+    repeat. Hypothesis q is hyps[src[q]]'s tokens followed by toks[q], those
+    it emitted in the frame, and holds hyps[src[q]]'s state stepped by them
+    through the cache; made again on `hyps`, the decisions give hypotheses
+    with the same tokens and states. None when a state is not cached, a
+    round would merge, or the survivors do not fill a round (_rounds)."""
+    slot = {h.prefix: q for q, h in enumerate(hyps)}
+    src, paths = [], []
+    for h in hyps:
+        path, node = [], h.prefix
+        while node.frame == frame_idx:
+            path.insert(0, node)
+            node = node.parent
+        p = slot.get(node)
+        state = None if p is None else hyps[p].state
+        for kid in path:
+            state = state and (state.children or {}).get(kid.token)
+        if state is not h.state:
+            return None
+        src.append(p)
+        paths.append(path)
+    toks = tuple(tuple(node.token for node in path) for path in paths)
+    # round r's blank child on the prefix of one finished earlier merges;
+    # the round past the cap, which scores only blank children, is left out
+    if any(len(path) >= MAX_SYMBOLS for path in paths) or any(
+            len(toks[slot[node]]) < r for path in paths
+            for r, node in enumerate(path, 1) if node in slot):
+        return None
+    return _rounds(tuple(src), toks, beam, len(model.config.vocab),
+                   model.config.vocab.blank_id)
+
+
+@functools.lru_cache(maxsize=256)
+def _rounds(src: tuple, toks: tuple, beam: int, V: int, blank: int):
+    """The decisions (src, toks) as rounds, shared and read-only. A round
+    has the finished hypotheses carried in, the actives (src, tokens so
+    far) as a slice of `nodes` and their columns in the round before, and
+    the candidates (the finished, then each active's children in token
+    order) that survive and that do not. None when the survivors do not
+    fill a round: one was pruned in a later round."""
+    ends = set(zip(src, toks))
+    nodes = [(p, ()) for p in range(len(src))]  # every round's actives, in order
+    rounds, column = [], {}
+    for r in range(max(map(len, toks)) + 1):
+        fin = tuple(q for q, tk in enumerate(toks) if len(tk) < r)
+        acts = list(dict.fromkeys((p, tk[:r]) for p, tk in ends if len(tk) >= r)
+                    if r else nodes)
+        index = {a: len(fin) + n * V for n, a in enumerate(acts)}
+        grown = tuple(column[a] for a in acts) if r else None
+        mask = np.zeros(len(fin) + len(acts) * V, dtype=bool)
+        mask[:len(fin)] = True
+        for p, tk in ends:
+            if len(tk) > r:
+                column[p, tk[:r + 1]] = index[p, tk[:r]] + tk[r]
+        mask[[column[p, tk[:r + 1]] if len(tk) > r else index[p, tk] + blank
+              for p, tk in ends if len(tk) >= r]] = True
+        if mask.sum() != min(beam, len(mask)):
+            return None
+        keep, drop = np.flatnonzero(mask), np.flatnonzero(~mask)
+        for a in (keep, drop):
+            a.setflags(write=False)
+        first = len(nodes) if r else 0
+        nodes += acts if r else []
+        rounds.append((fin, slice(first, first + len(acts)), grown, keep, drop))
+    node = {a: n for n, a in enumerate(nodes)}
+
+    def depth(q):
+        return len(toks[q]) and 1 + depth(src[q])
+
+    # each hypothesis that emitted, after the one it extends: the nodes and
+    # tokens of the row entries its score adds
+    chains = tuple((q, src[q], tuple((node[src[q], toks[q][:r]], k)
+                                     for r, k in enumerate(toks[q] + (blank,))))
+                   for q in sorted(range(len(src)), key=depth) if toks[q])
+    return (src, toks, tuple(nodes), tuple(node[a] for a in zip(src, toks)), chains,
+            tuple(rounds))
+
+
+def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
+    """Frames i, i + 1, ... of `frame_projs` by the template's decisions, in
+    one joint call for every state reached. Candidates' scores are formed as
+    in _expand_round, a parent's plus a row entry, round by round. Frames
+    are taken while in every round the survivors are the best `beam` and
+    the best beam + 1 scores are distinct (_expand_round's no-tie path); at
+    beam 1 the blank child survives a tie. Returns the frames taken, the
+    hypotheses after the last in rank order, and the template in that order."""
+    src, toks, nodes, ends, chains, rounds = template
+    n, m, blank = len(frame_projs), len(hyps), model.config.vocab.blank_id
+    # each node's state: its hypothesis's, stepped by its tokens through the cache
+    held = [functools.reduce(lambda s, k: s.children[k], tk, hyps[p].state)
+            for p, tk in nodes]
+    states = list(dict.fromkeys(held))
+    log_probs = joint(frame_projs[:, None], np.array([s.proj for s in states]), model)
+    if len(states) < len(held):  # to one row per node
+        log_probs = log_probs.take([states.index(s) for s in held], axis=1)
+    # row 0: the scores handed in; row j + 1: after frame i + j. A blank
+    # child's on every frame is a sequential sum; the others follow it.
+    scores = np.empty((n + 1, m))
+    scores[0] = [h.log_prob for h in hyps]
+    scores[1:] = log_probs[:, :m, blank]
+    np.add.accumulate(scores, axis=0, out=scores)
+    for q, p, chain in chains:
+        score = scores[:-1, p]
+        for a, k in chain:
+            score = score + log_probs[:, a, k]
+        scores[1:, q] = score
+    ok = []  # per frame, whether each check holds
+    for fin, acts, grown, keep, drop in rounds:
+        parents = scores[:-1] if grown is None else cand.take(grown, axis=1)
+        cand = (parents[:, :, None] + log_probs[:, acts]).reshape(n, -1)
+        if fin:
+            cand = np.concatenate([scores[1:].take(fin, axis=1), cand], axis=1)
+        kept, rest = cand.take(keep, axis=1), cand.take(drop, axis=1)
+        lo = kept.min(axis=1) if len(keep) > 1 else kept[:, 0]  # NaN fails below
+        if len(drop):
+            ok.append(lo > rest.max(axis=1) if beam > 1 else lo >= rest.max(axis=1))
+        if len(keep) > 1:
+            kept.sort(axis=1)
+            ok.append((kept[:, 1:] != kept[:, :-1]).all(axis=1))
+    ok = np.logical_and.reduce(ok) if len(ok) > 1 else ok[0]
+    k = int(ok.argmin()) if not ok.all() else n
+
+    def prefix(q, j):  # q's prefix after frame i + j
+        if j < 0 or not toks[q]:
+            return hyps[q].prefix
+        return functools.reduce(lambda node, k: Prefix(node, k, i + j), toks[q],
+                                prefix(src[q], j - 1))
+
+    rank = sorted(range(m), key=lambda q: -scores[k, q])
+    if rank != sorted(rank):  # the template in the new order
+        place = {q: r for r, q in enumerate(rank)}
+        template = _rounds(tuple(place[src[q]] for q in rank), tuple(toks[q] for q in rank),
+                           beam, len(model.config.vocab), blank)
+    return k, [Hypothesis(prefix(q, k - 1), scores[k, q], held[ends[q]]) for q in rank], template
+
+
 def _best(hyps: list[Hypothesis]) -> Hypothesis:
     """The first hypothesis in (-log_prob, tokens) order; token tuples are
     built only to break an exact tie for the best score."""
@@ -511,45 +649,49 @@ def decode_with_srs(
 ) -> Transcript:
     """Beam decoding over all encoder frames with the optional silence reset.
 
-    At beam 1 the frames after one that emitted nothing go in runs (label
-    looping): with the prediction state fixed, one joint call scores a run
-    and its all-blank prefix is taken in one step; the first frame where a
-    token beats blank (blank wins ties) goes through beam_search_step. A run
-    is one frame, then doubles while all-blank, up to the next reset.
+    After a prune-only frame, whose survivors hold the states it was handed,
+    the next frames go in runs (label looping): _replay takes a run in one
+    joint call by that frame's decisions (`_template`) while the scores keep
+    them. The first frame where they do not (a changed state set, a tie at
+    the beam boundary, a merge) goes through beam_search_step, and an SRS
+    firing ends a run. A run is one frame, then doubles; after one that
+    takes no frame, the next frames go alone for a while, longer each time.
     """
     srs = srs or SrsParams()
-    blank = model.config.vocab.blank_id
     hyps = [start_hypothesis(model)]
     counter = SrsCounter(srs.t_sil)
     projs = None  # every frame's projection, formed when the first run starts
-    run = 0  # frames the next beam-1 run scores; 0: the next frame goes alone
+    template = None  # the decisions the next run replays; None: no run
+    run = 1  # frames the next run scores
+    backoff = wait = 0  # frames to step alone after runs that took none
     i = 0
     while i < h.length:
-        if run:
+        if template:
             if projs is None:
                 projs = frame_projection(h.h, model)
-            (hyp,) = hyps
+            all_blank = not any(template[1])  # no hypothesis emits in the run
             n = min(run, h.length - i,
-                    srs.t_sil + 1 - counter.count if srs.enabled else h.length)
-            log_probs = joint(projs[i:i + n], hyp.state.proj[None], model)
-            # sequential sums: entry r + 1 has the bits of the per-frame scores
-            cum = np.cumsum(np.concatenate([[hyp.log_prob], log_probs[:, blank]]))
-            beaten = ~(cum[:-1, None] + log_probs <= cum[1:, None]).all(axis=1)
-            k = int(beaten.argmax()) if beaten.any() else n
-            if k:
-                hyps = [Hypothesis(hyp.prefix, cum[k], hyp.state)]
-                i += k
-                # runs end by the reset, so only their last frame can fire it
-                if srs.enabled and [counter.update(True) for _ in range(k)][-1]:
-                    hyps = reset_prediction_states(hyps, model)
+                    srs.t_sil + 1 - counter.count if srs.enabled and all_blank
+                    else h.length)
+            k, hyps, template = _replay(hyps, template, projs[i:i + n], i, beam, model)
+            i += k
+            backoff = wait = 0 if k else 2 * backoff + 1
+            # all-blank runs end by the reset, so only their last frame can
+            # fire it
+            if k and srs.enabled and [counter.update(all_blank) for _ in range(k)][-1]:
+                hyps = reset_prediction_states(hyps, model)
             if k == n:
                 run = 2 * n
                 continue
+        held = {hyp.state for hyp in hyps}
         hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
         all_blank = check_blank_token(hyps, i)
+        template = (_template(hyps, i, beam, model)
+                    if not wait and {hyp.state for hyp in hyps} == held else None)
+        wait -= wait > 0
         if srs.enabled and counter.update(all_blank):
             hyps = reset_prediction_states(hyps, model)
-        run = int(beam == 1 and all_blank)
+        run = 1
         i += 1
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)

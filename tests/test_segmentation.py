@@ -162,9 +162,15 @@ class TestEpdSplit:
     def test_identical_to_per_frame_oracle(self, overlapping, monkeypatch):
         # blocks of 7 frames, so every case's energies cross block edges
         monkeypatch.setattr(segmentation, "_ENERGY_BLOCK", 7)
-        split = overlaps = 0
+        split = overlaps = rejected = failed = 0
         for seed in range(120):
-            w, cfg = bursty_case(np.random.default_rng([seed, overlapping]), overlapping)
+            w, fields = bursty_case(np.random.default_rng([seed, overlapping]), overlapping)
+            if fields["frame"] >= min(fields["min_silence"], fields["max_segment"]):
+                with pytest.raises(ParameterError, match="frame"):
+                    VadConfig(**fields)
+                rejected += 1
+                continue
+            cfg = VadConfig(**fields)
             assert np.array_equal(_frame_energies_db(w, cfg),
                                   oracle_frame_energies_db(w, cfg))
             segs = outcome(epd_split, w, cfg)
@@ -172,15 +178,19 @@ class TestEpdSplit:
             if isinstance(segs, list):
                 split += len(segs) > 1
                 overlaps += any(a.end > b.start for a, b in zip(segs, segs[1:]))
-        assert split > 60 and (overlaps > 40 or not overlapping)
+            else:
+                failed += 1
+        # every overlapping config has a frame longer than min_silence;
+        # valid configs give disjoint segments and raise nothing
+        assert overlaps == failed == 0
+        assert rejected == 120 if overlapping else split > 60
 
 
 def bursty_case(rng, overlapping):
     """Noise bursts and quiet gaps at random levels and lengths, then 0.4 s
-    of silence, with a random VadConfig. With `overlapping`, frames outlast
-    the gaps, so intervals overlap, and max_segment is shorter than the
-    overlap, so forced pieces of neighbours interleave; there, a cut window
-    past the last frame raises in both (an argmin of nothing)."""
+    of silence, with the fields of a random VadConfig. With `overlapping`,
+    frames outlast the gaps and max_segment, so intervals would overlap and
+    forced pieces of neighbours interleave: VadConfig rejects them all."""
     sr = int(rng.choice([8000, 16000]))
     longest_gap = 0.05 if overlapping else 0.4
     pieces = []
@@ -191,17 +201,17 @@ def bursty_case(rng, overlapping):
                                  int(rng.uniform(0.01, longest_gap) * sr)))
     w = Waveform(np.concatenate(pieces + [np.zeros(int(0.4 * sr))]), sr)
     if overlapping:
-        return w, VadConfig(frame=rng.uniform(0.1, 0.3), hop=rng.uniform(0.005, 0.01),
-                            energy_threshold_db=rng.uniform(-55.0, -30.0),
-                            min_silence=rng.uniform(0.001, 0.02),
-                            min_segment=rng.uniform(0.0, 0.01),
-                            max_segment=rng.uniform(0.03, 0.1))
+        return w, dict(frame=rng.uniform(0.1, 0.3), hop=rng.uniform(0.005, 0.01),
+                       energy_threshold_db=rng.uniform(-55.0, -30.0),
+                       min_silence=rng.uniform(0.001, 0.02),
+                       min_segment=rng.uniform(0.0, 0.01),
+                       max_segment=rng.uniform(0.03, 0.1))
     max_segment = rng.uniform(0.05, 1.0)
-    return w, VadConfig(frame=rng.uniform(0.01, 0.15), hop=rng.uniform(0.004, 0.02),
-                        energy_threshold_db=rng.uniform(-55.0, -30.0),
-                        min_silence=rng.uniform(0.005, 0.2),
-                        min_segment=rng.uniform(0.0, max_segment),
-                        max_segment=max_segment)
+    return w, dict(frame=rng.uniform(0.01, 0.15), hop=rng.uniform(0.004, 0.02),
+                   energy_threshold_db=rng.uniform(-55.0, -30.0),
+                   min_silence=rng.uniform(0.005, 0.2),
+                   min_segment=rng.uniform(0.0, max_segment),
+                   max_segment=max_segment)
 
 
 def outcome(f, *args):

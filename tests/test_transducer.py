@@ -816,13 +816,15 @@ def same_transcript(got, want):
 
 
 def joint_rows_of(args):
-    """Rows a joint call scores: A prefixes on one frame, or L frames."""
-    return np.broadcast_shapes(args[0].shape, args[1].shape)[0]
+    """Rows a joint call scores: A prefixes on one frame, L frames of one
+    prefix, or L frames of S prefixes."""
+    return math.prod(np.broadcast_shapes(args[0].shape, args[1].shape)[:-1])
 
 
-def spy_rows(monkeypatch, name, rows_of):
-    """Record rows_of(args) for each call of transducer.<name>."""
-    calls = []
+def spy_rows(monkeypatch, name, rows_of, calls=None):
+    """Record rows_of(args) for each call of transducer.<name>, in `calls`
+    if given."""
+    calls = [] if calls is None else calls
     real = getattr(transducer, name)
 
     def spy(*args, **kwargs):
@@ -833,32 +835,76 @@ def spy_rows(monkeypatch, name, rows_of):
     return calls
 
 
-class TestBeamOneRunAhead:
-    """decode_with_srs, which scans blank frames ahead at beam 1, against
-    the frame-by-frame loop in tests_oracles."""
+def event_log(monkeypatch):
+    """The decoder's calls in order: "step", "reset", and per joint call
+    "run" when it scores a block of frames (3-D frame projections), as a
+    run does, or "joint"."""
+    log = []
+    spy_rows(monkeypatch, "joint",
+             lambda args: "run" if args[0].ndim == 3 else "joint", log)
+    spy_rows(monkeypatch, "beam_search_step", lambda args: "step", log)
+    spy_rows(monkeypatch, "reset_prediction_states", lambda args: "reset", log)
+    return log
+
+
+def runs_ended_by_reset(log):
+    """Runs in an event_log that ended where SRS fired."""
+    return sum(a == "run" and b == "reset" for a, b in zip(log, log[1:]))
+
+
+def beam_of(hyps):
+    """Each hypothesis's tokens, frames, log_prob bits and state, in order."""
+    return [(h.tokens, h.frames, float(h.log_prob).hex(), h.state.hidden.tobytes(),
+             h.state.cell.tobytes()) for h in hyps]
+
+
+class TestRunAhead:
+    """decode_with_srs, which takes the frames after a prune-only frame in
+    runs at every beam, against the frame-by-frame loop in tests_oracles."""
 
     @pytest.mark.parametrize("t_sil", [1, 4, 15])
-    def test_identical_to_frame_by_frame(self, t_sil):
+    def test_identical_to_frame_by_frame(self, t_sil, monkeypatch):
+        # the final beam, in rank order, of the decode and of its oracle
+        beams = spy_rows(monkeypatch, "_best", lambda args: beam_of(args[0]))
+        log = event_log(monkeypatch)
         rng = np.random.default_rng(900 + t_sil)
         period = t_sil + 1
         # T' within one reset period, multiples of it, and neither
         lengths = sorted({1, t_sil, period, 2 * period, 2 * period + 3, 24})
-        emitted = blank_frames = 0
-        for model in run_ahead_models():
-            for T in lengths:
-                out = enc_outputs(rng, model, T)
-                for beam in (1, 2, 4):
-                    for enabled in (True, False):
-                        srs = SrsParams(t_sil=t_sil, enabled=enabled)
-                        got = decode_with_srs(out, model, beam=beam, srs=srs)
-                        want = frame_by_frame_decode(out, model, beam=beam, srs=srs)
-                        assert same_transcript(got, want), (T, beam, srs)
-                        if beam == 1:
-                            emitted += len(got.frames) > 0
-                            blank_frames += T - len(set(got.frames))
-        # both regimes were exercised: runs that stop at an emission, and
-        # long all-blank stretches
+        cases = [(model, enc_outputs(rng, model, T))
+                 for model in run_ahead_models() for T in lengths]
+        cases.append(tie_outputs())
+        emitted = blank_frames = reset_runs = 0
+        for model, out in cases:
+            for beam in (1, 2, 4, 8):
+                oracle = {}  # SRS on / off: the transcript and the final beam
+                for srs in (SrsParams(t_sil=t_sil), SrsParams(enabled=False)):
+                    del log[:]
+                    got = decode_with_srs(out, model, beam=beam, srs=srs)
+                    got_beam, calls = beams[-1], log[:]
+                    if srs.enabled or resets:
+                        del log[:]
+                        oracle[srs.enabled] = (frame_by_frame_decode(out, model, beam, srs),
+                                               beams[-1])
+                        resets = log.count("reset")
+                    # with no reset fired, the oracle decodes alike with SRS off
+                    want, want_beam = oracle.get(srs.enabled, oracle[True])
+                    assert same_transcript(got, want), (out.length, beam, srs)
+                    assert got_beam == want_beam
+                    if beam == 1:
+                        emitted += len(got.frames) > 0
+                        blank_frames += out.length - len(set(got.frames))
+                    else:
+                        reset_runs += runs_ended_by_reset(calls)
+        # both beam-1 regimes were exercised: runs that stop at an
+        # emission, and long all-blank stretches; and beam > 1 runs ended
+        # by the reset
         assert emitted > 20 and blank_frames > 200
+        assert reset_runs > 0 or t_sil > 1
+
+
+class TestBeamOneRunAhead:
+    """The row schedule of beam 1's runs."""
 
     def test_resets_at_the_end_of_runs(self, monkeypatch):
         # blank on every frame: frame 0 goes alone (no frame before it),
@@ -956,6 +1002,29 @@ def prune_only_outputs():
     return model, encode(f, model, MaskPolicy.local())[0]
 
 
+def tie_outputs():
+    """A tiny model whose tokens 1 and 2 lead the non-blank children and
+    tie exactly on some frames only, and its encoder output. The tokens'
+    embeddings are equal and their joint.out columns differ in row 0
+    alone, a joint input fed by encoder dim 0 alone. That dim is positive,
+    so 2 beats 1, except on frames where it is 0: there the token tie-break
+    decides, at the beam boundary or among the survivors."""
+    model = random_model(tiny_config(), 0)
+    jw = model.joint
+    model.prediction.embedding[2] = model.prediction.embedding[1]
+    jw.enc_proj[:, 0] = 0.0
+    jw.enc_proj[0, 0] = 1.0
+    jw.pred_proj[:, 0] = jw.bias[0] = 0.0
+    jw.out[:, 2] = jw.out[:, 1]
+    jw.out[0, 2] += 1.0
+    jw.out_bias[1] = jw.out_bias[2] = jw.out_bias.max() + 1.0
+    jw.out_bias[model.config.vocab.blank_id] = jw.out_bias.max() + 0.5
+    h = np.random.default_rng(0).normal(size=(40, model.config.encoder.model_dim))
+    h[:, 0] = np.abs(h[:, 0])
+    h[[13, 14, 29, 39], 0] = 0.0
+    return model, EncoderOutputs(h, 0.04)
+
+
 class TestChildCache:
     """beam_search_step steps each (parent state, token) once and scores
     each prediction state once per frame, with the bits of the uncached
@@ -974,8 +1043,10 @@ class TestChildCache:
             return kids, reused
 
         monkeypatch.setattr(transducer, "_step_cached", spy)
+        log = event_log(monkeypatch)
+        beams = spy_rows(monkeypatch, "_best", lambda args: beam_of(args[0]))
         srs = SrsParams(t_sil=t_sil or 1, enabled=t_sil is not None)
-        resets = reused_after_reset = 0
+        resets = reused_after_reset = reset_runs = 0
         for seed, (model, T) in enumerate(cache_models()):
             out = enc_outputs(np.random.default_rng(seed), model, T)
             for beam in (2, 4, 8):
@@ -994,12 +1065,16 @@ class TestChildCache:
                 reused_after_reset += since is not None and any(reuses[since:])
                 best = transducer._best(hyps)
                 want = transducer.Transcript(best.tokens, best.frames, best.log_prob)
+                del log[:]
                 got = decode_with_srs(out, model, beam=beam, srs=srs)
+                reset_runs += runs_ended_by_reset(log)
                 assert same_transcript(got, want), (beam, srs)
+                assert beams[-1] == beam_of(hyps)  # the whole beam, in rank order
                 assert same_transcript(frame_by_frame_decode(out, model, beam, srs), want)
         assert any(reuses)
         if t_sil is not None:
-            assert resets >= 10 and reused_after_reset >= 3
+            # the decode's runs at beam > 1 end where SRS fires
+            assert resets >= 10 and reused_after_reset >= 3 and reset_runs > 0
 
     def test_same_prefix_same_state(self, monkeypatch):
         # Without SRS a prefix's prediction state is a function of its
@@ -1041,9 +1116,10 @@ class TestChildCache:
     def test_prune_only_rows(self, monkeypatch):
         # Each frame re-expands the same carried states with the same
         # tokens: the LSTM steps each (state, token) pair once, counted by
-        # value within a reset period, and after the first frame one joint
-        # call per frame scores the carried states, whose rows the
-        # closing round reuses.
+        # value within a reset period. Frames 0 and 1 go alone (three joint
+        # calls); every later frame is prune-only, so they go in runs of
+        # 1, 2, 4, ... frames, one joint call each, scoring the 4 carried
+        # states on each frame. Only a run cut short scores frames twice.
         model, out = prune_only_outputs()
         period = [0]
         pairs = []
@@ -1061,12 +1137,19 @@ class TestChildCache:
         monkeypatch.setattr(transducer, "predict_step", step)
         monkeypatch.setattr(transducer, "reset_prediction_states", reset)
         joint_rows = spy_rows(monkeypatch, "joint", joint_rows_of)
+        steps = spy_rows(monkeypatch, "beam_search_step", lambda args: 1)
+        beams = spy_rows(monkeypatch, "_best", lambda args: beam_of(args[0]))
         for srs in (SrsParams(t_sil=15), SrsParams(t_sil=1), SrsParams(enabled=False)):
-            del pairs[:], joint_rows[:]
-            assert decode_with_srs(out, model, beam=4, srs=srs).token_ids == ()
+            del pairs[:], joint_rows[:], steps[:]
+            got = decode_with_srs(out, model, beam=4, srs=srs)
+            assert got.token_ids == ()
             assert len(pairs) == len(set(pairs)) == 4  # start symbol + 3 children
-            assert len(joint_rows) == out.length + 1
-            assert sum(joint_rows) == 4 * out.length
+            assert len(joint_rows) <= 3 + math.ceil(math.log2(out.length))
+            assert 4 * out.length <= sum(joint_rows) <= 4 * out.length + max(joint_rows)
+            assert len(steps) < out.length / 20  # the runs took the rest
+            got_beam = beams[-1]
+            assert same_transcript(got, frame_by_frame_decode(out, model, 4, srs))
+            assert got_beam == beams[-1]
 
     @pytest.mark.parametrize("t_sil", [None, 1, 2])
     def test_state_invariants(self, t_sil):
