@@ -172,7 +172,8 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
     min_gap = max(1, int(round(cfg.min_silence / cfg.hop)))
     gaps = np.flatnonzero(np.diff(idx) > min_gap)
     starts, ends = idx[np.r_[0, gaps + 1]], idx[np.r_[gaps, -1]]
-    # to seconds; a frame spans [t*hop, t*hop + frame)
+    # to seconds; a frame spans [t*hop, t*hop + frame), and runs start more
+    # than min_silence > frame after the last ends, so intervals are in order
     intervals = [[s * cfg.hop, e * cfg.hop + cfg.frame] for s, e in zip(starts, ends)]
     # absorb too-short segments into the nearest neighbor; every interval
     # before i is long enough, so the scan resumes at the merged one
@@ -210,9 +211,6 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
             final.append((s, cut))
             s = cut
         final.append((s, e))
-    # intervals overlap when a frame outlasts the gap between runs, and
-    # then their pieces can interleave
-    final.sort()
     dur = w.duration
     return [
         Segment(start=max(0.0, s), end=min(e, dur), core_start=max(0.0, s),

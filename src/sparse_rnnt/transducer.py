@@ -203,10 +203,9 @@ def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
 def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
     """Joint network on cached projections: tanh combiner, then log-softmax
     over the vocabulary. Takes one frame's and A prefixes' (A, joint_dim),
-    giving (A, V), L frames' (L, joint_dim) and one prefix's, giving (L, V),
-    or L frames' (L, 1, joint_dim) and S prefixes', giving (L, S, V). Each
-    row's output product is its own gemv, so a row has the bits of the joint
-    taken on it alone."""
+    giving (A, V), or L frames' (L, 1, joint_dim) and S prefixes', giving
+    (L, S, V). Each row's output product is its own gemv, so a row has the
+    bits of the joint taken on it alone."""
     jw = model.joint
     z = np.tanh(frame_proj + pred_projs + jw.bias)
     logits = (z[..., None, :] @ jw.out)[..., 0, :] + jw.out_bias
@@ -498,11 +497,13 @@ def reset_prediction_states(hyps: list[Hypothesis], model) -> list[Hypothesis]:
 
 def _template(hyps: list[Hypothesis], frame_idx: int, beam: int, model):
     """The decisions of frame `frame_idx`, which made `hyps`, for _replay to
-    repeat. Hypothesis q is hyps[src[q]]'s tokens followed by toks[q], those
-    it emitted in the frame, and holds hyps[src[q]]'s state stepped by them
-    through the cache; made again on `hyps`, the decisions give hypotheses
-    with the same tokens and states. None when a state is not cached, a
-    round would merge, or the survivors do not fill a round (_rounds)."""
+    repeat: hypothesis q is hyps[src[q]] followed by toks[q], the tokens it
+    emitted in the frame, and holds that state stepped by them through the
+    cache. Laid out as rounds: the finished carried in, the actives (src,
+    tokens so far) as a slice of `nodes` with their columns in the round
+    before, and which candidates (the finished, then each active's children
+    in token order) survive. None when a state is not cached, a round would
+    merge, or a survivor of a round is pruned in a later one."""
     slot = {h.prefix: q for q, h in enumerate(hyps)}
     src, paths = [], []
     for h in hyps:
@@ -525,18 +526,7 @@ def _template(hyps: list[Hypothesis], frame_idx: int, beam: int, model):
             len(toks[slot[node]]) < r for path in paths
             for r, node in enumerate(path, 1) if node in slot):
         return None
-    return _rounds(tuple(src), toks, beam, len(model.config.vocab),
-                   model.config.vocab.blank_id)
-
-
-@functools.lru_cache(maxsize=256)
-def _rounds(src: tuple, toks: tuple, beam: int, V: int, blank: int):
-    """The decisions (src, toks) as rounds, shared and read-only. A round
-    has the finished hypotheses carried in, the actives (src, tokens so
-    far) as a slice of `nodes` and their columns in the round before, and
-    the candidates (the finished, then each active's children in token
-    order) that survive and that do not. None when the survivors do not
-    fill a round: one was pruned in a later round."""
+    V, blank = len(model.config.vocab), model.config.vocab.blank_id
     ends = set(zip(src, toks))
     nodes = [(p, ()) for p in range(len(src))]  # every round's actives, in order
     rounds, column = [], {}
@@ -556,8 +546,6 @@ def _rounds(src: tuple, toks: tuple, beam: int, V: int, blank: int):
         if mask.sum() != min(beam, len(mask)):
             return None
         keep, drop = np.flatnonzero(mask), np.flatnonzero(~mask)
-        for a in (keep, drop):
-            a.setflags(write=False)
         first = len(nodes) if r else 0
         nodes += acts if r else []
         rounds.append((fin, slice(first, first + len(acts)), grown, keep, drop))
@@ -568,21 +556,19 @@ def _rounds(src: tuple, toks: tuple, beam: int, V: int, blank: int):
 
     # each hypothesis that emitted, after the one it extends: the nodes and
     # tokens of the row entries its score adds
-    chains = tuple((q, src[q], tuple((node[src[q], toks[q][:r]], k)
-                                     for r, k in enumerate(toks[q] + (blank,))))
-                   for q in sorted(range(len(src)), key=depth) if toks[q])
-    return (src, toks, tuple(nodes), tuple(node[a] for a in zip(src, toks)), chains,
-            tuple(rounds))
+    chains = [(q, src[q], [(node[src[q], toks[q][:r]], k)
+                           for r, k in enumerate(toks[q] + (blank,))])
+              for q in sorted(range(len(src)), key=depth) if toks[q]]
+    return src, toks, nodes, [node[a] for a in zip(src, toks)], chains, rounds
 
 
 def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
     """Frames i, i + 1, ... of `frame_projs` by the template's decisions, in
-    one joint call for every state reached. Candidates' scores are formed as
-    in _expand_round, a parent's plus a row entry, round by round. Frames
-    are taken while in every round the survivors are the best `beam` and
-    the best beam + 1 scores are distinct (_expand_round's no-tie path); at
-    beam 1 the blank child survives a tie. Returns the frames taken, the
-    hypotheses after the last in rank order, and the template in that order."""
+    one joint call for every state reached, each candidate's score formed as
+    in _expand_round. Frames are taken while in every round the survivors
+    are the best `beam` and the best beam + 1 scores are distinct (its no-tie
+    path; at beam 1, blank wins a tie). Returns the frames taken and the
+    hypotheses after the last, in the template's order."""
     src, toks, nodes, ends, chains, rounds = template
     n, m, blank = len(frame_projs), len(hyps), model.config.vocab.blank_id
     # each node's state: its hypothesis's, stepped by its tokens through the cache
@@ -625,12 +611,7 @@ def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
         return functools.reduce(lambda node, k: Prefix(node, k, i + j), toks[q],
                                 prefix(src[q], j - 1))
 
-    rank = sorted(range(m), key=lambda q: -scores[k, q])
-    if rank != sorted(rank):  # the template in the new order
-        place = {q: r for r, q in enumerate(rank)}
-        template = _rounds(tuple(place[src[q]] for q in rank), tuple(toks[q] for q in rank),
-                           beam, len(model.config.vocab), blank)
-    return k, [Hypothesis(prefix(q, k - 1), scores[k, q], held[ends[q]]) for q in rank], template
+    return k, [Hypothesis(prefix(q, k - 1), scores[k, q], held[ends[q]]) for q in range(m)]
 
 
 def _best(hyps: list[Hypothesis]) -> Hypothesis:
@@ -654,8 +635,8 @@ def decode_with_srs(
     joint call by that frame's decisions (`_template`) while the scores keep
     them. The first frame where they do not (a changed state set, a tie at
     the beam boundary, a merge) goes through beam_search_step, and an SRS
-    firing ends a run. A run is one frame, then doubles; after one that
-    takes no frame, the next frames go alone for a while, longer each time.
+    firing ends a run. A run is one frame, then doubles; it ends with its
+    hypotheses ranked, as beam_search_step breaks ties on position.
     """
     srs = srs or SrsParams()
     hyps = [start_hypothesis(model)]
@@ -663,7 +644,6 @@ def decode_with_srs(
     projs = None  # every frame's projection, formed when the first run starts
     template = None  # the decisions the next run replays; None: no run
     run = 1  # frames the next run scores
-    backoff = wait = 0  # frames to step alone after runs that took none
     i = 0
     while i < h.length:
         if template:
@@ -673,26 +653,24 @@ def decode_with_srs(
             n = min(run, h.length - i,
                     srs.t_sil + 1 - counter.count if srs.enabled and all_blank
                     else h.length)
-            k, hyps, template = _replay(hyps, template, projs[i:i + n], i, beam, model)
+            k, hyps = _replay(hyps, template, projs[i:i + n], i, beam, model)
             i += k
-            backoff = wait = 0 if k else 2 * backoff + 1
-            # all-blank runs end by the reset, so only their last frame can
-            # fire it
+            # only an all-blank run's last frame can fire SRS
             if k and srs.enabled and [counter.update(all_blank) for _ in range(k)][-1]:
                 hyps = reset_prediction_states(hyps, model)
             if k == n:
                 run = 2 * n
                 continue
+            hyps.sort(key=lambda hyp: -hyp.log_prob)
         held = {hyp.state for hyp in hyps}
         hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
         all_blank = check_blank_token(hyps, i)
-        template = (_template(hyps, i, beam, model)
-                    if not wait and {hyp.state for hyp in hyps} == held else None)
-        wait -= wait > 0
+        template = _template(hyps, i, beam, model) if {hyp.state for hyp in hyps} == held else None
         if srs.enabled and counter.update(all_blank):
             hyps = reset_prediction_states(hyps, model)
         run = 1
         i += 1
+    hyps.sort(key=lambda hyp: -hyp.log_prob)
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
 

@@ -209,24 +209,25 @@ class TestCachedKernels:
                     assert np.array_equal(row, oracle_joint(h_t, state.hidden, model))
 
     def test_block_of_frames(self, model):
-        # run-ahead scoring: L frames' projections as one stacked gemv and
-        # one joint call against a single prefix, each row bit for bit the
-        # lone frame's
+        # run scoring: L frames' projections as one stacked gemv and one
+        # joint call against S prefixes, each (frame, prefix) row bit for
+        # bit the lone row's
         rng = np.random.default_rng(14)
         D = model.config.encoder.model_dim
-        (state,) = predict_step([1], np.zeros((1, model.config.pred_dim)),
-                                np.zeros((1, model.config.pred_dim)), model)
-        proj = state.proj
-        for L in (1, 2, 17, 300):
+        states = self.states(model)
+        for L, S in ((1, 1), (2, 3), (17, 1), (17, 4), (300, 2)):
+            held = [predict_one(k % len(model.config.vocab), states[k % len(states)], model)
+                    for k in range(1, S + 1)]
             h = rng.normal(size=(L, D))
             projs = frame_projection(h, model)
-            block = joint(projs, proj[None], model)
+            block = joint(projs[:, None], np.array([p for _, p in held]), model)
             assert projs.shape == (L, model.config.joint_dim)
-            assert block.shape == (L, len(model.config.vocab))
-            for h_t, row_proj, row in zip(h, projs, block):
+            assert block.shape == (L, S, len(model.config.vocab))
+            for h_t, row_proj, rows in zip(h, projs, block):
                 assert np.array_equal(row_proj, frame_projection(h_t, model))
-                assert np.array_equal(row, joint_one(row_proj, proj, model))
-                assert np.array_equal(row, oracle_joint(h_t, state.hidden, model))
+                for (state, proj), row in zip(held, rows):
+                    assert np.array_equal(row, joint_one(row_proj, proj, model))
+                    assert np.array_equal(row, oracle_joint(h_t, state.hidden, model))
 
     def test_frame_projection_rejects_wrong_dim(self, model):
         D = model.config.encoder.model_dim
