@@ -43,7 +43,6 @@ __all__ = [
     "global_mask",
     "fuse_heads",
     "score_blocks",
-    "attended_counts",
     "sparse_attend",
     "mask_stats",
     "format_sparsity_report",
@@ -297,33 +296,10 @@ def score_blocks(z: np.ndarray, heads: list[AttentionHeadWeights],
         del e, sets, g  # before the next block is scored
 
 
-def attended_counts(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy
-                    ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each head's number of attended keys and of global keys per query,
-    (H, T) each; the global counts are None unless local_global.
-
-    They are counted on score_blocks, whose sets sparse_attend attends;
-    `local` counts its band.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    T, H = z.shape[0], mh.num_heads
-    if policy.variant == LOCAL_ONLY:
-        return np.broadcast_to(local_mask(T, policy.w).counts(), (H, T)), None
-    counts = np.empty((H, T), dtype=np.int64)
-    global_counts = (np.empty((H, T), dtype=np.int64)
-                     if policy.variant == LOCAL_PLUS_GLOBAL else None)
-    for block in score_blocks(z, mh.heads, policy):
-        rows = slice(block.start, block.start + block.e.shape[1])
-        counts[:, rows] = block.counts()
-        if global_counts is not None:
-            global_counts[:, rows] = block.g.sum(axis=2)
-        del block  # before the next block is scored
-    return counts, global_counts
-
-
 @dataclass
 class AttentionResult:
     output: np.ndarray  # (T, model_dim)
+    observed: object = None  # what sparse_attend's observer returned
 
 
 def _plan(counts: np.ndarray, keys: Callable | None, T: int, heads: int,
@@ -385,38 +361,54 @@ def _attend_block(block: ScoreBlock, v: np.ndarray, out: np.ndarray) -> None:
     _attend(_plan(block.counts()[0], keys, T, len(block.e)), block.at, v, out)
 
 
-def sparse_attend(
-    z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy
-) -> AttentionResult:
+def sparse_attend(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy,
+                  observe: Callable | None = None) -> AttentionResult:
     """Masked multi-head attention: per-head attend, concat, project by w_p.
 
     `local` attends its band, its scores formed where read. The other
     policies attend the blocks of score_blocks as they come, all heads at
     once where they share attended sets; sgm2 attends each head's own.
+
+    observe, if given, is called once as observe(z, counts, global_counts):
+    each head's number of attended keys and of global keys per query, (H, T)
+    each, counted from the sets attended (global_counts is None unless
+    local_global). What it returns is the result's `observed`.
     """
     z = np.asarray(z, dtype=np.float64)
-    T = z.shape[0]
+    T, H = z.shape[0], mh.num_heads
     v = _per_head(z, [head.w_v for head in mh.heads])
     out = np.empty_like(v)
+    counts = global_counts = None
+    if observe is not None:
+        counts = np.empty((H, T), dtype=np.int64)
+        if policy.variant == LOCAL_PLUS_GLOBAL:
+            global_counts = np.empty_like(counts)
     if policy.variant == LOCAL_ONLY:
         band = local_mask(T, policy.w)
         scores = BandScores(_per_head(z, [head.w_q for head in mh.heads]),
                             _per_head(z, [head.w_k for head in mh.heads]))
-        _attend(_plan(band.counts(), band.keys, T, len(v), band.w), scores.at, v, out)
+        _attend(_plan(band.counts(), band.keys, T, H, band.w), scores.at, v, out)
+        if counts is not None:
+            counts[:] = band.counts()
     else:
         for block in score_blocks(z, mh.heads, policy):
             rows = slice(block.start, block.start + block.e.shape[1])
+            if counts is not None:
+                counts[:, rows] = block.counts()
+            if global_counts is not None:
+                global_counts[:, rows] = block.g.sum(axis=2)
             if block.sets is None or len(block.sets) == 1:
                 _attend_block(block, v, out[:, rows])
             else:  # sgm2
-                for h in range(len(v)):
+                for h in range(H):
                     one = slice(h, h + 1)
                     _attend_block(ScoreBlock(block.start, block.e[one], block.sets[one],
                                              None), v[one], out[one, rows])
             del block  # before the next block is scored
     # the heads' (T, d) outputs side by side, (T, H * d)
     concat = out.transpose(1, 0, 2).reshape(T, -1)
-    return AttentionResult(matmul(concat, mh.w_p))
+    observed = None if observe is None else observe(z, counts, global_counts)
+    return AttentionResult(matmul(concat, mh.w_p), observed)
 
 
 @dataclass

@@ -12,8 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .attention import (attended_counts, export_heatmap, format_sparsity_report,
-                        mask_stats)
+from .attention import export_heatmap, format_sparsity_report, mask_stats
 from .errors import (
     AudioFormatError,
     DataError,
@@ -74,14 +73,6 @@ def _decode_options(args, mask: str, segmentation: str) -> DecodeOptions:
     )
 
 
-def _sparsity_report(model, attn_in, policy) -> str:
-    """Recount one segment's attended sets layer by layer and format their stats."""
-    counts = [attended_counts(z, block.mh, policy)
-              for z, block in zip(attn_in, model.blocks)]
-    return format_sparsity_report(mask_stats([c for c, _ in counts],
-                                             [g for _, g in counts]))
-
-
 def _failed_input_message(path: Path, exc: Exception) -> str:
     """`path: reason` for a failed input; readers' messages already lead with it."""
     # str() of an OSError ends in its filename; strerror is the reason alone
@@ -133,9 +124,13 @@ def cmd_decode(args) -> int:
     lines = []
     detail_lines = []
     stats_blocks = []
+    # --stats: each encoded layer's (counts, global counts), as attended
+    layers = []
+    observe = (lambda z, *counts: layers.append(counts)) if args.stats else None
     for path in paths:
+        layers.clear()
         try:
-            res = decode_file(model, path, opts)
+            res = decode_file(model, path, opts, observe)
         except (SparseRnntError, OSError) as exc:
             print(f"error: {_failed_input_message(path, exc)}", file=sys.stderr)
             failures.append(exc)
@@ -152,10 +147,11 @@ def cmd_decode(args) -> int:
                 ],
                 "log_prob": res.log_prob,
             }, sort_keys=True))
-        if args.stats:
-            for si, attn_in in enumerate(res.attn_in):
-                stats_blocks.append(f"# {utt_id} segment {si}\n"
-                                    + _sparsity_report(model, attn_in, opts.policy))
+        n = len(model.blocks)
+        for si in range(0, len(layers), n):
+            counts, global_counts = zip(*layers[si : si + n])
+            report = format_sparsity_report(mask_stats(counts, global_counts))
+            stats_blocks.append(f"# {utt_id} segment {si // n}\n{report}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         _atomic_write(args.out, text)
@@ -223,8 +219,8 @@ def cmd_heatmap(args) -> int:
     mh = model.blocks[args.layer].mh
     if not 0 <= args.head < mh.num_heads:
         raise ParameterError(f"head {args.head} out of range [0, {mh.num_heads})")
-    _, attn_in = encode_file(model, args.input, opts)
-    z = attn_in[args.layer]
+    # each layer's attention input, as attention saw it
+    z = encode_file(model, args.input, opts, lambda z, *_: z)[1][args.layer]
     export_heatmap(z, mh.heads[args.head], args.out)
     print(f"wrote {len(z)}x{len(z)} heatmap to {args.out}")
     return EXIT_OK

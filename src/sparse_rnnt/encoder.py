@@ -7,6 +7,7 @@ sublayer -> half-step FFN -> final layer norm.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import get_type_hints
 
@@ -198,21 +199,19 @@ def _conv_module(x: np.ndarray, w: ConvModuleWeights) -> np.ndarray:
     return matmul(y, w.pw2) + w.pb2
 
 
-def conformer_block_forward(
-    x: np.ndarray, block: ConformerBlockWeights, policy: MaskPolicy
-) -> tuple[np.ndarray, np.ndarray]:
-    """One macaron block; returns its output and its attention input.
-
-    The attention input is all a caller needs to recompute the layer's
-    scores and attended sets (attention.score_blocks).
-    """
+def conformer_block_forward(x: np.ndarray, block: ConformerBlockWeights,
+                            policy: MaskPolicy, observe: Callable | None = None
+                            ) -> tuple[np.ndarray, object]:
+    """One macaron block; returns its output and what observe returned on
+    its attention pass (attention.sparse_attend), None without it."""
     x = x + 0.5 * _feed_forward(x, block.ffn1)
     attn_in = layer_norm(x, block.attn_norm_gain, block.attn_norm_bias)
-    x = x + sparse_attend(attn_in, block.mh, policy).output
+    attn = sparse_attend(attn_in, block.mh, policy, observe)
+    x = x + attn.output
     x = x + _conv_module(x, block.conv)
     x = x + 0.5 * _feed_forward(x, block.ffn2)
     x = layer_norm(x, block.final_norm_gain, block.final_norm_bias)
-    return x, attn_in
+    return x, attn.observed
 
 
 def _sinusoidal_pe(T: int, dim: int) -> np.ndarray:
@@ -225,12 +224,12 @@ def _sinusoidal_pe(T: int, dim: int) -> np.ndarray:
     return pe
 
 
-def encode(
-    f: FeatureMatrix, model, policy: MaskPolicy
-) -> tuple[EncoderOutputs, list[np.ndarray]]:
+def encode(f: FeatureMatrix, model, policy: MaskPolicy,
+           observe: Callable | None = None) -> tuple[EncoderOutputs, list]:
     """Full encoder pass: subsample, optional PE, N conformer blocks.
 
-    Also returns each layer's attention input, (T', model_dim).
+    Also returns what observe returned on each layer's attention pass
+    (conformer_block_forward), an empty list without it.
     """
     cfg = model.config.encoder
     if f.dim != model.config.feat_dim:
@@ -240,12 +239,13 @@ def encode(
     x = conv_subsample(f, model.subsample, cfg)
     if cfg.use_sinusoidal_pe:
         x = x + _sinusoidal_pe(x.shape[0], cfg.model_dim)
-    attn_inputs = []
+    observed = []
     for block in model.blocks:
-        x, attn_in = conformer_block_forward(x, block, policy)
-        attn_inputs.append(attn_in)
+        x, seen = conformer_block_forward(x, block, policy, observe)
+        if observe is not None:
+            observed.append(seen)
     frame_rate = f.frame_shift * cfg.subsample_stride ** 2
-    return EncoderOutputs(x, frame_rate), attn_inputs
+    return EncoderOutputs(x, frame_rate), observed
 
 
 def receptive_field(cfg: EncoderConfig, policy: MaskPolicy, i: int, T_out: int,

@@ -67,7 +67,6 @@ class DecodeOptions:
 class DecodeResult:
     text: str
     tokens: list[TimedToken]
-    attn_in: list  # per segment, each layer's attention input (T', model_dim)
     log_prob: float
 
 
@@ -117,14 +116,14 @@ def _features(w: Waveform, feat_dim: int) -> FeatureMatrix:
     return normalize_global(f, compute_stats(f))
 
 
-def _decode_segment(model, f: FeatureMatrix, offset: float, opts: DecodeOptions):
-    enc_out, attn_in = encode(f, model, opts.policy)
+def _decode_segment(model, f: FeatureMatrix, offset: float, opts: DecodeOptions, observe):
+    enc_out, _ = encode(f, model, opts.policy, observe)
     transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs)
     tokens = [
         TimedToken(tok, offset + frame * enc_out.frame_rate)
         for tok, frame in zip(transcript.token_ids, transcript.frames)
     ]
-    return tokens, attn_in, transcript.log_prob
+    return tokens, transcript.log_prob
 
 
 def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
@@ -179,17 +178,17 @@ def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
     return pieces
 
 
-def decode_prepared(model, prepared, opts: DecodeOptions) -> DecodeResult:
+def decode_prepared(model, prepared, opts: DecodeOptions, observe=None) -> DecodeResult:
     """Encode and decode the output of prepare_input; under doi
-    segmentation, tokens are merged by core ownership."""
+    segmentation, tokens are merged by core ownership. observe, if given,
+    sees every layer's attention pass of each segment encoded, in order
+    (encoder.encode)."""
     results = []
-    all_attn_in = []
     total_lp = 0.0
     for seg, f in prepared:
         tokens = []
         if f is not None:
-            tokens, attn_in, lp = _decode_segment(model, f, seg.start, opts)
-            all_attn_in.append(attn_in)
+            tokens, lp = _decode_segment(model, f, seg.start, opts, observe)
             total_lp += lp
         results.append((seg, tokens))
     if opts.segmentation.kind == "doi" and results:
@@ -197,18 +196,19 @@ def decode_prepared(model, prepared, opts: DecodeOptions) -> DecodeResult:
     else:
         merged = [t for _, toks in results for t in toks]
     text = model.config.vocab.render([t.token_id for t in merged])
-    return DecodeResult(text, merged, all_attn_in, total_lp)
+    return DecodeResult(text, merged, total_lp)
 
 
-def decode_file(model, path, opts: DecodeOptions) -> DecodeResult:
+def decode_file(model, path, opts: DecodeOptions, observe=None) -> DecodeResult:
     """Decode a .wav (with segmentation) or a feature text file (as is)."""
     x = prepare_input(model, read_input(path), opts.segmentation)
-    return decode_prepared(model, x, opts)
+    return decode_prepared(model, x, opts, observe)
 
 
-def encode_file(model, path, opts: DecodeOptions):
-    """Encode a whole .wav or feature file, unsegmented, without decoding."""
+def encode_file(model, path, opts: DecodeOptions, observe=None):
+    """Encode a whole .wav or feature file, unsegmented, without decoding;
+    returns what encoder.encode does."""
     x = read_input(path)
     if isinstance(x, Waveform):
         x = _features(x, model.config.feat_dim)
-    return encode(x, model, opts.policy)
+    return encode(x, model, opts.policy, observe)

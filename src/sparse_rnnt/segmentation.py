@@ -143,9 +143,13 @@ def doi_merge(
 _ENERGY_BLOCK = 4096
 
 
+def _frame_samples(cfg: VadConfig, sample_rate: int) -> tuple[int, int]:
+    """The VAD frame and hop in whole samples, as frames are cut."""
+    return tuple(max(1, int(round(x * sample_rate))) for x in (cfg.frame, cfg.hop))
+
+
 def _frame_energies_db(w: Waveform, cfg: VadConfig) -> np.ndarray:
-    win = max(1, int(round(cfg.frame * w.sample_rate)))
-    hop = max(1, int(round(cfg.hop * w.sample_rate)))
+    win, hop = _frame_samples(cfg, w.sample_rate)
     if len(w.samples) < win:
         return np.empty(0)
     # a row per frame, squared a block of rows at a time so memory stays
@@ -168,13 +172,15 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
     idx = np.flatnonzero(energies > cfg.energy_threshold_db)
     if idx.size == 0:
         return []
+    # frames start every hop whole samples, which is not cfg.hop at every rate
+    hop = _frame_samples(cfg, w.sample_rate)[1] / w.sample_rate
     # frame runs of speech, merging gaps shorter than min_silence
-    min_gap = max(1, int(round(cfg.min_silence / cfg.hop)))
+    min_gap = max(1, int(round(cfg.min_silence / hop)))
     gaps = np.flatnonzero(np.diff(idx) > min_gap)
     starts, ends = idx[np.r_[0, gaps + 1]], idx[np.r_[gaps, -1]]
     # to seconds; a frame spans [t*hop, t*hop + frame), and runs start more
     # than min_silence > frame after the last ends, so intervals are in order
-    intervals = [[s * cfg.hop, e * cfg.hop + cfg.frame] for s, e in zip(starts, ends)]
+    intervals = [[s * hop, e * hop + cfg.frame] for s, e in zip(starts, ends)]
     # absorb too-short segments into the nearest neighbor; every interval
     # before i is long enough, so the scan resumes at the merged one
     i = 0
@@ -200,14 +206,12 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
             # the right piece is guaranteed to shrink
             lo_t = max(s + cfg.min_segment, e - cfg.max_segment)
             hi_t = min(e - cfg.min_segment, s + cfg.max_segment)
-            if lo_t >= hi_t:
+            f_lo = int(np.ceil(lo_t / hop))
+            f_hi = min(max(f_lo + 1, int(np.floor(hi_t / hop))), energies.size)
+            if lo_t >= hi_t or f_lo >= f_hi:  # no frame to cut at
                 cut = (s + e) / 2.0
             else:
-                f_lo = int(np.ceil(lo_t / cfg.hop))
-                f_hi = max(f_lo + 1, int(np.floor(hi_t / cfg.hop)))
-                f_hi = min(f_hi, energies.size)
-                window = energies[f_lo:f_hi]
-                cut = (f_lo + int(np.argmin(window))) * cfg.hop
+                cut = (f_lo + int(np.argmin(energies[f_lo:f_hi]))) * hop
             final.append((s, cut))
             s = cut
         final.append((s, e))

@@ -12,7 +12,6 @@ from sparse_rnnt.attention import (
     AttentionHeadWeights,
     MaskPolicy,
     MultiHeadWeights,
-    attended_counts,
     export_heatmap,
     format_sparsity_report,
     fuse_heads,
@@ -52,6 +51,11 @@ def attend_peaks(rng, policy, lengths, num_heads=4):
         finally:
             tracemalloc.stop()
     return peaks
+
+
+def observed_counts(z, mh, policy):
+    """(counts, global counts) that sparse_attend observes of the sets it attends."""
+    return sparse_attend(z, mh, policy, lambda z, *counts: counts).observed
 
 
 def scores_of(z, heads):
@@ -287,12 +291,11 @@ class TestSparseAttend:
             return block_keys(sets, rows, n)
 
         monkeypatch.setattr(attention, "_block_keys", spy)
-        sparse_attend(z, mh, policy)
+        counts = observed_counts(z, mh, policy)[0]
         # the layer is one block, and H * T * max count is within
         # _GATHER_KEYS, so each count is one batch
         assert H * T * T <= attention._GATHER_KEYS
         assert len(list(score_blocks(z, mh.heads, policy))) == 1
-        counts = attended_counts(z, mh, policy)[0]
         per_head = [sorted({int(n) for n in c} - {T}) for c in counts]
         if fusion == FUSION_PER_HEAD:
             want = [n for ns in per_head for n in ns]
@@ -309,14 +312,14 @@ class TestSparseAttend:
             for block in score_blocks(z, mh.heads, policy):
                 rows = np.arange(block.e.shape[1])
                 assert block.sets[:, rows, block.start + rows].all()
-            assert attended_counts(z, mh, policy)[0].min() >= 1
+            assert observed_counts(z, mh, policy)[0].min() >= 1
 
     def test_monotone_attended_set_sizes(self, rng):
         z = rng.normal(size=(10, 4))
         mh = random_mh(rng, 4, 4, 1)
         sizes = {}
         for fusion in (FUSION_AND, FUSION_PER_HEAD, FUSION_OR):
-            sizes[fusion] = attended_counts(z, mh, MaskPolicy.local_global(1, fusion))[0]
+            sizes[fusion] = observed_counts(z, mh, MaskPolicy.local_global(1, fusion))[0]
         for h in range(4):
             assert np.all(sizes[FUSION_AND][h] <= sizes[FUSION_PER_HEAD][h])
             assert np.all(sizes[FUSION_PER_HEAD][h] <= sizes[FUSION_OR][h])
@@ -396,18 +399,42 @@ class TestMaskStats:
 
     def test_counts_of_every_policy(self, rng):
         # dense attends every key, `local` its band, and the global policies
-        # the band and their global sets, counted on score_blocks
+        # the band and their global sets, as sparse_attend observes them
         T, w = 12, 2
         z = rng.normal(size=(T, 4))
         mh = random_mh(rng, 4, 2, 2)
         band = local_mask(T, w).counts()
-        counts, g = attended_counts(z, mh, MaskPolicy.dense())
+        counts, g = observed_counts(z, mh, MaskPolicy.dense())
         assert g is None and np.array_equal(counts, np.full((2, T), T))
-        counts, g = attended_counts(z, mh, MaskPolicy.local(w))
+        counts, g = observed_counts(z, mh, MaskPolicy.local(w))
         assert g is None and np.array_equal(counts, [band, band])
         for fusion in (FUSION_OR, FUSION_PER_HEAD, FUSION_AND):
-            counts, g = attended_counts(z, mh, MaskPolicy.local_global(w, fusion))
+            counts, g = observed_counts(z, mh, MaskPolicy.local_global(w, fusion))
             assert np.all(band <= counts) and np.all(counts <= band + g)
+
+    def test_observer_sees_one_pass_and_changes_nothing(self, rng, monkeypatch):
+        # the observer is called once with the call's input and returns the
+        # result's `observed`; attention's output keeps its bits, and counts
+        # filled over blocks of two rows equal those of one block
+        T, H = 9, 2
+        z = rng.normal(size=(T, 4))
+        mh = random_mh(rng, 4, H, 2)
+        for policy in (MaskPolicy.dense(), MaskPolicy.local(1),
+                       *(MaskPolicy.local_global(1, fusion)
+                         for fusion in (FUSION_OR, FUSION_PER_HEAD, FUSION_AND))):
+            plain = sparse_attend(z, mh, policy)
+            assert plain.observed is None
+            calls = []
+            seen = sparse_attend(z, mh, policy, lambda *args: calls.append(args) or "kept")
+            assert seen.observed == "kept" and len(calls) == 1 and calls[0][0] is z
+            assert np.array_equal(seen.output, plain.output)
+            one = observed_counts(z, mh, policy)
+            with monkeypatch.context() as m:
+                m.setattr(attention, "_BLOCK_SCORES", 2 * H * T)
+                blocked = observed_counts(z, mh, policy)
+            for a, b in zip(one, blocked, strict=True):
+                assert (a is None and b is None) or np.array_equal(a, b)
+                assert a is None or a.shape == (H, T)
 
     @pytest.mark.parametrize("T,w,mean,lo,hi", [
         (5, 1, 13 / 25, 2 / 5, 3 / 5),  # counts 2 3 3 3 2

@@ -7,10 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sparse_rnnt import attention, encoder
+from sparse_rnnt.attention import format_sparsity_report, mask_stats, score_blocks
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, main
 from sparse_rnnt.errors import DataError
 from sparse_rnnt.frontend import Waveform, read_wav, write_wav
-from sparse_rnnt.pipeline import DecodeOptions, decode_waveform
+from sparse_rnnt.model_io import load_model
+from sparse_rnnt.pipeline import DecodeOptions, decode_waveform, parse_policy
+from tests_oracles import rowwise_sets
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +145,56 @@ class TestDecode:
             assert set(tok) == {"token", "time"}
         body = stats.read_text()
         assert "layer" in body and "head" in body
+        # a second input gets its own block, counted from its own decode
+        again = tmp_path / "utt2.wav"
+        again.write_bytes(wav_path.read_bytes())
+        assert main(["decode", "--model", str(model_path), str(wav_path), str(again),
+                     "--mask", "local+sgm3", "--w", "5", "--out", str(tmp_path / "o.txt"),
+                     "--stats", str(stats)]) == EXIT_OK
+        assert stats.read_text() == body + body.replace("# utt1 ", "# utt2 ")
+
+    @pytest.mark.parametrize("mask", ["dense", "local", "local+sgm1", "local+sgm2",
+                                      "local+sgm3"])
+    def test_stats_are_the_oracle_set_sizes(self, model_path, tmp_path, monkeypatch,
+                                            mask):
+        # a doi decode of four segments whose layers each span many blocks
+        # of score_blocks: the --stats file is the report of the rowwise
+        # oracle's set sizes, derived again from each layer's input
+        wav = tmp_path / "long.wav"
+        write_wav(wav, Waveform(0.1 * np.random.default_rng(8).normal(size=8 * 16000),
+                                16000))
+        monkeypatch.setattr(attention, "_BLOCK_SCORES", 1 << 10)
+        inputs = []  # every layer's attention input, in order
+
+        def spy(*args, real=encoder.sparse_attend):
+            inputs.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(encoder, "sparse_attend", spy)
+        argv = ["decode", "--model", str(model_path), str(wav), "--mask", mask,
+                "--w", "3", "--segmentation", "doi:3", "--overlap", "0.5"]
+        hyps, stats = tmp_path / "hyps.tsv", tmp_path / "stats.txt"
+        assert main(argv + ["--out", str(hyps), "--stats", str(stats)]) == EXIT_OK
+        model, policy = load_model(model_path), parse_policy(mask, 3)
+        L = len(model.blocks)
+        assert len(inputs) == 4 * L
+        want = []
+        for si in range(0, len(inputs), L):
+            counts, global_counts = [], []
+            for z, block in zip(inputs[si : si + L], model.blocks):
+                assert len(list(score_blocks(z, block.mh.heads, policy))) > 2
+                _, attended, global_ = rowwise_sets(z, block.mh, policy,
+                                                    library_scores=True)
+                counts.append(np.array([[len(s) for s in head] for head in attended]))
+                global_counts.append(None if global_ is None else
+                                     np.array([[len(s) for s in h] for h in global_]))
+            want.append(f"# long segment {si // L}\n"
+                        + format_sparsity_report(mask_stats(counts, global_counts)))
+        assert stats.read_text() == "".join(want)
+        # and --stats changes no transcript
+        plain = tmp_path / "plain.tsv"
+        assert main(argv + ["--out", str(plain)]) == EXIT_OK
+        assert plain.read_bytes() == hyps.read_bytes()
 
     def test_missing_input_exit_io(self, model_path, tmp_path):
         code = main(["decode", "--model", str(model_path),
@@ -496,12 +550,21 @@ class TestCommonRates:
         assert main(["sweep", "--model", str(model_path), str(wav), "--refs",
                      str(refs), "--out", str(tmp_path / "s.csv")]) == EXIT_OK
 
-    def test_decode_waveform(self, tiny_model, wav):
+    def test_decode_waveform(self, tiny_model, wav, monkeypatch):
         # 1 s gives the encoder as many frames as at 16 kHz
+        from sparse_rnnt import pipeline
+
+        frames = []
+
+        def spy(*args, real=pipeline.decode_with_srs):
+            frames.append(args[0].length)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "decode_with_srs", spy)
         at_16k = Waveform(np.zeros(16000), 16000)
-        frames = [len(decode_waveform(tiny_model, x, DecodeOptions()).attn_in[0][0])
-                  for x in (read_wav(wav), at_16k)]
-        assert frames[0] == frames[1] > 0
+        for x in (read_wav(wav), at_16k):
+            decode_waveform(tiny_model, x, DecodeOptions())
+        assert len(frames) == 2 and frames[0] == frames[1] > 0
 
 
 class TestNonUtf8Text:

@@ -7,15 +7,7 @@ import pytest
 from conftest import tiny_config
 from sparse_rnnt import encoder as encoder_module
 from sparse_rnnt import attention
-from sparse_rnnt.attention import (
-    MaskPolicy,
-    attended_counts,
-    format_sparsity_report,
-    mask_stats,
-    score_blocks,
-    sparse_attend,
-)
-from sparse_rnnt.cli import _sparsity_report
+from sparse_rnnt.attention import MaskPolicy, score_blocks, sparse_attend
 from sparse_rnnt.encoder import (
     EncoderConfig,
     SubsampleWeights,
@@ -182,9 +174,11 @@ class TestConformerBlock:
         block, _ = self._block()
         x = rng.normal(size=(6, 8))
         policy = MaskPolicy.local_global(2)
-        _, attn_in = conformer_block_forward(x, block, policy)
-        assert attn_in.shape == (6, 8)
-        (diag,) = score_blocks(attn_in, block.mh.heads, policy)
+        _, (z, counts, global_counts) = conformer_block_forward(
+            x, block, policy, lambda *seen: seen)
+        assert z.shape == (6, 8)
+        assert counts.shape == global_counts.shape == (2, 6)
+        (diag,) = score_blocks(z, block.mh.heads, policy)
         assert diag.e.shape == (2, 6, 6)
         # sgm3's fused sets, one slice that both heads share
         assert diag.sets.shape == diag.g.shape == (1, 6, 6)
@@ -253,22 +247,24 @@ class TestEncode:
         monkeypatch.setattr(attention, "_BLOCK_SCORES", 1 << 16)
         peaks = []
 
-        def spy(z, mh, policy):
+        def spy(*args):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            res = sparse_attend(z, mh, policy)
+            res = sparse_attend(*args)
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
             return res
 
         monkeypatch.setattr(encoder_module, "sparse_attend", spy)
         tracemalloc.start()
         try:
-            out, attn_in = encode(feats(rng, 8000, 6), model, parse_policy(spec, 2))
+            # with the observer of `decode --stats`, which keeps each layer's counts
+            out, counts = encode(feats(rng, 8000, 6), model, parse_policy(spec, 2),
+                                 lambda z, *counts: counts)
         finally:
             tracemalloc.stop()
         T = out.length
         assert T * T != T * model.config.encoder.model_dim
-        arrays = reachable_arrays((out, attn_in))
+        arrays = reachable_arrays((out, counts))
         assert arrays and all(a.size != T * T for a in arrays)
         assert len(peaks) == len(model.blocks)
         assert all(peak < T * T for peak in peaks), (T, peaks)
@@ -276,38 +272,31 @@ class TestEncode:
     @pytest.mark.parametrize("spec", POLICIES)
     def test_recomputed_masks_are_the_masks_attention_used(
             self, rng, monkeypatch, spec):
-        # `decode --stats` counts each layer's sets again from its attention
-        # input. They must be the sets attention used: the rowwise oracle,
-        # which derives its sets itself, gives attention's output bit for
-        # bit, and its set sizes are the counts
+        # `decode --stats` reports the counts sparse_attend observes in its
+        # own pass. The rowwise oracle derives each layer's sets again from
+        # the layer's input: it gives attention's output bit for bit, and
+        # its set sizes are the observed counts
         used = []
 
-        def spy(z, mh, policy):
-            res = sparse_attend(z, mh, policy)
-            used.append((z, res.output))
+        def spy(*args):
+            res = sparse_attend(*args)
+            used.append(res.output)
             return res
 
         monkeypatch.setattr(encoder_module, "sparse_attend", spy)
         model = random_model(tiny_config(), 11)
         policy = parse_policy(spec, 2)
-        _, attn_in = encode(feats(rng, 60, 6), model, policy)
-        assert len(used) == len(attn_in) == len(model.blocks)
-        oracle_counts, oracle_global = [], []
-        for (z, output), again, block in zip(used, attn_in, model.blocks):
-            assert np.array_equal(z, again)
+        _, observed = encode(feats(rng, 60, 6), model, policy, lambda *seen: seen)
+        assert len(used) == len(observed) == len(model.blocks)
+        for output, (z, counts, global_counts), block in zip(used, observed, model.blocks):
             assert np.array_equal(
-                output, rowwise_sparse_attend(again, block.mh, policy, library_scores=True))
-            _, attended, global_ = rowwise_sets(again, block.mh, policy, library_scores=True)
-            oracle_counts.append(np.array([[len(s) for s in head] for head in attended]))
-            oracle_global.append(None if global_ is None else
-                                 np.array([[len(s) for s in head] for head in global_]))
-            counts, global_counts = attended_counts(again, block.mh, policy)
-            assert np.array_equal(counts, oracle_counts[-1])
+                output, rowwise_sparse_attend(z, block.mh, policy, library_scores=True))
+            _, attended, global_ = rowwise_sets(z, block.mh, policy, library_scores=True)
+            assert np.array_equal(counts, [[len(s) for s in head] for head in attended])
             assert (global_counts is None) == (global_ is None)
             if global_ is not None:
-                assert np.array_equal(global_counts, oracle_global[-1])
-        assert _sparsity_report(model, attn_in, policy) == \
-            format_sparsity_report(mask_stats(oracle_counts, oracle_global))
+                assert np.array_equal(global_counts,
+                                      [[len(s) for s in head] for head in global_])
 
     def test_receptive_field_requires_local(self):
         cfg = tiny_config().encoder

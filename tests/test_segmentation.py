@@ -10,6 +10,7 @@ from sparse_rnnt.segmentation import (
     TimedToken,
     VadConfig,
     _frame_energies_db,
+    _frame_samples,
     doi_merge,
     doi_split,
     epd_split,
@@ -191,6 +192,51 @@ class TestEpdSplit:
             assert all(a.end <= b.start for a, b in zip(segs, segs[1:]))
         assert rejected == 0 if tight else rejected < 60
         assert split > 60
+
+    def test_short_max_segment_fuzz(self):
+        # accepted configs with max_segment of 5-50 ms and hops of a few
+        # samples, on audio that ends in a burst: forced pieces reach the
+        # last frame, and frame times must follow the whole-sample hop
+        for seed in range(300):
+            rng = np.random.default_rng([seed, 17])
+            sr = int(rng.choice([8000, 16000, 22050]))
+            pieces = []
+            while sum(map(len, pieces)) < rng.uniform(0.3, 1.5) * sr:
+                pieces += [rng.normal(0.0, 10 ** rng.uniform(-3.0, -0.5),
+                                      int(rng.uniform(0.005, 0.2) * sr)),
+                           rng.normal(0.0, 10 ** rng.uniform(-6.0, -4.0),
+                                      int(rng.uniform(0.005, 0.2) * sr))]
+            w = Waveform(np.concatenate(pieces[:-1]), sr)
+            max_segment = rng.uniform(0.005, 0.05)
+            min_silence = rng.uniform(0.002, 0.2)
+            cfg = VadConfig(frame=rng.uniform(0.3, 1.0) * min(min_silence, max_segment),
+                            hop=rng.uniform(0.0002, 0.01),
+                            energy_threshold_db=rng.uniform(-55.0, -30.0),
+                            min_silence=min_silence,
+                            min_segment=rng.uniform(0.0, max_segment),
+                            max_segment=max_segment)
+            segs = epd_split(w, cfg)
+            assert all(0.0 <= x.start < x.end <= w.duration for x in segs), seed
+            assert all(a.end <= b.start for a, b in zip(segs, segs[1:])), seed
+
+    def test_burst_at_the_end_of_a_22k_file_is_kept(self):
+        # at 22.05 kHz the 10 ms hop is 220 samples, not 220.5; in 120 s the
+        # nominal hop would put the last burst past the end of the audio
+        bounds = {}
+        for sr in (16000, 22050):
+            sig = np.zeros(120 * sr)
+            for a, b in ((10.0, 10.5), (119.75, 120.0)):
+                sig[int(a * sr) : int(b * sr)] = 0.1 * np.random.default_rng(sr).normal(
+                    size=int(b * sr) - int(a * sr))
+            bounds[sr] = [(x.start, x.end) for x in epd_split(Waveform(sig, sr))]
+        assert len(bounds[22050]) == len(bounds[16000]) == 2
+        assert np.allclose(bounds[22050], bounds[16000], rtol=0, atol=VadConfig().hop)
+        assert 119.7 < bounds[22050][1][0] < bounds[22050][1][1] <= 120.0
+
+    @pytest.mark.parametrize("sr", [8000, 16000, 44100, 48000])
+    def test_default_hop_is_whole_samples(self, sr):
+        # so at these rates frame times are those of the nominal hop
+        assert _frame_samples(VadConfig(), sr)[1] / sr == VadConfig().hop
 
 
 def bursty_case(rng, tight):

@@ -17,8 +17,11 @@ import pytest
 
 from conftest import tiny_config
 from sparse_rnnt import cli
-from sparse_rnnt.frontend import Waveform, write_wav
-from sparse_rnnt.model_io import random_model, save_model
+from sparse_rnnt.attention import MaskPolicy
+from sparse_rnnt.encoder import encode
+from sparse_rnnt.frontend import Waveform, read_wav, write_wav
+from sparse_rnnt.model_io import load_model, random_model, save_model
+from sparse_rnnt.pipeline import _features
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -64,6 +67,11 @@ def test_traced_decode_reports_every_layer_metric(tmp_path):
     assert all(math.isfinite(metrics[n]) for n in names)
     assert metrics["encoder.frames"] > 0
     assert metrics["transducer.beam_steps"] == metrics["encoder.frames"]
+    # a decode keeps no diagnostics: without an observer, encode's second
+    # value is empty
+    assert metrics["encoder.diag_mb"] == 0
+    feats = _features(read_wav(wav), tiny_config().feat_dim)
+    assert encode(feats, load_model(model), MaskPolicy.local_global())[1] == []
 
 
 def test_beam_one_blank_decode_goes_through_the_traced_attributes(tmp_path,

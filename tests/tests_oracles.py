@@ -369,8 +369,10 @@ def oracle_epd_split(w, cfg):
     speech = energies > cfg.energy_threshold_db
     if not speech.any():
         return []
+    # frames start every hop whole samples
+    hop = max(1, int(round(cfg.hop * w.sample_rate))) / w.sample_rate
     # frame runs of speech, merging gaps shorter than min_silence
-    min_gap = max(1, int(round(cfg.min_silence / cfg.hop)))
+    min_gap = max(1, int(round(cfg.min_silence / hop)))
     runs: list[list[int]] = []
     idx = np.flatnonzero(speech)
     start = prev = idx[0]
@@ -381,7 +383,7 @@ def oracle_epd_split(w, cfg):
         prev = i
     runs.append([start, prev])
     # to seconds; a frame spans [t*hop, t*hop + frame)
-    intervals = [[s * cfg.hop, e * cfg.hop + cfg.frame] for s, e in runs]
+    intervals = [[s * hop, e * hop + cfg.frame] for s, e in runs]
     # absorb too-short segments into the nearest neighbor
     changed = True
     while changed and len(intervals) > 1:
@@ -411,14 +413,15 @@ def oracle_epd_split(w, cfg):
         # right piece is guaranteed to shrink
         lo_t = max(s + cfg.min_segment, e - cfg.max_segment)
         hi_t = min(e - cfg.min_segment, s + cfg.max_segment)
-        if lo_t >= hi_t:
+        f_lo = int(np.ceil(lo_t / hop))
+        f_hi = max(f_lo + 1, int(np.floor(hi_t / hop)))
+        f_hi = min(f_hi, energies.size)
+        if lo_t >= hi_t or f_lo >= f_hi:
+            # the window holds no frame start
             cut = (s + e) / 2.0
         else:
-            f_lo = int(np.ceil(lo_t / cfg.hop))
-            f_hi = max(f_lo + 1, int(np.floor(hi_t / cfg.hop)))
-            f_hi = min(f_hi, energies.size)
             window = energies[f_lo:f_hi]
-            cut = (f_lo + int(np.argmin(window))) * cfg.hop
+            cut = (f_lo + int(np.argmin(window))) * hop
         final.append([s, cut])
         stack.insert(0, [cut, e])
     final.sort()
