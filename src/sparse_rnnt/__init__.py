@@ -10,7 +10,7 @@ from .attention import (
     sparse_attend,
 )
 from .encoder import EncoderConfig, encode
-from .frontend import FrontendConfig, Waveform, log_mel_spectrogram, read_wav
+from .frontend import Waveform, log_mel_spectrogram, read_wav
 from .metrics import ErrorBreakdown, corpus_cer, edit_alignment
 from .model_io import Model, ModelConfig, Vocabulary, load_model, random_model, save_model
 from .pipeline import DecodeOptions, decode_file, decode_waveform

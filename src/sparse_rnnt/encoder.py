@@ -14,7 +14,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .attention import MaskPolicy, MultiHeadWeights, sparse_attend
-from .errors import EmptyInputError, ParameterError, ShapeError
+from .errors import DataError, EmptyInputError, ParameterError, ShapeError
 from .frontend import FeatureMatrix
 from .numerics import layer_norm, matmul, sigmoid
 
@@ -236,6 +236,11 @@ def encode(f: FeatureMatrix, model, policy: MaskPolicy,
         raise ShapeError(
             f"feature dim {f.dim} != model feat_dim {model.config.feat_dim}"
         )
+    # token times are output frame indices times frame_rate
+    frame_rate = f.frame_shift * cfg.subsample_stride ** 2
+    if not np.isfinite(frame_rate):
+        raise DataError(f"frame_shift {f.frame_shift:g} s times the subsampling "
+                        f"{cfg.subsample_stride ** 2} overflows a float")
     x = conv_subsample(f, model.subsample, cfg)
     if cfg.use_sinusoidal_pe:
         x = x + _sinusoidal_pe(x.shape[0], cfg.model_dim)
@@ -244,7 +249,6 @@ def encode(f: FeatureMatrix, model, policy: MaskPolicy,
         x, seen = conformer_block_forward(x, block, policy, observe)
         if observe is not None:
             observed.append(seen)
-    frame_rate = f.frame_shift * cfg.subsample_stride ** 2
     return EncoderOutputs(x, frame_rate), observed
 
 

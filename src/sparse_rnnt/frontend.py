@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +13,14 @@ from .errors import AudioFormatError, DataError, EmptyInputError, ShapeError
 __all__ = [
     "Waveform",
     "FeatureMatrix",
-    "FrontendConfig",
     "NormalizationStats",
+    "WINDOW",
+    "HOP",
     "read_wav",
     "write_wav",
     "frame_lengths",
+    "frame_start",
+    "strided_frames",
     "log_mel_spectrogram",
     "mel_filterbank",
     "hz_to_mel",
@@ -65,15 +68,8 @@ class FeatureMatrix:
         return self.frames.shape[1]
 
 
-@dataclass
-class FrontendConfig:
-    """Log-mel extraction parameters (25 ms window / 10 ms shift defaults)."""
-
-    window: float = 0.025
-    hop: float = 0.010
-    num_mels: int = 80
-
-
+WINDOW = 0.025  # seconds of audio per frame
+HOP = 0.010  # seconds between frame starts, before rounding to whole samples
 _LOG_FLOOR = 1e-10  # mel energies are floored here before the log
 # frames per batched FFT: bounds the frontend's temporaries (windowed
 # frames, complex spectra) to a few MB whatever the input's length
@@ -161,46 +157,52 @@ def mel_filterbank(fft_size: int, sample_rate: int, num_mels: int) -> np.ndarray
     return fb
 
 
-def frame_count(num_samples: int, window_samples: int, hop_samples: int) -> int:
-    if num_samples < window_samples:
-        return 0
-    return 1 + (num_samples - window_samples) // hop_samples
-
-
-def frame_lengths(cfg: FrontendConfig, sample_rate: int) -> tuple[int, int]:
-    """Window and hop in samples at this rate; a DataError if they cannot
-    frame it (the hop rounds to 0 or outgrows the window)."""
-    win = int(round(cfg.window * sample_rate))
-    hop = int(round(cfg.hop * sample_rate))
+def frame_lengths(sample_rate: int) -> tuple[int, int]:
+    """Window and hop in whole samples at this rate; a DataError if they
+    cannot frame it (the hop rounds to 0 or outgrows the window)."""
+    win = int(round(WINDOW * sample_rate))
+    hop = int(round(HOP * sample_rate))
     if hop <= 0 or win < hop:
         raise DataError(
-            f"sample rate {sample_rate} Hz cannot be framed: the {cfg.window:g} s "
-            f"window and {cfg.hop:g} s hop are {win} and {hop} samples "
+            f"sample rate {sample_rate} Hz cannot be framed: the {WINDOW:g} s "
+            f"window and {HOP:g} s hop are {win} and {hop} samples "
             f"(framing needs 1 <= hop <= window)")
     return win, hop
 
 
-def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> FeatureMatrix:
-    """Log mel-filterbank energies: Hann window, power spectrum, natural log."""
-    cfg = cfg or FrontendConfig()
-    win, hop = frame_lengths(cfg, w.sample_rate)
-    if cfg.num_mels < 1:
-        raise EmptyInputError(f"num_mels must be >= 1, got {cfg.num_mels}")
-    samples = w.samples
-    T = frame_count(len(samples), win, hop)
+def frame_start(t, sample_rate: int) -> float:
+    """Seconds at which frame t starts: t hops of whole samples, which is
+    not t * HOP at every rate."""
+    return t * frame_lengths(sample_rate)[1] / sample_rate
+
+
+def strided_frames(w: Waveform) -> np.ndarray:
+    """The (T, win) frames of w as a view of its samples: frame t is
+    samples [t * hop, t * hop + win); none if w is shorter than a window."""
+    win, hop = frame_lengths(w.sample_rate)
+    if len(w.samples) < win:
+        return np.empty((0, win))
+    return np.lib.stride_tricks.sliding_window_view(w.samples, win)[::hop]
+
+
+def log_mel_spectrogram(w: Waveform, num_mels: int = 80) -> FeatureMatrix:
+    """Log mel-filterbank energies: Hann window, power spectrum, natural
+    log; stamped with the hop and window as cut, in seconds."""
+    if num_mels < 1:
+        raise EmptyInputError(f"num_mels must be >= 1, got {num_mels}")
+    framed = strided_frames(w)
+    T, win = framed.shape
     if T == 0:
         raise EmptyInputError(
-            f"utterance of {len(samples)} samples shorter than one "
+            f"utterance of {len(w.samples)} samples shorter than one "
             f"{win}-sample window"
         )
     # the least power of two that holds the window, at least 512 (the
     # length at 8 and 16 kHz)
     n_fft = max(512, 1 << (win - 1).bit_length())
     window_fn = np.hanning(win)
-    fb = mel_filterbank(n_fft, w.sample_rate, cfg.num_mels)
-    # (T, win), a view of the samples
-    framed = np.lib.stride_tricks.sliding_window_view(samples, win)[::hop]
-    frames = np.empty((T, cfg.num_mels))
+    fb = mel_filterbank(n_fft, w.sample_rate, num_mels)
+    frames = np.empty((T, num_mels))
     for t in range(0, T, _FRAME_BLOCK):
         spectrum = np.abs(np.fft.rfft(framed[t : t + _FRAME_BLOCK] * window_fn,
                                       n=n_fft)) ** 2
@@ -208,7 +210,7 @@ def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig | None = None) -> Featu
         # taken alone; the gemm spectrum @ fb.T would not
         energies = (fb @ spectrum[:, :, None])[:, :, 0]
         frames[t : t + _FRAME_BLOCK] = np.log(np.maximum(energies, _LOG_FLOOR))
-    return FeatureMatrix(frames, cfg.hop, cfg.window)
+    return FeatureMatrix(frames, frame_start(1, w.sample_rate), win / w.sample_rate)
 
 
 def compute_stats(f: FeatureMatrix, std_floor: float = 1e-10) -> NormalizationStats:
@@ -262,6 +264,10 @@ def read_feature_file(path) -> FeatureMatrix:
                         f"frame_length must be finite and > 0")
     if len(text) - 1 != T:
         raise DataError(f"{path}: expected {T} rows, found {len(text) - 1}")
+    # token times are frame indices times the shift: T of them must be finite
+    if not np.isfinite(T * shift):
+        raise DataError(f"{path}: feature header {text[0]!r}: {T} frames of "
+                        f"{shift:g} s overflow a float")
     rows = []
     for i, line in enumerate(text[1:]):
         try:

@@ -8,14 +8,14 @@ from pathlib import Path
 import numpy as np
 
 from .attention import MaskPolicy
-from .encoder import encode
+from .encoder import encode, subsampled_length
 from .errors import DataError, ParameterError
 from .frontend import (
     FeatureMatrix,
-    FrontendConfig,
     Waveform,
     compute_stats,
     frame_lengths,
+    frame_start,
     log_mel_spectrogram,
     normalize_global,
     read_feature_file,
@@ -112,32 +112,13 @@ def _segments_for(w: Waveform, spec: SegmentationSpec) -> list[Segment]:
 
 def _features(w: Waveform, feat_dim: int) -> FeatureMatrix:
     # the filterbank size must match the model's input dimension
-    f = log_mel_spectrogram(w, FrontendConfig(num_mels=feat_dim))
+    f = log_mel_spectrogram(w, feat_dim)
     return normalize_global(f, compute_stats(f))
-
-
-def _decode_segment(model, f: FeatureMatrix, offset: float, opts: DecodeOptions, observe):
-    enc_out, _ = encode(f, model, opts.policy, observe)
-    transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs)
-    tokens = [
-        TimedToken(tok, offset + frame * enc_out.frame_rate)
-        for tok, frame in zip(transcript.token_ids, transcript.frames)
-    ]
-    return tokens, transcript.log_prob
 
 
 def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
     """Segment, decode each piece, and merge tokens by core ownership."""
     return decode_prepared(model, prepare_input(model, w, opts.segmentation), opts)
-
-
-def _min_input_frames(enc_cfg, sample_rate: int) -> int:
-    """Smallest sample count yielding at least one encoder output frame."""
-    win, hop = frame_lengths(FrontendConfig(), sample_rate)
-    # the second stage needs k frames, the first stage k + (k - 1) * s for them
-    k, s = enc_cfg.subsample_kernel, enc_cfg.subsample_stride
-    t = k + (k - 1) * s
-    return win + (t - 1) * hop
 
 
 def read_input(path) -> Waveform | FeatureMatrix:
@@ -151,30 +132,39 @@ def read_input(path) -> Waveform | FeatureMatrix:
         return read_feature_file(path)
     w = read_wav(path)
     try:
-        frame_lengths(FrontendConfig(), w.sample_rate)
+        frame_lengths(w.sample_rate)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     return w
 
 
 def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
-    """Everything a decode reads before the encoder: (segment, features)
-    pairs in time order. A feature matrix is one whole segment, as is
-    (never segmented); a waveform gives each segment with its normalised
-    features, None where the piece is too short to encode."""
+    """Everything a decode reads before the encoder: (segment, features,
+    start) triples in time order, start being the time of the features'
+    first frame. A feature matrix is one whole segment, as is (never
+    segmented). A waveform is framed once; each segment takes the frames
+    that lie wholly inside it, normalised, or None where they are too few
+    to encode."""
     if isinstance(x, FeatureMatrix):
         d = x.num_frames * x.frame_shift
-        return [(Segment(0.0, d, 0.0, d), x)]
+        return [(Segment(0.0, d, 0.0, d), x, 0.0)]
+    segments = _segments_for(x, spec)
+    sr = x.sample_rate
+    win, hop = frame_lengths(sr)
+    whole = None
+    if segments and len(x.samples) >= win:
+        whole = log_mel_spectrogram(x, model.config.feat_dim)
     pieces = []
-    min_frames = _min_input_frames(model.config.encoder, x.sample_rate)
-    for seg in _segments_for(x, spec):
-        lo = int(round(seg.start * x.sample_rate))
-        hi = int(round(seg.end * x.sample_rate))
-        piece = Waveform(x.samples[lo:hi], x.sample_rate)
+    for seg in segments:
+        # frame t spans samples [t * hop, t * hop + win)
+        first = -(-int(round(seg.start * sr)) // hop)
+        end = (int(round(seg.end * sr)) - win) // hop + 1
         f = None
-        if len(piece.samples) >= min_frames:
-            f = _features(piece, model.config.feat_dim)
-        pieces.append((seg, f))
+        if subsampled_length(end - first, model.config.encoder) >= 1:
+            f = FeatureMatrix(whole.frames[first:end], whole.frame_shift,
+                              whole.frame_length)
+            f = normalize_global(f, compute_stats(f))
+        pieces.append((seg, f, frame_start(first, sr)))
     return pieces
 
 
@@ -185,11 +175,14 @@ def decode_prepared(model, prepared, opts: DecodeOptions, observe=None) -> Decod
     (encoder.encode)."""
     results = []
     total_lp = 0.0
-    for seg, f in prepared:
+    for seg, f, start in prepared:
         tokens = []
         if f is not None:
-            tokens, lp = _decode_segment(model, f, seg.start, opts, observe)
-            total_lp += lp
+            enc_out, _ = encode(f, model, opts.policy, observe)
+            transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs)
+            tokens = [TimedToken(tok, start + frame * enc_out.frame_rate)
+                      for tok, frame in zip(transcript.token_ids, transcript.frames)]
+            total_lp += transcript.log_prob
         results.append((seg, tokens))
     if opts.segmentation.kind == "doi" and results:
         merged = doi_merge(results)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .frontend import Waveform
+from .frontend import WINDOW, Waveform, frame_start, strided_frames
 
 __all__ = [
     "Segment",
@@ -47,8 +47,6 @@ class Segment:
 
 @dataclass
 class VadConfig:
-    frame: float = 0.025
-    hop: float = 0.010
     energy_threshold_db: float = -40.0
     min_silence: float = 0.3
     min_segment: float = 0.2
@@ -61,9 +59,9 @@ class VadConfig:
             raise ParameterError("min_segment must not exceed max_segment")
         # a longer frame outlasts the gap between speech runs or a forced
         # piece, so segments would overlap and audio be decoded twice
-        if not self.frame < min(self.min_silence, self.max_segment):
+        if not WINDOW < min(self.min_silence, self.max_segment):
             raise ParameterError(
-                f"frame ({self.frame:g} s) must be shorter than min_silence "
+                f"the {WINDOW:g} s frame must be shorter than min_silence "
                 f"({self.min_silence:g} s) and max_segment ({self.max_segment:g} s)")
 
 
@@ -143,18 +141,12 @@ def doi_merge(
 _ENERGY_BLOCK = 4096
 
 
-def _frame_samples(cfg: VadConfig, sample_rate: int) -> tuple[int, int]:
-    """The VAD frame and hop in whole samples, as frames are cut."""
-    return tuple(max(1, int(round(x * sample_rate))) for x in (cfg.frame, cfg.hop))
-
-
-def _frame_energies_db(w: Waveform, cfg: VadConfig) -> np.ndarray:
-    win, hop = _frame_samples(cfg, w.sample_rate)
-    if len(w.samples) < win:
-        return np.empty(0)
+def _frame_energies_db(w: Waveform) -> np.ndarray:
     # a row per frame, squared a block of rows at a time so memory stays
     # bounded; a row's mean has the bits of its lone mean
-    frames = np.lib.stride_tricks.sliding_window_view(w.samples, win)[::hop]
+    frames = strided_frames(w)
+    if not len(frames):
+        return np.empty(0)
     power = np.concatenate([(frames[t:t + _ENERGY_BLOCK] ** 2).mean(axis=1)
                             for t in range(0, len(frames), _ENERGY_BLOCK)])
     return 10.0 * np.log10(power + 1e-12)
@@ -168,19 +160,21 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
     full segments (no overlap trimming).
     """
     cfg = cfg or VadConfig()
-    energies = _frame_energies_db(w, cfg)
+    energies = _frame_energies_db(w)
     idx = np.flatnonzero(energies > cfg.energy_threshold_db)
     if idx.size == 0:
         return []
-    # frames start every hop whole samples, which is not cfg.hop at every rate
-    hop = _frame_samples(cfg, w.sample_rate)[1] / w.sample_rate
+    sr = w.sample_rate
+    hop = frame_start(1, sr)
     # frame runs of speech, merging gaps shorter than min_silence
     min_gap = max(1, int(round(cfg.min_silence / hop)))
     gaps = np.flatnonzero(np.diff(idx) > min_gap)
     starts, ends = idx[np.r_[0, gaps + 1]], idx[np.r_[gaps, -1]]
-    # to seconds; a frame spans [t*hop, t*hop + frame), and runs start more
-    # than min_silence > frame after the last ends, so intervals are in order
-    intervals = [[s * hop, e * hop + cfg.frame] for s, e in zip(starts, ends)]
+    # to seconds; a frame spans [t*hop, t*hop + WINDOW) to the nearest
+    # sample, and runs start more than min_silence > WINDOW after the last
+    # ends, so intervals are in order
+    intervals = [[frame_start(s, sr), frame_start(e, sr) + WINDOW]
+                 for s, e in zip(starts, ends)]
     # absorb too-short segments into the nearest neighbor; every interval
     # before i is long enough, so the scan resumes at the merged one
     i = 0
@@ -211,7 +205,7 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
             if lo_t >= hi_t or f_lo >= f_hi:  # no frame to cut at
                 cut = (s + e) / 2.0
             else:
-                cut = (f_lo + int(np.argmin(energies[f_lo:f_hi]))) * hop
+                cut = frame_start(f_lo + int(np.argmin(energies[f_lo:f_hi])), sr)
             final.append((s, cut))
             s = cut
         final.append((s, e))

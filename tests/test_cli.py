@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -7,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import tiny_config
 from sparse_rnnt import attention, encoder
 from sparse_rnnt.attention import format_sparsity_report, mask_stats, score_blocks
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, main
 from sparse_rnnt.errors import DataError
 from sparse_rnnt.frontend import Waveform, read_wav, write_wav
-from sparse_rnnt.model_io import load_model
+from sparse_rnnt.model_io import load_model, random_model, save_model
 from sparse_rnnt.pipeline import DecodeOptions, decode_waveform, parse_policy
 from tests_oracles import rowwise_sets
 
@@ -311,6 +313,46 @@ class TestDecode:
         code = main(["decode", "--model", str(model_path), str(feats)])
         assert code == EXIT_DATA
         assert "row 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shift, code", [("1e308", EXIT_DATA), ("1e307", EXIT_DATA),
+                                             ("1.0", EXIT_OK)])
+    def test_feature_file_times_must_be_finite(self, model_path, tmp_path, capsys,
+                                               shift, code):
+        # 60 frames of 1e307 s overflow a float; token times would be inf or
+        # NaN, and --detail would write them as invalid JSON
+        F = load_model(model_path).config.feat_dim
+        rng = np.random.default_rng(3)
+        feats = tmp_path / "utt1.feats"
+        feats.write_text(f"60 {F} {shift} 0.025\n" + "".join(
+            " ".join(map(repr, row)) + "\n" for row in rng.normal(size=(60, F)).tolist()))
+        detail = tmp_path / "d.jsonl"
+        assert main(["decode", "--model", str(model_path), str(feats), "--beam", "1",
+                     "--out", str(tmp_path / "h.tsv"), "--detail", str(detail)]) == code
+        if code == EXIT_DATA:
+            assert capsys.readouterr().err.startswith(f"error: {feats}: feature header")
+            return
+
+        def no_constant(name):
+            raise ValueError(f"{name} in --detail")
+
+        times = [t["time"] for t in json.loads(detail.read_text(),
+                                               parse_constant=no_constant)["tokens"]]
+        assert times and max(times) > 1.0
+
+    def test_feature_shift_times_subsampling_must_be_finite(self, tmp_path, capsys):
+        # one frame of 1e308 s passes the header check; a kernel-1 model
+        # encodes it, and its time step is that shift times stride ** 2
+        cfg = tiny_config()
+        cfg = dataclasses.replace(cfg, encoder=dataclasses.replace(cfg.encoder,
+                                                                   subsample_kernel=1))
+        model = tmp_path / "k1.model"
+        save_model(random_model(cfg, 1), model)
+        feats = tmp_path / "utt1.feats"
+        feats.write_text(f"1 {cfg.feat_dim} 1e308 0.025\n" + "0.5 " * cfg.feat_dim + "\n")
+        assert main(["decode", "--model", str(model), str(feats), "--beam", "1",
+                     "--out", str(tmp_path / "h.tsv"),
+                     "--detail", str(tmp_path / "d.jsonl")]) == EXIT_DATA
+        assert "overflows a float" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda m: [m],

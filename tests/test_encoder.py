@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,13 +20,12 @@ from sparse_rnnt.encoder import (
     _conv1d_valid,
 )
 from sparse_rnnt.errors import EmptyInputError, ParameterError
-from sparse_rnnt.frontend import FeatureMatrix, FrontendConfig, Waveform
+from sparse_rnnt.frontend import FeatureMatrix, Waveform, frame_lengths
 from sparse_rnnt.model_io import ModelConfig, random_model
 from sparse_rnnt.numerics import layer_norm, sigmoid
 from sparse_rnnt.pipeline import (
     SegmentationSpec,
     _features,
-    _min_input_frames,
     parse_policy,
     prepare_input,
 )
@@ -72,33 +72,47 @@ class TestConvSubsample:
             expected = stage(stage(T)) if stage(T) >= 3 else 0
             assert subsampled_length(T, cfg) == max(expected, 0)
 
-    def test_min_input_frames_closed_form_matches_search(self):
-        fe = FrontendConfig()
-        win, hop = int(round(fe.window * 16000)), int(round(fe.hop * 16000))
+    def test_shortest_kept_input_matches_search(self):
+        # prepare_input keeps a piece iff its frames encode to at least one
+        # output frame: t frames, the fewest found by search, take
+        # win + (t - 1) * hop samples, and one sample fewer is dropped
+        win, hop = frame_lengths(16000)
+        x = Waveform(np.random.default_rng(0).normal(size=win + 400 * hop), 16000)
         for stride in range(1, 51):
             for kernel in range(1, 8):
                 cfg = EncoderConfig(num_layers=1, model_dim=4, num_heads=1,
                                     head_dim=4, ff_dim=4, conv_kernel=3,
                                     subsample_channels=2, subsample_stride=stride,
                                     subsample_kernel=kernel)
+                model = SimpleNamespace(config=SimpleNamespace(encoder=cfg, feat_dim=4))
                 t = 1
                 while subsampled_length(t, cfg) < 1:
                     t += 1
-                assert _min_input_frames(cfg, 16000) == win + (t - 1) * hop
+                n = win + (t - 1) * hop
+                ((_, f, _),) = prepare_input(model, Waveform(x.samples[:n], 16000),
+                                             SegmentationSpec())
+                assert f.num_frames == t
+                ((_, none, _),) = prepare_input(
+                    model, Waveform(x.samples[:n - 1], 16000), SegmentationSpec())
+                assert none is None
 
-    def test_min_input_frames_encode_to_one_frame(self, rng):
+    def test_shortest_kept_input_encodes_to_one_frame(self, rng):
         # the shortest waveform prepare_input keeps encodes to exactly one
         # frame, and one sample less is skipped: it could not be encoded
         for model in (random_model(tiny_config(), 0),
                       random_model(ModelConfig.desk_scale(), 7)):
             F = model.config.feat_dim
+            enc = model.config.encoder
+            k, s = enc.subsample_kernel, enc.subsample_stride
             for rate in (51, 100, 8000, 16000, 22050, 44100, 48000):
-                n = _min_input_frames(model.config.encoder, rate)
+                win, hop = frame_lengths(rate)
+                # the second stage needs k frames, the first k + (k - 1) * s
+                n = win + (k + (k - 1) * s - 1) * hop
                 w = Waveform(rng.normal(size=n), rate)
-                ((_, f),) = prepare_input(model, w, SegmentationSpec())
+                ((_, f, _),) = prepare_input(model, w, SegmentationSpec())
                 assert encode(f, model, MaskPolicy.local())[0].length == 1
                 short = Waveform(w.samples[:-1], rate)
-                ((_, none),) = prepare_input(model, short, SegmentationSpec())
+                ((_, none, _),) = prepare_input(model, short, SegmentationSpec())
                 assert none is None
                 with pytest.raises(EmptyInputError):
                     encode(_features(short, F), model, MaskPolicy.local())

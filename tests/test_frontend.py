@@ -7,12 +7,13 @@ import pytest
 from sparse_rnnt import frontend
 from sparse_rnnt.errors import AudioFormatError, DataError, EmptyInputError, ShapeError
 from sparse_rnnt.frontend import (
+    HOP,
     FeatureMatrix,
-    FrontendConfig,
     NormalizationStats,
     Waveform,
     compute_stats,
-    frame_count,
+    frame_lengths,
+    frame_start,
     hz_to_mel,
     log_mel_spectrogram,
     mel_filterbank,
@@ -99,7 +100,7 @@ class TestLogMel:
         sr = 16000
         t = np.arange(sr) / sr
         tone = 0.5 * np.sin(2 * np.pi * 1000.0 * t)
-        feats = log_mel_spectrogram(Waveform(tone, sr), FrontendConfig(num_mels=40))
+        feats = log_mel_spectrogram(Waveform(tone, sr), 40)
         argmax = np.argmax(feats.frames, axis=1)
         assert np.all(argmax == argmax[0])
         # locate the expected bin from the mel-scale formula
@@ -115,9 +116,8 @@ class TestLogMel:
     def test_amplitude_doubling_log_linearity(self, rng):
         sr = 16000
         x = rng.uniform(-0.2, 0.2, size=sr)
-        cfg = FrontendConfig(num_mels=30)
-        f1 = log_mel_spectrogram(Waveform(x, sr), cfg)
-        f2 = log_mel_spectrogram(Waveform(2 * x, sr), cfg)
+        f1 = log_mel_spectrogram(Waveform(x, sr), 30)
+        f2 = log_mel_spectrogram(Waveform(2 * x, sr), 30)
         # keep away from the log floor
         keep = f1.frames > np.log(1e-10) + 2
         diff = (f2.frames - f1.frames)[keep]
@@ -128,17 +128,28 @@ class TestLogMel:
             log_mel_spectrogram(Waveform(np.zeros(100), 16000))
 
     def test_frame_count_formula(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(500, 50000))
-            win = int(rng.integers(80, 800))
-            hop = int(rng.integers(40, win + 1))
-            sr = 16000
-            cfg = FrontendConfig(window=win / sr, hop=hop / sr, num_mels=8)
-            if n < win:
-                continue
-            feats = log_mel_spectrogram(Waveform(rng.normal(size=n) * 0.1, sr), cfg)
-            assert feats.num_frames == 1 + (n - win) // hop
-            assert feats.num_frames == frame_count(n, win, hop)
+        for sr in (51, 8000, 11025, 16000, 22050, 44100, 48000):
+            win, hop = frame_lengths(sr)
+            for _ in range(15):
+                n = int(rng.integers(win, 3 * sr // 2 + win))
+                feats = log_mel_spectrogram(Waveform(rng.normal(size=n) * 0.1, sr), 8)
+                assert feats.num_frames == 1 + (n - win) // hop
+
+    @pytest.mark.parametrize("sr", [8000, 11025, 16000, 22050, 44100, 48000])
+    def test_stamped_with_the_frames_as_cut(self, rng, sr):
+        # at 11.025 and 22.05 kHz the 10 ms hop rounds to whole samples that
+        # are not 10 ms (the window, at 44.1 kHz too); the features say when
+        # frames were cut, and frame t starts t hops of samples in
+        win, hop = frame_lengths(sr)
+        f = log_mel_spectrogram(Waveform(rng.normal(size=sr) * 0.1, sr), 8)
+        assert (f.frame_shift, f.frame_length) == (hop / sr, win / sr)
+        assert frame_start(250, sr) == 250 * hop / sr
+        assert (f.frame_shift == HOP) == (sr not in (11025, 22050))
+
+    @pytest.mark.parametrize("sr", [1, 20, 50])
+    def test_rate_that_cannot_be_framed(self, sr):
+        with pytest.raises(DataError, match=f"sample rate {sr} Hz cannot be framed"):
+            log_mel_spectrogram(Waveform(np.zeros(1000), sr))
 
     def test_deterministic(self, rng):
         w = Waveform(rng.uniform(-0.5, 0.5, size=6000), 16000)
@@ -149,16 +160,15 @@ class TestLogMel:
     @pytest.mark.parametrize("num_mels", [16, 80])
     def test_blocks_match_per_frame_loop(self, rng, num_mels):
         # frame counts on both sides of the block edges, silence included
-        cfg = FrontendConfig(num_mels=num_mels)
         B = frontend._FRAME_BLOCK
         for T in (1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1, 3 * B + 7):
             n = 400 + 160 * (T - 1) + int(rng.integers(0, 160))
             samples = rng.uniform(-0.5, 0.5, size=n)
             samples[: n // 3] = 0.0
             w = Waveform(samples, 16000)
-            got = log_mel_spectrogram(w, cfg)
+            got = log_mel_spectrogram(w, num_mels)
             assert got.num_frames == T
-            assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, cfg, 512))
+            assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, num_mels, 512))
 
     @pytest.mark.parametrize("sr,n_fft", [(8000, 512), (16000, 512), (22050, 1024),
                                           (44100, 2048), (48000, 2048)])
@@ -166,10 +176,9 @@ class TestLogMel:
         # the FFT is the least power of two that holds the 25 ms window, at
         # least 512: 8 and 16 kHz features keep the bits of a 512-point FFT
         w = Waveform(rng.uniform(-0.5, 0.5, size=sr // 2), sr)
-        cfg = FrontendConfig(num_mels=40)
-        got = log_mel_spectrogram(w, cfg)
+        got = log_mel_spectrogram(w, 40)
         assert got.num_frames == 48
-        assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, cfg, n_fft))
+        assert np.array_equal(got.frames, oracle_log_mel_spectrogram(w, 40, n_fft))
 
     def test_memory_bounded_on_long_input(self, rng):
         # 80 s at 80 mels: the output is 5.1 MB, and one block's temporaries

@@ -3,14 +3,13 @@ import pytest
 
 from sparse_rnnt import segmentation
 from sparse_rnnt.errors import DataError, ParameterError
-from sparse_rnnt.frontend import Waveform
+from sparse_rnnt.frontend import HOP, WINDOW, Waveform, frame_lengths, frame_start
 from sparse_rnnt.pipeline import SegmentationSpec, parse_segmentation
 from sparse_rnnt.segmentation import (
     Segment,
     TimedToken,
     VadConfig,
     _frame_energies_db,
-    _frame_samples,
     doi_merge,
     doi_split,
     epd_split,
@@ -162,13 +161,13 @@ class TestEpdSplit:
     def test_frame_must_be_shorter_than_gaps(self):
         # a frame that outlasts min_silence or max_segment would make
         # intervals or forced pieces overlap
-        for fields in (dict(frame=0.3), dict(frame=0.2, min_silence=0.01),
-                       dict(frame=0.1, min_segment=0.0, max_segment=0.1),
-                       dict(frame=0.25, min_segment=0.0, max_segment=0.05)):
+        for fields in (dict(min_silence=WINDOW), dict(min_silence=0.01),
+                       dict(min_segment=0.0, max_segment=WINDOW),
+                       dict(min_segment=0.0, max_segment=0.02)):
             with pytest.raises(ParameterError, match="frame"):
                 VadConfig(**fields)
-        VadConfig(frame=0.299)
-        VadConfig(frame=0.099, min_silence=0.1, min_segment=0.0, max_segment=0.1)
+        VadConfig(min_silence=0.0251)
+        VadConfig(min_silence=0.0251, min_segment=0.0, max_segment=0.0251)
 
     @pytest.mark.parametrize("tight", [False, True])
     def test_identical_to_per_frame_oracle(self, tight, monkeypatch):
@@ -177,14 +176,13 @@ class TestEpdSplit:
         split = rejected = 0
         for seed in range(120):
             w, fields = bursty_case(np.random.default_rng([seed, tight]), tight)
-            if fields["frame"] >= min(fields["min_silence"], fields["max_segment"]):
+            if WINDOW >= min(fields["min_silence"], fields["max_segment"]):
                 with pytest.raises(ParameterError, match="frame"):
                     VadConfig(**fields)
                 rejected += 1
                 continue
             cfg = VadConfig(**fields)
-            assert np.array_equal(_frame_energies_db(w, cfg),
-                                  oracle_frame_energies_db(w, cfg))
+            assert np.array_equal(_frame_energies_db(w), oracle_frame_energies_db(w))
             segs = epd_split(w, cfg)
             assert segs == oracle_epd_split(w, cfg)
             split += len(segs) > 1
@@ -194,12 +192,12 @@ class TestEpdSplit:
         assert split > 60
 
     def test_short_max_segment_fuzz(self):
-        # accepted configs with max_segment of 5-50 ms and hops of a few
-        # samples, on audio that ends in a burst: forced pieces reach the
-        # last frame, and frame times must follow the whole-sample hop
+        # accepted configs with max_segment and min_silence just over the
+        # 25 ms frame, on audio that ends in a burst: forced pieces reach
+        # the last frame, and frame times must follow the whole-sample hop
         for seed in range(300):
             rng = np.random.default_rng([seed, 17])
-            sr = int(rng.choice([8000, 16000, 22050]))
+            sr = int(rng.choice([8000, 11025, 16000, 22050]))
             pieces = []
             while sum(map(len, pieces)) < rng.uniform(0.3, 1.5) * sr:
                 pieces += [rng.normal(0.0, 10 ** rng.uniform(-3.0, -0.5),
@@ -207,12 +205,9 @@ class TestEpdSplit:
                            rng.normal(0.0, 10 ** rng.uniform(-6.0, -4.0),
                                       int(rng.uniform(0.005, 0.2) * sr))]
             w = Waveform(np.concatenate(pieces[:-1]), sr)
-            max_segment = rng.uniform(0.005, 0.05)
-            min_silence = rng.uniform(0.002, 0.2)
-            cfg = VadConfig(frame=rng.uniform(0.3, 1.0) * min(min_silence, max_segment),
-                            hop=rng.uniform(0.0002, 0.01),
-                            energy_threshold_db=rng.uniform(-55.0, -30.0),
-                            min_silence=min_silence,
+            max_segment = rng.uniform(1.01, 2.0) * WINDOW
+            cfg = VadConfig(energy_threshold_db=rng.uniform(-55.0, -30.0),
+                            min_silence=rng.uniform(1.01, 8.0) * WINDOW,
                             min_segment=rng.uniform(0.0, max_segment),
                             max_segment=max_segment)
             segs = epd_split(w, cfg)
@@ -230,21 +225,41 @@ class TestEpdSplit:
                     size=int(b * sr) - int(a * sr))
             bounds[sr] = [(x.start, x.end) for x in epd_split(Waveform(sig, sr))]
         assert len(bounds[22050]) == len(bounds[16000]) == 2
-        assert np.allclose(bounds[22050], bounds[16000], rtol=0, atol=VadConfig().hop)
+        assert np.allclose(bounds[22050], bounds[16000], rtol=0, atol=HOP)
         assert 119.7 < bounds[22050][1][0] < bounds[22050][1][1] <= 120.0
+
+    @pytest.mark.parametrize("sr", [8000, 11025, 16000, 22050])
+    def test_starts_are_frame_starts(self, sr):
+        # a segment starts where its first frame does, as the same float:
+        # the frontend's frame t starts at t * hop / sr, which at 11.025
+        # and 22.05 kHz is not t * 10 ms
+        rng = np.random.default_rng(sr)
+        sig = np.concatenate([np.zeros(sr // 2)] + [
+            np.r_[0.1 * rng.normal(size=int(rng.uniform(0.3, 1.0) * sr)),
+                  np.zeros(int(rng.uniform(0.4, 0.8) * sr))] for _ in range(6)])
+        w = Waveform(sig, sr)
+        win, hop = frame_lengths(sr)
+        segs = epd_split(w)
+        assert len(segs) == 6
+        for x in segs:
+            lo, hi = int(round(x.start * sr)), int(round(x.end * sr))
+            assert lo % hop == 0 and x.start == frame_start(lo // hop, sr)
+            # and ends where a frame does, or at the end of the audio
+            assert (hi - win) % hop == 0 or x.end == w.duration
 
     @pytest.mark.parametrize("sr", [8000, 16000, 44100, 48000])
     def test_default_hop_is_whole_samples(self, sr):
         # so at these rates frame times are those of the nominal hop
-        assert _frame_samples(VadConfig(), sr)[1] / sr == VadConfig().hop
+        assert frame_start(1, sr) == HOP
+        assert frame_start(12345, sr) == 12345 * HOP
 
 
 def bursty_case(rng, tight):
     """Noise bursts and quiet gaps at random levels and lengths, then 0.4 s
     of silence, with the fields of a random VadConfig. With `tight`, gaps
-    are short and the frame just shorter than min_silence and max_segment,
-    so speech runs' intervals nearly touch."""
-    sr = int(rng.choice([8000, 16000]))
+    are short and min_silence just longer than the 25 ms frame, so speech
+    runs' intervals nearly touch."""
+    sr = int(rng.choice([8000, 11025, 16000]))
     longest_gap = 0.05 if tight else 0.4
     pieces = []
     while sum(map(len, pieces)) < rng.uniform(1.0, 4.0) * sr:
@@ -254,13 +269,16 @@ def bursty_case(rng, tight):
                                  int(rng.uniform(0.01, longest_gap) * sr)))
     w = Waveform(np.concatenate(pieces + [np.zeros(int(0.4 * sr))]), sr)
     max_segment = rng.uniform(0.05, 1.0)
-    fields = dict(frame=rng.uniform(0.01, 0.15), hop=rng.uniform(0.004, 0.02),
-                  energy_threshold_db=rng.uniform(-55.0, -30.0),
+    fields = dict(energy_threshold_db=rng.uniform(-55.0, -30.0),
                   min_silence=rng.uniform(0.005, 0.2),
                   min_segment=rng.uniform(0.0, max_segment),
                   max_segment=max_segment)
     if tight:
-        fields["frame"] = rng.uniform(0.8, 1.0) * min(fields["min_silence"], max_segment)
+        # on half the cases forced pieces are just longer than a frame too
+        fields["min_silence"] = rng.uniform(1.0, 1.25) * WINDOW * (1 + 1e-9)
+        if rng.random() < 0.5:
+            fields["max_segment"] = rng.uniform(1.0, 1.25) * WINDOW * (1 + 1e-9)
+            fields["min_segment"] = rng.uniform(0.0, fields["max_segment"])
     return w, fields
 
 

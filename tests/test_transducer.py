@@ -750,6 +750,21 @@ class TestDecodeWithSrs:
         t = decode_with_srs(out, model, beam=3, srs=SrsParams(enabled=False))
         assert list(t.frames) == sorted(t.frames)
 
+    @pytest.mark.parametrize("t_sil", [1, 15])
+    def test_every_hypothesis_feeds_the_counter(self, t_sil, monkeypatch):
+        # check_blank_token reads the whole beam, not its best hypothesis.
+        # At beam 4 the prune-only beam keeps three one-token children of
+        # the all-blank prefix on every frame, so no frame is all-blank and
+        # SRS never fires, though the best hypothesis emits nothing. At
+        # beam 1 that prefix is the beam: SRS fires every t_sil + 1 frames.
+        model, out = prune_only_outputs()
+        resets = spy_rows(monkeypatch, "reset_prediction_states", lambda args: 1)
+        got = decode_with_srs(out, model, beam=4, srs=SrsParams(t_sil=t_sil))
+        assert got.token_ids == () and resets == []
+        got = decode_with_srs(out, model, beam=1, srs=SrsParams(t_sil=t_sil))
+        assert got.token_ids == ()
+        assert len(resets) == out.length // (t_sil + 1) > 10
+
 
 class TestGreedy:
     def test_blank_model_empty(self):

@@ -153,18 +153,17 @@ def oracle_conformer_block(x, block, policy):
     return layer_norm(x, block.final_norm_gain, block.final_norm_bias)
 
 
-def oracle_log_mel_spectrogram(w, cfg, fft_size):
+def oracle_log_mel_spectrogram(w, num_mels, fft_size):
     """Log-mel features one 10 ms frame at a time: window, power spectrum
     of an fft_size-point FFT, filterbank gemv, floored log."""
-    from sparse_rnnt.frontend import _LOG_FLOOR, frame_count, mel_filterbank
+    from sparse_rnnt.frontend import _LOG_FLOOR, frame_lengths, mel_filterbank
 
-    win = int(round(cfg.window * w.sample_rate))
-    hop = int(round(cfg.hop * w.sample_rate))
+    win, hop = frame_lengths(w.sample_rate)
     samples = w.samples
-    T = frame_count(len(samples), win, hop)
+    T = 1 + (len(samples) - win) // hop if len(samples) >= win else 0
     window_fn = np.hanning(win)
-    fb = mel_filterbank(fft_size, w.sample_rate, cfg.num_mels)
-    frames = np.empty((T, cfg.num_mels))
+    fb = mel_filterbank(fft_size, w.sample_rate, num_mels)
+    frames = np.empty((T, num_mels))
     for t in range(T):
         seg = samples[t * hop : t * hop + win] * window_fn
         spectrum = np.abs(np.fft.rfft(seg, n=fft_size)) ** 2
@@ -342,10 +341,11 @@ def frame_by_frame_decode(h, model, beam=4, srs=None):
     return Transcript(best.tokens, best.frames, best.log_prob)
 
 
-def oracle_frame_energies_db(w, cfg):
+def oracle_frame_energies_db(w):
     """Each frame's energy in dB, one frame at a time."""
-    win = max(1, int(round(cfg.frame * w.sample_rate)))
-    hop = max(1, int(round(cfg.hop * w.sample_rate)))
+    from sparse_rnnt.frontend import frame_lengths
+
+    win, hop = frame_lengths(w.sample_rate)
     n = len(w.samples)
     if n < win:
         return np.empty(0)
@@ -361,16 +361,23 @@ def oracle_epd_split(w, cfg):
     """`segmentation.epd_split` as a per-frame loop that restarts its
     absorb scan after each merge and force-splits through a stack, then
     sorts. Reference for the single-pass epd_split."""
+    from sparse_rnnt.frontend import WINDOW, frame_lengths
     from sparse_rnnt.segmentation import Segment
 
-    energies = oracle_frame_energies_db(w, cfg)
+    energies = oracle_frame_energies_db(w)
     if energies.size == 0:
         return []
     speech = energies > cfg.energy_threshold_db
     if not speech.any():
         return []
-    # frames start every hop whole samples
-    hop = max(1, int(round(cfg.hop * w.sample_rate))) / w.sample_rate
+    # frame t starts t * hop whole samples in
+    sr = w.sample_rate
+    hop_n = frame_lengths(sr)[1]
+    hop = hop_n / sr
+
+    def frame_time(t):
+        return t * hop_n / sr
+
     # frame runs of speech, merging gaps shorter than min_silence
     min_gap = max(1, int(round(cfg.min_silence / hop)))
     runs: list[list[int]] = []
@@ -382,8 +389,8 @@ def oracle_epd_split(w, cfg):
             start = i
         prev = i
     runs.append([start, prev])
-    # to seconds; a frame spans [t*hop, t*hop + frame)
-    intervals = [[s * hop, e * hop + cfg.frame] for s, e in runs]
+    # to seconds; a frame spans [t*hop, t*hop + WINDOW)
+    intervals = [[frame_time(s), frame_time(e) + WINDOW] for s, e in runs]
     # absorb too-short segments into the nearest neighbor
     changed = True
     while changed and len(intervals) > 1:
@@ -421,7 +428,7 @@ def oracle_epd_split(w, cfg):
             cut = (s + e) / 2.0
         else:
             window = energies[f_lo:f_hi]
-            cut = (f_lo + int(np.argmin(window))) * hop
+            cut = frame_time(f_lo + int(np.argmin(window)))
         final.append([s, cut])
         stack.insert(0, [cut, e])
     final.sort()
