@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -32,7 +32,6 @@ __all__ = [
     "ScoreBlock",
     "AttentionMask",
     "MaskPolicy",
-    "SparsityReport",
     "DENSE",
     "LOCAL_ONLY",
     "LOCAL_PLUS_GLOBAL",
@@ -421,21 +420,16 @@ class SparsityRow:
     global_density: float
 
 
-@dataclass
-class SparsityReport:
-    rows: list[SparsityRow] = field(default_factory=list)
-
-
 def mask_stats(
     counts: list[np.ndarray],
     global_counts: list[np.ndarray | None] | None = None,
-) -> SparsityReport:
+) -> list[SparsityRow]:
     """Density stats per (layer, head) from each layer's per-query counts of
     attended keys and of global keys, (H, T) each; global density 0 where
     a layer has none."""
     if not counts:
         raise ParameterError("mask_stats requires at least one layer")
-    report = SparsityReport()
+    rows = []
     for li, layer_counts in enumerate(counts):
         T = layer_counts.shape[1]
         for hi, head_counts in enumerate(layer_counts):
@@ -443,19 +437,19 @@ def mask_stats(
             gdens = 0.0
             if global_counts is not None and global_counts[li] is not None:
                 gdens = float((global_counts[li][hi] / T).mean())
-            report.rows.append(
+            rows.append(
                 SparsityRow(li, hi, float(dens.mean()), float(dens.min()),
                             float(dens.max()), gdens)
             )
-    return report
+    return rows
 
 
-def format_sparsity_report(report: SparsityReport) -> str:
+def format_sparsity_report(rows: list[SparsityRow]) -> str:
     lines = ["layer head mean_density min_density max_density global_density"]
     lines += [
         f"{r.layer} {r.head} {r.mean_density:.6f} {r.min_density:.6f} "
         f"{r.max_density:.6f} {r.global_density:.6f}"
-        for r in report.rows
+        for r in rows
     ]
     return "\n".join(lines) + "\n"
 

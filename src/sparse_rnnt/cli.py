@@ -13,9 +13,11 @@ import sys
 from pathlib import Path
 
 from .attention import export_heatmap, format_sparsity_report, mask_stats
+from .encoder import encode, subsampled_length
 from .errors import (
     AudioFormatError,
     DataError,
+    EmptyInputError,
     ModelFormatError,
     ParameterError,
     SparseRnntError,
@@ -25,9 +27,9 @@ from .metrics import breakdown_json, corpus_cer, edit_alignment, sweep_report
 from .model_io import Model, ModelConfig, Vocabulary, load_model, random_model, save_model
 from .pipeline import (
     DecodeOptions,
+    SegmentationSpec,
     decode_file,
     decode_prepared,
-    encode_file,
     parse_policy,
     parse_segmentation,
     prepare_input,
@@ -209,7 +211,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    opts = DecodeOptions(policy=parse_policy(args.mask, args.w))
+    policy = parse_policy(args.mask, args.w)
     model = load_model(args.model)
     # layer and head are checked before the input is read
     if not 0 <= args.layer < len(model.blocks):
@@ -219,8 +221,12 @@ def cmd_heatmap(args) -> int:
     mh = model.blocks[args.layer].mh
     if not 0 <= args.head < mh.num_heads:
         raise ParameterError(f"head {args.head} out of range [0, {mh.num_heads})")
+    # the input is featurised as decode featurises it, as one segment
+    ((_, f, _),) = prepare_input(model, read_input(args.input), SegmentationSpec())
+    if f is None or subsampled_length(f.num_frames, model.config.encoder) < 1:
+        raise EmptyInputError(f"{args.input}: too short to encode one frame")
     # each layer's attention input, as attention saw it
-    z = encode_file(model, args.input, opts, lambda z, *_: z)[1][args.layer]
+    z = encode(f, model, policy, lambda z, *_: z)[1][args.layer]
     export_heatmap(z, mh.heads[args.head], args.out)
     print(f"wrote {len(z)}x{len(z)} heatmap to {args.out}")
     return EXIT_OK

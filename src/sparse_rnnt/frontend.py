@@ -20,6 +20,7 @@ __all__ = [
     "write_wav",
     "frame_lengths",
     "frame_start",
+    "frames_within",
     "strided_frames",
     "log_mel_spectrogram",
     "mel_filterbank",
@@ -174,6 +175,14 @@ def frame_start(t, sample_rate: int) -> float:
     """Seconds at which frame t starts: t hops of whole samples, which is
     not t * HOP at every rate."""
     return t * frame_lengths(sample_rate)[1] / sample_rate
+
+
+def frames_within(start: float, end: float, sample_rate: int) -> range:
+    """The frames that lie wholly inside [start, end) seconds, each bound
+    rounded to a whole sample; frame t spans samples [t * hop, t * hop + win)."""
+    win, hop = frame_lengths(sample_rate)
+    first = -(-int(round(start * sample_rate)) // hop)
+    return range(first, (int(round(end * sample_rate)) - win) // hop + 1)
 
 
 def strided_frames(w: Waveform) -> np.ndarray:

@@ -338,13 +338,35 @@ def save_model(m: Model, path) -> None:
     os.replace(tmp, path)
 
 
+# bytes read at a time while looking for the end of the manifest
+_HEAD_CHUNK = 1 << 14
+
+
+def _read_file(path) -> tuple[bytes, np.ndarray]:
+    """The manifest bytes before the NUL separator, and the blob after it,
+    read once into uint8 storage that starts on an 8-byte boundary: a
+    tensor at a multiple of 8 bytes into it is then an aligned float64
+    view, which numpy need not copy before a matmul."""
+    with open(path, "rb") as fh:
+        head = b""
+        while (sep := head.find(b"\x00")) < 0:
+            chunk = fh.read(_HEAD_CHUNK)
+            if not chunk:
+                raise ModelFormatError(f"{path}: missing manifest separator")
+            head += chunk
+        head = head[:sep]
+        fh.seek(sep + 1)
+        size = os.fstat(fh.fileno()).st_size - (sep + 1)
+        # float64 storage is aligned to 8 bytes
+        blob = np.empty(-(-size // 8), dtype="<f8").view(np.uint8)[:size]
+        return head, blob[: fh.readinto(blob)]
+
+
 def load_model(path) -> Model:
-    raw = Path(path).read_bytes()
-    sep = raw.find(b"\x00")
-    if sep < 0:
-        raise ModelFormatError(f"{path}: missing manifest separator")
+    """The model in a file, its tensors views of one buffer read once."""
+    head, blob = _read_file(path)
     try:
-        cfg, tensors = _read_tensors(path, raw[:sep], raw[sep + 1 :])
+        cfg, tensors = _read_tensors(path, head, blob)
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         # a config the classes reject (ParameterError) is a fault of the file
         raise ModelFormatError(f"{path}: malformed manifest ({exc!r})") from exc
@@ -354,8 +376,9 @@ def load_model(path) -> Model:
     return _assemble(cfg, tensors)
 
 
-def _read_tensors(path, head: bytes, blob: bytes):
-    """The config and every tensor, with the manifest checked against the blob."""
+def _read_tensors(path, head: bytes, blob: np.ndarray):
+    """The config and every tensor, a view of the uint8 blob, with the
+    manifest checked against the blob."""
     manifest = json.loads(head.decode("utf-8"))
     if manifest.get("magic") != _MAGIC:
         raise ModelFormatError(f"{path}: not a {_MAGIC} file")
@@ -387,7 +410,7 @@ def _read_tensors(path, head: bytes, blob: bytes):
                 f"{path}: tensor {name} at offset {offset!r}, expected {start} "
                 f"with {8 * math.prod(shape)} bytes in a blob of {len(blob)}"
             )
-        tensors[name] = np.frombuffer(blob[start:end], dtype="<f8").reshape(shape).copy()
+        tensors[name] = blob[start:end].view("<f8").reshape(shape)
         start = end
     extra = set(entries).difference(tensors)
     if extra:

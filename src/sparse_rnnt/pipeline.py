@@ -16,6 +16,7 @@ from .frontend import (
     compute_stats,
     frame_lengths,
     frame_start,
+    frames_within,
     log_mel_spectrogram,
     normalize_global,
     read_feature_file,
@@ -25,8 +26,8 @@ from .segmentation import Segment, TimedToken, doi_merge, doi_split, epd_split
 from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
-           "decode_file", "encode_file", "parse_policy", "parse_segmentation",
-           "read_input", "prepare_input", "decode_prepared"]
+           "decode_file", "parse_policy", "parse_segmentation", "read_input",
+           "prepare_input", "decode_prepared"]
 
 
 @dataclass
@@ -110,12 +111,6 @@ def _segments_for(w: Waveform, spec: SegmentationSpec) -> list[Segment]:
     return epd_split(w)
 
 
-def _features(w: Waveform, feat_dim: int) -> FeatureMatrix:
-    # the filterbank size must match the model's input dimension
-    f = log_mel_spectrogram(w, feat_dim)
-    return normalize_global(f, compute_stats(f))
-
-
 def decode_waveform(model, w: Waveform, opts: DecodeOptions) -> DecodeResult:
     """Segment, decode each piece, and merge tokens by core ownership."""
     return decode_prepared(model, prepare_input(model, w, opts.segmentation), opts)
@@ -148,23 +143,19 @@ def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
     if isinstance(x, FeatureMatrix):
         d = x.num_frames * x.frame_shift
         return [(Segment(0.0, d, 0.0, d), x, 0.0)]
-    segments = _segments_for(x, spec)
-    sr = x.sample_rate
-    win, hop = frame_lengths(sr)
     whole = None
-    if segments and len(x.samples) >= win:
-        whole = log_mel_spectrogram(x, model.config.feat_dim)
     pieces = []
-    for seg in segments:
-        # frame t spans samples [t * hop, t * hop + win)
-        first = -(-int(round(seg.start * sr)) // hop)
-        end = (int(round(seg.end * sr)) - win) // hop + 1
+    for seg in _segments_for(x, spec):
+        frames = frames_within(seg.start, seg.end, x.sample_rate)
         f = None
-        if subsampled_length(end - first, model.config.encoder) >= 1:
-            f = FeatureMatrix(whole.frames[first:end], whole.frame_shift,
-                              whole.frame_length)
+        if subsampled_length(len(frames), model.config.encoder) >= 1:
+            if whole is None:
+                # the filterbank size must match the model's input dimension
+                whole = log_mel_spectrogram(x, model.config.feat_dim)
+            f = FeatureMatrix(whole.frames[frames.start : frames.stop],
+                              whole.frame_shift, whole.frame_length)
             f = normalize_global(f, compute_stats(f))
-        pieces.append((seg, f, frame_start(first, sr)))
+        pieces.append((seg, f, frame_start(frames.start, x.sample_rate)))
     return pieces
 
 
@@ -196,12 +187,3 @@ def decode_file(model, path, opts: DecodeOptions, observe=None) -> DecodeResult:
     """Decode a .wav (with segmentation) or a feature text file (as is)."""
     x = prepare_input(model, read_input(path), opts.segmentation)
     return decode_prepared(model, x, opts, observe)
-
-
-def encode_file(model, path, opts: DecodeOptions, observe=None):
-    """Encode a whole .wav or feature file, unsegmented, without decoding;
-    returns what encoder.encode does."""
-    x = read_input(path)
-    if isinstance(x, Waveform):
-        x = _features(x, model.config.feat_dim)
-    return encode(x, model, opts.policy, observe)

@@ -381,21 +381,21 @@ class TestSparseAttend:
 
 class TestMaskStats:
     def test_diagonal_density(self):
-        report = mask_stats([local_mask(8, 0).counts()[None]])
-        assert report.rows[0].mean_density == pytest.approx(1 / 8)
+        rows = mask_stats([local_mask(8, 0).counts()[None]])
+        assert rows[0].mean_density == pytest.approx(1 / 8)
 
     def test_full_density(self):
-        report = mask_stats([np.full((1, 5), 5)])
-        assert report.rows[0].mean_density == 1.0
+        rows = mask_stats([np.full((1, 5), 5)])
+        assert rows[0].mean_density == 1.0
 
     def test_hand_counted_density(self):
         # query sets {0, 1}, {1, 2}, {2, 3}, {3} of 4 keys, and global
         # sets {1}, {}, {2, 3}, {}
-        report = mask_stats([np.array([[2, 2, 2, 1]])], [np.array([[1, 0, 2, 0]])])
-        assert report.rows[0].mean_density == pytest.approx(0.4375)
-        assert report.rows[0].min_density == pytest.approx(0.25)
-        assert report.rows[0].max_density == pytest.approx(0.5)
-        assert report.rows[0].global_density == pytest.approx(0.1875)
+        rows = mask_stats([np.array([[2, 2, 2, 1]])], [np.array([[1, 0, 2, 0]])])
+        assert rows[0].mean_density == pytest.approx(0.4375)
+        assert rows[0].min_density == pytest.approx(0.25)
+        assert rows[0].max_density == pytest.approx(0.5)
+        assert rows[0].global_density == pytest.approx(0.1875)
 
     def test_counts_of_every_policy(self, rng):
         # dense attends every key, `local` its band, and the global policies
@@ -445,7 +445,7 @@ class TestMaskStats:
     ])
     def test_local_density(self, T, w, mean, lo, hi):
         # each query i attends the keys j with |i - j| <= w
-        row = mask_stats([local_mask(T, w).counts()[None]]).rows[0]
+        row = mask_stats([local_mask(T, w).counts()[None]])[0]
         assert (row.mean_density, row.min_density, row.max_density) == \
             pytest.approx((mean, lo, hi), abs=1e-15)
         assert row.global_density == 0.0

@@ -9,13 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from sparse_rnnt import attention, encoder
+from sparse_rnnt import attention, cli, encoder
 from sparse_rnnt.attention import format_sparsity_report, mask_stats, score_blocks
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, main
 from sparse_rnnt.errors import DataError
 from sparse_rnnt.frontend import Waveform, read_wav, write_wav
 from sparse_rnnt.model_io import load_model, random_model, save_model
-from sparse_rnnt.pipeline import DecodeOptions, decode_waveform, parse_policy
+from sparse_rnnt.pipeline import (
+    DecodeOptions,
+    decode_file,
+    decode_waveform,
+    parse_policy,
+    parse_segmentation,
+)
 from tests_oracles import rowwise_sets
 
 
@@ -433,6 +439,46 @@ class TestHeatmap:
                      "--layer", "3", "--head", "2", "--out", str(out)])
         assert code == EXIT_OK
         assert out.read_text().count("\n") > 1
+
+    @pytest.mark.parametrize("sr", [16000, 22050])
+    def test_featurised_as_decode_featurises(self, model_path, tmp_path,
+                                             monkeypatch, sr):
+        # the layer input heatmap exports is the one decode --segmentation
+        # none hands its observer
+        wav = tmp_path / "u.wav"
+        write_wav(wav, Waveform(0.1 * np.random.default_rng(sr).normal(size=2 * sr), sr))
+        exported = []
+        monkeypatch.setattr(cli, "export_heatmap",
+                            lambda z, head, path: exported.append(z))
+        assert main(["heatmap", "--model", str(model_path), str(wav), "--layer", "2",
+                     "--head", "1", "--mask", "local", "--w", "3",
+                     "--out", str(tmp_path / "h.csv")]) == EXIT_OK
+        seen = []
+        opts = DecodeOptions(policy=parse_policy("local", 3), beam=1,
+                             segmentation=parse_segmentation("none"))
+        decode_file(load_model(model_path), wav, opts, lambda z, *_: seen.append(z))
+        assert len(exported) == 1 and len(seen) == len(load_model(model_path).blocks)
+        assert np.array_equal(exported[0], seen[2])
+
+    @pytest.mark.parametrize("name,content", [
+        ("window.wav", Waveform(0.1 * np.ones(300), 16000)),
+        # six frames: the desk model's subsampler needs seven
+        ("frames.wav", Waveform(0.1 * np.ones(400 + 5 * 160), 16000)),
+        ("frames.feats", "2 16 0.01 0.025\n" + ("0 " * 16 + "\n") * 2),
+    ], ids=["shorter-than-a-window", "too-few-frames", "feature-file"])
+    def test_too_short_to_encode_names_the_file(self, model_path, tmp_path, capsys,
+                                                name, content):
+        path, out = tmp_path / name, tmp_path / "h.csv"
+        if isinstance(content, Waveform):
+            write_wav(path, content)
+        else:
+            path.write_text(content)
+        assert main(["heatmap", "--model", str(model_path), str(path), "--layer", "0",
+                     "--head", "0", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {path}: ")
+        assert err[0].count(str(path)) == 1
+        assert not out.exists()
 
 
 class TestEval:

@@ -20,12 +20,11 @@ from sparse_rnnt.encoder import (
     _conv1d_valid,
 )
 from sparse_rnnt.errors import EmptyInputError, ParameterError
-from sparse_rnnt.frontend import FeatureMatrix, Waveform, frame_lengths
+from sparse_rnnt.frontend import FeatureMatrix, Waveform, frame_lengths, log_mel_spectrogram
 from sparse_rnnt.model_io import ModelConfig, random_model
 from sparse_rnnt.numerics import layer_norm, sigmoid
 from sparse_rnnt.pipeline import (
     SegmentationSpec,
-    _features,
     parse_policy,
     prepare_input,
 )
@@ -115,7 +114,7 @@ class TestConvSubsample:
                 ((_, none, _),) = prepare_input(model, short, SegmentationSpec())
                 assert none is None
                 with pytest.raises(EmptyInputError):
-                    encode(_features(short, F), model, MaskPolicy.local())
+                    encode(log_mel_spectrogram(short, F), model, MaskPolicy.local())
 
     def test_zero_weights_zero_output(self, rng):
         cfg = tiny_config().encoder

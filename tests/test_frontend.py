@@ -14,6 +14,7 @@ from sparse_rnnt.frontend import (
     compute_stats,
     frame_lengths,
     frame_start,
+    frames_within,
     hz_to_mel,
     log_mel_spectrogram,
     mel_filterbank,
@@ -193,6 +194,43 @@ class TestLogMel:
             tracemalloc.stop()
         assert feats.num_frames == 7998
         assert peak < 8e6
+
+
+class TestFramesWithin:
+    """frames_within against a scan of every frame: t is kept when its
+    samples [t * hop, t * hop + win) lie inside [round(start * sr),
+    round(end * sr))."""
+
+    @staticmethod
+    def scan(start, end, sr):
+        win, hop = frame_lengths(sr)
+        lo, hi = round(start * sr), round(end * sr)
+        return [t for t in range(max(hi, 0) // hop + 1)
+                if t * hop >= lo and t * hop + win <= hi]
+
+    @pytest.mark.parametrize("sr", [8000, 11025, 16000, 22050, 44100, 48000])
+    def test_matches_scan(self, rng, sr):
+        win, hop = frame_lengths(sr)
+        spans = [(a, a + d) for a, d in rng.uniform(0.0, 3.0, size=(300, 2))]
+        # bounds on a frame's first and last sample and one sample either
+        # side; spans a sample short of a window, of no length, and reversed
+        for t in (0, 1, 7, 250):
+            for d in (-1, 0, 1):
+                a = max(t * hop + d, 0) / sr
+                spans += [(a, a + win / sr), (a, (t * hop + win + d) / sr),
+                          (a, a + (win - 1) / sr), (a, a), (a, a - hop / sr)]
+        kept = 0
+        for start, end in spans:
+            got = frames_within(start, end, sr)
+            assert list(got) == self.scan(start, end, sr), (start, end)
+            kept += len(got) > 0
+        assert 0 < kept < len(spans)
+
+    @pytest.mark.parametrize("sr", [8000, 11025, 22050, 48000])
+    def test_whole_waveform_is_every_frame(self, rng, sr):
+        n = int(rng.integers(sr, 2 * sr))
+        f = log_mel_spectrogram(Waveform(rng.normal(size=n) * 0.1, sr), 8)
+        assert frames_within(0.0, n / sr, sr) == range(f.num_frames)
 
 
 class TestMelFilterbank:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -180,6 +182,58 @@ class TestVocabulary:
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ParameterError):
             Vocabulary(["a", "a"])
+
+
+class TestLoadAtFileSize:
+    """load_model reads the file once: every tensor is an aligned, writeable
+    float64 view of one buffer, whatever the blob's offset in the file."""
+
+    @pytest.fixture(scope="class")
+    def desk_model(self):
+        return random_model(ModelConfig.desk_scale(), 7)
+
+    def padded(self, path, model, pad):
+        # an extra manifest key of `pad` bytes moves the blob in the file
+        save_model(model, path)
+        raw = path.read_bytes()
+        sep = raw.index(b"\x00")
+        manifest = json.loads(raw[:sep])
+        manifest["pad"] = "x" * pad
+        path.write_bytes(json.dumps(manifest).encode() + raw[sep:])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("pad", range(8))
+    def test_tensors_are_aligned_views_of_the_file(self, tmp_path, desk_model, pad):
+        raw = self.padded(tmp_path / "m.model", desk_model, pad)
+        blob_start = raw.index(b"\x00") + 1
+        loaded = model_tensors(load_model(tmp_path / "m.model"))
+        assert list(loaded) == [name for name, _ in _tensor_specs(desk_model.config)]
+        entries = json.loads(raw[: blob_start - 1])["tensors"]
+        for entry, (name, arr) in zip(entries, loaded.items(), strict=True):
+            shape = tuple(entry["shape"])
+            stored = np.frombuffer(raw, "<f8", math.prod(shape),
+                                   blob_start + entry["offset"]).reshape(shape)
+            assert np.array_equal(arr, stored), name
+            assert arr.dtype == np.float64 and arr.shape == shape
+            assert arr.flags.writeable and arr.flags.aligned, name
+
+    def test_no_two_tensors_share_memory(self, tmp_path, desk_model):
+        save_model(desk_model, tmp_path / "m.model")
+        arrays = list(model_tensors(load_model(tmp_path / "m.model")).values())
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_peak_memory_near_file_size(self, tmp_path, desk_model):
+        path = tmp_path / "m.model"
+        save_model(desk_model, path)
+        load_model(path)  # imports and caches first
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * path.stat().st_size
 
 
 def test_tensor_specs_cover_model():

@@ -19,9 +19,8 @@ from conftest import tiny_config
 from sparse_rnnt import cli
 from sparse_rnnt.attention import MaskPolicy
 from sparse_rnnt.encoder import encode
-from sparse_rnnt.frontend import Waveform, read_wav, write_wav
+from sparse_rnnt.frontend import Waveform, log_mel_spectrogram, read_wav, write_wav
 from sparse_rnnt.model_io import load_model, random_model, save_model
-from sparse_rnnt.pipeline import _features
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -70,7 +69,7 @@ def test_traced_decode_reports_every_layer_metric(tmp_path):
     # a decode keeps no diagnostics: without an observer, encode's second
     # value is empty
     assert metrics["encoder.diag_mb"] == 0
-    feats = _features(read_wav(wav), tiny_config().feat_dim)
+    feats = log_mel_spectrogram(read_wav(wav), tiny_config().feat_dim)
     assert encode(feats, load_model(model), MaskPolicy.local_global())[1] == []
 
 
