@@ -14,15 +14,14 @@ O(b·T) memory.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ParameterError
+from .frontend import atomic_output
 from .numerics import matmul, softmax
 
 __all__ = [
@@ -460,10 +459,7 @@ def export_heatmap(z: np.ndarray, head: AttentionHeadWeights, path) -> None:
 
     Rows are queries, columns keys; values in [0, 1].
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         for block in score_blocks(z, [head], MaskPolicy.dense()):
             for row in softmax(block.e[0]):
                 fh.write(",".join(f"{v:.12f}" for v in row) + "\n")
-    os.replace(tmp, path)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .errors import (
     ParameterError,
     SparseRnntError,
 )
-from .frontend import read_text
+from .frontend import atomic_output, read_text
 from .metrics import breakdown_json, corpus_cer, edit_alignment, sweep_report
 from .model_io import Model, ModelConfig, Vocabulary, load_model, random_model, save_model
 from .pipeline import (
@@ -41,13 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
-
-
-def _atomic_write(path, text: str) -> None:
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _load_config(path: str | None) -> ModelConfig:
@@ -156,14 +148,16 @@ def cmd_decode(args) -> int:
             stats_blocks.append(f"# {utt_id} segment {si // n}\n{report}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
-        _atomic_write(args.out, text)
+        with atomic_output(args.out) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     if args.detail:
-        _atomic_write(args.detail, "\n".join(detail_lines)
-                      + ("\n" if detail_lines else ""))
+        with atomic_output(args.detail) as fh:
+            fh.writelines(f"{line}\n" for line in detail_lines)
     if args.stats:
-        _atomic_write(args.stats, "".join(stats_blocks))
+        with atomic_output(args.stats) as fh:
+            fh.writelines(stats_blocks)
     if not failures:
         return EXIT_OK
     io_like = (AudioFormatError, ModelFormatError, OSError)
@@ -234,6 +228,8 @@ def cmd_heatmap(args) -> int:
 
 def cmd_eval(args) -> int:
     refs = _read_tsv(args.refs)
+    if not refs:
+        raise DataError(f"{args.refs}: no references")
     hyps = _read_tsv(args.hyps)
     missing = sorted(set(refs) - set(hyps))
     if missing:
@@ -246,7 +242,8 @@ def cmd_eval(args) -> int:
         pairs.append((refs[utt_id], hyps[utt_id]))
     summary = corpus_cer(pairs)
     if args.out:
-        _atomic_write(args.out, "\n".join(jsonl) + "\n")
+        with atomic_output(args.out) as fh:
+            fh.writelines(f"{line}\n" for line in jsonl)
     print(
         f"cer={summary.cer:.6f} del={summary.deletions} ins={summary.insertions} "
         f"sub={summary.substitutions} ref_len={summary.ref_len}"

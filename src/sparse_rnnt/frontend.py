@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import wave
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +32,7 @@ __all__ = [
     "read_feature_file",
     "write_feature_file",
     "read_text",
+    "atomic_output",
 ]
 
 
@@ -254,6 +256,20 @@ def read_text(path, error: type[Exception] = DataError) -> str:
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text (byte {exc.start}: {exc.reason})"
         raise error(f"{path}: {reason}") from None
+
+
+@contextmanager
+def atomic_output(path, mode: str = "w"):
+    """A file to write, opened as `<path>.tmp` (UTF-8 in text mode) and
+    moved onto path when the block ends; on an error it is removed."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    tmp.replace(path)
 
 
 def read_feature_file(path) -> FeatureMatrix:

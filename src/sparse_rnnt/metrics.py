@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, asdict
 
 from .errors import ParameterError
+from .frontend import atomic_output
 
 __all__ = [
     "ErrorBreakdown",
@@ -106,10 +106,8 @@ def sweep_report(
             f"{policy},{seg},{doi_field},{b.cer:.6f},{b.deletions},"
             f"{b.insertions},{b.substitutions}"
         )
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
 
 
 def breakdown_json(utt_id: str, b: ErrorBreakdown) -> str:

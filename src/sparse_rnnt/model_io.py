@@ -15,7 +15,6 @@ import math
 import os
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from pathlib import Path
 from typing import Iterator, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .encoder import (ConformerBlockWeights, EncoderConfig, SubsampleWeights,
                       check_positive_ints)
 from .errors import DataError, ModelFormatError, ParameterError
+from .frontend import atomic_output
 from .numerics import LstmWeights
 
 __all__ = [
@@ -329,13 +329,10 @@ def save_model(m: Model, path) -> None:
         "blob_crc32": zlib.crc32(blob),
     }
     payload = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_output(path, "wb") as fh:
         fh.write(payload.encode("utf-8"))
         fh.write(b"\x00")
         fh.write(blob)
-    os.replace(tmp, path)
 
 
 # bytes read at a time while looking for the end of the manifest

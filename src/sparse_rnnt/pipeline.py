@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .attention import MaskPolicy
 from .encoder import encode, subsampled_length
 from .errors import DataError, ParameterError
@@ -22,7 +20,8 @@ from .frontend import (
     read_feature_file,
     read_wav,
 )
-from .segmentation import Segment, TimedToken, doi_merge, doi_split, epd_split
+from .segmentation import (Segment, TimedToken, check_doi, check_overlap, doi_merge,
+                           doi_split, epd_split)
 from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
@@ -39,17 +38,10 @@ class SegmentationSpec:
     def __post_init__(self):
         if self.kind not in ("none", "doi", "epd"):
             raise ParameterError(f"unknown segmentation {self.kind!r}")
-        if not self.overlap >= 0:
-            raise ParameterError(f"overlap must be >= 0, got {self.overlap}")
-        if self.kind != "doi":
-            return
-        if self.doi_length is None or not self.doi_length > 2 * self.overlap:
-            raise ParameterError(
-                f"doi segmentation needs a length greater than twice the "
-                f"overlap, got {self.doi_length} / {self.overlap}"
-            )
-        if not np.isfinite(self.doi_length):
-            raise ParameterError(f"doi length must be finite, got {self.doi_length}")
+        if self.kind == "doi":
+            check_doi(self.doi_length, self.overlap)
+        else:
+            check_overlap(self.overlap)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Windowed ("DOI") segmentation cuts fixed-length overlapping windows whose
 non-overlapped core regions tile the utterance; tokens are owned by the
 segment whose core contains their emission time. Energy-based endpoint
-detection instead cuts at long silences, preserving intact utterances of
-unbounded length.
+detection instead cuts at long silences, and cuts a speech run longer than
+MAX_SEGMENT into the fewest pieces.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from .frontend import WINDOW, Waveform, frame_start, strided_frames
 
 __all__ = [
     "Segment",
-    "VadConfig",
     "TimedToken",
+    "check_overlap",
+    "check_doi",
     "doi_split",
     "doi_merge",
     "epd_split",
@@ -46,31 +47,29 @@ class Segment:
 
 
 @dataclass
-class VadConfig:
-    energy_threshold_db: float = -40.0
-    min_silence: float = 0.3
-    min_segment: float = 0.2
-    max_segment: float = 30.0
-
-    def __post_init__(self):
-        if self.min_silence <= 0:
-            raise ParameterError("min_silence must be positive")
-        if self.min_segment > self.max_segment:
-            raise ParameterError("min_segment must not exceed max_segment")
-        # a longer frame outlasts the gap between speech runs or a forced
-        # piece, so segments would overlap and audio be decoded twice
-        if not WINDOW < min(self.min_silence, self.max_segment):
-            raise ParameterError(
-                f"the {WINDOW:g} s frame must be shorter than min_silence "
-                f"({self.min_silence:g} s) and max_segment ({self.max_segment:g} s)")
-
-
-@dataclass
 class TimedToken:
     """A non-blank emission with its absolute time in seconds."""
 
     token_id: int
     time: float
+
+
+def check_overlap(overlap: float) -> None:
+    if not overlap >= 0:
+        raise ParameterError(f"overlap must be >= 0, got {overlap}")
+
+
+def check_doi(doi_length: float | None, overlap: float) -> None:
+    """The DOI window rules: an overlap of at least 0, and a finite length
+    greater than twice it."""
+    check_overlap(overlap)
+    if doi_length is None or not doi_length > 2 * overlap:
+        raise ParameterError(
+            f"doi segmentation needs a length greater than twice the "
+            f"overlap, got {doi_length} / {overlap}"
+        )
+    if not np.isfinite(doi_length):
+        raise ParameterError(f"doi length must be finite, got {doi_length}")
 
 
 def doi_split(duration: float, doi_length: float, overlap: float = 2.0) -> list[Segment]:
@@ -81,12 +80,7 @@ def doi_split(duration: float, doi_length: float, overlap: float = 2.0) -> list[
     """
     if duration <= 0:
         raise ParameterError(f"duration must be positive, got {duration}")
-    if not np.isfinite(doi_length):
-        raise ParameterError(f"doi length must be finite, got {doi_length}")
-    if overlap < 0 or doi_length <= 2 * overlap:
-        raise ParameterError(
-            f"need doi_length > 2*overlap >= 0, got {doi_length} / {overlap}"
-        )
+    check_doi(doi_length, overlap)
     hop = doi_length - 2 * overlap
     segments = []
     k = 0
@@ -137,6 +131,14 @@ def doi_merge(
     return merged
 
 
+# epd: frames louder than ENERGY_THRESHOLD_DB are speech; speech runs
+# split at gaps of at least MIN_SILENCE, runs shorter than MIN_SEGMENT
+# merge into a neighbour and runs longer than MAX_SEGMENT are cut
+ENERGY_THRESHOLD_DB = -40.0
+MIN_SILENCE = 0.3
+MIN_SEGMENT = 0.2
+MAX_SEGMENT = 30.0
+
 # VAD frames squared at once: 13 MB of 25 ms windows at 16 kHz
 _ENERGY_BLOCK = 4096
 
@@ -152,26 +154,26 @@ def _frame_energies_db(w: Waveform) -> np.ndarray:
     return 10.0 * np.log10(power + 1e-12)
 
 
-def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
-    """Energy-threshold VAD: speech runs split at silences >= min_silence.
+def epd_split(w: Waveform) -> list[Segment]:
+    """Energy-threshold VAD: speech runs split at silences >= MIN_SILENCE.
 
-    Short segments merge into a neighbor; segments over max_segment are
-    force-split at their lowest-energy interior frame. Cores equal the
-    full segments (no overlap trimming).
+    Short segments merge into a neighbor; a segment over MAX_SEGMENT is
+    cut into the fewest pieces, each at its lowest-energy frame in the
+    window that keeps the pieces within MAX_SEGMENT (plus at most one hop).
+    Cores equal the full segments (no overlap trimming).
     """
-    cfg = cfg or VadConfig()
     energies = _frame_energies_db(w)
-    idx = np.flatnonzero(energies > cfg.energy_threshold_db)
+    idx = np.flatnonzero(energies > ENERGY_THRESHOLD_DB)
     if idx.size == 0:
         return []
     sr = w.sample_rate
     hop = frame_start(1, sr)
-    # frame runs of speech, merging gaps shorter than min_silence
-    min_gap = max(1, int(round(cfg.min_silence / hop)))
+    # frame runs of speech, merging gaps shorter than MIN_SILENCE
+    min_gap = max(1, int(round(MIN_SILENCE / hop)))
     gaps = np.flatnonzero(np.diff(idx) > min_gap)
     starts, ends = idx[np.r_[0, gaps + 1]], idx[np.r_[gaps, -1]]
     # to seconds; a frame spans [t*hop, t*hop + WINDOW) to the nearest
-    # sample, and runs start more than min_silence > WINDOW after the last
+    # sample, and runs start more than MIN_SILENCE > WINDOW after the last
     # ends, so intervals are in order
     intervals = [[frame_start(s, sr), frame_start(e, sr) + WINDOW]
                  for s, e in zip(starts, ends)]
@@ -180,7 +182,7 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
     i = 0
     while len(intervals) > 1 and i < len(intervals):
         s, e = intervals[i]
-        if e - s >= cfg.min_segment:
+        if e - s >= MIN_SEGMENT:
             i += 1
             continue
         if i == 0:
@@ -192,27 +194,22 @@ def epd_split(w: Waveform, cfg: VadConfig | None = None) -> list[Segment]:
         i, hi = min(i, j), max(i, j)
         intervals[i] = [intervals[i][0], intervals[hi][1]]
         del intervals[hi]
-    # force-split anything longer than max_segment at its quietest frame
+    # cut anything longer than MAX_SEGMENT into k pieces at quiet frames
     final: list[tuple[float, float]] = []
     for s, e in intervals:
-        while e - s > cfg.max_segment:
-            # cut only where the left piece stays within max_segment and
-            # the right piece is guaranteed to shrink
-            lo_t = max(s + cfg.min_segment, e - cfg.max_segment)
-            hi_t = min(e - cfg.min_segment, s + cfg.max_segment)
+        while e - s > MAX_SEGMENT:
+            # cut where the left piece is within MAX_SEGMENT and the rest
+            # within k - 1 of them; that window is never empty, and its
+            # first frame starts less than a hop after it opens
+            k = int(np.ceil((e - s) / MAX_SEGMENT))
+            lo_t = max(s + MIN_SEGMENT, e - (k - 1) * MAX_SEGMENT)
+            hi_t = min(e - MIN_SEGMENT, s + MAX_SEGMENT)
             f_lo = int(np.ceil(lo_t / hop))
-            f_hi = min(max(f_lo + 1, int(np.floor(hi_t / hop))), energies.size)
-            if lo_t >= hi_t or f_lo >= f_hi:  # no frame to cut at
-                cut = (s + e) / 2.0
-            else:
-                cut = frame_start(f_lo + int(np.argmin(energies[f_lo:f_hi])), sr)
+            f_hi = max(f_lo + 1, int(np.floor(hi_t / hop)))
+            cut = frame_start(f_lo + int(np.argmin(energies[f_lo:f_hi])), sr)
             final.append((s, cut))
             s = cut
         final.append((s, e))
+    # frames start at or after 0, and every piece is at least a frame long
     dur = w.duration
-    return [
-        Segment(start=max(0.0, s), end=min(e, dur), core_start=max(0.0, s),
-                core_end=min(e, dur))
-        for s, e in final
-        if e > s
-    ]
+    return [Segment(s, min(e, dur), s, min(e, dur)) for s, e in final]

@@ -505,6 +505,20 @@ class TestEval:
         assert main(["eval", "--refs", str(refs), "--hyps", str(hyps)]) == EXIT_DATA
 
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_no_references_exit_data(self, tmp_path, capsys, text):
+        refs = tmp_path / "refs.tsv"
+        hyps = tmp_path / "hyps.tsv"
+        refs.write_text(text)
+        hyps.write_text("u1\thello\n")
+        out = tmp_path / "per_utt.jsonl"
+        code = main(["eval", "--refs", str(refs), "--hyps", str(hyps),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {refs}: no references\n"
+        assert not out.exists()
+
+
 class TestRepeatedTsvId:
     """A TSV id on two lines is a data error naming the file and the id,
     never a silent overwrite by the later line."""

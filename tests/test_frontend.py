@@ -11,6 +11,7 @@ from sparse_rnnt.frontend import (
     FeatureMatrix,
     NormalizationStats,
     Waveform,
+    atomic_output,
     compute_stats,
     frame_lengths,
     frame_start,
@@ -326,3 +327,27 @@ class TestFeatureFile:
         path.write_text("2 2 0.01 0.025\n1 2 3\n4 5\n")
         with pytest.raises(DataError, match="row 0"):
             read_feature_file(path)
+
+
+class TestAtomicOutput:
+    def test_moved_into_place_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_output(path) as fh:
+            fh.write("naïve\n")
+            assert not path.exists()
+            assert (tmp_path / "out.txt.tmp").exists()
+        assert path.read_bytes() == "naïve\n".encode("utf-8")
+        with atomic_output(str(path), "wb") as fh:
+            fh.write(b"\x00\xff")
+        assert path.read_bytes() == b"\x00\xff"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_an_error_keeps_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_output(path) as fh:
+                fh.write("half a row")
+                raise KeyboardInterrupt
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

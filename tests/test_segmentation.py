@@ -6,9 +6,9 @@ from sparse_rnnt.errors import DataError, ParameterError
 from sparse_rnnt.frontend import HOP, WINDOW, Waveform, frame_lengths, frame_start
 from sparse_rnnt.pipeline import SegmentationSpec, parse_segmentation
 from sparse_rnnt.segmentation import (
+    MAX_SEGMENT,
     Segment,
     TimedToken,
-    VadConfig,
     _frame_energies_db,
     doi_merge,
     doi_split,
@@ -43,9 +43,10 @@ class TestDoiSplit:
             doi_split(0.0, 20.0, 2.0)
         with pytest.raises(ParameterError):
             doi_split(10.0, 20.0, -1.0)
-        for length in (float("inf"), float("nan")):
-            with pytest.raises(ParameterError, match="doi length must be finite"):
-                doi_split(10.0, length, 2.0)
+        with pytest.raises(ParameterError, match="doi length must be finite"):
+            doi_split(10.0, float("inf"), 2.0)
+        with pytest.raises(ParameterError, match="greater than twice the overlap"):
+            doi_split(10.0, float("nan"), 2.0)
 
     @pytest.mark.parametrize("doi_length", [8, 18, 20, 28, 38, 48, 58])
     def test_cores_partition_random_durations(self, doi_length, rng):
@@ -117,7 +118,7 @@ class TestEpdSplit:
     def test_tone_silence_tone(self):
         sr = 16000
         sig = np.concatenate([tone(1.0, sr), np.zeros(sr), tone(1.0, sr)])
-        segs = epd_split(Waveform(sig, sr), VadConfig(min_silence=0.5))
+        segs = epd_split(Waveform(sig, sr))
         assert len(segs) == 2
         assert segs[0].start == pytest.approx(0.0, abs=0.1)
         assert segs[0].end == pytest.approx(1.0, abs=0.1)
@@ -127,16 +128,32 @@ class TestEpdSplit:
     def test_short_gap_not_split(self):
         sr = 16000
         sig = np.concatenate([tone(1.0, sr), np.zeros(sr // 10), tone(1.0, sr)])
-        segs = epd_split(Waveform(sig, sr), VadConfig(min_silence=0.5))
+        segs = epd_split(Waveform(sig, sr))
         assert len(segs) == 1
 
     def test_forced_split_of_long_segment(self):
-        sr = 16000
-        cfg = VadConfig(max_segment=2.0)
-        segs = epd_split(Waveform(tone(3.0, sr), sr), cfg)
-        assert len(segs) == 2
-        assert all(s.duration <= 2.0 + 1e-6 for s in segs)
-        assert segs[0].end == pytest.approx(segs[1].start)
+        # a 45 s run is cut once, at its quietest frame between 15 and 30 s:
+        # up to 2 * MAX_SEGMENT the fewest-pieces window is the old one
+        sr = 8000
+        w = Waveform(0.1 * np.random.default_rng(45).normal(size=45 * sr), sr)
+        assert [(x.start, x.end) for x in epd_split(w)] == [
+            (0.0, frame_start(1881, sr)),
+            (frame_start(1881, sr), frame_start(4497, sr) + WINDOW)]
+
+    @pytest.mark.parametrize("seconds", [61, 100, 200])
+    def test_over_long_run_is_cut_into_the_fewest_pieces(self, seconds):
+        # ceil(d / MAX_SEGMENT) abutting pieces, none longer than
+        # MAX_SEGMENT plus one hop (a cut at the midpoint once kept 30.5,
+        # 50 and 100 s pieces here)
+        sr = 8000
+        rng = np.random.default_rng(seconds)
+        w = Waveform(0.1 * rng.normal(size=seconds * sr), sr)
+        segs = epd_split(w)
+        assert len(segs) == int(np.ceil(seconds / MAX_SEGMENT))
+        assert segs[0].start == 0.0
+        assert segs[-1].end == frame_start(seconds * 100 - 3, sr) + WINDOW
+        assert all(a.end == b.start for a, b in zip(segs, segs[1:]))
+        assert all(x.duration <= MAX_SEGMENT + frame_start(1, sr) for x in segs)
 
     def test_ordered_non_overlapping_within_bounds(self, rng):
         sr = 8000
@@ -146,7 +163,7 @@ class TestEpdSplit:
             pieces.append(np.zeros(int(rng.uniform(0.4, 1.0) * sr)))
         sig = np.concatenate(pieces)
         w = Waveform(sig, sr)
-        segs = epd_split(w, VadConfig(min_silence=0.3))
+        segs = epd_split(w)
         for s in segs:
             assert 0.0 <= s.start < s.end <= w.duration + 1e-9
         for a, b in zip(segs, segs[1:]):
@@ -158,61 +175,32 @@ class TestEpdSplit:
         for s in segs:
             assert s.core_start == s.start and s.core_end == s.end
 
-    def test_frame_must_be_shorter_than_gaps(self):
-        # a frame that outlasts min_silence or max_segment would make
-        # intervals or forced pieces overlap
-        for fields in (dict(min_silence=WINDOW), dict(min_silence=0.01),
-                       dict(min_segment=0.0, max_segment=WINDOW),
-                       dict(min_segment=0.0, max_segment=0.02)):
-            with pytest.raises(ParameterError, match="frame"):
-                VadConfig(**fields)
-        VadConfig(min_silence=0.0251)
-        VadConfig(min_silence=0.0251, min_segment=0.0, max_segment=0.0251)
+    def test_fixed_settings(self):
+        # the oracle reads these too, so they are pinned here
+        assert (segmentation.ENERGY_THRESHOLD_DB, segmentation.MIN_SILENCE,
+                segmentation.MIN_SEGMENT, MAX_SEGMENT) == (-40.0, 0.3, 0.2, 30.0)
 
-    @pytest.mark.parametrize("tight", [False, True])
-    def test_identical_to_per_frame_oracle(self, tight, monkeypatch):
+    @pytest.mark.parametrize("long_runs", [False, True])
+    def test_identical_to_per_frame_oracle(self, long_runs, monkeypatch):
         # blocks of 7 frames, so every case's energies cross block edges
         monkeypatch.setattr(segmentation, "_ENERGY_BLOCK", 7)
-        split = rejected = 0
-        for seed in range(120):
-            w, fields = bursty_case(np.random.default_rng([seed, tight]), tight)
-            if WINDOW >= min(fields["min_silence"], fields["max_segment"]):
-                with pytest.raises(ParameterError, match="frame"):
-                    VadConfig(**fields)
-                rejected += 1
-                continue
-            cfg = VadConfig(**fields)
+        cases = 12 if long_runs else 150
+        split = forced = 0
+        for seed in range(cases):
+            rng = np.random.default_rng([seed, long_runs])
+            w = long_run_case(rng) if long_runs else bursty_case(rng)
             assert np.array_equal(_frame_energies_db(w), oracle_frame_energies_db(w))
-            segs = epd_split(w, cfg)
-            assert segs == oracle_epd_split(w, cfg)
+            segs = epd_split(w)
+            assert segs == oracle_epd_split(w), seed
             split += len(segs) > 1
+            forced += sum(a.end == b.start for a, b in zip(segs, segs[1:]))
             # the oracle sorts its segments; these come out in order, apart
             assert all(a.end <= b.start for a, b in zip(segs, segs[1:]))
-        assert rejected == 0 if tight else rejected < 60
-        assert split > 60
-
-    def test_short_max_segment_fuzz(self):
-        # accepted configs with max_segment and min_silence just over the
-        # 25 ms frame, on audio that ends in a burst: forced pieces reach
-        # the last frame, and frame times must follow the whole-sample hop
-        for seed in range(300):
-            rng = np.random.default_rng([seed, 17])
-            sr = int(rng.choice([8000, 11025, 16000, 22050]))
-            pieces = []
-            while sum(map(len, pieces)) < rng.uniform(0.3, 1.5) * sr:
-                pieces += [rng.normal(0.0, 10 ** rng.uniform(-3.0, -0.5),
-                                      int(rng.uniform(0.005, 0.2) * sr)),
-                           rng.normal(0.0, 10 ** rng.uniform(-6.0, -4.0),
-                                      int(rng.uniform(0.005, 0.2) * sr))]
-            w = Waveform(np.concatenate(pieces[:-1]), sr)
-            max_segment = rng.uniform(1.01, 2.0) * WINDOW
-            cfg = VadConfig(energy_threshold_db=rng.uniform(-55.0, -30.0),
-                            min_silence=rng.uniform(1.01, 8.0) * WINDOW,
-                            min_segment=rng.uniform(0.0, max_segment),
-                            max_segment=max_segment)
-            segs = epd_split(w, cfg)
-            assert all(0.0 <= x.start < x.end <= w.duration for x in segs), seed
-            assert all(a.end <= b.start for a, b in zip(segs, segs[1:])), seed
+            hop = frame_start(1, w.sample_rate)
+            assert all(x.duration <= MAX_SEGMENT + hop for x in segs)
+        assert split > 0.6 * cases
+        # only runs over MAX_SEGMENT are cut with no gap between pieces
+        assert forced > 2 * cases if long_runs else forced == 0
 
     def test_burst_at_the_end_of_a_22k_file_is_kept(self):
         # at 22.05 kHz the 10 ms hop is 220 samples, not 220.5; in 120 s the
@@ -254,32 +242,32 @@ class TestEpdSplit:
         assert frame_start(12345, sr) == 12345 * HOP
 
 
-def bursty_case(rng, tight):
-    """Noise bursts and quiet gaps at random levels and lengths, then 0.4 s
-    of silence, with the fields of a random VadConfig. With `tight`, gaps
-    are short and min_silence just longer than the 25 ms frame, so speech
-    runs' intervals nearly touch."""
-    sr = int(rng.choice([8000, 11025, 16000]))
-    longest_gap = 0.05 if tight else 0.4
+def bursty_case(rng):
+    """Noise bursts and quiet gaps around the 0.2 s MIN_SEGMENT and 0.3 s
+    MIN_SILENCE, at levels either side of the threshold, then 0.4 s of
+    silence, at one of six sample rates."""
+    sr = int(rng.choice([8000, 11025, 16000, 22050, 44100, 48000]))
     pieces = []
-    while sum(map(len, pieces)) < rng.uniform(1.0, 4.0) * sr:
-        pieces.append(rng.normal(0.0, 10 ** rng.uniform(-3.0, -0.5),
-                                 int(rng.uniform(0.01, 0.25) * sr)))
-        pieces.append(rng.normal(0.0, 10 ** rng.uniform(-6.0, -4.0),
-                                 int(rng.uniform(0.01, longest_gap) * sr)))
-    w = Waveform(np.concatenate(pieces + [np.zeros(int(0.4 * sr))]), sr)
-    max_segment = rng.uniform(0.05, 1.0)
-    fields = dict(energy_threshold_db=rng.uniform(-55.0, -30.0),
-                  min_silence=rng.uniform(0.005, 0.2),
-                  min_segment=rng.uniform(0.0, max_segment),
-                  max_segment=max_segment)
-    if tight:
-        # on half the cases forced pieces are just longer than a frame too
-        fields["min_silence"] = rng.uniform(1.0, 1.25) * WINDOW * (1 + 1e-9)
-        if rng.random() < 0.5:
-            fields["max_segment"] = rng.uniform(1.0, 1.25) * WINDOW * (1 + 1e-9)
-            fields["min_segment"] = rng.uniform(0.0, fields["max_segment"])
-    return w, fields
+    while sum(map(len, pieces)) < rng.uniform(1.0, 5.0) * sr:
+        pieces.append(rng.normal(0.0, 10 ** rng.uniform(-2.5, -0.5),
+                                 int(rng.uniform(0.02, 0.4) * sr)))
+        pieces.append(rng.normal(0.0, 10 ** rng.uniform(-6.0, -2.5),
+                                 int(rng.uniform(0.02, 0.5) * sr)))
+    return Waveform(np.concatenate(pieces + [np.zeros(int(0.4 * sr))]), sr)
+
+
+def long_run_case(rng):
+    """One or two speech runs of 20 to 200 s at 8 kHz, whose level drifts
+    so their quietest frames fall anywhere, each followed by 1 s of
+    silence."""
+    sr = 8000
+    pieces = [np.zeros(int(rng.uniform(0.0, 1.0) * sr))]
+    for _ in range(int(rng.integers(1, 3))):
+        n = int(rng.uniform(20.0, 200.0) * sr)
+        level = 10 ** np.interp(np.arange(n), np.linspace(0, n, 8),
+                                rng.uniform(-1.5, -0.5, 8))
+        pieces += [level * rng.normal(size=n), np.zeros(sr)]
+    return Waveform(np.concatenate(pieces), sr)
 
 
 def test_segment_invariants_enforced():
@@ -299,6 +287,17 @@ class TestSegmentationSpec:
     def test_doi_window_must_exceed_both_overlaps(self, length, overlap):
         with pytest.raises(ParameterError):
             SegmentationSpec("doi", doi_length=length, overlap=overlap)
+
+    @pytest.mark.parametrize("length, overlap", [
+        (3.0, 2.0), (4.0, 2.0), (10.0, -0.5), (20.0, float("nan")),
+        (float("nan"), 2.0), (float("inf"), 2.0), (None, 2.0)])
+    def test_doi_split_checks_as_the_spec_does(self, length, overlap):
+        # one check, so one message, before any input is read or when cut
+        with pytest.raises(ParameterError) as spec:
+            SegmentationSpec("doi", doi_length=length, overlap=overlap)
+        with pytest.raises(ParameterError) as split:
+            doi_split(10.0, length, overlap)
+        assert str(split.value) == str(spec.value)
 
     def test_negative_overlap_rejected_for_every_kind(self):
         for kind in ("none", "epd"):

@@ -357,17 +357,18 @@ def oracle_frame_energies_db(w):
     return energies
 
 
-def oracle_epd_split(w, cfg):
+def oracle_epd_split(w):
     """`segmentation.epd_split` as a per-frame loop that restarts its
     absorb scan after each merge and force-splits through a stack, then
     sorts. Reference for the single-pass epd_split."""
     from sparse_rnnt.frontend import WINDOW, frame_lengths
-    from sparse_rnnt.segmentation import Segment
+    from sparse_rnnt.segmentation import (ENERGY_THRESHOLD_DB, MAX_SEGMENT,
+                                          MIN_SEGMENT, MIN_SILENCE, Segment)
 
     energies = oracle_frame_energies_db(w)
     if energies.size == 0:
         return []
-    speech = energies > cfg.energy_threshold_db
+    speech = energies > ENERGY_THRESHOLD_DB
     if not speech.any():
         return []
     # frame t starts t * hop whole samples in
@@ -378,8 +379,8 @@ def oracle_epd_split(w, cfg):
     def frame_time(t):
         return t * hop_n / sr
 
-    # frame runs of speech, merging gaps shorter than min_silence
-    min_gap = max(1, int(round(cfg.min_silence / hop)))
+    # frame runs of speech, merging gaps shorter than MIN_SILENCE
+    min_gap = max(1, int(round(MIN_SILENCE / hop)))
     runs: list[list[int]] = []
     idx = np.flatnonzero(speech)
     start = prev = idx[0]
@@ -396,7 +397,7 @@ def oracle_epd_split(w, cfg):
     while changed and len(intervals) > 1:
         changed = False
         for i, (s, e) in enumerate(intervals):
-            if e - s < cfg.min_segment:
+            if e - s < MIN_SEGMENT:
                 if i == 0:
                     j = 1
                 elif i == len(intervals) - 1:
@@ -408,27 +409,25 @@ def oracle_epd_split(w, cfg):
                 del intervals[hi]
                 changed = True
                 break
-    # force-split anything longer than max_segment at its quietest frame
+    # force-split anything longer than MAX_SEGMENT into the fewest
+    # pieces, each cut at its quietest frame
     final: list[list[float]] = []
     stack = list(intervals)
     while stack:
         s, e = stack.pop(0)
-        if e - s <= cfg.max_segment:
+        if e - s <= MAX_SEGMENT:
             final.append([s, e])
             continue
-        # cut only where the left piece stays within max_segment and the
-        # right piece is guaranteed to shrink
-        lo_t = max(s + cfg.min_segment, e - cfg.max_segment)
-        hi_t = min(e - cfg.min_segment, s + cfg.max_segment)
+        # cut only where the left piece stays within MAX_SEGMENT and the
+        # right piece within the k - 1 that are left
+        k = int(np.ceil((e - s) / MAX_SEGMENT))
+        lo_t = max(s + MIN_SEGMENT, e - (k - 1) * MAX_SEGMENT)
+        hi_t = min(e - MIN_SEGMENT, s + MAX_SEGMENT)
         f_lo = int(np.ceil(lo_t / hop))
         f_hi = max(f_lo + 1, int(np.floor(hi_t / hop)))
-        f_hi = min(f_hi, energies.size)
-        if lo_t >= hi_t or f_lo >= f_hi:
-            # the window holds no frame start
-            cut = (s + e) / 2.0
-        else:
-            window = energies[f_lo:f_hi]
-            cut = frame_time(f_lo + int(np.argmin(window)))
+        window = energies[f_lo:f_hi]
+        assert window.size, "the cut window holds no frame"
+        cut = frame_time(f_lo + int(np.argmin(window)))
         final.append([s, cut])
         stack.insert(0, [cut, e])
     final.sort()
