@@ -31,6 +31,7 @@ __all__ = [
     "ScoreBlock",
     "AttentionMask",
     "MaskPolicy",
+    "LOCAL_W",
     "DENSE",
     "LOCAL_ONLY",
     "LOCAL_PLUS_GLOBAL",
@@ -50,6 +51,8 @@ __all__ = [
 DENSE = "dense"
 LOCAL_ONLY = "local"
 LOCAL_PLUS_GLOBAL = "local_global"
+
+LOCAL_W = 40  # the local half-window, in subsampled frames, unless one is given
 
 # fusion variants, ordered loosest to sparsest global mask
 FUSION_OR = "sgm1_or"
@@ -200,12 +203,12 @@ class AttentionMask:
 class MaskPolicy:
     """Which keys each query may attend; an inference-time switch only.
 
-    w is the local half-window in (subsampled) frames; defaults to 40.
+    w is the local half-window in (subsampled) frames.
     Fusion matters only for local_global.
     """
 
     variant: str = LOCAL_PLUS_GLOBAL
-    w: int = 40
+    w: int = LOCAL_W
     fusion: str = FUSION_AND
 
     def __post_init__(self):
@@ -221,11 +224,11 @@ class MaskPolicy:
         return cls(variant=DENSE)
 
     @classmethod
-    def local(cls, w: int = 40) -> "MaskPolicy":
+    def local(cls, w: int = LOCAL_W) -> "MaskPolicy":
         return cls(variant=LOCAL_ONLY, w=w)
 
     @classmethod
-    def local_global(cls, w: int = 40, fusion: str = FUSION_AND) -> "MaskPolicy":
+    def local_global(cls, w: int = LOCAL_W, fusion: str = FUSION_AND) -> "MaskPolicy":
         return cls(variant=LOCAL_PLUS_GLOBAL, w=w, fusion=fusion)
 
 

@@ -13,14 +13,7 @@ from pathlib import Path
 
 from .attention import export_heatmap, format_sparsity_report, mask_stats
 from .encoder import encode, subsampled_length
-from .errors import (
-    AudioFormatError,
-    DataError,
-    EmptyInputError,
-    ModelFormatError,
-    ParameterError,
-    SparseRnntError,
-)
+from .errors import DataError, EmptyInputError, ParameterError, SparseRnntError
 from .frontend import atomic_output, read_text
 from .metrics import breakdown_json, corpus_cer, edit_alignment, sweep_report
 from .model_io import Model, ModelConfig, Vocabulary, load_model, random_model, save_model
@@ -40,6 +33,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DATA = 4
+_KIND = {EXIT_CONFIG: "config", EXIT_IO: "i/o", EXIT_DATA: "data"}
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a failure: 2 for a bad parameter, 3 for a failed
+    read or write (AudioFormatError and ModelFormatError are OSErrors), and
+    4 for any other package error."""
+    if isinstance(exc, ParameterError):
+        return EXIT_CONFIG
+    return EXIT_IO if isinstance(exc, OSError) else EXIT_DATA
 
 
 def _load_config(path: str | None) -> ModelConfig:
@@ -160,8 +163,8 @@ def cmd_decode(args) -> int:
             fh.writelines(stats_blocks)
     if not failures:
         return EXIT_OK
-    io_like = (AudioFormatError, ModelFormatError, OSError)
-    return EXIT_IO if any(isinstance(e, io_like) for e in failures) else EXIT_DATA
+    # an input that could not be read outranks one that could not be decoded
+    return EXIT_IO if EXIT_IO in map(_exit_code, failures) else EXIT_DATA
 
 
 def cmd_sweep(args) -> int:
@@ -264,12 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_model)
 
+    defaults = DecodeOptions()  # bare `decode` is DecodeOptions()
+
     def add_decode_flags(p):
-        p.add_argument("--w", type=int, default=40, help="local half-window")
-        p.add_argument("--beam", type=int, default=4)
-        p.add_argument("--srs", action=argparse.BooleanOptionalAction, default=False)
-        p.add_argument("--t-sil", type=int, default=15, dest="t_sil")
-        p.add_argument("--overlap", type=float, default=2.0)
+        p.add_argument("--w", type=int, default=defaults.policy.w,
+                       help="local half-window")
+        p.add_argument("--beam", type=int, default=defaults.beam)
+        p.add_argument("--srs", action=argparse.BooleanOptionalAction,
+                       default=defaults.srs.enabled)
+        p.add_argument("--t-sil", type=int, default=defaults.srs.t_sil, dest="t_sil")
+        p.add_argument("--overlap", type=float, default=defaults.segmentation.overlap)
 
     p = sub.add_parser("decode", help="transcribe wav or feature files")
     p.add_argument("--model", required=True)
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--head", type=int, required=True)
     p.add_argument("--mask", default="dense")
-    p.add_argument("--w", type=int, default=40)
+    p.add_argument("--w", type=int, default=defaults.policy.w)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_heatmap)
 
@@ -319,15 +326,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (AudioFormatError, ModelFormatError, FileNotFoundError, OSError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DataError, SparseRnntError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (SparseRnntError, OSError) as exc:
+        code = _exit_code(exc)
+        print(f"{_KIND[code]} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .attention import MaskPolicy
+from .attention import LOCAL_W, MaskPolicy
 from .encoder import encode, subsampled_length
 from .errors import DataError, ParameterError
 from .frontend import (
@@ -20,8 +20,8 @@ from .frontend import (
     read_feature_file,
     read_wav,
 )
-from .segmentation import (Segment, TimedToken, check_doi, check_overlap, doi_merge,
-                           doi_split, epd_split)
+from .segmentation import (DOI_OVERLAP, Segment, TimedToken, check_doi, check_overlap,
+                           doi_merge, doi_split, epd_split)
 from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
@@ -33,7 +33,7 @@ __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform
 class SegmentationSpec:
     kind: str = "none"  # none | doi | epd
     doi_length: float | None = None
-    overlap: float = 2.0
+    overlap: float = DOI_OVERLAP
 
     def __post_init__(self):
         if self.kind not in ("none", "doi", "epd"):
@@ -46,9 +46,11 @@ class SegmentationSpec:
 
 @dataclass
 class DecodeOptions:
+    """What a decode does; the defaults are the bare `decode` command's."""
+
     policy: MaskPolicy = field(default_factory=MaskPolicy.dense)
     beam: int = 4
-    srs: SrsParams = field(default_factory=SrsParams)
+    srs: SrsParams = field(default_factory=lambda: SrsParams(enabled=False))
     segmentation: SegmentationSpec = field(default_factory=SegmentationSpec)
 
     def __post_init__(self):
@@ -63,7 +65,7 @@ class DecodeResult:
     log_prob: float
 
 
-def parse_policy(spec: str, w: int = 40) -> MaskPolicy:
+def parse_policy(spec: str, w: int = LOCAL_W) -> MaskPolicy:
     """Parse 'dense', 'local', or 'local+sgm{1,2,3}' into a mask policy."""
     spec = spec.strip().lower()
     if spec == "dense":
@@ -78,7 +80,7 @@ def parse_policy(spec: str, w: int = 40) -> MaskPolicy:
     raise ParameterError(f"unknown mask policy {spec!r}")
 
 
-def parse_segmentation(spec: str, overlap: float = 2.0) -> SegmentationSpec:
+def parse_segmentation(spec: str, overlap: float = DOI_OVERLAP) -> SegmentationSpec:
     """Parse 'none', 'epd', or 'doi:<seconds>'."""
     spec = spec.strip().lower()
     if spec == "none":

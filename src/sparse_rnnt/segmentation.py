@@ -54,6 +54,10 @@ class TimedToken:
     time: float
 
 
+# seconds a DOI window shares with each neighbour, unless another is given
+DOI_OVERLAP = 2.0
+
+
 def check_overlap(overlap: float) -> None:
     if not overlap >= 0:
         raise ParameterError(f"overlap must be >= 0, got {overlap}")
@@ -72,7 +76,8 @@ def check_doi(doi_length: float | None, overlap: float) -> None:
         raise ParameterError(f"doi length must be finite, got {doi_length}")
 
 
-def doi_split(duration: float, doi_length: float, overlap: float = 2.0) -> list[Segment]:
+def doi_split(duration: float, doi_length: float,
+              overlap: float = DOI_OVERLAP) -> list[Segment]:
     """Overlapping windows of doi_length whose cores tile [0, duration).
 
     hop = doi_length - 2*overlap; boundary cores extend to the utterance

@@ -496,122 +496,81 @@ def reset_prediction_states(hyps: list[Hypothesis], model) -> list[Hypothesis]:
 
 
 def _template(hyps: list[Hypothesis], frame_idx: int, beam: int, model):
-    """The decisions of frame `frame_idx`, which made `hyps`, for _replay to
-    repeat: hypothesis q is hyps[src[q]] followed by toks[q], the tokens it
-    emitted in the frame, and holds that state stepped by them through the
-    cache. Laid out as rounds: the finished carried in, the actives (src,
-    tokens so far) as a slice of `nodes` with their columns in the round
-    before, and which candidates (the finished, then each active's children
-    in token order) survive. None when a state is not cached, a round would
-    merge, or a survivor of a round is pruned in a later one."""
+    """The decisions of frame `frame_idx`, which made `hyps`, as (src, toks)
+    for _replay to repeat, when they have the one shape runs take: each
+    hypothesis q closed with blank (src[q] = q, toks[q] = ()), or emitted
+    one token k after a hypothesis that closed with blank, src[q], and
+    holds that one's cached child for k (toks[q] = (k,)). The beam is full:
+    len(hyps) survivors of len(hyps) * V candidates. None for any other
+    frame, which beam_search_step takes."""
+    if len(hyps) != min(beam, len(hyps) * len(model.config.vocab)):
+        return None
     slot = {h.prefix: q for q, h in enumerate(hyps)}
-    src, paths = [], []
-    for h in hyps:
-        path, node = [], h.prefix
-        while node.frame == frame_idx:
-            path.insert(0, node)
-            node = node.parent
-        p = slot.get(node)
-        state = None if p is None else hyps[p].state
-        for kid in path:
-            state = state and (state.children or {}).get(kid.token)
-        if state is not h.state:
+    src, toks = [], []
+    for q, h in enumerate(hyps):
+        node = h.prefix
+        if node.frame != frame_idx:  # closed with blank
+            src.append(q)
+            toks.append(())
+            continue
+        p = slot.get(node.parent)
+        if (p is None or node.parent.frame == frame_idx
+                or hyps[p].prefix.frame == frame_idx
+                or (hyps[p].state.children or {}).get(node.token) is not h.state):
             return None
         src.append(p)
-        paths.append(path)
-    toks = tuple(tuple(node.token for node in path) for path in paths)
-    # round r's blank child on the prefix of one finished earlier merges;
-    # the round past the cap, which scores only blank children, is left out
-    if any(len(path) >= MAX_SYMBOLS for path in paths) or any(
-            len(toks[slot[node]]) < r for path in paths
-            for r, node in enumerate(path, 1) if node in slot):
-        return None
-    V, blank = len(model.config.vocab), model.config.vocab.blank_id
-    ends = set(zip(src, toks))
-    nodes = [(p, ()) for p in range(len(src))]  # every round's actives, in order
-    rounds, column = [], {}
-    for r in range(max(map(len, toks)) + 1):
-        fin = tuple(q for q, tk in enumerate(toks) if len(tk) < r)
-        acts = list(dict.fromkeys((p, tk[:r]) for p, tk in ends if len(tk) >= r)
-                    if r else nodes)
-        index = {a: len(fin) + n * V for n, a in enumerate(acts)}
-        grown = tuple(column[a] for a in acts) if r else None
-        mask = np.zeros(len(fin) + len(acts) * V, dtype=bool)
-        mask[:len(fin)] = True
-        for p, tk in ends:
-            if len(tk) > r:
-                column[p, tk[:r + 1]] = index[p, tk[:r]] + tk[r]
-        mask[[column[p, tk[:r + 1]] if len(tk) > r else index[p, tk] + blank
-              for p, tk in ends if len(tk) >= r]] = True
-        if mask.sum() != min(beam, len(mask)):
-            return None
-        keep, drop = np.flatnonzero(mask), np.flatnonzero(~mask)
-        first = len(nodes) if r else 0
-        nodes += acts if r else []
-        rounds.append((fin, slice(first, first + len(acts)), grown, keep, drop))
-    node = {a: n for n, a in enumerate(nodes)}
+        toks.append((node.token,))
+    return src, tuple(toks)
 
-    def depth(q):
-        return len(toks[q]) and 1 + depth(src[q])
 
-    # each hypothesis that emitted, after the one it extends: the nodes and
-    # tokens of the row entries its score adds
-    chains = [(q, src[q], [(node[src[q], toks[q][:r]], k)
-                           for r, k in enumerate(toks[q] + (blank,))])
-              for q in sorted(range(len(src)), key=depth) if toks[q]]
-    return src, toks, nodes, [node[a] for a in zip(src, toks)], chains, rounds
+def _kept_best(kept: np.ndarray, rest: np.ndarray, beam: int) -> np.ndarray:
+    """Per frame, whether _expand_round's no-tie path keeps exactly the
+    `kept` scores, (n, m), over the other candidates' `rest`, (n, r): the
+    kept are distinct and each beats every other candidate (at beam 1 the
+    one kept is a blank child, which wins a tie). A NaN fails."""
+    lo = kept.min(axis=1)
+    hi = rest.max(axis=1, initial=-np.inf)
+    kept = np.sort(kept, axis=1)
+    return (lo > hi if beam > 1 else lo >= hi) & (kept[:, 1:] != kept[:, :-1]).all(axis=1)
 
 
 def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
     """Frames i, i + 1, ... of `frame_projs` by the template's decisions, in
-    one joint call for every state reached, each candidate's score formed as
-    in _expand_round. Frames are taken while in every round the survivors
-    are the best `beam` and the best beam + 1 scores are distinct (its no-tie
-    path; at beam 1, blank wins a tie). Returns the frames taken and the
-    hypotheses after the last, in the template's order."""
-    src, toks, nodes, ends, chains, rounds = template
-    n, m, blank = len(frame_projs), len(hyps), model.config.vocab.blank_id
-    # each node's state: its hypothesis's, stepped by its tokens through the cache
-    held = [functools.reduce(lambda s, k: s.children[k], tk, hyps[p].state)
-            for p, tk in nodes]
-    states = list(dict.fromkeys(held))
+    one joint call on the states `hyps` hold, each candidate's score formed
+    as in _expand_round. Round 1 keeps each closer's blank child and each
+    emitter's token child; round 2 keeps the closers and each emitter's
+    blank child. An emitter's token child is the state the emitter holds
+    (_template checked it), so its rows are the emitter's. Frames are taken
+    while both rounds keep these (_kept_best). Returns the frames taken and
+    the hypotheses after the last, in the template's order."""
+    src, toks = template
+    n, m = len(frame_projs), len(hyps)
+    V, blank = len(model.config.vocab), model.config.vocab.blank_id
+    states = list(dict.fromkeys(h.state for h in hyps))
     log_probs = joint(frame_projs[:, None], np.array([s.proj for s in states]), model)
-    if len(states) < len(held):  # to one row per node
-        log_probs = log_probs.take([states.index(s) for s in held], axis=1)
-    # row 0: the scores handed in; row j + 1: after frame i + j. A blank
-    # child's on every frame is a sequential sum; the others follow it.
+    if len(states) < m:  # to one row per hypothesis
+        log_probs = log_probs.take([states.index(h.state) for h in hyps], axis=1)
+    # row 0: the scores handed in; row j + 1: after frame i + j. A closer's
+    # is a sequential sum of its blank rows; an emitter's adds its parent's
+    # score, the token's row and its own blank row, in that order.
     scores = np.empty((n + 1, m))
     scores[0] = [h.log_prob for h in hyps]
-    scores[1:] = log_probs[:, :m, blank]
+    scores[1:] = log_probs[:, :, blank]
     np.add.accumulate(scores, axis=0, out=scores)
-    for q, p, chain in chains:
-        score = scores[:-1, p]
-        for a, k in chain:
-            score = score + log_probs[:, a, k]
-        scores[1:, q] = score
-    ok = []  # per frame, whether each check holds
-    for fin, acts, grown, keep, drop in rounds:
-        parents = scores[:-1] if grown is None else cand.take(grown, axis=1)
-        cand = (parents[:, :, None] + log_probs[:, acts]).reshape(n, -1)
-        if fin:
-            cand = np.concatenate([scores[1:].take(fin, axis=1), cand], axis=1)
-        kept, rest = cand.take(keep, axis=1), cand.take(drop, axis=1)
-        lo = kept.min(axis=1) if len(keep) > 1 else kept[:, 0]  # NaN fails below
-        if len(drop):
-            ok.append(lo > rest.max(axis=1) if beam > 1 else lo >= rest.max(axis=1))
-        if len(keep) > 1:
-            kept.sort(axis=1)
-            ok.append((kept[:, 1:] != kept[:, :-1]).all(axis=1))
-    ok = np.logical_and.reduce(ok) if len(ok) > 1 else ok[0]
+    emit = [q for q in range(m) if toks[q]]
+    parents, tokens = [src[q] for q in emit], [toks[q][0] for q in emit]
+    grown = scores[:-1, parents] + log_probs[:, parents, tokens]
+    scores[1:, emit] = grown + log_probs[:, emit, blank]
+    cand = (scores[:-1, :, None] + log_probs).reshape(n, m * V)
+    keep = np.array(src) * V + [tk[0] if tk else blank for tk in toks]
+    ok = _kept_best(cand[:, keep], np.delete(cand, keep, axis=1), beam)
+    if emit:
+        kids = grown[:, :, None] + np.delete(log_probs[:, emit], blank, axis=2)
+        ok &= _kept_best(scores[1:], kids.reshape(n, -1), beam)
     k = int(ok.argmin()) if not ok.all() else n
-
-    def prefix(q, j):  # q's prefix after frame i + j
-        if j < 0 or not toks[q]:
-            return hyps[q].prefix
-        return functools.reduce(lambda node, k: Prefix(node, k, i + j), toks[q],
-                                prefix(src[q], j - 1))
-
-    return k, [Hypothesis(prefix(q, k - 1), scores[k, q], held[ends[q]]) for q in range(m)]
+    return k, [Hypothesis(Prefix(hyps[src[q]].prefix, toks[q][0], i + k - 1)
+                          if toks[q] and k else h.prefix, scores[k, q], h.state)
+               for q, h in enumerate(hyps)]
 
 
 def _best(hyps: list[Hypothesis]) -> Hypothesis:
@@ -625,20 +584,20 @@ def _best(hyps: list[Hypothesis]) -> Hypothesis:
 def decode_with_srs(
     h: EncoderOutputs,
     model,
-    beam: int = 4,
-    srs: SrsParams | None = None,
+    beam: int,
+    srs: SrsParams,
 ) -> Transcript:
     """Beam decoding over all encoder frames with the optional silence reset.
 
     After a prune-only frame, whose survivors hold the states it was handed,
-    the next frames go in runs (label looping): _replay takes a run in one
-    joint call by that frame's decisions (`_template`) while the scores keep
-    them. The first frame where they do not (a changed state set, a tie at
-    the beam boundary, a merge) goes through beam_search_step, and an SRS
-    firing ends a run. A run is one frame, then doubles; it ends with its
-    hypotheses ranked, as beam_search_step breaks ties on position.
+    the next frames go in runs (label looping) when its decisions have the
+    one shape `_template` takes: _replay takes a run in one joint call by
+    them while the scores keep them. The first frame where they do not (a
+    changed survivor set, a tie at the beam boundary) goes through
+    beam_search_step, and an SRS firing ends a run. A run is one frame,
+    then doubles; it ends with its hypotheses ranked, as beam_search_step
+    breaks ties on position.
     """
-    srs = srs or SrsParams()
     hyps = [start_hypothesis(model)]
     counter = SrsCounter(srs.t_sil)
     projs = None  # every frame's projection, formed when the first run starts

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import tiny_config
 from sparse_rnnt import pipeline
-from sparse_rnnt.cli import EXIT_OK, main
+from sparse_rnnt.cli import EXIT_OK, build_parser, main
 from sparse_rnnt.frontend import (
     Waveform,
     compute_stats,
@@ -18,7 +18,7 @@ from sparse_rnnt.frontend import (
     normalize_global,
     write_wav,
 )
-from sparse_rnnt.model_io import random_model, save_model
+from sparse_rnnt.model_io import ModelConfig, random_model, save_model
 from sparse_rnnt.pipeline import (
     DecodeOptions,
     decode_file,
@@ -26,6 +26,7 @@ from sparse_rnnt.pipeline import (
     parse_segmentation,
     prepare_input,
 )
+from sparse_rnnt.transducer import SrsParams
 
 SEGMENTATIONS = ["none", "doi:20", "epd"]
 
@@ -147,3 +148,41 @@ class TestTimeBase:
         step = frame_lengths(sr)[1] / sr
         assert len(times) > 100
         assert all(t == round(round(t / step) * step, 6) for t in times)
+
+
+class TestDecodeDefaults:
+    """Bare `decode` is DecodeOptions(): each decode flag takes its default
+    from it, so the library and the CLI decode alike."""
+
+    def test_flag_defaults_are_decode_options(self):
+        want = DecodeOptions()
+        parse = build_parser().parse_args
+        decode = parse(["decode", "--model", "m", "u.wav"])
+        sweep = parse(["sweep", "--model", "m", "u.wav", "--refs", "r", "--out", "o"])
+        heatmap = parse(["heatmap", "--model", "m", "u.wav", "--layer", "0",
+                         "--head", "0", "--out", "o"])
+        for args in (decode, sweep):
+            assert args.w == want.policy.w and args.beam == want.beam
+            assert SrsParams(args.t_sil, args.srs) == want.srs
+            assert args.overlap == want.segmentation.overlap
+        assert parse_policy(decode.mask, decode.w) == want.policy
+        assert parse_segmentation(decode.segmentation, decode.overlap) == want.segmentation
+        assert parse_policy(heatmap.mask, heatmap.w) == want.policy
+        assert want.srs == SrsParams(enabled=False) and SrsParams() == SrsParams(15, True)
+
+    def test_library_and_cli_decode_alike(self, tmp_path):
+        # 8 s of noise, near silence in the second half of every 2 s, on a
+        # desk model that emits in the noise: with SRS on it decodes to 16
+        # tokens and without to 3, so the two agree only if their defaults do
+        sr = 16000
+        x = np.random.default_rng(4).normal(0.0, 0.1, 8 * sr)
+        x[np.arange(x.size) / sr % 2.0 >= 1.0] *= 1e-3
+        wav, model_path, hyps = tmp_path / "u.wav", tmp_path / "m.model", tmp_path / "h.tsv"
+        write_wav(wav, Waveform(x, sr))
+        desk = random_model(ModelConfig.desk_scale(), 4)
+        desk.joint.out_bias[desk.config.vocab.blank_id] += 1.25
+        save_model(desk, model_path)
+        assert main(["decode", "--model", str(model_path), str(wav), "--beam", "1",
+                     "--out", str(hyps)]) == EXIT_OK
+        text = decode_file(desk, wav, DecodeOptions(beam=1)).text
+        assert hyps.read_text() == f"u\t{text}\n" and text == "fff"

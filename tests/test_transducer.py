@@ -11,6 +11,7 @@ from sparse_rnnt.encoder import EncoderOutputs
 from sparse_rnnt.errors import ParameterError, ShapeError, VocabularyError
 from sparse_rnnt.model_io import ModelConfig, Vocabulary, random_model
 from sparse_rnnt.transducer import (
+    Hypothesis,
     Prefix,
     SrsCounter,
     SrsParams,
@@ -970,6 +971,52 @@ class TestBeamOneRunAhead:
                 else:
                     assert 0.2 * T < blank_frames < 0.8 * T
                     assert sum(rows) < ours <= sum(rows) + blank_frames
+
+
+class TestTemplateShape:
+    """_template takes the one frame shape runs replay: each hypothesis
+    closed with blank, or emitted one token after a hypothesis that closed
+    with blank and holds that one's cached child. Frames built by hand at
+    frame 5, from the start state and its cached children for tokens 1 and
+    2; any other shape goes frame by frame."""
+
+    FRAME = 5
+
+    def states(self):
+        """The model, the start hypothesis, and the cached children: the
+        start state's for token 1, and that child's for token 2."""
+        model = random_model(tiny_config(), 0)
+        root = start_hypothesis(model)
+        (one,), _ = transducer._step_cached([(root, 1, 0.0)], model)
+        (one_two,), _ = transducer._step_cached(
+            [(Hypothesis(Prefix(root.prefix, 1, 4), -1.0, one), 2, 0.0)], model)
+        return model, root, one, one_two
+
+    def test_one_token_after_a_closer(self):
+        model, root, one, _ = self.states()
+        hyps = [root, Hypothesis(Prefix(root.prefix, 1, self.FRAME), -1.0, one)]
+        src, toks = transducer._template(hyps, self.FRAME, 2, model)[:2]
+        assert list(src) == [0, 0] and toks == ((), (1,))
+
+    @pytest.mark.parametrize("closer", [False, True])
+    def test_two_tokens_go_frame_by_frame(self, closer):
+        # with `closer`, a hypothesis that emitted 1 before the frame closed
+        # in it: the two-token prefix extends it by one token, by tokens
+        model, root, one, one_two = self.states()
+        prefix = Prefix(Prefix(root.prefix, 1, self.FRAME), 2, self.FRAME)
+        hyps = [root, Hypothesis(prefix, -2.0, one_two)]
+        if closer:
+            hyps.insert(1, Hypothesis(Prefix(root.prefix, 1, self.FRAME - 1), -1.0, one))
+        assert transducer._template(hyps, self.FRAME, len(hyps), model) is None
+
+    def test_token_after_an_emitter_goes_frame_by_frame(self):
+        # "a" emitted before the frame, then 2 in it; its parent prefix
+        # equals, by tokens, the hypothesis that emitted "a" in the frame
+        model, root, one, one_two = self.states()
+        hyps = [root, Hypothesis(Prefix(root.prefix, 1, self.FRAME), -1.0, one),
+                Hypothesis(Prefix(Prefix(root.prefix, 1, self.FRAME - 1), 2, self.FRAME),
+                           -2.0, one_two)]
+        assert transducer._template(hyps, self.FRAME, 3, model) is None
 
 
 def cache_models():
