@@ -216,8 +216,8 @@ class MaskPolicy:
             raise ParameterError(f"unknown mask variant {self.variant!r}")
         if self.fusion not in _FUSIONS:
             raise ParameterError(f"unknown fusion variant {self.fusion!r}")
-        if self.w < 0:
-            raise ParameterError(f"local half-window must be >= 0, got {self.w}")
+        if type(self.w) is not int or self.w < 0:
+            raise ParameterError(f"local half-window must be an integer >= 0, got {self.w!r}")
 
     @classmethod
     def dense(cls) -> "MaskPolicy":

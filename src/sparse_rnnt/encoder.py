@@ -30,17 +30,20 @@ __all__ = [
     "encode",
     "subsampled_length",
     "receptive_field",
-    "check_positive_ints",
+    "check_int_and_bool_fields",
 ]
 
 
-def check_positive_ints(cfg) -> None:
-    """Raise ParameterError unless every int field of the dataclass is an int > 0."""
+def check_int_and_bool_fields(cfg) -> None:
+    """Raise ParameterError unless every int field of the dataclass is an
+    int > 0 and every bool field a bool (neither takes the other)."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if hints[f.name] is int and (type(value) is not int or value <= 0):
             raise ParameterError(f"{f.name} must be a positive integer, got {value!r}")
+        if hints[f.name] is bool and type(value) is not bool:
+            raise ParameterError(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass
@@ -59,7 +62,7 @@ class EncoderConfig:
     use_sinusoidal_pe: bool = False
 
     def __post_init__(self):
-        check_positive_ints(self)  # sizes, kernels and strides
+        check_int_and_bool_fields(self)  # sizes, kernels, strides and switches
         if self.model_dim != self.num_heads * self.head_dim:
             raise ParameterError(
                 f"model_dim {self.model_dim} != num_heads {self.num_heads} "

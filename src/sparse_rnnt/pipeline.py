@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attention import LOCAL_W, MaskPolicy
-from .encoder import encode, subsampled_length
+from .encoder import check_int_and_bool_fields, encode, subsampled_length
 from .errors import DataError, ParameterError
 from .frontend import (
     FeatureMatrix,
@@ -54,8 +54,7 @@ class DecodeOptions:
     segmentation: SegmentationSpec = field(default_factory=SegmentationSpec)
 
     def __post_init__(self):
-        if not self.beam >= 1:
-            raise ParameterError(f"beam must be >= 1, got {self.beam}")
+        check_int_and_bool_fields(self)
 
 
 @dataclass

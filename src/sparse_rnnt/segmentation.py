@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .frontend import WINDOW, Waveform, frame_start, strided_frames
+from .frontend import HOP, WINDOW, Waveform, frame_start, strided_frames
 
 __all__ = [
     "Segment",
@@ -65,12 +65,14 @@ def check_overlap(overlap: float) -> None:
 
 def check_doi(doi_length: float | None, overlap: float) -> None:
     """The DOI window rules: an overlap of at least 0, and a finite length
-    greater than twice it."""
+    at least one frame hop (frontend.HOP) greater than twice it, so each
+    window starts a frame or more past the last and the window count stays
+    within duration / HOP."""
     check_overlap(overlap)
-    if doi_length is None or not doi_length > 2 * overlap:
+    if doi_length is None or not doi_length >= 2 * overlap + HOP:
         raise ParameterError(
-            f"doi segmentation needs a length greater than twice the "
-            f"overlap, got {doi_length} / {overlap}"
+            f"doi segmentation needs a length at least {HOP:g} s greater than "
+            f"twice the overlap, got {doi_length} / {overlap}"
         )
     if not np.isfinite(doi_length):
         raise ParameterError(f"doi length must be finite, got {doi_length}")

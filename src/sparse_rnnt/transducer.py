@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderOutputs
+from .encoder import EncoderOutputs, check_int_and_bool_fields
 from .errors import ParameterError, ShapeError, VocabularyError
 from .numerics import lstm_cell_step
 
@@ -146,8 +146,7 @@ class SrsParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.t_sil < 1:
-            raise ParameterError(f"t_sil must be >= 1, got {self.t_sil}")
+        check_int_and_bool_fields(self)
 
 
 class SrsCounter:
@@ -234,81 +233,47 @@ def _child_tokens(V: int, blank: int) -> np.ndarray:
     return tokens
 
 
-def _merge_finished(scores: np.ndarray, finished, dropped: list[int]) -> None:
-    """Log-sum-exp merge of finished candidates on identical prefixes.
-
-    `finished` are (position, prefix) pairs in position order and `scores`
-    is indexed by position. The first candidate with a prefix keeps its
-    position, hypothesis and prediction state and takes the merged score;
-    later ones go to `dropped`. Under SRS one prefix can reach the merge
-    with two different states: a finished entry carried over from before
-    a reset (zero state) and the same prefix produced again after it by a
-    shorter one (a stepped state). Carried entries have the lower
-    positions, so the carried state is the one kept. The rule is part of the
-    output: keeping the other state changes transcripts.
-    """
-    first: dict = {}
-    for pos, prefix in finished:
-        kept = first.setdefault(prefix, pos)
-        if kept != pos:
-            scores[kept] = _logsumexp(scores[kept], scores[pos])
-            dropped.append(pos)
-
-
 def _joint_rows(frame_proj: np.ndarray, actives: list[Hypothesis], rows: dict,
-                cached: bool, model) -> np.ndarray:
+                model) -> np.ndarray:
     """Joint rows of `actives` on one frame, in at most one joint call.
 
-    `rows`, the frame's table of each scored state's row, takes the rows
-    scored here. With `cached`, once `rows` is filled or when actives share
-    a state (after a reset), an active whose state has a row takes it and
-    only new states are scored; otherwise one direct call scores them all.
-    A row has the bits of its lone call either way.
+    `rows` is the frame's table of each scored state's row: an active whose
+    state has a row takes it, and the other states are scored in one call
+    and join the table. A row has the bits of its lone call either way.
     """
     states = [h.state for h in actives]
-    if cached and (rows or len(set(states)) < len(states)):
-        new = list(dict.fromkeys(s for s in states if s not in rows))
-        if new:
-            rows.update(zip(new, joint(frame_proj, np.array([s.proj for s in new]), model)))
-        return np.array([rows[s] for s in states])
-    log_probs = joint(frame_proj, np.array([s.proj for s in states]), model)
-    rows.update(zip(states, log_probs))
-    return log_probs
+    new = list(dict.fromkeys(s for s in states if s not in rows))
+    if new:
+        rows.update(zip(new, joint(frame_proj, np.array([s.proj for s in new]), model)))
+    return np.array([rows[s] for s in states])
 
 
-def _step(grown, model) -> list[PredictionState]:
-    """The state of each (parent, token, score) child, in one predict_step call."""
-    return predict_step(
-        [k for _, k, _ in grown],
-        np.array([h.state.hidden for h, _, _ in grown]),
-        np.array([h.state.cell for h, _, _ in grown]),
-        model,
-    )
-
-
-def _step_cached(grown, model) -> tuple[list, bool]:
-    """_step through the parents' caches, and whether any child was reused.
+def _step_cached(grown, model) -> list[PredictionState]:
+    """The state of each (parent, token, score) child, through the parents'
+    caches.
 
     A parent state keeps, in its `children`, the state stepped from it by
     each token: a child stepped before, on this frame or an earlier one, is
-    that same state. The others are stepped in one call and kept. A reused
-    child has the bits of a new step, since each row of predict_step is
-    its own gemv. A reset makes a new zero state, so nothing stepped before
-    it is reused after it.
+    that same state. The others are stepped in one predict_step call and
+    kept. A reused child has the bits of a new step, since each row of
+    predict_step is its own gemv. A reset makes a new zero state, so nothing
+    stepped before it is reused after it.
     """
     todo = []
-    for g in grown:
-        h, k, _ = g
+    for h, k, _ in grown:
         kids = h.state.children
         if kids is None:
             kids = h.state.children = {}
         if k not in kids:
             kids[k] = None  # stepped below, once
-            todo.append(g)
+            todo.append((h.state, k))
     if todo:
-        for (h, k, _), kid in zip(todo, _step(todo, model)):
-            h.state.children[k] = kid
-    return [h.state.children[k] for h, k, _ in grown], len(todo) < len(grown)
+        stepped = predict_step([k for _, k in todo],
+                               np.array([state.hidden for state, _ in todo]),
+                               np.array([state.cell for state, _ in todo]), model)
+        for (state, k), kid in zip(todo, stepped):
+            state.children[k] = kid
+    return [h.state.children[k] for h, k, _ in grown]
 
 
 def _prune_children(hyps: list[Hypothesis]) -> None:
@@ -361,46 +326,48 @@ def _expand_round(
     model,
     frame_idx: int,
     grow: bool,
-    cached: bool,
     rows: dict,
-) -> tuple[list[Hypothesis], list[Hypothesis], bool]:
+) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """One expansion round: score from the joint, merge, prune, then step.
 
-    `finished` have taken blank in this frame and `actives`, whose
-    prefixes are distinct, may still emit in it. One joint call at most
-    scores the actives (`_joint_rows`), whose rows join `rows`, the
-    frame's table. An active's blank child is finished; with `grow`, its
-    non-blank children are candidates too, and without it (the round past
-    the cap) it has only the blank child. Candidates are known by their
-    position and a score until they survive: positions number the carried
-    finished hypotheses first, then per active its blank child followed by
-    its non-blank children in token order. Only a blank child can merge,
-    with a finished hypothesis on its prefix: distinct parents give
-    distinct children. Candidates are ranked on the key (-log_prob,
-    tokens), exact ties kept in position order, and only the best `beam`
-    survive; one predict_step call steps the children among them. Returns
-    the survivors as (finished, actives), each in rank order, and whether
-    a child was reused.
-
-    With `cached`, children are stepped through their parents' caches
-    (`_step_cached`), and an active takes a row scored earlier in the
-    frame (`_joint_rows`). Only states carried in from earlier frames or
-    reused in the round before can hold a cache or such a row, so other
-    rounds skip both.
+    `finished` have taken blank in this frame and `actives` may still emit
+    in it; each list holds distinct prefixes. An active takes its row from
+    `rows`, the frame's table, and one joint call at most scores the states
+    it lacks (`_joint_rows`). An active's blank child is finished; with
+    `grow`, its non-blank children are candidates too, and without it (the
+    round past the cap) it has only the blank child. Candidates are known
+    by their position and a score until they survive: positions number the
+    carried finished hypotheses first, then per active its blank child
+    followed by its non-blank children in token order. Candidates are
+    ranked on the key (-log_prob, tokens), exact ties kept in position
+    order, and only the best `beam` survive; the children among them are
+    stepped through their parents' caches, new ones in one predict_step
+    call (`_step_cached`). Returns the survivors as (finished, actives),
+    each in rank order.
     """
     base = len(finished)
     cols = _child_tokens(len(model.config.vocab), model.config.vocab.blank_id)
     if not grow:
         cols = cols[:1]
     C = len(cols)
-    log_probs = _joint_rows(frame_proj, actives, rows, cached, model)
+    log_probs = _joint_rows(frame_proj, actives, rows, model)
     kid = (np.array([h.log_prob for h in actives])[:, None]
            + log_probs.take(cols, axis=1))
     scores = np.concatenate([[h.log_prob for h in finished], kid.ravel()])
-    dropped: list[int] = []
-    _merge_finished(scores, [(pos, h.prefix) for pos, h in enumerate(finished)]
-                    + [(base + a * C, h.prefix) for a, h in enumerate(actives)],
-                    dropped)
+    # Distinct parents give distinct children, so the one possible merge is
+    # of an active's blank child onto the finished hypothesis with its
+    # prefix, by log-sum-exp. The finished one keeps its position and its
+    # prediction state. Under SRS the two can hold different states: the
+    # finished one a zero state carried over from before a reset, the blank
+    # child one stepped after it by a shorter prefix. The rule is part of
+    # the output: keeping the other state changes transcripts.
+    where = {h.prefix: pos for pos, h in enumerate(finished)}
+    dropped = []
+    for a, h in enumerate(actives):
+        pos = where.get(h.prefix)
+        if pos is not None:
+            scores[pos] = _logsumexp(scores[pos], scores[base + a * C])
+            dropped.append(base + a * C)
     # a stable sort of candidates in position order on -score ranks them
     # on (-score, position)
     order = np.argsort(-scores, kind="stable")
@@ -429,12 +396,8 @@ def _expand_round(
             done.append(Hypothesis(h.prefix, scores[pos], h.state))
         else:
             grown.append((h, int(cols[c]), scores[pos]))
-    if not grown:
-        return done, [], False
-    kids, reused = _step_cached(grown, model) if cached else (_step(grown, model), False)
-    return (done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state)
-                   for (h, k, score), state in zip(grown, kids)],
-            reused)
+    return done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state)
+                  for (h, k, score), state in zip(grown, _step_cached(grown, model))]
 
 
 def beam_search_step(
@@ -452,10 +415,11 @@ def beam_search_step(
     (log-sum-exp on identical prefixes) and pruned to the beam width. Ties
     break on the lexicographic token sequence. The prediction network is
     stepped only for the at most `beam` expansions that survive each
-    round's prune, and once per parent state and token: a child stepped
-    on an earlier frame is reused, and so is the joint row of a state
-    already scored on this frame. `hyps_prev` must hold distinct prefixes,
-    as every step returns; a repeat is a ParameterError.
+    round's prune, and once per parent state and token: in every round, a
+    child stepped before, on this frame or an earlier one, is reused, and
+    so is the joint row of a state already scored on this frame.
+    `hyps_prev` must hold distinct prefixes, as every step returns; a
+    repeat is a ParameterError.
     """
     if beam < 1:
         raise ParameterError(f"beam must be >= 1, got {beam}")
@@ -466,14 +430,13 @@ def beam_search_step(
     frame_proj = frame_projection(h_i, model)
     finished, actives = [], list(hyps_prev)
     rows: dict = {}  # joint row of each state scored on this frame
-    cached = True  # the first round's parents were carried in
     for r in range(max_expansions + 1):
         if not actives:
             break
         # the round past the cap force-terminates hypotheses still mid-frame
-        finished, actives, cached = _expand_round(
+        finished, actives = _expand_round(
             frame_proj, finished, actives, beam, model, frame_idx,
-            grow=r < max_expansions, cached=cached, rows=rows)
+            grow=r < max_expansions, rows=rows)
     _prune_children(finished)
     return finished
 
@@ -592,14 +555,16 @@ def decode_with_srs(
     After a prune-only frame, whose survivors hold the states it was handed,
     the next frames go in runs (label looping) when its decisions have the
     one shape `_template` takes: _replay takes a run in one joint call by
-    them while the scores keep them. The first frame where they do not (a
-    changed survivor set, a tie at the beam boundary) goes through
-    beam_search_step, and an SRS firing ends a run. A run is one frame,
-    then doubles; it ends with its hypotheses ranked, as beam_search_step
-    breaks ties on position.
+    them while the scores keep them. A run that stops short of its frames
+    (a changed survivor set, a tie at the beam boundary) drops its template,
+    so the next frame goes through beam_search_step. A run is one frame,
+    then doubles, and an all-blank run ends where SRS would fire; a run that
+    stops short ends with its hypotheses ranked, as beam_search_step breaks
+    ties on position. With SRS off the counter's threshold is the length,
+    which no stretch of blank frames exceeds.
     """
     hyps = [start_hypothesis(model)]
-    counter = SrsCounter(srs.t_sil)
+    counter = SrsCounter(srs.t_sil if srs.enabled else h.length)
     projs = None  # every frame's projection, formed when the first run starts
     template = None  # the decisions the next run replays; None: no run
     run = 1  # frames the next run scores
@@ -610,25 +575,23 @@ def decode_with_srs(
                 projs = frame_projection(h.h, model)
             all_blank = not any(template[1])  # no hypothesis emits in the run
             n = min(run, h.length - i,
-                    srs.t_sil + 1 - counter.count if srs.enabled and all_blank
-                    else h.length)
+                    counter.t_sil + 1 - counter.count if all_blank else h.length)
             k, hyps = _replay(hyps, template, projs[i:i + n], i, beam, model)
-            i += k
-            # only an all-blank run's last frame can fire SRS
-            if k and srs.enabled and [counter.update(all_blank) for _ in range(k)][-1]:
-                hyps = reset_prediction_states(hyps, model)
-            if k == n:
-                run = 2 * n
-                continue
-            hyps.sort(key=lambda hyp: -hyp.log_prob)
-        held = {hyp.state for hyp in hyps}
-        hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
-        all_blank = check_blank_token(hyps, i)
-        template = _template(hyps, i, beam, model) if {hyp.state for hyp in hyps} == held else None
-        if srs.enabled and counter.update(all_blank):
+            if k < n:
+                template = None
+                hyps.sort(key=lambda hyp: -hyp.log_prob)
+            run = 2 * n
+        else:
+            held = {hyp.state for hyp in hyps}
+            hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
+            all_blank = check_blank_token(hyps, i)
+            template = _template(hyps, i, beam, model) if {hyp.state for hyp in hyps} == held else None
+            run, k = 1, 1
+        i += k
+        # every one of the k frames updates the counter, so a list and not a
+        # generator that any() would cut short; only the last can fire it
+        if any([counter.update(all_blank) for _ in range(k)]):
             hyps = reset_prediction_states(hyps, model)
-        run = 1
-        i += 1
     hyps.sort(key=lambda hyp: -hyp.log_prob)
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)

@@ -71,6 +71,7 @@ class TestGenModel:
     @pytest.mark.parametrize("text", [
         '{"encoder": {"subsample_stride": 0}}', '{"encoder": {"num_layers": -1}}',
         '{"encoder": {"bogus": 1}}', '{"bogus": 1}', '["encoder"]', '{"feat_dim": ',
+        '{"encoder": {"use_sinusoidal_pe": "no"}}',
     ])
     def test_bad_config_file_one_config_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
@@ -276,6 +277,7 @@ class TestDecode:
         ["--segmentation", "doi:abc"],
         ["--segmentation", "doi:3", "--overlap", "2"],
         ["--segmentation", "doi:20", "--overlap", "-1"],
+        ["--segmentation", "doi:0.009", "--overlap", "0"],
     ])
     def test_bad_segmentation_one_config_error(self, model_path, tmp_path,
                                                capsys, flags):
@@ -370,9 +372,10 @@ class TestDecode:
         _set("config", "encoder", "subsample_stride", 0),
         _set("config", "vocab", "tokens", []),
         _alias_all((32,)),
+        _set("config", "encoder", "use_sinusoidal_pe", "no"),
     ], ids=["json-list", "no-blob-bytes", "tensor-without-name", "str-num-layers",
             "unknown-encoder-key", "negative-offset", "zero-stride", "empty-vocab",
-            "aliased-offsets"])
+            "aliased-offsets", "str-sinusoidal-pe"])
     def test_malformed_manifest_exit_io(self, model_path, wav_path, tmp_path,
                                         capsys, edit):
         raw = model_path.read_bytes()

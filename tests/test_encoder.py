@@ -330,6 +330,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("subsample_stride", 0), ("subsample_kernel", -1), ("num_layers", 0),
         ("conv_kernel", -3), ("ff_dim", "4"), ("num_layers", 2.0),
+        ("use_sinusoidal_pe", "no"), ("use_sinusoidal_pe", 1),
     ])
     def test_non_positive_or_non_int_size_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):

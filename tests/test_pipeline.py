@@ -8,7 +8,9 @@ import pytest
 
 from conftest import tiny_config
 from sparse_rnnt import pipeline
+from sparse_rnnt.attention import MaskPolicy
 from sparse_rnnt.cli import EXIT_OK, build_parser, main
+from sparse_rnnt.errors import ParameterError
 from sparse_rnnt.frontend import (
     Waveform,
     compute_stats,
@@ -186,3 +188,16 @@ class TestDecodeDefaults:
                      "--out", str(hyps)]) == EXIT_OK
         text = decode_file(desk, wav, DecodeOptions(beam=1)).text
         assert hyps.read_text() == f"u\t{text}\n" and text == "fff"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DecodeOptions(beam=2.5), lambda: DecodeOptions(beam=True),
+    lambda: SrsParams(t_sil=1.5), lambda: SrsParams(t_sil=0),
+    lambda: SrsParams(enabled="no"), lambda: MaskPolicy.local(2.5),
+    lambda: MaskPolicy.local(True), lambda: MaskPolicy.local(-1),
+], ids=["float-beam", "bool-beam", "float-t-sil", "zero-t-sil", "str-enabled",
+        "float-w", "bool-w", "negative-w"])
+def test_option_types_checked(make):
+    # an int field takes an int (not a bool), a bool field a bool
+    with pytest.raises(ParameterError):
+        make()

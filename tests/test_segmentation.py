@@ -290,7 +290,8 @@ class TestSegmentationSpec:
 
     @pytest.mark.parametrize("length, overlap", [
         (3.0, 2.0), (4.0, 2.0), (10.0, -0.5), (20.0, float("nan")),
-        (float("nan"), 2.0), (float("inf"), 2.0), (None, 2.0)])
+        (float("nan"), 2.0), (float("inf"), 2.0), (None, 2.0), (0.009, 0.0),
+        (4.005, 2.0)])
     def test_doi_split_checks_as_the_spec_does(self, length, overlap):
         # one check, so one message, before any input is read or when cut
         with pytest.raises(ParameterError) as spec:

@@ -987,8 +987,8 @@ class TestTemplateShape:
         start state's for token 1, and that child's for token 2."""
         model = random_model(tiny_config(), 0)
         root = start_hypothesis(model)
-        (one,), _ = transducer._step_cached([(root, 1, 0.0)], model)
-        (one_two,), _ = transducer._step_cached(
+        (one,) = transducer._step_cached([(root, 1, 0.0)], model)
+        (one_two,) = transducer._step_cached(
             [(Hypothesis(Prefix(root.prefix, 1, 4), -1.0, one), 2, 0.0)], model)
         return model, root, one, one_two
 
@@ -1101,9 +1101,12 @@ class TestChildCache:
         real = transducer._step_cached
 
         def spy(grown, model):
-            kids, reused = real(grown, model)
-            reuses.append(reused)
-            return kids, reused
+            # a reuse: a (state, token) already in the parent's cache, or
+            # repeated within the call
+            pairs = [(h.state, k) for h, k, _ in grown]
+            reuses.append(any(k in (state.children or {}) or (state, k) in pairs[:j]
+                              for j, (state, k) in enumerate(pairs)))
+            return real(grown, model)
 
         monkeypatch.setattr(transducer, "_step_cached", spy)
         log = event_log(monkeypatch)
@@ -1138,6 +1141,46 @@ class TestChildCache:
         if t_sil is not None:
             # the decode's runs at beam > 1 end where SRS fires
             assert resets >= 10 and reused_after_reset >= 3 and reset_runs > 0
+
+    def test_mid_frame_children_reused_on_later_frames(self, monkeypatch):
+        # Every round steps children through their parents' caches, so a
+        # state stepped mid-frame keeps its children into later frames: on a
+        # mixed beam-8 decode, a child stepped on frame f from a parent
+        # stepped in round >= 2 of f is reused on a later frame
+        at = {"frame": -1, "round": 0}
+        born = {}  # (frame, round) of each stepped state
+        real_round, real_predict = transducer._expand_round, transducer.predict_step
+        real_step = transducer._step_cached
+
+        def round_spy(*args, **kwargs):
+            frame = args[5]
+            at["round"] = at["round"] + 1 if frame == at["frame"] else 1
+            at["frame"] = frame
+            return real_round(*args, **kwargs)
+
+        def predict_spy(*args):
+            kids = real_predict(*args)
+            born.update((kid, (at["frame"], at["round"])) for kid in kids)
+            return kids
+
+        reused = []
+
+        def step_spy(grown, model):
+            for h, k, _ in grown:
+                kid = (h.state.children or {}).get(k)
+                if kid is not None:
+                    (pf, pr), (kf, _) = born[h.state], born[kid]
+                    reused.append(pr >= 2 and pf == kf < at["frame"])
+            return real_step(grown, model)
+
+        monkeypatch.setattr(transducer, "_expand_round", round_spy)
+        monkeypatch.setattr(transducer, "predict_step", predict_spy)
+        monkeypatch.setattr(transducer, "_step_cached", step_spy)
+        model = random_model(ModelConfig.desk_scale(), 7)
+        model.joint.out_bias[model.config.vocab.blank_id] += 1.0
+        out = enc_outputs(np.random.default_rng(0), model, 24)
+        decode_with_srs(out, model, beam=8, srs=SrsParams(enabled=False))
+        assert any(reused)
 
     def test_same_prefix_same_state(self, monkeypatch):
         # Without SRS a prefix's prediction state is a function of its
