@@ -31,6 +31,7 @@ __all__ = [
     "ScoreBlock",
     "AttentionMask",
     "MaskPolicy",
+    "parse_policy",
     "LOCAL_W",
     "DENSE",
     "LOCAL_ONLY",
@@ -148,19 +149,14 @@ class ScoreBlock:
 
     sets[h, r, j] is True iff query start + r attends key j in head h, and
     g[h, r, j] iff the fused global mask selects it. Both have one slice
-    per head under sgm2, else one slice that every head shares.
+    per head under sgm2, else one slice that every head shares; a query
+    attends sets[h, r].sum() keys.
     """
 
     start: int
     e: np.ndarray  # (H, b, T) raw scores
-    sets: np.ndarray | None  # (1 or H, b, T); None where every query attends every key
+    sets: np.ndarray  # (1 or H, b, T); all True under dense
     g: np.ndarray | None  # (1 or H, b, T); None unless local_global
-
-    def counts(self) -> np.ndarray:
-        """Number of attended keys of each query, (1 or H, b)."""
-        if self.sets is None:
-            return np.full((1, self.e.shape[1]), self.e.shape[2])
-        return self.sets.sum(axis=2)
 
     def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
         """Scores of block rows at their keys (H, len(rows), n); None means every key."""
@@ -232,6 +228,26 @@ class MaskPolicy:
         return cls(variant=LOCAL_PLUS_GLOBAL, w=w, fusion=fusion)
 
 
+# each policy's spelling, as its (variant, fusion)
+_POLICIES = {
+    "dense": (DENSE, FUSION_AND),
+    "local": (LOCAL_ONLY, FUSION_AND),
+    "local+sgm1": (LOCAL_PLUS_GLOBAL, FUSION_OR),
+    "local+sgm2": (LOCAL_PLUS_GLOBAL, FUSION_PER_HEAD),
+    "local+sgm3": (LOCAL_PLUS_GLOBAL, FUSION_AND),
+}
+
+
+def parse_policy(spec: str, w: int = LOCAL_W) -> MaskPolicy:
+    """Parse 'dense', 'local', or 'local+sgm{1,2,3}' into a mask policy;
+    dense ignores w."""
+    spec = spec.strip().lower()
+    if spec not in _POLICIES:
+        raise ParameterError(f"unknown mask policy {spec!r}")
+    variant, fusion = _POLICIES[spec]
+    return MaskPolicy(variant, LOCAL_W if variant == DENSE else w, fusion)
+
+
 def local_mask(T: int, w: int) -> AttentionMask:
     """Banded window mask: query i attends keys within +-w, clamped to range."""
     if T < 1:
@@ -279,7 +295,8 @@ def score_blocks(z: np.ndarray, heads: list[AttentionHeadWeights],
     """
     z = np.asarray(z, dtype=np.float64)
     T = z.shape[0]
-    band = local_mask(T, policy.w)
+    # dense is the band of half-width T, which spans every key
+    band = local_mask(T, T if policy.variant == DENSE else policy.w)
     q = _per_head(z, [head.w_q for head in heads])
     # each head's K^T as a transposed view, as a lone q @ k.T reads it
     k_t = _per_head(z, [head.w_k for head in heads]).transpose(0, 2, 1)
@@ -287,12 +304,10 @@ def score_blocks(z: np.ndarray, heads: list[AttentionHeadWeights],
     b = max(1, _BLOCK_SCORES // (len(heads) * T))
     for start in range(0, T, b):
         e = (q[:, start : start + b] @ k_t) / scale
-        sets = g = None
-        if policy.variant != DENSE:
-            sets = band.block(start, start + e.shape[1])[None]
-            if policy.variant == LOCAL_PLUS_GLOBAL:
-                g = fuse_heads(global_mask(e), policy.fusion)
-                sets = sets | g
+        sets, g = band.block(start, start + e.shape[1])[None], None
+        if policy.variant == LOCAL_PLUS_GLOBAL:
+            g = fuse_heads(global_mask(e), policy.fusion)
+            sets = sets | g
         yield ScoreBlock(start, e, sets, g)
         del e, sets, g  # before the next block is scored
 
@@ -303,7 +318,7 @@ class AttentionResult:
     observed: object = None  # what sparse_attend's observer returned
 
 
-def _plan(counts: np.ndarray, keys: Callable | None, T: int, heads: int,
+def _plan(counts: np.ndarray, keys: Callable, T: int, heads: int,
           w: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray | _Window | None]]:
     """The row batches that attend a run of query rows, as (rows, keys),
     one at a time.
@@ -356,10 +371,15 @@ def _attend(plan: Iterable, at: Callable, v: np.ndarray, out: np.ndarray) -> Non
 
 
 def _attend_block(block: ScoreBlock, v: np.ndarray, out: np.ndarray) -> None:
-    """Attend a block's rows, every head of its one slice of sets at once."""
-    T = block.e.shape[2]
-    keys = None if block.sets is None else partial(_block_keys, block.sets[0])
-    _attend(_plan(block.counts()[0], keys, T, len(block.e)), block.at, v, out)
+    """Attend a block's rows by each slice of its sets, with the heads that
+    share it at once: every head by one slice, or under sgm2 each head by
+    its own."""
+    T, share = block.e.shape[2], len(block.e) // len(block.sets)
+    for s, sets in enumerate(block.sets):
+        heads = slice(s * share, (s + 1) * share)
+        scores = ScoreBlock(block.start, block.e[heads], sets[None], None)
+        _attend(_plan(sets.sum(axis=1), partial(_block_keys, sets), T, share),
+                scores.at, v[heads], out[heads])
 
 
 def sparse_attend(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy,
@@ -395,16 +415,10 @@ def sparse_attend(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy,
         for block in score_blocks(z, mh.heads, policy):
             rows = slice(block.start, block.start + block.e.shape[1])
             if counts is not None:
-                counts[:, rows] = block.counts()
+                counts[:, rows] = block.sets.sum(axis=2)
             if global_counts is not None:
                 global_counts[:, rows] = block.g.sum(axis=2)
-            if block.sets is None or len(block.sets) == 1:
-                _attend_block(block, v, out[:, rows])
-            else:  # sgm2
-                for h in range(H):
-                    one = slice(h, h + 1)
-                    _attend_block(ScoreBlock(block.start, block.e[one], block.sets[one],
-                                             None), v[one], out[one, rows])
+            _attend_block(block, v, out[:, rows])
             del block  # before the next block is scored
     # the heads' (T, d) outputs side by side, (T, H * d)
     concat = out.transpose(1, 0, 2).reshape(T, -1)

@@ -16,7 +16,7 @@ from .encoder import encode, subsampled_length
 from .errors import DataError, EmptyInputError, ParameterError, SparseRnntError
 from .frontend import atomic_output, read_text
 from .metrics import breakdown_json, corpus_cer, edit_alignment, sweep_report
-from .model_io import Model, ModelConfig, Vocabulary, load_model, random_model, save_model
+from .model_io import ModelConfig, load_model, random_model, save_model
 from .pipeline import (
     DecodeOptions,
     SegmentationSpec,
@@ -223,7 +223,10 @@ def cmd_heatmap(args) -> int:
     if f is None or subsampled_length(f.num_frames, model.config.encoder) < 1:
         raise EmptyInputError(f"{args.input}: too short to encode one frame")
     # each layer's attention input, as attention saw it
-    z = encode(f, model, policy, lambda z, *_: z)[1][args.layer]
+    try:
+        z = encode(f, model, policy, lambda z, *_: z)[1][args.layer]
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from None
     export_heatmap(z, mh.heads[args.head], args.out)
     print(f"wrote {len(z)}x{len(z)} heatmap to {args.out}")
     return EXIT_OK

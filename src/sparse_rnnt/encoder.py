@@ -13,7 +13,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .attention import MaskPolicy, MultiHeadWeights, sparse_attend
+from .attention import LOCAL_ONLY, MaskPolicy, MultiHeadWeights, sparse_attend
 from .errors import DataError, EmptyInputError, ParameterError, ShapeError
 from .frontend import FeatureMatrix
 from .numerics import layer_norm, matmul, sigmoid
@@ -30,8 +30,15 @@ __all__ = [
     "encode",
     "subsampled_length",
     "receptive_field",
+    "check_positive_int",
     "check_int_and_bool_fields",
 ]
+
+
+def check_positive_int(name: str, value) -> None:
+    """Raise ParameterError unless value is an int > 0 (a bool is not)."""
+    if type(value) is not int or value <= 0:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 def check_int_and_bool_fields(cfg) -> None:
@@ -40,8 +47,8 @@ def check_int_and_bool_fields(cfg) -> None:
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if hints[f.name] is int and (type(value) is not int or value <= 0):
-            raise ParameterError(f"{f.name} must be a positive integer, got {value!r}")
+        if hints[f.name] is int:
+            check_positive_int(f.name, value)
         if hints[f.name] is bool and type(value) is not bool:
             raise ParameterError(f"{f.name} must be true or false, got {value!r}")
 
@@ -232,7 +239,8 @@ def encode(f: FeatureMatrix, model, policy: MaskPolicy,
     """Full encoder pass: subsample, optional PE, N conformer blocks.
 
     Also returns what observe returned on each layer's attention pass
-    (conformer_block_forward), an empty list without it.
+    (conformer_block_forward), an empty list without it. Features whose
+    values overflow the encoder raise DataError.
     """
     cfg = model.config.encoder
     if f.dim != model.config.feat_dim:
@@ -244,14 +252,22 @@ def encode(f: FeatureMatrix, model, policy: MaskPolicy,
     if not np.isfinite(frame_rate):
         raise DataError(f"frame_shift {f.frame_shift:g} s times the subsampling "
                         f"{cfg.subsample_stride ** 2} overflows a float")
-    x = conv_subsample(f, model.subsample, cfg)
-    if cfg.use_sinusoidal_pe:
-        x = x + _sinusoidal_pe(x.shape[0], cfg.model_dim)
-    observed = []
-    for block in model.blocks:
-        x, seen = conformer_block_forward(x, block, policy, observe)
-        if observe is not None:
-            observed.append(seen)
+    # an overflow raises where numpy flags it; a NaN that a BLAS product
+    # makes unflagged shows in the output
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            x = conv_subsample(f, model.subsample, cfg)
+            if cfg.use_sinusoidal_pe:
+                x = x + _sinusoidal_pe(x.shape[0], cfg.model_dim)
+            observed = []
+            for block in model.blocks:
+                x, seen = conformer_block_forward(x, block, policy, observe)
+                if observe is not None:
+                    observed.append(seen)
+    except FloatingPointError as exc:
+        raise DataError(f"feature values overflow the encoder ({exc})") from None
+    if not np.isfinite(x).all():
+        raise DataError("feature values overflow the encoder (its output is not finite)")
     return EncoderOutputs(x, frame_rate), observed
 
 
@@ -262,7 +278,7 @@ def receptive_field(cfg: EncoderConfig, policy: MaskPolicy, i: int, T_out: int,
     Only meaningful for the local-only policy (finite attention reach).
     Returns an inclusive (lo, hi) range of input frame indices.
     """
-    if policy.variant != "local":
+    if policy.variant != LOCAL_ONLY:
         raise ParameterError("receptive_field requires a local-only policy")
     per_block = policy.w + cfg.conv_kernel // 2
     reach = cfg.num_layers * per_block

@@ -94,7 +94,8 @@ class NormalizationStats:
 
 
 def read_wav(path) -> Waveform:
-    """Read a mono PCM16 RIFF/WAVE file, scaling samples by 1/32768."""
+    """Read a PCM16 RIFF/WAVE file, scaling samples by 1/32768; a file of
+    several channels reads as its first."""
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as wf:

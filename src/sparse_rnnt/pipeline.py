@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .attention import LOCAL_W, MaskPolicy
+from .attention import MaskPolicy, parse_policy
 from .encoder import check_int_and_bool_fields, encode, subsampled_length
 from .errors import DataError, ParameterError
 from .frontend import (
@@ -62,21 +62,6 @@ class DecodeResult:
     text: str
     tokens: list[TimedToken]
     log_prob: float
-
-
-def parse_policy(spec: str, w: int = LOCAL_W) -> MaskPolicy:
-    """Parse 'dense', 'local', or 'local+sgm{1,2,3}' into a mask policy."""
-    spec = spec.strip().lower()
-    if spec == "dense":
-        return MaskPolicy.dense()
-    if spec == "local":
-        return MaskPolicy.local(w)
-    if spec.startswith("local+sgm"):
-        fusion = {"1": "sgm1_or", "2": "sgm2_per_head", "3": "sgm3_and"}.get(spec[-1])
-        if fusion is None or spec not in ("local+sgm1", "local+sgm2", "local+sgm3"):
-            raise ParameterError(f"unknown mask policy {spec!r}")
-        return MaskPolicy.local_global(w, fusion)
-    raise ParameterError(f"unknown mask policy {spec!r}")
 
 
 def parse_segmentation(spec: str, overlap: float = DOI_OVERLAP) -> SegmentationSpec:

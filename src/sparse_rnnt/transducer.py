@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderOutputs, check_int_and_bool_fields
+from .encoder import EncoderOutputs, check_int_and_bool_fields, check_positive_int
 from .errors import ParameterError, ShapeError, VocabularyError
 from .numerics import lstm_cell_step
 
@@ -421,8 +421,7 @@ def beam_search_step(
     `hyps_prev` must hold distinct prefixes, as every step returns; a
     repeat is a ParameterError.
     """
-    if beam < 1:
-        raise ParameterError(f"beam must be >= 1, got {beam}")
+    check_positive_int("beam", beam)
     if not hyps_prev:
         raise ParameterError("beam_search_step requires at least one hypothesis")
     if len({h.prefix for h in hyps_prev}) < len(hyps_prev):
@@ -563,6 +562,7 @@ def decode_with_srs(
     ties on position. With SRS off the counter's threshold is the length,
     which no stretch of blank frames exceeds.
     """
+    check_positive_int("beam", beam)
     hyps = [start_hypothesis(model)]
     counter = SrsCounter(srs.t_sil if srs.enabled else h.length)
     projs = None  # every frame's projection, formed when the first run starts

@@ -236,8 +236,13 @@ class TestDecode:
         # encoder frame
         ("short.feats", "2 16 0.01 0.025\n" + ("0 " * 16 + "\n") * 2, EXIT_DATA),
         ("non-utf8.feats", b"bad\xff\xfe header\n", EXIT_DATA),
+        # feature files are not normalised: 1.7e308 leaves the subsampler as
+        # NaN with no numpy flag set, and 1e200 overflows a layer norm's square
+        ("nan.feats", "60 16 0.01 0.025\n" + ("1.7e308 " * 16 + "\n") * 60, EXIT_DATA),
+        ("overflow.feats", "60 16 0.01 0.025\n" + ("1e200 " * 16 + "\n") * 60, EXIT_DATA),
+        ("narrow.feats", "60 15 0.01 0.025\n" + ("0.5 " * 15 + "\n") * 60, EXIT_DATA),
     ], ids=["bad-wav-header", "missing-wav", "missing-feats", "bad-feats", "short-feats",
-            "non-utf8-feats"])
+            "non-utf8-feats", "nan-output-feats", "overflow-feats", "wrong-feat-dim-feats"])
     def test_per_file_error_names_path_once(self, model_path, tmp_path, capsys,
                                             name, content, code):
         path = tmp_path / name
@@ -249,6 +254,31 @@ class TestDecode:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
         assert err[0].count(str(path)) == 1
+
+    def test_stereo_decodes_as_its_first_channel(self, model_path, wav_path, tmp_path,
+                                                 capsys):
+        import wave
+
+        first = np.round(read_wav(wav_path).samples * 32768).astype("<i2")
+        pcm = np.stack([first, -first[::-1]], axis=1)
+        stereo, mono = tmp_path / "stereo" / "utt1.wav", tmp_path / "mono" / "utt1.wav"
+        stereo.parent.mkdir()
+        with wave.open(str(stereo), "wb") as wf:
+            wf.setnchannels(2)
+            wf.setsampwidth(2)
+            wf.setframerate(16000)
+            wf.writeframes(pcm.tobytes())
+        mono.parent.mkdir()
+        write_wav(mono, Waveform(first / 32768.0, 16000))
+        # the random model's transcripts are one repeated token; the detail's
+        # log-prob tells the channels apart
+        decodes = []
+        for path in (stereo, mono):
+            detail = path.with_suffix(".jsonl")
+            assert main(["decode", "--model", str(model_path), str(path), "--beam", "2",
+                         "--detail", str(detail)]) == EXIT_OK
+            decodes.append((capsys.readouterr().out, detail.read_text()))
+        assert decodes[0] == decodes[1] and decodes[0][0].startswith("utt1\t")
 
     def test_huge_subsample_stride_decodes_at_once(self, tmp_path, capsys):
         # the shortest usable input is found in closed form, not by search
@@ -481,6 +511,16 @@ class TestHeatmap:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"data error: {path}: ")
         assert err[0].count(str(path)) == 1
+        assert not out.exists()
+
+    def test_values_that_overflow_the_encoder_exit_data(self, model_path, tmp_path,
+                                                        capsys):
+        path, out = tmp_path / "huge.feats", tmp_path / "h.csv"
+        path.write_text("60 16 0.01 0.025\n" + ("1.7e308 " * 16 + "\n") * 60)
+        assert main(["heatmap", "--model", str(model_path), str(path), "--layer", "1",
+                     "--head", "0", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {path}: ")
         assert not out.exists()
 
 

@@ -85,6 +85,20 @@ class TestWavIo:
         with pytest.raises(AudioFormatError, match="truncated"):
             read_wav(path)
 
+    def test_two_channels_read_as_the_first(self, tmp_path, rng):
+        import wave
+
+        pcm = rng.integers(-32768, 32768, size=(500, 2)).astype("<i2")
+        path = tmp_path / "stereo.wav"
+        with wave.open(str(path), "wb") as wf:
+            wf.setnchannels(2)
+            wf.setsampwidth(2)
+            wf.setframerate(16000)
+            wf.writeframes(pcm.tobytes())
+        w = read_wav(path)
+        assert w.sample_rate == 16000
+        assert np.array_equal(w.samples, pcm[:, 0] / 32768.0)
+
     def test_zero_length_payload(self, tmp_path):
         import wave
 

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import tiny_config
 from sparse_rnnt import pipeline
-from sparse_rnnt.attention import MaskPolicy
-from sparse_rnnt.cli import EXIT_OK, build_parser, main
+from sparse_rnnt.attention import FUSION_AND, FUSION_OR, FUSION_PER_HEAD, MaskPolicy
+from sparse_rnnt.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
 from sparse_rnnt.errors import ParameterError
 from sparse_rnnt.frontend import (
     Waveform,
@@ -201,3 +201,31 @@ def test_option_types_checked(make):
     # an int field takes an int (not a bool), a bool field a bool
     with pytest.raises(ParameterError):
         make()
+
+
+@pytest.mark.parametrize("spec,want", [
+    ("dense", MaskPolicy.dense()), (" Dense ", MaskPolicy.dense()),
+    ("local", MaskPolicy.local(3)), ("LOCAL", MaskPolicy.local(3)),
+    ("local+sgm1", MaskPolicy.local_global(3, FUSION_OR)),
+    ("local+sgm2", MaskPolicy.local_global(3, FUSION_PER_HEAD)),
+    ("Local+SGM3 ", MaskPolicy.local_global(3, FUSION_AND)),
+])
+def test_parse_policy_spellings(spec, want):
+    assert parse_policy(spec, 3) == want
+
+
+@pytest.mark.parametrize("spec", ["local+sgm", "local+sgm4", "sgm1", "local+sgm1+",
+                                  "dense+sgm1", ""])
+def test_parse_policy_unknown(spec):
+    with pytest.raises(ParameterError, match="unknown mask policy"):
+        parse_policy(spec, 3)
+
+
+@pytest.mark.parametrize("mask,code", [("dense", EXIT_OK), ("local", EXIT_CONFIG)])
+def test_w_is_checked_where_the_policy_reads_it(tmp_path, mask, code):
+    # dense reads no window, so --w -1 passes it and fails local
+    wav, model_path = tmp_path / "u.wav", tmp_path / "m.model"
+    write_wav(wav, Waveform(np.random.default_rng(5).normal(0.0, 0.1, 16000), 16000))
+    save_model(random_model(tiny_config(), 1), model_path)
+    assert main(["decode", "--model", str(model_path), str(wav), "--mask", mask,
+                 "--w", "-1", "--out", str(tmp_path / "h.tsv")]) == code

@@ -1,0 +1,78 @@
+"""Source hygiene of the package: no unused imports, no stale __all__ entries.
+
+Each module of src/sparse_rnnt is parsed with ast. An imported name must be
+read somewhere in its module (a name listed in __all__ counts as read), and
+every __all__ entry must be defined there. __init__.py and `from __future__`
+imports are exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sparse_rnnt"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """The names the module binds at top level."""
+    names = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    tree = ast.parse(path.read_text(), str(path))
+    used = _read(tree) | set(_exported(tree))
+    unused = {name: line for name, line in _imported(tree).items() if name not in used}
+    assert not unused, f"{path.name}: imported but never read: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_all_entry_is_defined(path):
+    tree = ast.parse(path.read_text(), str(path))
+    stale = [name for name in _exported(tree) if name not in _defined(tree)]
+    assert not stale, f"{path.name}: __all__ names undefined {stale}"
+
+
+def test_the_checks_see_an_unused_import_and_a_stale_entry():
+    tree = ast.parse("import os\nfrom x import y as z\n__all__ = ['z', 'gone']\n")
+    used = _read(tree) | set(_exported(tree))
+    assert [n for n in _imported(tree) if n not in used] == ["os"]
+    assert [n for n in _exported(tree) if n not in _defined(tree)] == ["gone"]

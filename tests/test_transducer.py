@@ -297,6 +297,35 @@ class TestCheckBlankToken:
             check_blank_token([], 0)
 
 
+class TestBeamWidth:
+    """beam_search_step and decode_with_srs take the rule DecodeOptions
+    applies: an int of at least 1, not a bool."""
+
+    @pytest.mark.parametrize("beam", [2.5, True, 0])
+    def test_rejected(self, rng, beam):
+        model = random_model(tiny_config(), 0)
+        out = enc_outputs(rng, model, 6)
+        with pytest.raises(ParameterError, match="^beam must be"):
+            beam_search_step(out.h[0], [start_hypothesis(model)], beam, model)
+        with pytest.raises(ParameterError, match="^beam must be"):
+            decode_with_srs(out, model, beam=beam, srs=SrsParams())
+
+    def test_checked_before_any_work(self, rng, monkeypatch):
+        model = random_model(tiny_config(), 0)
+        out = enc_outputs(rng, model, 6)
+        start = start_hypothesis(model)
+
+        def no_work(*args):
+            raise AssertionError("beam must be checked before any work")
+
+        monkeypatch.setattr(transducer, "frame_projection", no_work)
+        monkeypatch.setattr(transducer, "start_hypothesis", no_work)
+        with pytest.raises(ParameterError):
+            beam_search_step(out.h[0], [start], 2.5, model)
+        with pytest.raises(ParameterError):
+            decode_with_srs(out, model, beam=2.5, srs=SrsParams())
+
+
 class TestSrsCounter:
     def test_spec_trace(self):
         # all-blank at four consecutive steps with threshold 2:
