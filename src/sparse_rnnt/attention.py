@@ -33,9 +33,6 @@ __all__ = [
     "MaskPolicy",
     "parse_policy",
     "LOCAL_W",
-    "DENSE",
-    "LOCAL_ONLY",
-    "LOCAL_PLUS_GLOBAL",
     "FUSION_OR",
     "FUSION_PER_HEAD",
     "FUSION_AND",
@@ -49,10 +46,6 @@ __all__ = [
     "export_heatmap",
 ]
 
-DENSE = "dense"
-LOCAL_ONLY = "local"
-LOCAL_PLUS_GLOBAL = "local_global"
-
 LOCAL_W = 40  # the local half-window, in subsampled frames, unless one is given
 
 # fusion variants, ordered loosest to sparsest global mask
@@ -60,7 +53,6 @@ FUSION_OR = "sgm1_or"
 FUSION_PER_HEAD = "sgm2_per_head"
 FUSION_AND = "sgm3_and"
 
-_VARIANTS = (DENSE, LOCAL_ONLY, LOCAL_PLUS_GLOBAL)
 _FUSIONS = (FUSION_OR, FUSION_PER_HEAD, FUSION_AND)
 
 # bounds the scores one block of query rows holds over all heads (16 MB);
@@ -156,7 +148,7 @@ class ScoreBlock:
     start: int
     e: np.ndarray  # (H, b, T) raw scores
     sets: np.ndarray  # (1 or H, b, T); all True under dense
-    g: np.ndarray | None  # (1 or H, b, T); None unless local_global
+    g: np.ndarray | None  # (1 or H, b, T); None without a global mask
 
     def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
         """Scores of block rows at their keys (H, len(rows), n); None means every key."""
@@ -199,42 +191,42 @@ class AttentionMask:
 class MaskPolicy:
     """Which keys each query may attend; an inference-time switch only.
 
-    w is the local half-window in (subsampled) frames.
-    Fusion matters only for local_global.
+    w is the local half-window in (subsampled) frames; None is dense, the
+    band that spans every key. fusion joins the heads' global masks to the
+    band; None is no global mask, as dense has none.
     """
 
-    variant: str = LOCAL_PLUS_GLOBAL
-    w: int = LOCAL_W
-    fusion: str = FUSION_AND
+    w: int | None = LOCAL_W
+    fusion: str | None = FUSION_AND
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ParameterError(f"unknown mask variant {self.variant!r}")
-        if self.fusion not in _FUSIONS:
-            raise ParameterError(f"unknown fusion variant {self.fusion!r}")
-        if type(self.w) is not int or self.w < 0:
+        if self.w is None:
+            if self.fusion is not None:
+                raise ParameterError(f"a dense policy has no global mask, got {self.fusion!r}")
+        elif type(self.w) is not int or self.w < 0:
             raise ParameterError(f"local half-window must be an integer >= 0, got {self.w!r}")
+        if self.fusion not in (None, *_FUSIONS):
+            raise ParameterError(f"unknown fusion variant {self.fusion!r}")
 
     @classmethod
     def dense(cls) -> "MaskPolicy":
-        return cls(variant=DENSE)
+        return cls(None, None)
 
     @classmethod
     def local(cls, w: int = LOCAL_W) -> "MaskPolicy":
-        return cls(variant=LOCAL_ONLY, w=w)
+        return cls(w, None)
 
     @classmethod
     def local_global(cls, w: int = LOCAL_W, fusion: str = FUSION_AND) -> "MaskPolicy":
-        return cls(variant=LOCAL_PLUS_GLOBAL, w=w, fusion=fusion)
+        return cls(w, fusion)
 
 
-# each policy's spelling, as its (variant, fusion)
-_POLICIES = {
-    "dense": (DENSE, FUSION_AND),
-    "local": (LOCAL_ONLY, FUSION_AND),
-    "local+sgm1": (LOCAL_PLUS_GLOBAL, FUSION_OR),
-    "local+sgm2": (LOCAL_PLUS_GLOBAL, FUSION_PER_HEAD),
-    "local+sgm3": (LOCAL_PLUS_GLOBAL, FUSION_AND),
+# each banded policy's spelling, as its fusion
+_FUSION_OF = {
+    "local": None,
+    "local+sgm1": FUSION_OR,
+    "local+sgm2": FUSION_PER_HEAD,
+    "local+sgm3": FUSION_AND,
 }
 
 
@@ -242,10 +234,11 @@ def parse_policy(spec: str, w: int = LOCAL_W) -> MaskPolicy:
     """Parse 'dense', 'local', or 'local+sgm{1,2,3}' into a mask policy;
     dense ignores w."""
     spec = spec.strip().lower()
-    if spec not in _POLICIES:
+    if spec == "dense":
+        return MaskPolicy.dense()
+    if spec not in _FUSION_OF:
         raise ParameterError(f"unknown mask policy {spec!r}")
-    variant, fusion = _POLICIES[spec]
-    return MaskPolicy(variant, LOCAL_W if variant == DENSE else w, fusion)
+    return MaskPolicy(w, _FUSION_OF[spec])
 
 
 def local_mask(T: int, w: int) -> AttentionMask:
@@ -296,7 +289,7 @@ def score_blocks(z: np.ndarray, heads: list[AttentionHeadWeights],
     z = np.asarray(z, dtype=np.float64)
     T = z.shape[0]
     # dense is the band of half-width T, which spans every key
-    band = local_mask(T, T if policy.variant == DENSE else policy.w)
+    band = local_mask(T, T if policy.w is None else policy.w)
     q = _per_head(z, [head.w_q for head in heads])
     # each head's K^T as a transposed view, as a lone q @ k.T reads it
     k_t = _per_head(z, [head.w_k for head in heads]).transpose(0, 2, 1)
@@ -305,7 +298,7 @@ def score_blocks(z: np.ndarray, heads: list[AttentionHeadWeights],
     for start in range(0, T, b):
         e = (q[:, start : start + b] @ k_t) / scale
         sets, g = band.block(start, start + e.shape[1])[None], None
-        if policy.variant == LOCAL_PLUS_GLOBAL:
+        if policy.fusion is not None:
             g = fuse_heads(global_mask(e), policy.fusion)
             sets = sets | g
         yield ScoreBlock(start, e, sets, g)
@@ -392,8 +385,8 @@ def sparse_attend(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy,
 
     observe, if given, is called once as observe(z, counts, global_counts):
     each head's number of attended keys and of global keys per query, (H, T)
-    each, counted from the sets attended (global_counts is None unless
-    local_global). What it returns is the result's `observed`.
+    each, counted from the sets attended (global_counts is None without
+    a global mask). What it returns is the result's `observed`.
     """
     z = np.asarray(z, dtype=np.float64)
     T, H = z.shape[0], mh.num_heads
@@ -402,9 +395,9 @@ def sparse_attend(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy,
     counts = global_counts = None
     if observe is not None:
         counts = np.empty((H, T), dtype=np.int64)
-        if policy.variant == LOCAL_PLUS_GLOBAL:
+        if policy.fusion is not None:
             global_counts = np.empty_like(counts)
-    if policy.variant == LOCAL_ONLY:
+    if policy.w is not None and policy.fusion is None:
         band = local_mask(T, policy.w)
         scores = BandScores(_per_head(z, [head.w_q for head in mh.heads]),
                             _per_head(z, [head.w_k for head in mh.heads]))

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .attention import export_heatmap, format_sparsity_report, mask_stats
+from .attention import LOCAL_W, export_heatmap, format_sparsity_report, mask_stats
 from .encoder import encode, subsampled_length
 from .errors import DataError, EmptyInputError, ParameterError, SparseRnntError
 from .frontend import atomic_output, read_text
@@ -62,11 +62,12 @@ def _load_config(path: str | None) -> ModelConfig:
 
 
 def _decode_options(args, mask: str, segmentation: str) -> DecodeOptions:
+    srs = SrsParams(args.t_sil)  # checked under --no-srs too
     return DecodeOptions(
         policy=parse_policy(mask, args.w),
         beam=args.beam,
-        srs=SrsParams(t_sil=args.t_sil, enabled=args.srs),
-        segmentation=parse_segmentation(segmentation, args.overlap),
+        srs=srs if args.srs else None,
+        segmentation=parse_segmentation(segmentation),
     )
 
 
@@ -167,6 +168,15 @@ def cmd_decode(args) -> int:
     return EXIT_IO if EXIT_IO in map(_exit_code, failures) else EXIT_DATA
 
 
+def _sweep_text(model, path: Path, prepared, opts: DecodeOptions) -> str:
+    """The transcript of one prepared input; a failure names the input, as
+    decode's does."""
+    try:
+        return decode_prepared(model, prepared, opts).text
+    except SparseRnntError as exc:
+        raise type(exc)(_failed_input_message(path, exc)) from None
+
+
 def cmd_sweep(args) -> int:
     # the whole grid and the input ids are checked before the model or any
     # input is read
@@ -189,18 +199,18 @@ def cmd_sweep(args) -> int:
         raise DataError(f"no reference for: {', '.join(sorted(missing))}")
     # each input is read once and featurised once per segmentation; only
     # the encode and decode run for every mask
-    inputs = [(refs[path.stem], read_input(path)) for path in paths]
+    inputs = [(path, refs[path.stem], read_input(path)) for path in paths]
     segmentations = []
     for _, opts in grid.values():
         if opts.segmentation not in segmentations:
             segmentations.append(opts.segmentation)
     results = {}
     for seg in segmentations:
-        prepared = [(ref, prepare_input(model, x, seg)) for ref, x in inputs]
+        prepared = [(path, ref, prepare_input(model, x, seg)) for path, ref, x in inputs]
         for key, (_, opts) in grid.items():
             if opts.segmentation == seg:
-                pairs = [(ref, decode_prepared(model, x, opts).text)
-                         for ref, x in prepared]
+                pairs = [(ref, _sweep_text(model, path, x, opts))
+                         for path, ref, x in prepared]
                 results[key] = corpus_cer(pairs)
     sweep_report(results, args.out)
     print(f"wrote {len(results)} sweep rows to {args.out}")
@@ -273,13 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = DecodeOptions()  # bare `decode` is DecodeOptions()
 
     def add_decode_flags(p):
-        p.add_argument("--w", type=int, default=defaults.policy.w,
-                       help="local half-window")
+        # dense, the default policy, has no half-window to default from
+        p.add_argument("--w", type=int, default=LOCAL_W, help="local half-window")
         p.add_argument("--beam", type=int, default=defaults.beam)
         p.add_argument("--srs", action=argparse.BooleanOptionalAction,
-                       default=defaults.srs.enabled)
-        p.add_argument("--t-sil", type=int, default=defaults.srs.t_sil, dest="t_sil")
-        p.add_argument("--overlap", type=float, default=defaults.segmentation.overlap)
+                       default=defaults.srs is not None)
+        p.add_argument("--t-sil", type=int, default=SrsParams().t_sil, dest="t_sil")
 
     p = sub.add_parser("decode", help="transcribe wav or feature files")
     p.add_argument("--model", required=True)
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--head", type=int, required=True)
     p.add_argument("--mask", default="dense")
-    p.add_argument("--w", type=int, default=defaults.policy.w)
+    p.add_argument("--w", type=int, default=LOCAL_W)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_heatmap)
 

@@ -13,7 +13,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .attention import LOCAL_ONLY, MaskPolicy, MultiHeadWeights, sparse_attend
+from .attention import MaskPolicy, MultiHeadWeights, sparse_attend
 from .errors import DataError, EmptyInputError, ParameterError, ShapeError
 from .frontend import FeatureMatrix
 from .numerics import layer_norm, matmul, sigmoid
@@ -31,7 +31,7 @@ __all__ = [
     "subsampled_length",
     "receptive_field",
     "check_positive_int",
-    "check_int_and_bool_fields",
+    "check_int_fields",
 ]
 
 
@@ -41,16 +41,13 @@ def check_positive_int(name: str, value) -> None:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-def check_int_and_bool_fields(cfg) -> None:
+def check_int_fields(cfg) -> None:
     """Raise ParameterError unless every int field of the dataclass is an
-    int > 0 and every bool field a bool (neither takes the other)."""
+    int > 0 (a bool is not)."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
         if hints[f.name] is int:
-            check_positive_int(f.name, value)
-        if hints[f.name] is bool and type(value) is not bool:
-            raise ParameterError(f"{f.name} must be true or false, got {value!r}")
+            check_positive_int(f.name, getattr(cfg, f.name))
 
 
 @dataclass
@@ -66,10 +63,9 @@ class EncoderConfig:
     subsample_channels: int = 256
     subsample_stride: int = 2
     subsample_kernel: int = 3
-    use_sinusoidal_pe: bool = False
 
     def __post_init__(self):
-        check_int_and_bool_fields(self)  # sizes, kernels, strides and switches
+        check_int_fields(self)  # sizes, kernels and strides
         if self.model_dim != self.num_heads * self.head_dim:
             raise ParameterError(
                 f"model_dim {self.model_dim} != num_heads {self.num_heads} "
@@ -224,19 +220,9 @@ def conformer_block_forward(x: np.ndarray, block: ConformerBlockWeights,
     return x, attn.observed
 
 
-def _sinusoidal_pe(T: int, dim: int) -> np.ndarray:
-    pos = np.arange(T)[:, None]
-    i = np.arange(dim // 2)[None, :]
-    angles = pos / (10000.0 ** (2 * i / dim))
-    pe = np.zeros((T, dim))
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles)
-    return pe
-
-
 def encode(f: FeatureMatrix, model, policy: MaskPolicy,
            observe: Callable | None = None) -> tuple[EncoderOutputs, list]:
-    """Full encoder pass: subsample, optional PE, N conformer blocks.
+    """Full encoder pass: subsample, then N conformer blocks.
 
     Also returns what observe returned on each layer's attention pass
     (conformer_block_forward), an empty list without it. Features whose
@@ -257,8 +243,6 @@ def encode(f: FeatureMatrix, model, policy: MaskPolicy,
     try:
         with np.errstate(over="raise", invalid="raise"):
             x = conv_subsample(f, model.subsample, cfg)
-            if cfg.use_sinusoidal_pe:
-                x = x + _sinusoidal_pe(x.shape[0], cfg.model_dim)
             observed = []
             for block in model.blocks:
                 x, seen = conformer_block_forward(x, block, policy, observe)
@@ -278,7 +262,7 @@ def receptive_field(cfg: EncoderConfig, policy: MaskPolicy, i: int, T_out: int,
     Only meaningful for the local-only policy (finite attention reach).
     Returns an inclusive (lo, hi) range of input frame indices.
     """
-    if policy.variant != LOCAL_ONLY:
+    if policy.w is None or policy.fusion is not None:
         raise ParameterError("receptive_field requires a local-only policy")
     per_block = policy.w + cfg.conv_kernel // 2
     reach = cfg.num_layers * per_block

@@ -74,6 +74,7 @@ class FeatureMatrix:
 WINDOW = 0.025  # seconds of audio per frame
 HOP = 0.010  # seconds between frame starts, before rounding to whole samples
 _LOG_FLOOR = 1e-10  # mel energies are floored here before the log
+_STD_FLOOR = 1e-10  # compute_stats floors each dimension's std here
 # frames per batched FFT: bounds the frontend's temporaries (windowed
 # frames, complex spectra) to a few MB whatever the input's length
 _FRAME_BLOCK = 64
@@ -225,11 +226,11 @@ def log_mel_spectrogram(w: Waveform, num_mels: int = 80) -> FeatureMatrix:
     return FeatureMatrix(frames, frame_start(1, w.sample_rate), win / w.sample_rate)
 
 
-def compute_stats(f: FeatureMatrix, std_floor: float = 1e-10) -> NormalizationStats:
+def compute_stats(f: FeatureMatrix) -> NormalizationStats:
     """Per-dimension mean/std over all frames; std floored to stay positive."""
     mean = f.frames.mean(axis=0)
     std = f.frames.std(axis=0)
-    return NormalizationStats(mean, np.maximum(std, std_floor))
+    return NormalizationStats(mean, np.maximum(std, _STD_FLOOR))
 
 
 def normalize_global(f: FeatureMatrix, stats: NormalizationStats) -> FeatureMatrix:

@@ -54,9 +54,11 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return z / np.sum(z, axis=-1, keepdims=True)
 
 
-def layer_norm(
-    x: np.ndarray, gain: np.ndarray, bias: np.ndarray, epsilon: float = 1e-6
-) -> np.ndarray:
+# added to the variance in layer_norm, so a constant row stays finite
+_LAYER_NORM_EPSILON = 1e-6
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Zero-mean unit-variance normalization over the last axis, then affine."""
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
@@ -66,11 +68,9 @@ def layer_norm(
             f"layer_norm shapes disagree: x {x.shape}, gain {gain.shape}, "
             f"bias {bias.shape}"
         )
-    if epsilon <= 0:
-        raise ShapeError("epsilon must be positive")
     mean = x.mean(axis=-1, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + epsilon) * gain + bias
+    return (x - mean) / np.sqrt(var + _LAYER_NORM_EPSILON) * gain + bias
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attention import MaskPolicy, parse_policy
-from .encoder import check_int_and_bool_fields, encode, subsampled_length
+from .encoder import check_int_fields, encode, subsampled_length
 from .errors import DataError, ParameterError
 from .frontend import (
     FeatureMatrix,
@@ -20,8 +20,7 @@ from .frontend import (
     read_feature_file,
     read_wav,
 )
-from .segmentation import (DOI_OVERLAP, Segment, TimedToken, check_doi, check_overlap,
-                           doi_merge, doi_split, epd_split)
+from .segmentation import Segment, TimedToken, check_doi, doi_merge, doi_split, epd_split
 from .transducer import SrsParams, decode_with_srs
 
 __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform",
@@ -32,16 +31,16 @@ __all__ = ["SegmentationSpec", "DecodeOptions", "DecodeResult", "decode_waveform
 @dataclass
 class SegmentationSpec:
     kind: str = "none"  # none | doi | epd
-    doi_length: float | None = None
-    overlap: float = DOI_OVERLAP
+    doi_length: float | None = None  # doi's window length, and only doi's
 
     def __post_init__(self):
         if self.kind not in ("none", "doi", "epd"):
             raise ParameterError(f"unknown segmentation {self.kind!r}")
         if self.kind == "doi":
-            check_doi(self.doi_length, self.overlap)
-        else:
-            check_overlap(self.overlap)
+            check_doi(self.doi_length)
+        elif self.doi_length is not None:
+            raise ParameterError(f"{self.kind} segmentation takes no doi length, "
+                                 f"got {self.doi_length}")
 
 
 @dataclass
@@ -50,11 +49,11 @@ class DecodeOptions:
 
     policy: MaskPolicy = field(default_factory=MaskPolicy.dense)
     beam: int = 4
-    srs: SrsParams = field(default_factory=lambda: SrsParams(enabled=False))
+    srs: SrsParams | None = None  # None: the silence reset is off
     segmentation: SegmentationSpec = field(default_factory=SegmentationSpec)
 
     def __post_init__(self):
-        check_int_and_bool_fields(self)
+        check_int_fields(self)
 
 
 @dataclass
@@ -64,7 +63,7 @@ class DecodeResult:
     log_prob: float
 
 
-def parse_segmentation(spec: str, overlap: float = DOI_OVERLAP) -> SegmentationSpec:
+def parse_segmentation(spec: str) -> SegmentationSpec:
     """Parse 'none', 'epd', or 'doi:<seconds>'."""
     spec = spec.strip().lower()
     if spec == "none":
@@ -76,7 +75,7 @@ def parse_segmentation(spec: str, overlap: float = DOI_OVERLAP) -> SegmentationS
             length = float(spec[4:])
         except ValueError:
             raise ParameterError(f"bad doi length in segmentation {spec!r}") from None
-        return SegmentationSpec("doi", doi_length=length, overlap=overlap)
+        return SegmentationSpec("doi", doi_length=length)
     raise ParameterError(f"unknown segmentation {spec!r}")
 
 
@@ -85,7 +84,7 @@ def _segments_for(w: Waveform, spec: SegmentationSpec) -> list[Segment]:
     if spec.kind == "none":
         return [Segment(0.0, dur, 0.0, dur)]
     if spec.kind == "doi":
-        return doi_split(dur, spec.doi_length, spec.overlap)
+        return doi_split(dur, spec.doi_length)
     return epd_split(w)
 
 

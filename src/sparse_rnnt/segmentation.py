@@ -1,10 +1,11 @@
 """Long-form utterance handling: overlapped windowing and energy-VAD splits.
 
-Windowed ("DOI") segmentation cuts fixed-length overlapping windows whose
-non-overlapped core regions tile the utterance; tokens are owned by the
-segment whose core contains their emission time. Energy-based endpoint
-detection instead cuts at long silences, and cuts a speech run longer than
-MAX_SEGMENT into the fewest pieces.
+Windowed ("DOI") segmentation cuts fixed-length windows, each sharing
+DOI_OVERLAP seconds with each neighbour, whose non-overlapped core regions
+tile the utterance; tokens are owned by the segment whose core contains
+their emission time. Energy-based endpoint detection instead cuts at long
+silences, and cuts a speech run longer than MAX_SEGMENT into the fewest
+pieces.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .frontend import HOP, WINDOW, Waveform, frame_start, strided_frames
 __all__ = [
     "Segment",
     "TimedToken",
-    "check_overlap",
+    "DOI_OVERLAP",
     "check_doi",
     "doi_split",
     "doi_merge",
@@ -54,41 +55,34 @@ class TimedToken:
     time: float
 
 
-# seconds a DOI window shares with each neighbour, unless another is given
+# seconds a DOI window shares with each neighbour
 DOI_OVERLAP = 2.0
 
 
-def check_overlap(overlap: float) -> None:
-    if not overlap >= 0:
-        raise ParameterError(f"overlap must be >= 0, got {overlap}")
-
-
-def check_doi(doi_length: float | None, overlap: float) -> None:
-    """The DOI window rules: an overlap of at least 0, and a finite length
-    at least one frame hop (frontend.HOP) greater than twice it, so each
-    window starts a frame or more past the last and the window count stays
-    within duration / HOP."""
-    check_overlap(overlap)
-    if doi_length is None or not doi_length >= 2 * overlap + HOP:
+def check_doi(doi_length: float | None) -> None:
+    """The DOI window rule: a finite length at least one frame hop
+    (frontend.HOP) greater than twice DOI_OVERLAP, so each window starts a
+    frame or more past the last and the window count stays within
+    duration / HOP."""
+    if doi_length is None or not doi_length >= 2 * DOI_OVERLAP + HOP:
         raise ParameterError(
-            f"doi segmentation needs a length at least {HOP:g} s greater than "
-            f"twice the overlap, got {doi_length} / {overlap}"
+            f"doi segmentation needs a length of at least "
+            f"{2 * DOI_OVERLAP + HOP:g} s, got {doi_length}"
         )
     if not np.isfinite(doi_length):
         raise ParameterError(f"doi length must be finite, got {doi_length}")
 
 
-def doi_split(duration: float, doi_length: float,
-              overlap: float = DOI_OVERLAP) -> list[Segment]:
+def doi_split(duration: float, doi_length: float) -> list[Segment]:
     """Overlapping windows of doi_length whose cores tile [0, duration).
 
-    hop = doi_length - 2*overlap; boundary cores extend to the utterance
-    edges so the cores partition the utterance exactly.
+    hop = doi_length - 2*DOI_OVERLAP; boundary cores extend to the
+    utterance edges so the cores partition the utterance exactly.
     """
     if duration <= 0:
         raise ParameterError(f"duration must be positive, got {duration}")
-    check_doi(doi_length, overlap)
-    hop = doi_length - 2 * overlap
+    check_doi(doi_length)
+    hop = doi_length - 2 * DOI_OVERLAP
     segments = []
     k = 0
     while True:
@@ -99,8 +93,8 @@ def doi_split(duration: float, doi_length: float,
             Segment(
                 start=start,
                 end=min(end, duration),
-                core_start=0.0 if k == 0 else start + overlap,
-                core_end=duration if last else end - overlap,
+                core_start=0.0 if k == 0 else start + DOI_OVERLAP,
+                core_end=duration if last else end - DOI_OVERLAP,
             )
         )
         if last:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderOutputs, check_int_and_bool_fields, check_positive_int
+from .encoder import EncoderOutputs, check_int_fields, check_positive_int
 from .errors import ParameterError, ShapeError, VocabularyError
 from .numerics import lstm_cell_step
 
@@ -143,10 +143,9 @@ class SrsParams:
     """Silence-triggered prediction-state reset parameters."""
 
     t_sil: int = 15
-    enabled: bool = True
 
     def __post_init__(self):
-        check_int_and_bool_fields(self)
+        check_int_fields(self)
 
 
 class SrsCounter:
@@ -547,9 +546,10 @@ def decode_with_srs(
     h: EncoderOutputs,
     model,
     beam: int,
-    srs: SrsParams,
+    srs: SrsParams | None,
 ) -> Transcript:
-    """Beam decoding over all encoder frames with the optional silence reset.
+    """Beam decoding over all encoder frames with the silence reset, which
+    srs None turns off.
 
     After a prune-only frame, whose survivors hold the states it was handed,
     the next frames go in runs (label looping) when its decisions have the
@@ -564,7 +564,7 @@ def decode_with_srs(
     """
     check_positive_int("beam", beam)
     hyps = [start_hypothesis(model)]
-    counter = SrsCounter(srs.t_sil if srs.enabled else h.length)
+    counter = SrsCounter(h.length if srs is None else srs.t_sil)
     projs = None  # every frame's projection, formed when the first run starts
     template = None  # the decisions the next run replays; None: no run
     run = 1  # frames the next run scores

@@ -28,8 +28,7 @@ from sparse_rnnt.encoder import EncoderConfig, FeatureMatrix, encode, receptive_
 from sparse_rnnt.frontend import Waveform, write_wav
 from sparse_rnnt.metrics import edit_alignment, sweep_report
 from sparse_rnnt.model_io import ModelConfig, load_model, random_model, save_model
-from sparse_rnnt.pipeline import SegmentationSpec
-from sparse_rnnt.segmentation import TimedToken, doi_merge, doi_split
+from sparse_rnnt.segmentation import DOI_OVERLAP, TimedToken, doi_merge, doi_split
 from sparse_rnnt.transducer import (
     SrsCounter,
     SrsParams,
@@ -199,7 +198,7 @@ def test_unit_beam_reduces_to_greedy():
             model = random_model(tiny_config(), seed)
             out = EncoderOutputs(rng.normal(size=(10, 8)), 0.04)
             g = greedy_decode(out, model)
-            b = decode_with_srs(out, model, beam=1, srs=SrsParams(enabled=False))
+            b = decode_with_srs(out, model, beam=1, srs=None)
             assert b.token_ids == g.token_ids
             assert b.frames == g.frames
             assert b.log_prob == g.log_prob
@@ -212,7 +211,7 @@ def test_window_cores_tile_and_merge_losslessly():
         for duration in durations:
             duration = float(duration)
             for doi_length in (8, 18, 20, 28, 38, 48, 58):
-                segs = doi_split(duration, float(doi_length), 2.0)
+                segs = doi_split(duration, float(doi_length))
                 assert segs[0].core_start == 0.0
                 assert segs[-1].core_end == duration
                 for a, b in zip(segs, segs[1:]):
@@ -306,7 +305,7 @@ def test_shipped_defaults():
         assert MaskPolicy().w == 40
         assert MaskPolicy.local().w == 40
         assert SrsParams().t_sil == 15
-        assert SegmentationSpec(kind="doi", doi_length=20.0).overlap == 2.0
+        assert DOI_OVERLAP == 2.0
         enc = EncoderConfig()
         assert enc.subsample_stride == 2
         assert enc.subsample_kernel == 3

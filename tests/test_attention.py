@@ -18,6 +18,7 @@ from sparse_rnnt.attention import (
     global_mask,
     local_mask,
     mask_stats,
+    parse_policy,
     score_blocks,
     sparse_attend,
 )
@@ -208,12 +209,12 @@ class TestSparseAttend:
         out = sparse_attend(z, mh, policy).output
         assert np.max(np.abs(out - oracle_attention(z, mh, policy))) < 1e-9
 
-    @pytest.mark.parametrize("variant", ["dense", "local", "local_global"])
-    @pytest.mark.parametrize("fusion", [FUSION_AND, FUSION_PER_HEAD, FUSION_OR])
-    def test_oracle_all_variants(self, rng, variant, fusion):
+    @pytest.mark.parametrize("spec", ["dense", "local", "local+sgm1", "local+sgm2",
+                                      "local+sgm3"])
+    def test_oracle_all_variants(self, rng, spec):
         z = rng.normal(size=(6, 4))
         mh = random_mh(rng, 4, 2, 2)
-        policy = MaskPolicy(variant=variant, w=1, fusion=fusion)
+        policy = parse_policy(spec, 1)
         out = sparse_attend(z, mh, policy).output
         assert np.max(np.abs(out - oracle_attention(z, mh, policy))) < 1e-9
 
@@ -232,13 +233,14 @@ class TestSparseAttend:
         # key), T = 2w + 2 (two interior rows) and w >= T (no band left)
         assert (400 - 2 * 30) * (2 * 30 + 1) > attention._GATHER_KEYS
         for T, w in ((400, 30), (40, 0), (61, 30), (62, 30), (20, 30), (20, 20)):
-            policy = dataclasses.replace(policy, w=w)
+            if policy.w is not None:  # dense has no half-window
+                policy = dataclasses.replace(policy, w=w)
             z = rng.normal(size=(T, 8))
             mh = random_mh(rng, 8, 2, 4)
             out = sparse_attend(z, mh, policy).output
             assert np.array_equal(
                 out, rowwise_sparse_attend(z, mh, policy, library_scores=True)), (T, w)
-            if policy.variant == "local":
+            if policy == MaskPolicy.local(w):
                 # `local` forms only its band's scores, whose last bits can
                 # differ from the full gemm's
                 full = rowwise_sparse_attend(z, mh, policy)

@@ -13,7 +13,7 @@ from sparse_rnnt import attention, cli, encoder
 from sparse_rnnt.attention import format_sparsity_report, mask_stats, score_blocks
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, main
 from sparse_rnnt.errors import DataError
-from sparse_rnnt.frontend import Waveform, read_wav, write_wav
+from sparse_rnnt.frontend import Waveform, frames_within, read_wav, write_wav
 from sparse_rnnt.model_io import load_model, random_model, save_model
 from sparse_rnnt.pipeline import (
     DecodeOptions,
@@ -21,6 +21,7 @@ from sparse_rnnt.pipeline import (
     decode_waveform,
     parse_policy,
     parse_segmentation,
+    prepare_input,
 )
 from tests_oracles import rowwise_sets
 
@@ -71,7 +72,7 @@ class TestGenModel:
     @pytest.mark.parametrize("text", [
         '{"encoder": {"subsample_stride": 0}}', '{"encoder": {"num_layers": -1}}',
         '{"encoder": {"bogus": 1}}', '{"bogus": 1}', '["encoder"]', '{"feat_dim": ',
-        '{"encoder": {"use_sinusoidal_pe": "no"}}',
+        '{"encoder": {"num_heads": true}}',
     ])
     def test_bad_config_file_one_config_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
@@ -181,7 +182,7 @@ class TestDecode:
 
         monkeypatch.setattr(encoder, "sparse_attend", spy)
         argv = ["decode", "--model", str(model_path), str(wav), "--mask", mask,
-                "--w", "3", "--segmentation", "doi:3", "--overlap", "0.5"]
+                "--w", "3", "--segmentation", "doi:5"]
         hyps, stats = tmp_path / "hyps.tsv", tmp_path / "stats.txt"
         assert main(argv + ["--out", str(hyps), "--stats", str(stats)]) == EXIT_OK
         model, policy = load_model(model_path), parse_policy(mask, 3)
@@ -305,9 +306,9 @@ class TestDecode:
 
     @pytest.mark.parametrize("flags", [
         ["--segmentation", "doi:abc"],
-        ["--segmentation", "doi:3", "--overlap", "2"],
-        ["--segmentation", "doi:20", "--overlap", "-1"],
-        ["--segmentation", "doi:0.009", "--overlap", "0"],
+        ["--segmentation", "doi:3"],
+        ["--segmentation", "doi:4.005"],
+        ["--segmentation", "doi:nan"],
     ])
     def test_bad_segmentation_one_config_error(self, model_path, tmp_path,
                                                capsys, flags):
@@ -402,10 +403,12 @@ class TestDecode:
         _set("config", "encoder", "subsample_stride", 0),
         _set("config", "vocab", "tokens", []),
         _alias_all((32,)),
-        _set("config", "encoder", "use_sinusoidal_pe", "no"),
+        _set("config", "encoder", "num_heads", True),
+        # every file saved while the encoder had a sinusoidal-PE switch
+        _set("config", "encoder", "use_sinusoidal_pe", False),
     ], ids=["json-list", "no-blob-bytes", "tensor-without-name", "str-num-layers",
             "unknown-encoder-key", "negative-offset", "zero-stride", "empty-vocab",
-            "aliased-offsets", "str-sinusoidal-pe"])
+            "aliased-offsets", "bool-num-heads", "sinusoidal-pe-switch"])
     def test_malformed_manifest_exit_io(self, model_path, wav_path, tmp_path,
                                         capsys, edit):
         raw = model_path.read_bytes()
@@ -653,21 +656,21 @@ class TestUnframeableRate:
         with pytest.raises(DataError, match=f"^sample rate {rate} Hz cannot be framed"):
             decode_waveform(tiny_model, read_wav(path), DecodeOptions())
 
-    def test_short_doi_piece_still_decodes_to_nothing(self, model_path, wav_path,
-                                                      tmp_path):
-        # doi:3 with no overlap cuts the 3.005 s input into 3 s and 5 ms;
-        # the 5 ms piece is too short to encode and adds no tokens
-        longer = tmp_path / wav_path.name
-        x = read_wav(wav_path)
-        write_wav(longer, Waveform(np.concatenate([x.samples, np.zeros(80)]),
-                                   x.sample_rate))
-        plain, doi = tmp_path / "p.txt", tmp_path / "s.txt"
-        assert main(["decode", "--model", str(model_path), str(wav_path),
-                     "--out", str(plain)]) == EXIT_OK
-        assert main(["decode", "--model", str(model_path), str(longer),
-                     "--segmentation", "doi:3", "--overlap", "0",
-                     "--out", str(doi)]) == EXIT_OK
-        assert plain.read_text() == doi.read_text()
+    def test_short_epd_piece_still_decodes_to_nothing(self, model_path, tmp_path):
+        # a lone 30 ms burst in 2 s of silence is one epd segment of 5
+        # frames, too few for the desk model's subsampler: it adds no tokens
+        sr = 16000
+        x = np.zeros(2 * sr)
+        x[sr : sr + 480] = 0.1 * np.random.default_rng(3).normal(size=480)
+        wav = tmp_path / "blip.wav"
+        write_wav(wav, Waveform(x, sr))
+        model = load_model(model_path)
+        ((seg, f, _),) = prepare_input(model, read_wav(wav), parse_segmentation("epd"))
+        assert f is None and len(frames_within(seg.start, seg.end, sr)) == 5
+        out = tmp_path / "h.tsv"
+        assert main(["decode", "--model", str(model_path), str(wav),
+                     "--segmentation", "epd", "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == "blip\t\n"
 
 
 class TestCommonRates:
@@ -832,6 +835,28 @@ class TestSweep:
             main(["sweep", "--model", str(tmp_path / "nope.model"),
                   str(wav_path), "--refs", str(tmp_path / "nope.tsv"),
                   "--mask", "local", "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_failed_decode_names_the_input(self, model_path, tmp_path, capsys):
+        # as decode and heatmap do: 1.7e308 features leave the encoder's
+        # output not finite
+        path, refs = tmp_path / "huge.feats", tmp_path / "r.tsv"
+        path.write_text("60 16 0.01 0.025\n" + ("1.7e308 " * 16 + "\n") * 60)
+        refs.write_text("huge\tabc\n")
+        assert main(["sweep", "--model", str(model_path), str(path), "--refs",
+                     str(refs), "--out", str(tmp_path / "s.csv")]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {path}: feature values overflow the encoder "
+            f"(its output is not finite)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["decode", "--model", "m", "u.wav"],
+        ["sweep", "--model", "m", "u.wav", "--refs", "r", "--out", "o"],
+    ], ids=["decode", "sweep"])
+    def test_overlap_flag_is_gone(self, argv):
+        # the DOI overlap is segmentation.DOI_OVERLAP, not a setting
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + ["--overlap", "2"])
         assert exc.value.code == EXIT_CONFIG
 
     def test_missing_reference_exit_data(self, model_path, wav_path, tmp_path):

@@ -313,8 +313,9 @@ class TestEncode:
 
     def test_receptive_field_requires_local(self):
         cfg = tiny_config().encoder
-        with pytest.raises(ParameterError):
-            receptive_field(cfg, MaskPolicy.dense(), 0, 10, 40)
+        for policy in (MaskPolicy.dense(), MaskPolicy.local_global(2)):
+            with pytest.raises(ParameterError):
+                receptive_field(cfg, policy, 0, 10, 40)
 
 
 class TestConfig:
@@ -330,7 +331,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("subsample_stride", 0), ("subsample_kernel", -1), ("num_layers", 0),
         ("conv_kernel", -3), ("ff_dim", "4"), ("num_layers", 2.0),
-        ("use_sinusoidal_pe", "no"), ("use_sinusoidal_pe", 1),
+        ("head_dim", "no"), ("num_heads", True),
     ])
     def test_non_positive_or_non_int_size_rejected(self, field, value):
         with pytest.raises(ParameterError, match=field):

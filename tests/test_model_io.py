@@ -54,17 +54,22 @@ class TestSplitMix64:
         assert rng.next_u64() == ref.next_u64()
 
 
-@pytest.mark.parametrize("config,digest", [
+@pytest.mark.parametrize("config,digest,tensors", [
     (ModelConfig.desk_scale,
-     "db3fb19f0c8056a88fc852a402abaeee2854b8704450edfad16e2423c3313e5b"),
+     "4d165f532470abf7d0fa4e60e3635caf722d42b71922255748ff93b06d945a07",
+     "cd52ced3f141d74491c6c0019b3a1d74533e689f03545c920b63b223bd87c634"),
     (tiny_config,
-     "642709a9eac32df9e07f5e2f11a6949dc4617b805638477737bf25facc39478b"),
+     "c6bb0d9ae3b0a5c9e16c2c4464bf4a6046138ffe97879be2ae4721f77de3c7bb",
+     "84f84f692a50be76898b15088f7321bd2d206c6b4b993cd88ec21cef011a10f9"),
 ], ids=["desk", "tiny"])
-def test_model_bytes_pinned(tmp_path, config, digest):
-    # a seed means the same model file on every build
+def test_model_bytes_pinned(tmp_path, config, digest, tensors):
+    # a seed means the same model file on every build; the tensor bytes
+    # after the manifest are pinned apart, as a config field can come or go
     path = tmp_path / "m.model"
     save_model(random_model(config(), 7), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    raw = path.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+    assert hashlib.sha256(raw[raw.index(b"\x00") + 1 :]).hexdigest() == tensors
 
 
 class TestRandomModel:

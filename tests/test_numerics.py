@@ -62,8 +62,7 @@ class TestLayerNorm:
         assert np.allclose(out, 0.0)
 
     def test_two_point_closed_form(self):
-        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2),
-                         epsilon=1e-6)
+        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))
         assert np.allclose(out, [1.0, -1.0], atol=1e-3)
 
     def test_bias_only(self, rng):

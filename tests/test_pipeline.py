@@ -163,14 +163,16 @@ class TestDecodeDefaults:
         sweep = parse(["sweep", "--model", "m", "u.wav", "--refs", "r", "--out", "o"])
         heatmap = parse(["heatmap", "--model", "m", "u.wav", "--layer", "0",
                          "--head", "0", "--out", "o"])
+        for args in (decode, sweep, heatmap):
+            # dense, the default policy, has no half-window: --w is LOCAL_W
+            assert parse_policy("local", args.w) == MaskPolicy.local()
         for args in (decode, sweep):
-            assert args.w == want.policy.w and args.beam == want.beam
-            assert SrsParams(args.t_sil, args.srs) == want.srs
-            assert args.overlap == want.segmentation.overlap
+            assert args.beam == want.beam and args.t_sil == SrsParams().t_sil
+            assert (SrsParams(args.t_sil) if args.srs else None) == want.srs
         assert parse_policy(decode.mask, decode.w) == want.policy
-        assert parse_segmentation(decode.segmentation, decode.overlap) == want.segmentation
+        assert parse_segmentation(decode.segmentation) == want.segmentation
         assert parse_policy(heatmap.mask, heatmap.w) == want.policy
-        assert want.srs == SrsParams(enabled=False) and SrsParams() == SrsParams(15, True)
+        assert want.srs is None and SrsParams() == SrsParams(15)
 
     def test_library_and_cli_decode_alike(self, tmp_path):
         # 8 s of noise, near silence in the second half of every 2 s, on a
@@ -193,12 +195,14 @@ class TestDecodeDefaults:
 @pytest.mark.parametrize("make", [
     lambda: DecodeOptions(beam=2.5), lambda: DecodeOptions(beam=True),
     lambda: SrsParams(t_sil=1.5), lambda: SrsParams(t_sil=0),
-    lambda: SrsParams(enabled="no"), lambda: MaskPolicy.local(2.5),
-    lambda: MaskPolicy.local(True), lambda: MaskPolicy.local(-1),
-], ids=["float-beam", "bool-beam", "float-t-sil", "zero-t-sil", "str-enabled",
-        "float-w", "bool-w", "negative-w"])
+    lambda: MaskPolicy.local(2.5), lambda: MaskPolicy.local(True),
+    lambda: MaskPolicy.local(-1), lambda: MaskPolicy(3, "sgm4"),
+    lambda: MaskPolicy(None, FUSION_OR),
+], ids=["float-beam", "bool-beam", "float-t-sil", "zero-t-sil", "float-w", "bool-w",
+        "negative-w", "unknown-fusion", "dense-with-fusion"])
 def test_option_types_checked(make):
-    # an int field takes an int (not a bool), a bool field a bool
+    # an int field takes an int (not a bool); dense has no band for a
+    # global mask to join
     with pytest.raises(ParameterError):
         make()
 

@@ -19,40 +19,32 @@ from tests_oracles import oracle_epd_split, oracle_frame_energies_db
 
 class TestDoiSplit:
     def test_short_utterance_single_window(self):
-        segs = doi_split(10.0, 20.0, 2.0)
+        segs = doi_split(10.0, 20.0)
         assert len(segs) == 1
         s = segs[0]
         assert (s.start, s.end, s.core_start, s.core_end) == (0.0, 10.0, 0.0, 10.0)
 
     def test_worked_example(self):
-        segs = doi_split(50.0, 20.0, 2.0)
+        segs = doi_split(50.0, 20.0)
         assert [(s.start, s.end) for s in segs] == [(0, 20), (16, 36), (32, 50)]
         assert [(s.core_start, s.core_end) for s in segs] == [
             (0, 18), (18, 34), (34, 50)]
 
-    def test_zero_overlap_abutting(self):
-        segs = doi_split(30.0, 10.0, 0.0)
-        assert [(s.start, s.end) for s in segs] == [(0, 10), (10, 20), (20, 30)]
-        for s in segs:
-            assert s.core_start == s.start and s.core_end == s.end
-
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
-            doi_split(10.0, 4.0, 2.0)
+            doi_split(10.0, 4.0)
         with pytest.raises(ParameterError):
-            doi_split(0.0, 20.0, 2.0)
-        with pytest.raises(ParameterError):
-            doi_split(10.0, 20.0, -1.0)
+            doi_split(0.0, 20.0)
         with pytest.raises(ParameterError, match="doi length must be finite"):
-            doi_split(10.0, float("inf"), 2.0)
-        with pytest.raises(ParameterError, match="greater than twice the overlap"):
-            doi_split(10.0, float("nan"), 2.0)
+            doi_split(10.0, float("inf"))
+        with pytest.raises(ParameterError, match="a length of at least 4.01 s"):
+            doi_split(10.0, float("nan"))
 
     @pytest.mark.parametrize("doi_length", [8, 18, 20, 28, 38, 48, 58])
     def test_cores_partition_random_durations(self, doi_length, rng):
         for _ in range(20):
             duration = float(rng.uniform(0.5, 200.0))
-            segs = doi_split(duration, float(doi_length), 2.0)
+            segs = doi_split(duration, float(doi_length))
             assert segs[0].core_start == 0.0
             assert segs[-1].core_end == duration
             for a, b in zip(segs, segs[1:]):
@@ -73,7 +65,7 @@ class TestDoiMerge:
         assert doi_merge([(seg, tokens)]) == tokens
 
     def test_boundary_token_owned_once(self):
-        segs = doi_split(36.0, 20.0, 2.0)
+        segs = doi_split(36.0, 20.0)
         tok = TimedToken(5, 17.5)
         results = [(segs[0], [tok]), (segs[1], [TimedToken(5, 17.5)])]
         merged = doi_merge(results)
@@ -86,7 +78,7 @@ class TestDoiMerge:
         for doi_length in (8, 18, 20, 28, 38, 48, 58):
             duration = float(rng.uniform(5.0, 150.0))
             times = np.arange(0.25, duration, 1.0)
-            segs = doi_split(duration, float(doi_length), 2.0)
+            segs = doi_split(duration, float(doi_length))
             results = []
             for seg in segs:
                 inside = [TimedToken(int(t), float(t)) for t in times
@@ -96,7 +88,7 @@ class TestDoiMerge:
             assert [m.time for m in merged] == list(times)
 
     def test_missing_segment_rejected(self):
-        segs = doi_split(50.0, 20.0, 2.0)
+        segs = doi_split(50.0, 20.0)
         with pytest.raises(DataError):
             doi_merge([(segs[0], []), (segs[2], [])])
 
@@ -281,30 +273,30 @@ class TestSegmentationSpec:
             with pytest.raises(ParameterError):
                 parse_segmentation(spec)
 
-    @pytest.mark.parametrize("length, overlap", [
-        (3.0, 2.0), (4.0, 2.0), (10.0, -0.5), (20.0, float("nan")),
-        (float("nan"), 2.0)])
-    def test_doi_window_must_exceed_both_overlaps(self, length, overlap):
+    @pytest.mark.parametrize("length", [3.0, 4.0, 4.005, float("nan")])
+    def test_doi_window_must_exceed_both_overlaps(self, length):
+        # a window holds both DOI_OVERLAPs and at least one frame hop more
         with pytest.raises(ParameterError):
-            SegmentationSpec("doi", doi_length=length, overlap=overlap)
+            SegmentationSpec("doi", doi_length=length)
 
-    @pytest.mark.parametrize("length, overlap", [
-        (3.0, 2.0), (4.0, 2.0), (10.0, -0.5), (20.0, float("nan")),
-        (float("nan"), 2.0), (float("inf"), 2.0), (None, 2.0), (0.009, 0.0),
-        (4.005, 2.0)])
-    def test_doi_split_checks_as_the_spec_does(self, length, overlap):
+    @pytest.mark.parametrize("length", [
+        3.0, 4.0, float("nan"), float("inf"), None, 0.009, 4.005])
+    def test_doi_split_checks_as_the_spec_does(self, length):
         # one check, so one message, before any input is read or when cut
         with pytest.raises(ParameterError) as spec:
-            SegmentationSpec("doi", doi_length=length, overlap=overlap)
+            SegmentationSpec("doi", doi_length=length)
         with pytest.raises(ParameterError) as split:
-            doi_split(10.0, length, overlap)
+            doi_split(10.0, length)
         assert str(split.value) == str(spec.value)
 
-    def test_negative_overlap_rejected_for_every_kind(self):
+    def test_doi_length_rejected_unless_doi(self):
         for kind in ("none", "epd"):
-            with pytest.raises(ParameterError):
-                SegmentationSpec(kind, overlap=-1.0)
+            with pytest.raises(ParameterError, match="takes no doi length"):
+                SegmentationSpec(kind, doi_length=5.0)
 
     def test_valid_specs(self):
-        assert parse_segmentation("doi:4.5", 2.0).doi_length == 4.5
-        assert SegmentationSpec("doi", doi_length=1.0, overlap=0.0).overlap == 0.0
+        assert segmentation.DOI_OVERLAP == 2.0
+        assert 2 * segmentation.DOI_OVERLAP + HOP == 4.01
+        assert parse_segmentation("doi:4.5").doi_length == 4.5
+        assert SegmentationSpec("doi", doi_length=4.01).doi_length == 4.01
+        assert SegmentationSpec("epd").doi_length is None

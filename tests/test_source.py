@@ -1,9 +1,11 @@
-"""Source hygiene of the package: no unused imports, no stale __all__ entries.
+"""Source hygiene of the package: no unused imports, no stale __all__
+entries, no dead private names.
 
 Each module of src/sparse_rnnt is parsed with ast. An imported name must be
-read somewhere in its module (a name listed in __all__ counts as read), and
-every __all__ entry must be defined there. __init__.py and `from __future__`
-imports are exempt.
+read somewhere in its module (a name listed in __all__ counts as read),
+every __all__ entry must be defined there, and every private name (`_x`)
+the module binds at top level must be read there as a name. __init__.py
+and `from __future__` imports are exempt.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def _defined(tree: ast.Module) -> set[str]:
     return names
 
 
+def _private(tree: ast.Module) -> set[str]:
+    """The private names (`_x`, not dunders) the module binds at top level,
+    imports aside."""
+    return {name for name in _defined(tree).difference(_imported(tree))
+            if name.startswith("_") and not name.startswith("__")}
+
+
 def _read(tree: ast.Module) -> set[str]:
     return {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
@@ -71,8 +80,23 @@ def test_every_all_entry_is_defined(path):
     assert not stale, f"{path.name}: __all__ names undefined {stale}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    tree = ast.parse(path.read_text(), str(path))
+    dead = sorted(_private(tree) - _read(tree))
+    assert not dead, f"{path.name}: private names never read: {dead}"
+
+
 def test_the_checks_see_an_unused_import_and_a_stale_entry():
     tree = ast.parse("import os\nfrom x import y as z\n__all__ = ['z', 'gone']\n")
     used = _read(tree) | set(_exported(tree))
     assert [n for n in _imported(tree) if n not in used] == ["os"]
     assert [n for n in _exported(tree) if n not in _defined(tree)] == ["gone"]
+
+
+def test_the_check_sees_an_unread_private_name():
+    tree = ast.parse("from x import _y\n__all__ = []\n_K = 1\n"
+                     "def _used():\n    return _K\n"
+                     "def _gone():\n    return _used()\n")
+    assert sorted(_private(tree)) == ["_K", "_gone", "_used"]
+    assert sorted(_private(tree) - _read(tree)) == ["_gone"]

@@ -385,7 +385,7 @@ class TestBeamSearch:
             out = enc_outputs(rng, model, 10)
             g = greedy_decode(out, model)
             b = decode_with_srs(out, model, beam=1,
-                                srs=SrsParams(t_sil=1, enabled=False))
+                                srs=None)
             assert b.token_ids == g.token_ids
             assert b.frames == g.frames
             assert b.log_prob == g.log_prob
@@ -453,7 +453,7 @@ class TestBeamSearch:
             best = []
             for beam in (1, 2, 3, 4):
                 t = decode_with_srs(out, model, beam=beam,
-                                    srs=SrsParams(enabled=False))
+                                    srs=None)
                 best.append(t.log_prob)
             for a, b in zip(best, best[1:]):
                 assert b >= a - 1e-12
@@ -623,7 +623,7 @@ class TestDeferredExpansion:
         model = random_model(tiny_config(vocab_size=29), 3)
         model.joint.out_bias[model.config.vocab.blank_id] -= 20.0
         out = enc_outputs(rng, model, 12)
-        t = decode_with_srs(out, model, beam=4, srs=SrsParams(enabled=False))
+        t = decode_with_srs(out, model, beam=4, srs=None)
         assert len(t.token_ids) == 5 * out.length  # saturated
         assert calls["predict_step"][0] == 1  # the start symbol
         assert len(rounds) == 6 * out.length  # 5 growing rounds and the cap
@@ -690,13 +690,13 @@ class TestPrefixIdentity:
         model = random_model(tiny_config(vocab_size=29), 3)
         model.joint.out_bias[model.config.vocab.blank_id] -= 20.0
         out = enc_outputs(rng, model, 12)
-        t = decode_with_srs(out, model, beam=4, srs=SrsParams(enabled=False))
+        t = decode_with_srs(out, model, beam=4, srs=None)
         assert len(t.token_ids) == 5 * out.length  # saturated
         assert built == {"tokens": 1, "frames": 1}
         # exact ties at the beam boundary are broken on the token tuples
         tied = equivalence_models()[-1]
         tied.joint.out_bias[tied.config.vocab.blank_id] -= 20.0
-        decode_with_srs(out, tied, beam=4, srs=SrsParams(enabled=False))
+        decode_with_srs(out, tied, beam=4, srs=None)
         assert built["tokens"] > 2 and built["frames"] == 2
 
 
@@ -736,9 +736,9 @@ class TestDecodeWithSrs:
     def test_disabled_equals_huge_threshold(self, rng):
         model = random_model(tiny_config(), 31)
         out = enc_outputs(rng, model, 12)
-        a = decode_with_srs(out, model, beam=3, srs=SrsParams(enabled=False))
+        a = decode_with_srs(out, model, beam=3, srs=None)
         b = decode_with_srs(out, model, beam=3,
-                            srs=SrsParams(t_sil=10_000, enabled=True))
+                            srs=SrsParams(t_sil=10_000))
         assert a == b
 
     def test_all_blank_empty_transcript(self):
@@ -777,7 +777,7 @@ class TestDecodeWithSrs:
     def test_emission_frames_nondecreasing(self, rng):
         model = random_model(tiny_config(), 13)
         out = enc_outputs(rng, model, 10)
-        t = decode_with_srs(out, model, beam=3, srs=SrsParams(enabled=False))
+        t = decode_with_srs(out, model, beam=3, srs=None)
         assert list(t.frames) == sorted(t.frames)
 
     @pytest.mark.parametrize("t_sil", [1, 15])
@@ -823,7 +823,7 @@ class TestGreedy:
         jw.out_bias[1] = jw.out_bias[blank_id] = 5.0
         out = enc_outputs(rng, model, 4)
         g = greedy_decode(out, model)
-        b = decode_with_srs(out, model, beam=1, srs=SrsParams(enabled=False))
+        b = decode_with_srs(out, model, beam=1, srs=None)
         assert g.token_ids == b.token_ids == ()
         assert g.log_prob == b.log_prob
 
@@ -924,17 +924,17 @@ class TestRunAhead:
         for model, out in cases:
             for beam in (1, 2, 4, 8):
                 oracle = {}  # SRS on / off: the transcript and the final beam
-                for srs in (SrsParams(t_sil=t_sil), SrsParams(enabled=False)):
+                for srs in (SrsParams(t_sil=t_sil), None):
                     del log[:]
                     got = decode_with_srs(out, model, beam=beam, srs=srs)
                     got_beam, calls = beams[-1], log[:]
-                    if srs.enabled or resets:
+                    if srs is not None or resets:
                         del log[:]
-                        oracle[srs.enabled] = (frame_by_frame_decode(out, model, beam, srs),
-                                               beams[-1])
+                        oracle[srs is not None] = (
+                            frame_by_frame_decode(out, model, beam, srs), beams[-1])
                         resets = log.count("reset")
                     # with no reset fired, the oracle decodes alike with SRS off
-                    want, want_beam = oracle.get(srs.enabled, oracle[True])
+                    want, want_beam = oracle.get(srs is not None, oracle[True])
                     assert same_transcript(got, want), (out.length, beam, srs)
                     assert got_beam == want_beam
                     if beam == 1:
@@ -987,7 +987,7 @@ class TestBeamOneRunAhead:
         rows = spy_rows(monkeypatch, "joint", joint_rows_of)
         for model, T in ((saturated, 300), (mixed, 600)):
             out = enc_outputs(rng, model, T)
-            for srs in (SrsParams(t_sil=15), SrsParams(enabled=False)):
+            for srs in (SrsParams(t_sil=15), None):
                 del rows[:]
                 got = decode_with_srs(out, model, beam=1, srs=srs)
                 ours = sum(rows)
@@ -1140,19 +1140,19 @@ class TestChildCache:
         monkeypatch.setattr(transducer, "_step_cached", spy)
         log = event_log(monkeypatch)
         beams = spy_rows(monkeypatch, "_best", lambda args: beam_of(args[0]))
-        srs = SrsParams(t_sil=t_sil or 1, enabled=t_sil is not None)
+        srs = None if t_sil is None else SrsParams(t_sil)
         resets = reused_after_reset = reset_runs = 0
         for seed, (model, T) in enumerate(cache_models()):
             out = enc_outputs(np.random.default_rng(seed), model, T)
             for beam in (2, 4, 8):
                 hyps, eager = [start_hypothesis(model)], [start_hypothesis(model)]
-                counter, since = SrsCounter(srs.t_sil), None
+                counter, since = SrsCounter(t_sil or 1), None
                 for i in range(out.length):
                     want = eager_beam_search_step(out.h[i], eager, beam, model, i)
                     hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
                     assert_same_hyps(hyps, want, i)
                     eager = [h for h, _ in want]
-                    if srs.enabled and counter.update(check_blank_token(hyps, i)):
+                    if srs is not None and counter.update(check_blank_token(hyps, i)):
                         hyps = reset_prediction_states(hyps, model)
                         eager = reset_prediction_states(eager, model)
                         resets += 1
@@ -1208,7 +1208,7 @@ class TestChildCache:
         model = random_model(ModelConfig.desk_scale(), 7)
         model.joint.out_bias[model.config.vocab.blank_id] += 1.0
         out = enc_outputs(np.random.default_rng(0), model, 24)
-        decode_with_srs(out, model, beam=8, srs=SrsParams(enabled=False))
+        decode_with_srs(out, model, beam=8, srs=None)
         assert any(reused)
 
     def test_same_prefix_same_state(self, monkeypatch):
@@ -1245,7 +1245,7 @@ class TestChildCache:
                 out = enc_outputs(rng, model, 12)
                 for beam in (2, 4, 8):
                     seen.clear()
-                    decode_with_srs(out, model, beam=beam, srs=SrsParams(enabled=False))
+                    decode_with_srs(out, model, beam=beam, srs=None)
         assert compared[0] > 1000
 
     def test_prune_only_rows(self, monkeypatch):
@@ -1274,7 +1274,7 @@ class TestChildCache:
         joint_rows = spy_rows(monkeypatch, "joint", joint_rows_of)
         steps = spy_rows(monkeypatch, "beam_search_step", lambda args: 1)
         beams = spy_rows(monkeypatch, "_best", lambda args: beam_of(args[0]))
-        for srs in (SrsParams(t_sil=15), SrsParams(t_sil=1), SrsParams(enabled=False)):
+        for srs in (SrsParams(t_sil=15), SrsParams(t_sil=1), None):
             del pairs[:], joint_rows[:], steps[:]
             got = decode_with_srs(out, model, beam=4, srs=srs)
             assert got.token_ids == ()
@@ -1291,16 +1291,16 @@ class TestChildCache:
         # after every frame each state's projection is its hidden vector's;
         # right after a reset every hypothesis holds one new zero state,
         # with nothing cached on it
-        srs = SrsParams(t_sil=t_sil or 1, enabled=t_sil is not None)
+        srs = None if t_sil is None else SrsParams(t_sil)
         resets = 0
         for seed, (model, T) in enumerate(cache_models()):
             out = enc_outputs(np.random.default_rng(seed), model, T)
             W = model.joint.pred_proj
             for beam in (2, 4, 8):
-                hyps, counter = [start_hypothesis(model)], SrsCounter(srs.t_sil)
+                hyps, counter = [start_hypothesis(model)], SrsCounter(t_sil or 1)
                 for i in range(out.length):
                     hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
-                    if srs.enabled and counter.update(check_blank_token(hyps, i)):
+                    if srs is not None and counter.update(check_blank_token(hyps, i)):
                         hyps = reset_prediction_states(hyps, model)
                         state = hyps[0].state
                         assert all(h.state is state for h in hyps)

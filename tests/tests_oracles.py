@@ -30,11 +30,11 @@ def oracle_sparse_attend(z, mh, policy):
         v = z @ head.w_v
         out = np.zeros((T, head.w_v.shape[1]))
         for i in range(T):
-            if policy.variant == "dense":
+            if policy.w is None:
                 s = set(range(T))
             else:
                 s = {j for j in range(T) if abs(i - j) <= policy.w}
-                if policy.variant == "local_global":
+                if policy.fusion is not None:
                     if policy.fusion == "sgm2_per_head":
                         g = globals_per_head[h][i]
                     elif policy.fusion == "sgm3_and":
@@ -55,7 +55,7 @@ def rowwise_sets(z, mh, policy, library_scores=False):
     """Each head's attended and global key sets, derived one query row at a
     time from the scores: (scores, attended, global), where scores(h, i,
     idx) gives head h's scores of row i at keys idx, and attended[h][i] /
-    global_[h][i] are index arrays (global_ is None unless local_global).
+    global_[h][i] are index arrays (global_ is None without a global mask).
 
     The scores are one full (T, T) gemm per head, or with library_scores
     those the library attends over: the blocks of score_blocks, or for
@@ -65,7 +65,7 @@ def rowwise_sets(z, mh, policy, library_scores=False):
     T, H = z.shape[0], mh.num_heads
     q = np.stack([z @ head.w_q for head in mh.heads])
     k = np.stack([z @ head.w_k for head in mh.heads])
-    if library_scores and policy.variant == "local":
+    if library_scores and policy.w is not None and policy.fusion is None:
         band = BandScores(q, k)
 
         def scores(h, i, idx):
@@ -80,9 +80,9 @@ def rowwise_sets(z, mh, policy, library_scores=False):
             return e[h, i, idx]
     keys = np.arange(T)
     attended = [[None] * T for _ in range(H)]
-    global_ = [[None] * T for _ in range(H)] if policy.variant == "local_global" else None
+    global_ = [[None] * T for _ in range(H)] if policy.fusion is not None else None
     for i in range(T):
-        if policy.variant == "dense":
+        if policy.w is None:
             for h in range(H):
                 attended[h][i] = keys
             continue
@@ -323,19 +323,19 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
             for e in pool]
 
 
-def frame_by_frame_decode(h, model, beam=4, srs=None):
+def frame_by_frame_decode(h, model, beam, srs):
     """`decode_with_srs` one frame at a time: one beam_search_step per
-    frame, then the silence reset. Reference for the beam-1 run-ahead."""
-    from sparse_rnnt.transducer import (SrsCounter, SrsParams, Transcript, _best,
+    frame, then the silence reset (none where srs is None). Reference for
+    the beam-1 run-ahead."""
+    from sparse_rnnt.transducer import (SrsCounter, Transcript, _best,
                                         beam_search_step, check_blank_token,
                                         reset_prediction_states, start_hypothesis)
 
-    srs = srs or SrsParams()
     hyps = [start_hypothesis(model)]
-    counter = SrsCounter(srs.t_sil)
+    counter = SrsCounter(h.length if srs is None else srs.t_sil)
     for i in range(h.length):
         hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
-        if srs.enabled and counter.update(check_blank_token(hyps, i)):
+        if srs is not None and counter.update(check_blank_token(hyps, i)):
             hyps = reset_prediction_states(hyps, model)
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
