@@ -18,7 +18,6 @@ from sparse_rnnt.attention import (
     global_mask,
     local_mask,
     mask_stats,
-    parse_policy,
     score_blocks,
     sparse_attend,
 )
@@ -209,12 +208,18 @@ class TestSparseAttend:
         out = sparse_attend(z, mh, policy).output
         assert np.max(np.abs(out - oracle_attention(z, mh, policy))) < 1e-9
 
-    @pytest.mark.parametrize("spec", ["dense", "local", "local+sgm1", "local+sgm2",
-                                      "local+sgm3"])
-    def test_oracle_all_variants(self, rng, spec):
+    @pytest.mark.parametrize("variant", ["dense", "local", "local_global"])
+    @pytest.mark.parametrize("fusion", [FUSION_AND, FUSION_PER_HEAD, FUSION_OR])
+    def test_oracle_all_variants(self, rng, variant, fusion):
+        # dense and local carry no global mask, so only local_global takes
+        # the fusion; a dense policy refuses one
         z = rng.normal(size=(6, 4))
         mh = random_mh(rng, 4, 2, 2)
-        policy = parse_policy(spec, 1)
+        if variant == "dense":
+            with pytest.raises(ParameterError):
+                MaskPolicy(None, fusion)
+        policy = {"dense": MaskPolicy.dense(), "local": MaskPolicy.local(1),
+                  "local_global": MaskPolicy.local_global(1, fusion)}[variant]
         out = sparse_attend(z, mh, policy).output
         assert np.max(np.abs(out - oracle_attention(z, mh, policy))) < 1e-9
 

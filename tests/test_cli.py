@@ -72,7 +72,7 @@ class TestGenModel:
     @pytest.mark.parametrize("text", [
         '{"encoder": {"subsample_stride": 0}}', '{"encoder": {"num_layers": -1}}',
         '{"encoder": {"bogus": 1}}', '{"bogus": 1}', '["encoder"]', '{"feat_dim": ',
-        '{"encoder": {"num_heads": true}}',
+        '{"encoder": {"num_heads": true}}', '{"encoder": {"use_sinusoidal_pe": "no"}}',
     ])
     def test_bad_config_file_one_config_error(self, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
