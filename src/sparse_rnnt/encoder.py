@@ -31,7 +31,7 @@ __all__ = [
     "subsampled_length",
     "receptive_field",
     "check_positive_int",
-    "check_int_fields",
+    "check_fields",
 ]
 
 
@@ -41,13 +41,17 @@ def check_positive_int(name: str, value) -> None:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-def check_int_fields(cfg) -> None:
-    """Raise ParameterError unless every int field of the dataclass is an
-    int > 0 (a bool is not)."""
+def check_fields(cfg) -> None:
+    """Raise ParameterError unless every field of the dataclass holds what
+    its annotation names: an int field an int > 0 (a bool is not), a class
+    field an instance of the class, and an `X | None` field None or an X."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
+        value = getattr(cfg, f.name)
         if hints[f.name] is int:
-            check_positive_int(f.name, getattr(cfg, f.name))
+            check_positive_int(f.name, value)
+        elif not isinstance(value, hints[f.name]):
+            raise ParameterError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass
@@ -65,7 +69,7 @@ class EncoderConfig:
     subsample_kernel: int = 3
 
     def __post_init__(self):
-        check_int_fields(self)  # sizes, kernels and strides
+        check_fields(self)  # sizes, kernels and strides
         if self.model_dim != self.num_heads * self.head_dim:
             raise ParameterError(
                 f"model_dim {self.model_dim} != num_heads {self.num_heads} "

@@ -123,10 +123,11 @@ def read_wav(path) -> Waveform:
         raise AudioFormatError(f"{path}: truncated WAV") from exc
     if len(raw) % (2 * channels):
         raise AudioFormatError(f"{path}: truncated WAV (data ends inside a frame)")
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    if channels > 1:
-        data = data.reshape(-1, channels)[:, 0]
-    return Waveform(data / 32768.0, rate)
+    # one float64 copy of the first channel, scaled in place: both steps
+    # are exact, so the samples have the bits of a scaled copy
+    data = np.frombuffer(raw, dtype="<i2")[::channels].astype(np.float64)
+    data /= 32768.0
+    return Waveform(data, rate)
 
 
 def write_wav(path, w: Waveform) -> None:

@@ -20,7 +20,7 @@ from typing import Iterator, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .encoder import (ConformerBlockWeights, EncoderConfig, SubsampleWeights,
-                      check_int_fields)
+                      check_fields)
 from .errors import DataError, ModelFormatError, ParameterError
 from .frontend import atomic_output
 from .numerics import LstmWeights
@@ -80,7 +80,7 @@ class ModelConfig:
     vocab: Vocabulary = field(default_factory=default_vocabulary)
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
 
     @classmethod
     def desk_scale(cls) -> "ModelConfig":

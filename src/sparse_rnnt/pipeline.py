@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .attention import MaskPolicy, parse_policy
-from .encoder import check_int_fields, encode, subsampled_length
+from .encoder import check_fields, encode, subsampled_length
 from .errors import DataError, ParameterError
 from .frontend import (
     FeatureMatrix,
@@ -53,7 +53,7 @@ class DecodeOptions:
     segmentation: SegmentationSpec = field(default_factory=SegmentationSpec)
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
 
 
 @dataclass

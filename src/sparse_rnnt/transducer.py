@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderOutputs, check_int_fields, check_positive_int
+from .encoder import EncoderOutputs, check_fields, check_positive_int
 from .errors import ParameterError, ShapeError, VocabularyError
 from .numerics import lstm_cell_step
 
@@ -145,7 +145,7 @@ class SrsParams:
     t_sil: int = 15
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_fields(self)
 
 
 class SrsCounter:
@@ -288,33 +288,21 @@ def _prune_children(hyps: list[Hypothesis]) -> None:
                     state.children = None
 
 
-def _break_ties(order: list[int], scores: np.ndarray, beam: int,
-                finished: list[Hypothesis], actives: list[Hypothesis],
-                cols: np.ndarray) -> list[int]:
-    """The best `beam` positions of `order`, which is in (-score, position)
-    order, after each run of exactly equal scores is sorted on its token
-    sequences (a stable sort, so equal keys keep position order). Token
-    tuples are built only for the runs walked."""
-    base = len(finished)
-
-    def tokens_of(pos: int) -> tuple[int, ...]:
-        if pos < base:
-            return finished[pos].tokens
-        a, c = divmod(pos - base, len(cols))
-        return actives[a].tokens + ((int(cols[c]),) if c else ())
-
-    chosen: list[int] = []
-    i = 0
-    while i < len(order) and len(chosen) < beam:
-        j = i + 1
-        while j < len(order) and scores[order[j]] == scores[order[i]]:
-            j += 1
-        run = order[i:j]
-        if len(run) > 1:
-            run.sort(key=tokens_of)
-        chosen += run
-        i = j
-    return chosen[:beam]
+def _ranked(order: np.ndarray, scores: np.ndarray, k: int, tokens_of) -> list[int]:
+    """The first k positions of `order`, which is in (-score, position)
+    order, in (-score, tokens) order: a stable sort, so equal keys keep
+    position order. Token tuples are built only when the first k + 1 scores
+    hold an exact tie, and then only for the candidates scoring at least the
+    k-th."""
+    head = order[:k + 1]
+    top = scores[head].tolist()
+    if len(set(top)) == len(top):
+        return head[:k].tolist()
+    k = min(k, len(order))
+    # at least k: no score is >= a NaN
+    tied = order[:max(k, np.count_nonzero(scores[order] >= top[k - 1]))].tolist()
+    tied.sort(key=lambda pos: (-scores[pos], tokens_of(pos)))
+    return tied[:k]
 
 
 def _expand_round(
@@ -339,10 +327,10 @@ def _expand_round(
     carried finished hypotheses first, then per active its blank child
     followed by its non-blank children in token order. Candidates are
     ranked on the key (-log_prob, tokens), exact ties kept in position
-    order, and only the best `beam` survive; the children among them are
-    stepped through their parents' caches, new ones in one predict_step
-    call (`_step_cached`). Returns the survivors as (finished, actives),
-    each in rank order.
+    order, and only the best `beam` survive (`_ranked`); the children
+    among them are stepped through their parents' caches, new ones in one
+    predict_step call (`_step_cached`). Returns the survivors as
+    (finished, actives), each in rank order.
     """
     base = len(finished)
     cols = _child_tokens(len(model.config.vocab), model.config.vocab.blank_id)
@@ -374,15 +362,16 @@ def _expand_round(
         keep = np.ones(len(scores), dtype=bool)
         keep[dropped] = False
         order = order[keep[order]]
-    head = order[:beam + 1]
-    top = scores[head].tolist()
-    if len(set(top)) == len(top):  # no exact tie decides who survives
-        chosen = head[:beam].tolist()
-    else:
-        chosen = _break_ties(order.tolist(), scores, beam, finished, actives, cols)
+
+    def tokens_of(pos: int) -> tuple[int, ...]:
+        if pos < base:
+            return finished[pos].tokens
+        a, c = divmod(pos - base, C)
+        return actives[a].tokens + ((int(cols[c]),) if c else ())
+
     done: list[Hypothesis] = []
     grown = []  # (parent, token, score) of each surviving child
-    for pos in chosen:
+    for pos in _ranked(order, scores, beam, tokens_of):
         if pos < base:
             h = finished[pos]
             if scores[pos] != h.log_prob:  # the merge changed its score
@@ -535,11 +524,11 @@ def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
 
 
 def _best(hyps: list[Hypothesis]) -> Hypothesis:
-    """The first hypothesis in (-log_prob, tokens) order; token tuples are
-    built only to break an exact tie for the best score."""
-    top = max(h.log_prob for h in hyps)
-    tied = [h for h in hyps if h.log_prob == top]
-    return tied[0] if len(tied) == 1 else min(tied, key=lambda h: h.tokens)
+    """The first hypothesis in (-log_prob, tokens) order."""
+    scores = np.array([h.log_prob for h in hyps])
+    (pos,) = _ranked(np.argsort(-scores, kind="stable"), scores, 1,
+                     lambda pos: hyps[pos].tokens)
+    return hyps[pos]
 
 
 def decode_with_srs(

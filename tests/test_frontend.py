@@ -111,6 +111,22 @@ class TestWavIo:
             read_wav(path)
 
 
+def test_read_wav_peak_is_one_float_copy(tmp_path, rng):
+    # the PCM bytes (2 B per sample) and one float64 copy scaled in place
+    # (8 B); a second, scaled copy would take the peak to 18 B per sample
+    n = 60 * 16000
+    path = tmp_path / "long.wav"
+    write_wav(path, Waveform(rng.uniform(-0.5, 0.5, size=n), 16000))
+    tracemalloc.start()
+    try:
+        w = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.samples) == n
+    assert peak < 12 * n
+
+
 class TestLogMel:
     def test_pure_tone_concentrates_energy(self):
         sr = 16000

@@ -207,6 +207,19 @@ def test_option_types_checked(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: DecodeOptions(policy="dense"), lambda: DecodeOptions(segmentation="none"),
+    lambda: DecodeOptions(srs=15), lambda: DecodeOptions(srs=True),
+    lambda: ModelConfig(encoder={}), lambda: ModelConfig(vocab=["<b>", "a"]),
+], ids=["str-policy", "str-segmentation", "int-srs", "bool-srs", "dict-encoder",
+        "list-vocab"])
+def test_class_fields_checked(make):
+    # a class-typed field takes an instance of its class, and srs takes
+    # None or SrsParams, so a decode never ends in a bare AttributeError
+    with pytest.raises(ParameterError, match="must be"):
+        make()
+
+
 @pytest.mark.parametrize("spec,want", [
     ("dense", MaskPolicy.dense()), (" Dense ", MaskPolicy.dense()),
     ("local", MaskPolicy.local(3)), ("LOCAL", MaskPolicy.local(3)),

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import tiny_config
 from sparse_rnnt import transducer
@@ -1355,3 +1356,26 @@ class TestChildCache:
             live.append(live_children(hyps))
         assert max(live) <= beam * (V - 1)
         assert max(live) > V - 1  # more than one state holds a cache
+
+
+class TestRanked:
+    """`_ranked` against a full sort of every candidate on (-score, tokens):
+    the one rule that picks each round's survivors and the final hypothesis."""
+
+    @given(st.lists(st.tuples(st.integers(-3, 0), st.lists(st.integers(0, 2), max_size=2)),
+                    min_size=1, max_size=10),
+           st.integers(1, 12), st.sets(st.integers(0, 9)))
+    def test_equals_a_full_sort(self, cands, k, dropped):
+        scores = np.array([float(s) for s, _ in cands])
+        tokens = [tuple(t) for _, t in cands]
+        order = np.argsort(-scores, kind="stable")
+        order = order[~np.isin(order, list(dropped))]  # merged candidates
+        want = sorted(order.tolist(), key=lambda p: (-scores[p], tokens[p]))[:k]
+        assert transducer._ranked(order, scores, k, tokens.__getitem__) == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_a_nan_loses_no_candidate(self, k):
+        scores = np.array([-1.0, np.nan, -1.0, np.nan])
+        order = np.argsort(-scores, kind="stable")
+        got = transducer._ranked(order, scores, k, lambda p: ())
+        assert len(got) == min(k, 4) and len(set(got)) == len(got)
