@@ -235,8 +235,8 @@ def cmd_heatmap(args) -> int:
     # each layer's attention input, as attention saw it
     try:
         z = encode(f, model, policy, lambda z, *_: z)[1][args.layer]
-    except DataError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
+    except SparseRnntError as exc:
+        raise type(exc)(_failed_input_message(args.input, exc)) from None
     export_heatmap(z, mh.heads[args.head], args.out)
     print(f"wrote {len(z)}x{len(z)} heatmap to {args.out}")
     return EXIT_OK

@@ -14,13 +14,15 @@ import json
 import math
 import os
 import zlib
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Iterator, get_args, get_origin, get_type_hints
+from typing import Any
 
 import numpy as np
 
-from .encoder import (ConformerBlockWeights, EncoderConfig, SubsampleWeights,
-                      check_fields)
+from .attention import AttentionHeadWeights, MultiHeadWeights
+from .encoder import (ConformerBlockWeights, ConvModuleWeights, EncoderConfig,
+                      FeedForwardWeights, SubsampleWeights, check_fields)
 from .errors import DataError, ModelFormatError, ParameterError
 from .frontend import atomic_output
 from .numerics import LstmWeights
@@ -135,116 +137,71 @@ class Model:
     joint: JointWeights
 
 
-def _tensor_specs(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Flat, ordered (name, shape) pairs; the single source of model layout.
+def _layout(cfg: ModelConfig, take: Callable[[str, tuple[int, ...]], Any]) -> Model:
+    """The model whose every tensor is take(name, shape), called once per
+    tensor in the one model layout: the order of the tensors in a file and
+    of a seed's draws in random_model.
 
-    Names are dotted weight-field paths (see _build). The order is both the
-    file order and the seeded draw order of random_model.
+    Names are the dotted paths of the weight fields; a block's attention
+    weights are named at the block level (blocks.3.heads.1.w_k, blocks.3.w_p).
     """
     enc = cfg.encoder
-    D, H, d = enc.model_dim, enc.num_heads, enc.head_dim
+    D, H, d, F = enc.model_dim, enc.num_heads, enc.head_dim, enc.ff_dim
     C, k = enc.subsample_channels, enc.subsample_kernel
-    V = len(cfg.vocab)
-    yield from [
-        ("subsample.w1", (k, cfg.feat_dim, C)),
-        ("subsample.b1", (C,)),
-        ("subsample.w2", (k, C, C)),
-        ("subsample.b2", (C,)),
-        ("subsample.proj", (C, D)),
-        ("subsample.proj_b", (D,)),
-    ]
-    for li in range(enc.num_layers):
-        p = f"blocks.{li}"
-        for ff in ("ffn1", "ffn2"):
-            yield from [
-                (f"{p}.{ff}.norm_gain", (D,)),
-                (f"{p}.{ff}.norm_bias", (D,)),
-                (f"{p}.{ff}.w1", (D, enc.ff_dim)),
-                (f"{p}.{ff}.b1", (enc.ff_dim,)),
-                (f"{p}.{ff}.w2", (enc.ff_dim, D)),
-                (f"{p}.{ff}.b2", (D,)),
-            ]
-        yield from [(f"{p}.attn_norm_gain", (D,)), (f"{p}.attn_norm_bias", (D,))]
-        for hi in range(H):
-            for proj in ("w_q", "w_k", "w_v"):
-                yield f"{p}.heads.{hi}.{proj}", (D, d)
-        yield f"{p}.w_p", (H * d, D)
-        yield from [
-            (f"{p}.conv.norm_gain", (D,)),
-            (f"{p}.conv.norm_bias", (D,)),
-            (f"{p}.conv.pw1", (D, D)),
-            (f"{p}.conv.pb1", (D,)),
-            (f"{p}.conv.dw", (enc.conv_kernel, D)),
-            (f"{p}.conv.db", (D,)),
-            (f"{p}.conv.pw2", (D, D)),
-            (f"{p}.conv.pb2", (D,)),
-        ]
-        yield from [(f"{p}.final_norm_gain", (D,)), (f"{p}.final_norm_bias", (D,))]
-    yield from [
-        ("prediction.embedding", (V, cfg.embed_dim)),
-        ("prediction.lstm.w_x", (cfg.embed_dim, 4 * cfg.pred_dim)),
-        ("prediction.lstm.w_h", (cfg.pred_dim, 4 * cfg.pred_dim)),
-        ("prediction.lstm.bias", (4 * cfg.pred_dim,)),
-        ("joint.enc_proj", (D, cfg.joint_dim)),
-        ("joint.pred_proj", (cfg.pred_dim, cfg.joint_dim)),
-        ("joint.bias", (cfg.joint_dim,)),
-        ("joint.out", (cfg.joint_dim, V)),
-        ("joint.out_bias", (V,)),
-    ]
+    V, E, P, J = len(cfg.vocab), cfg.embed_dim, cfg.pred_dim, cfg.joint_dim
+
+    def group(cls, prefix: str, **shapes):
+        return cls(**{key: take(prefix + key, shape) for key, shape in shapes.items()})
+
+    def block(p: str) -> ConformerBlockWeights:
+        ffn1, ffn2 = (group(FeedForwardWeights, f"{p}{ff}.", norm_gain=(D,),
+                            norm_bias=(D,), w1=(D, F), b1=(F,), w2=(F, D), b2=(D,))
+                      for ff in ("ffn1", "ffn2"))
+        attn_norm = group(dict, p, attn_norm_gain=(D,), attn_norm_bias=(D,))
+        heads = [group(AttentionHeadWeights, f"{p}heads.{h}.",
+                       w_q=(D, d), w_k=(D, d), w_v=(D, d)) for h in range(H)]
+        mh = MultiHeadWeights(heads=heads, w_p=take(f"{p}w_p", (H * d, D)))
+        conv = group(ConvModuleWeights, f"{p}conv.", norm_gain=(D,), norm_bias=(D,),
+                     pw1=(D, D), pb1=(D,), dw=(enc.conv_kernel, D), db=(D,),
+                     pw2=(D, D), pb2=(D,))
+        final_norm = group(dict, p, final_norm_gain=(D,), final_norm_bias=(D,))
+        return ConformerBlockWeights(ffn1=ffn1, **attn_norm, mh=mh, conv=conv,
+                                     ffn2=ffn2, **final_norm)
+
+    # keyword arguments are evaluated in the order written, which is the layout
+    return Model(
+        config=cfg,
+        subsample=group(SubsampleWeights, "subsample.", w1=(k, cfg.feat_dim, C),
+                        b1=(C,), w2=(k, C, C), b2=(C,), proj=(C, D), proj_b=(D,)),
+        blocks=[block(f"blocks.{li}.") for li in range(enc.num_layers)],
+        prediction=PredictionWeights(
+            embedding=take("prediction.embedding", (V, E)),
+            lstm=group(LstmWeights, "prediction.lstm.", w_x=(E, 4 * P),
+                       w_h=(P, 4 * P), bias=(4 * P,))),
+        joint=group(JointWeights, "joint.", enc_proj=(D, J), pred_proj=(P, J),
+                    bias=(J,), out=(J, V), out_bias=(V,)),
+    )
 
 
-def _assemble(cfg: ModelConfig, tensors: dict[str, np.ndarray]) -> Model:
-    """Build the weight tree from the flat spec names (see _build)."""
-    tree: dict = {"config": cfg}
-    for name, _ in _tensor_specs(cfg):
-        *path, leaf = name.split(".")
-        node = tree
-        for key in path:
-            node = node.setdefault(key, {})
-        node[leaf] = tensors[name]
-    return _build(Model, tree)
-
-
-_field_types = functools.cache(get_type_hints)
-
-
-def _build(hint, node):
-    """Instantiate type `hint` from a nested dict of spec-name parts.
-
-    List items are read by integer key. A nested weight group with no key
-    of its own (a block's `mh`) is read from the enclosing level.
-    """
-    if not isinstance(node, dict):
-        return node
-    if get_origin(hint) is list:
-        (item,) = get_args(hint)
-        return [_build(item, node[str(i)]) for i in range(len(node))]
-    hints = _field_types(hint)
-    return hint(**{f.name: _build(hints[f.name], node.get(f.name, node))
-                   for f in fields(hint)})
-
-
-def _flatten(obj, prefix: str, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Every array under obj by dotted path, the inverse of _build: a nested
-    group is listed under its own key and again at the enclosing level."""
-    if isinstance(obj, np.ndarray):
-        out[prefix[:-1]] = obj
-    elif isinstance(obj, list):
-        for i, item in enumerate(obj):
-            _flatten(item, f"{prefix}{i}.", out)
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            child = getattr(obj, f.name)
-            _flatten(child, f"{prefix}{f.name}.", out)
-            if is_dataclass(child):
-                _flatten(child, prefix, out)
+def _pair(names, node, out: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Every array under node, keyed by the leaf at its place in names, a
+    tree that _layout built with names for tensors."""
+    if isinstance(node, np.ndarray):
+        out[names] = node
+    elif isinstance(node, list):
+        for item_names, item in zip(names, node, strict=True):
+            _pair(item_names, item, out)
+    elif is_dataclass(node):
+        for f in fields(node):
+            _pair(getattr(names, f.name), getattr(node, f.name), out)
     return out
 
 
 def model_tensors(m: Model) -> dict[str, np.ndarray]:
-    """Flat name -> array view of every tensor, in canonical layout order."""
-    flat = _flatten(m, "", {})
-    return {name: flat[name] for name, _ in _tensor_specs(m.config)}
+    """Flat name -> array view of every tensor, in layout order."""
+    order = []
+    names = _layout(m.config, lambda name, shape: order.append(name) or name)
+    return _pair(names, m, dict.fromkeys(order))
 
 
 class SplitMix64:
@@ -295,32 +252,34 @@ def _fan_in(shape: tuple[int, ...]) -> int:
 def random_model(cfg: ModelConfig, seed: int) -> Model:
     """Seeded model: every tensor uniform(-s, s) with s = 1/sqrt(fan_in)."""
     rng = SplitMix64(seed)
-    tensors = {}
-    for name, shape in _tensor_specs(cfg):
-        tensors[name] = rng.uniform_array(shape, 1.0 / np.sqrt(_fan_in(shape)))
+
+    def draw(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        arr = rng.uniform_array(shape, 1.0 / np.sqrt(_fan_in(shape)))
         # norms start neutral so an untrained model is well-scaled
         if name.endswith("norm_gain"):
-            tensors[name] = np.ones(shape)
-        elif name.endswith("norm_bias"):
-            tensors[name] = np.zeros(shape)
-    return _assemble(cfg, tensors)
+            return np.ones(shape)
+        if name.endswith("norm_bias"):
+            return np.zeros(shape)
+        return arr
+
+    return _layout(cfg, draw)
 
 
 def save_model(m: Model, path) -> None:
     tensors = model_tensors(m)
-    blob_parts = []
     index = []
-    offset = 0
-    for name, shape in _tensor_specs(m.config):
+    blob = bytearray()
+
+    def write(name: str, shape: tuple[int, ...]) -> None:
         arr = np.ascontiguousarray(tensors[name], dtype="<f8")
         if arr.shape != shape:
             raise ModelFormatError(
                 f"tensor {name} has shape {arr.shape}, config implies {shape}"
             )
-        index.append({"name": name, "shape": list(shape), "offset": offset})
-        blob_parts.append(arr.tobytes())
-        offset += arr.nbytes
-    blob = b"".join(blob_parts)
+        index.append({"name": name, "shape": list(shape), "offset": len(blob)})
+        blob.extend(arr.tobytes())
+
+    _layout(m.config, write)
     manifest = {
         "magic": _MAGIC,
         "config": m.config.to_dict(),
@@ -363,19 +322,19 @@ def load_model(path) -> Model:
     """The model in a file, its tensors views of one buffer read once."""
     head, blob = _read_file(path)
     try:
-        cfg, tensors = _read_tensors(path, head, blob)
+        model, tensors = _read_tensors(path, head, blob)
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         # a config the classes reject (ParameterError) is a fault of the file
         raise ModelFormatError(f"{path}: malformed manifest ({exc!r})") from exc
     for name, arr in tensors.items():
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: tensor {name} holds non-finite values")
-    return _assemble(cfg, tensors)
+    return model
 
 
 def _read_tensors(path, head: bytes, blob: np.ndarray):
-    """The config and every tensor, a view of the uint8 blob, with the
-    manifest checked against the blob."""
+    """The model and every tensor by name, a view of the uint8 blob, with
+    the manifest checked against the blob."""
     manifest = json.loads(head.decode("utf-8"))
     if manifest.get("magic") != _MAGIC:
         raise ModelFormatError(f"{path}: not a {_MAGIC} file")
@@ -386,12 +345,16 @@ def _read_tensors(path, head: bytes, blob: np.ndarray):
     if zlib.crc32(blob) != manifest["blob_crc32"]:
         raise ModelFormatError(f"{path}: blob checksum mismatch")
     cfg = ModelConfig.from_dict(manifest["config"])
-    entries = {entry["name"]: entry for entry in manifest["tensors"]}
+    entries = {}
+    for entry in manifest["tensors"]:
+        if entry["name"] in entries:
+            raise ModelFormatError(f"{path}: tensor {entry['name']!r} listed twice")
+        entries[entry["name"]] = entry
     tensors = {}
-    # the spec is lazy: a config naming more tensors than the file holds
-    # stops at the first missing one
     start = 0
-    for name, shape in _tensor_specs(cfg):
+
+    def read(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        nonlocal start
         if name not in entries:
             raise ModelFormatError(f"{path}: missing tensor {name}")
         found, offset = tuple(entries[name]["shape"]), entries[name]["offset"]
@@ -400,7 +363,7 @@ def _read_tensors(path, head: bytes, blob: np.ndarray):
             raise ModelFormatError(
                 f"{path}: tensor {name} has shape {found}, config implies {shape}"
             )
-        # the layout save_model writes: back to back, in spec order, so no
+        # the layout save_model writes: back to back, in layout order, so no
         # two tensors can share bytes
         if type(offset) is not int or offset != start or end > len(blob):
             raise ModelFormatError(
@@ -409,6 +372,11 @@ def _read_tensors(path, head: bytes, blob: np.ndarray):
             )
         tensors[name] = blob[start:end].view("<f8").reshape(shape)
         start = end
+        return tensors[name]
+
+    # a config naming more tensors than the file holds stops at the first
+    # missing one
+    model = _layout(cfg, read)
     extra = set(entries).difference(tensors)
     if extra:
         raise ModelFormatError(f"{path}: unexpected tensor {sorted(map(str, extra))[0]!r}")
@@ -416,4 +384,4 @@ def _read_tensors(path, head: bytes, blob: np.ndarray):
         raise ModelFormatError(
             f"{path}: tensors end at byte {start}, the blob at {len(blob)}"
         )
-    return cfg, tensors
+    return model, tensors

@@ -526,6 +526,17 @@ class TestHeatmap:
         assert len(err) == 1 and err[0].startswith(f"data error: {path}: ")
         assert not out.exists()
 
+    def test_wrong_feature_dim_names_the_file(self, model_path, tmp_path, capsys):
+        # the desk model reads 16 features; the encoder's ShapeError names
+        # the input, as decode's and sweep's do
+        path, out = tmp_path / "bad.feats", tmp_path / "h.csv"
+        path.write_text("60 20 0.01 0.025\n" + ("0.1 " * 20 + "\n") * 60)
+        assert main(["heatmap", "--model", str(model_path), str(path), "--layer", "0",
+                     "--head", "0", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"data error: {path}: feature dim 20 != model feat_dim 16"]
+        assert not out.exists()
+
 
 class TestEval:
     def test_summary_and_jsonl(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,13 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
+from sparse_rnnt.encoder import ConformerBlockWeights
 from sparse_rnnt.errors import ModelFormatError, ParameterError
 from sparse_rnnt.model_io import (
     ModelConfig,
     SplitMix64,
     Vocabulary,
     _fan_in,
-    _tensor_specs,
+    _layout,
     load_model,
     model_tensors,
     random_model,
@@ -168,6 +170,26 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="tensors end at byte"):
             load_model(path)
 
+    @pytest.mark.parametrize("place", ["appended", "first-and-bogus"])
+    def test_tensor_listed_twice_rejected(self, tmp_path, place):
+        # save_model lists each tensor once; a repeat, even one identical to
+        # the real entry, is not a file it writes
+        m = random_model(tiny_config(), 5)
+        path = tmp_path / "m.model"
+        save_model(m, path)
+        raw = path.read_bytes()
+        sep = raw.index(b"\x00")
+        manifest = json.loads(raw[:sep])
+        first = manifest["tensors"][0]
+        assert first["name"] == "subsample.w1"
+        if place == "appended":
+            manifest["tensors"].append(dict(first))
+        else:
+            manifest["tensors"].insert(0, {**first, "shape": [1], "offset": 999999})
+        path.write_bytes(json.dumps(manifest).encode() + raw[sep:])
+        with pytest.raises(ModelFormatError, match=r"subsample\.w1.*listed twice"):
+            load_model(path)
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"hello\x00world")
@@ -212,8 +234,8 @@ class TestLoadAtFileSize:
         raw = self.padded(tmp_path / "m.model", desk_model, pad)
         blob_start = raw.index(b"\x00") + 1
         loaded = model_tensors(load_model(tmp_path / "m.model"))
-        assert list(loaded) == [name for name, _ in _tensor_specs(desk_model.config)]
         entries = json.loads(raw[: blob_start - 1])["tensors"]
+        assert list(loaded) == [entry["name"] for entry in entries]
         for entry, (name, arr) in zip(entries, loaded.items(), strict=True):
             shape = tuple(entry["shape"])
             stored = np.frombuffer(raw, "<f8", math.prod(shape),
@@ -241,9 +263,55 @@ class TestLoadAtFileSize:
         assert peak <= 1.2 * path.stat().st_size
 
 
-def test_tensor_specs_cover_model():
-    cfg = tiny_config()
-    m = random_model(cfg, 0)
-    spec_names = [name for name, _ in _tensor_specs(cfg)]
-    assert sorted(spec_names) == sorted(model_tensors(m).keys())
-    assert len(spec_names) == len(set(spec_names))
+def _resolve(model, name: str):
+    """The array a tensor name points at, read as a dotted path; a block's
+    attention weights are named at the block level but sit under its mh."""
+    node = model
+    for key in name.split("."):
+        if isinstance(node, list):
+            node = node[int(key)]
+        elif isinstance(node, ConformerBlockWeights) and key in ("heads", "w_p"):
+            node = getattr(node.mh, key)
+        else:
+            node = getattr(node, key)
+    return node
+
+
+def _arrays(node):
+    """Every array field under node, lists and nested weight groups included."""
+    if isinstance(node, np.ndarray):
+        yield node
+    elif isinstance(node, list):
+        for item in node:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _arrays(getattr(node, f.name))
+
+
+@pytest.mark.parametrize("config", [tiny_config, ModelConfig.desk_scale],
+                         ids=["tiny", "desk"])
+def test_layout_names_each_tensor_where_it_sits(config):
+    # a layout that put one group's tensors under another's names would
+    # still save byte-identical files; here each name must point at its array
+    m = random_model(config(), 0)
+    names = []
+    _layout(m.config, lambda name, shape: names.append(name))
+    assert len(names) == len(set(names))
+    tensors = model_tensors(m)
+    assert list(tensors) == names
+    for name, arr in tensors.items():
+        assert _resolve(m, name) is arr, name
+    named = {id(arr) for arr in tensors.values()}
+    assert all(id(arr) in named for arr in _arrays(m))
+
+
+def test_full_scale_layout_pinned():
+    # the 21.6 M-parameter, 12-layer layout, pinned by name and shape
+    # without drawing a weight
+    specs = []
+    _layout(ModelConfig(), lambda name, shape: specs.append([name, list(shape)]))
+    assert len(specs) == 459
+    assert sum(math.prod(shape) for _, shape in specs) == 21_633_181
+    assert (hashlib.sha256(json.dumps(specs).encode()).hexdigest()
+            == "c592556926d8c2c5c4714731126377db1c2fa4b56ac30aa138e2ab5971038e2b")
