@@ -232,21 +232,6 @@ def _child_tokens(V: int, blank: int) -> np.ndarray:
     return tokens
 
 
-def _joint_rows(frame_proj: np.ndarray, actives: list[Hypothesis], rows: dict,
-                model) -> np.ndarray:
-    """Joint rows of `actives` on one frame, in at most one joint call.
-
-    `rows` is the frame's table of each scored state's row: an active whose
-    state has a row takes it, and the other states are scored in one call
-    and join the table. A row has the bits of its lone call either way.
-    """
-    states = [h.state for h in actives]
-    new = list(dict.fromkeys(s for s in states if s not in rows))
-    if new:
-        rows.update(zip(new, joint(frame_proj, np.array([s.proj for s in new]), model)))
-    return np.array([rows[s] for s in states])
-
-
 def _step_cached(grown, model) -> list[PredictionState]:
     """The state of each (parent, token, score) child, through the parents'
     caches.
@@ -313,14 +298,12 @@ def _expand_round(
     model,
     frame_idx: int,
     grow: bool,
-    rows: dict,
 ) -> tuple[list[Hypothesis], list[Hypothesis]]:
     """One expansion round: score from the joint, merge, prune, then step.
 
     `finished` have taken blank in this frame and `actives` may still emit
-    in it; each list holds distinct prefixes. An active takes its row from
-    `rows`, the frame's table, and one joint call at most scores the states
-    it lacks (`_joint_rows`). An active's blank child is finished; with
+    in it; each list holds distinct prefixes. One joint call scores the
+    actives, each on its own row. An active's blank child is finished; with
     `grow`, its non-blank children are candidates too, and without it (the
     round past the cap) it has only the blank child. Candidates are known
     by their position and a score until they survive: positions number the
@@ -337,7 +320,7 @@ def _expand_round(
     if not grow:
         cols = cols[:1]
     C = len(cols)
-    log_probs = _joint_rows(frame_proj, actives, rows, model)
+    log_probs = joint(frame_proj, np.array([h.state.proj for h in actives]), model)
     kid = (np.array([h.log_prob for h in actives])[:, None]
            + log_probs.take(cols, axis=1))
     scores = np.concatenate([[h.log_prob for h in finished], kid.ravel()])
@@ -404,10 +387,10 @@ def beam_search_step(
     break on the lexicographic token sequence. The prediction network is
     stepped only for the at most `beam` expansions that survive each
     round's prune, and once per parent state and token: in every round, a
-    child stepped before, on this frame or an earlier one, is reused, and
-    so is the joint row of a state already scored on this frame.
-    `hyps_prev` must hold distinct prefixes, as every step returns; a
-    repeat is a ParameterError.
+    child stepped before, on this frame or an earlier one, is reused. Each
+    round scores every active hypothesis on its own joint row. `hyps_prev`
+    must hold distinct prefixes, as every step returns; a repeat is a
+    ParameterError.
     """
     check_positive_int("beam", beam)
     if not hyps_prev:
@@ -416,14 +399,13 @@ def beam_search_step(
         raise ParameterError("beam_search_step requires distinct prefixes")
     frame_proj = frame_projection(h_i, model)
     finished, actives = [], list(hyps_prev)
-    rows: dict = {}  # joint row of each state scored on this frame
     for r in range(max_expansions + 1):
         if not actives:
             break
         # the round past the cap force-terminates hypotheses still mid-frame
         finished, actives = _expand_round(
             frame_proj, finished, actives, beam, model, frame_idx,
-            grow=r < max_expansions, rows=rows)
+            grow=r < max_expansions)
     _prune_children(finished)
     return finished
 
@@ -486,20 +468,18 @@ def _kept_best(kept: np.ndarray, rest: np.ndarray, beam: int) -> np.ndarray:
 
 def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
     """Frames i, i + 1, ... of `frame_projs` by the template's decisions, in
-    one joint call on the states `hyps` hold, each candidate's score formed
-    as in _expand_round. Round 1 keeps each closer's blank child and each
-    emitter's token child; round 2 keeps the closers and each emitter's
-    blank child. An emitter's token child is the state the emitter holds
-    (_template checked it), so its rows are the emitter's. Frames are taken
-    while both rounds keep these (_kept_best). Returns the frames taken and
-    the hypotheses after the last, in the template's order."""
+    one joint call on the hypotheses held, one row each, each candidate's
+    score formed as in _expand_round. Round 1 keeps each closer's blank
+    child and each emitter's token child; round 2 keeps the closers and
+    each emitter's blank child. An emitter's token child is the state the
+    emitter holds (_template checked it), so its rows are the emitter's.
+    Frames are taken while both rounds keep these (_kept_best). Returns the
+    frames taken and the hypotheses after the last, in the template's
+    order."""
     src, toks = template
     n, m = len(frame_projs), len(hyps)
     V, blank = len(model.config.vocab), model.config.vocab.blank_id
-    states = list(dict.fromkeys(h.state for h in hyps))
-    log_probs = joint(frame_projs[:, None], np.array([s.proj for s in states]), model)
-    if len(states) < m:  # to one row per hypothesis
-        log_probs = log_probs.take([states.index(h.state) for h in hyps], axis=1)
+    log_probs = joint(frame_projs[:, None], np.array([h.state.proj for h in hyps]), model)
     # row 0: the scores handed in; row j + 1: after frame i + j. A closer's
     # is a sequential sum of its blank rows; an emitter's adds its parent's
     # score, the token's row and its own blank row, in that order.
@@ -542,14 +522,15 @@ def decode_with_srs(
 
     After a prune-only frame, whose survivors hold the states it was handed,
     the next frames go in runs (label looping) when its decisions have the
-    one shape `_template` takes: _replay takes a run in one joint call by
-    them while the scores keep them. A run that stops short of its frames
-    (a changed survivor set, a tie at the beam boundary) drops its template,
-    so the next frame goes through beam_search_step. A run is one frame,
-    then doubles, and an all-blank run ends where SRS would fire; a run that
-    stops short ends with its hypotheses ranked, as beam_search_step breaks
-    ties on position. With SRS off the counter's threshold is the length,
-    which no stretch of blank frames exceeds.
+    one shape `_template` takes: _replay scores a run for the hypotheses
+    held in one joint call and takes its frames while the scores keep those
+    decisions. A run that stops short of its frames (a changed survivor
+    set, a tie at the beam boundary) drops its template, so the next frame
+    goes through beam_search_step. A run is one frame, then doubles, and an
+    all-blank run ends where SRS would fire; a run that stops short ends
+    with its hypotheses ranked, as beam_search_step breaks ties on
+    position. With SRS off the counter's threshold is the length, which no
+    stretch of blank frames exceeds.
     """
     check_positive_int("beam", beam)
     hyps = [start_hypothesis(model)]

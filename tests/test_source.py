@@ -1,22 +1,27 @@
 """Source hygiene of the package: no unused imports, no stale __all__
-entries, no dead private names.
+entries, no dead private names, no README citation of a missing name.
 
 Each module of src/sparse_rnnt is parsed with ast. An imported name must be
 read somewhere in its module (a name listed in __all__ counts as read),
 every __all__ entry must be defined there, and every private name (`_x`)
 the module binds at top level must be read there as a name. __init__.py
-and `from __future__` imports are exempt.
+and `from __future__` imports are exempt. Every backticked `module.attr`
+in README.md whose module is a package module must resolve.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sparse_rnnt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+README = SRC.parent.parent / "README.md"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -100,3 +105,36 @@ def test_the_check_sees_an_unread_private_name():
                      "def _gone():\n    return _used()\n")
     assert sorted(_private(tree)) == ["_K", "_gone", "_used"]
     assert sorted(_private(tree) - _read(tree)) == ["_gone"]
+
+
+def _cited(text: str) -> list[str]:
+    """The backticked `module.attr` names in `text` whose module is a
+    package module, in order."""
+    modules = {p.stem for p in MODULES}
+    return [m.group(1) for m in re.finditer(r"`((\w+)\.[\w.]+)`", text)
+            if m.group(2) in modules]
+
+
+def _unresolved(names: list[str]) -> list[str]:
+    missing = []
+    for name in names:
+        module, *attrs = name.split(".")
+        try:
+            functools.reduce(getattr, attrs, importlib.import_module(f"sparse_rnnt.{module}"))
+        except AttributeError:
+            missing.append(name)
+    return missing
+
+
+def test_every_readme_citation_resolves():
+    cited = _cited(README.read_text())
+    assert cited, "README.md cites no module.attr name"
+    missing = _unresolved(cited)
+    assert not missing, f"README.md cites missing names {missing}"
+
+
+def test_the_check_sees_a_missing_citation():
+    text = ("`transducer.MAX_SYMBOLS`, `transducer._no_such_helper`, "
+            "`DecodeOptions.policy`, `pyproject.toml`")
+    assert _cited(text) == ["transducer.MAX_SYMBOLS", "transducer._no_such_helper"]
+    assert _unresolved(_cited(text)) == ["transducer._no_such_helper"]

@@ -601,23 +601,38 @@ class TestDeferredExpansion:
         assert calls == [None]
 
     def test_one_kernel_call_per_round(self, rng, monkeypatch):
-        # a saturated beam-4 decode: every expansion round scores all its
-        # active entries in one joint call and steps all its surviving
-        # children in at most one predict_step call
+        # every expansion round scores its actives in one joint call, one
+        # row per active in order, and steps all its surviving children in
+        # at most one predict_step call: on a saturated beam-4 decode, on
+        # the prune-only fixture, whose closing rounds score states scored
+        # earlier in the frame, and on a decode with many resets, whose
+        # actives share one zero state
         calls = {"joint": [], "predict_step": []}
-        for name, rows in (("joint", lambda args: len(args[1])),
+        for name, rows in (("joint", lambda args: args[1]),
                            ("predict_step", lambda args: len(args[0]))):
             def spy(*args, real=getattr(transducer, name), name=name, rows=rows):
                 calls[name].append(rows(args))
                 return real(*args)
             monkeypatch.setattr(transducer, name, spy)
         rounds = []
+        seen = {"frame": None, "states": set(), "rescored": 0, "shared": 0}
         real_round = transducer._expand_round
 
         def round_spy(*args, **kwargs):
+            actives, frame = args[2], args[5]
+            states = {h.state for h in actives}
+            if frame != seen["frame"]:
+                seen["frame"], seen["states"] = frame, set()
+            seen["rescored"] += states <= seen["states"]
+            seen["shared"] += len(states) < len(actives)
+            seen["states"] |= states
             before = {name: len(c) for name, c in calls.items()}
             out = real_round(*args, **kwargs)
-            rounds.append({name: len(c) - before[name] for name, c in calls.items()})
+            made = {name: c[before[name]:] for name, c in calls.items()}
+            rows = np.array([h.state.proj for h in actives])
+            # per joint call, whether its rows are the actives', in order
+            rounds.append({"joint": [np.array_equal(pred, rows) for pred in made["joint"]],
+                           "predict_step": len(made["predict_step"])})
             return out
 
         monkeypatch.setattr(transducer, "_expand_round", round_spy)
@@ -628,9 +643,22 @@ class TestDeferredExpansion:
         assert len(t.token_ids) == 5 * out.length  # saturated
         assert calls["predict_step"][0] == 1  # the start symbol
         assert len(rounds) == 6 * out.length  # 5 growing rounds and the cap
-        assert all(r["joint"] == 1 and r["predict_step"] <= 1 for r in rounds)
+        assert all(r["joint"] == [True] and r["predict_step"] <= 1 for r in rounds)
         assert sum(r["predict_step"] for r in rounds) == 5 * out.length
-        assert max(calls["joint"]) == 4 and max(calls["predict_step"]) == 4
+        assert max(len(p) for p in calls["joint"]) == 4
+        assert max(calls["predict_step"]) == 4
+
+        prune_model, prune_out = prune_only_outputs()
+        reset_model = random_model(tiny_config(), 3)
+        reset_model.joint.out_bias[reset_model.config.vocab.blank_id] += 4.0
+        reset_out = enc_outputs(np.random.default_rng(0), reset_model, 200)
+        for model, out, srs, key in ((prune_model, prune_out, SrsParams(t_sil=15), "rescored"),
+                                     (reset_model, reset_out, SrsParams(t_sil=1), "shared")):
+            del rounds[:]
+            seen.update(frame=None, rescored=0, shared=0)
+            decode_with_srs(out, model, beam=4, srs=srs)
+            assert seen[key] > 0  # the input has the rounds the rule is about
+            assert all(r["joint"] == [True] and r["predict_step"] <= 1 for r in rounds)
 
 
 class TestPrefixIdentity:
@@ -1119,9 +1147,8 @@ def tie_outputs():
 
 
 class TestChildCache:
-    """beam_search_step steps each (parent state, token) once and scores
-    each prediction state once per frame, with the bits of the uncached
-    search."""
+    """beam_search_step steps each (parent state, token) once, with the
+    bits of the uncached search."""
 
     @pytest.mark.parametrize("t_sil", [None, 1, 2])
     def test_identical_to_uncached_search(self, t_sil, monkeypatch):
@@ -1252,8 +1279,9 @@ class TestChildCache:
     def test_prune_only_rows(self, monkeypatch):
         # Each frame re-expands the same carried states with the same
         # tokens: the LSTM steps each (state, token) pair once, counted by
-        # value within a reset period. Frames 0 and 1 go alone (three joint
-        # calls); every later frame is prune-only, so they go in runs of
+        # value within a reset period. Frames 0 and 1 go alone (four joint
+        # calls: frame 1's closing round scores its three carried states
+        # again); every later frame is prune-only, so they go in runs of
         # 1, 2, 4, ... frames, one joint call each, scoring the 4 carried
         # states on each frame. Only a run cut short scores frames twice.
         model, out = prune_only_outputs()
@@ -1280,7 +1308,7 @@ class TestChildCache:
             got = decode_with_srs(out, model, beam=4, srs=srs)
             assert got.token_ids == ()
             assert len(pairs) == len(set(pairs)) == 4  # start symbol + 3 children
-            assert len(joint_rows) <= 3 + math.ceil(math.log2(out.length))
+            assert len(joint_rows) <= 4 + math.ceil(math.log2(out.length))
             assert 4 * out.length <= sum(joint_rows) <= 4 * out.length + max(joint_rows)
             assert len(steps) < out.length / 20  # the runs took the rest
             got_beam = beams[-1]
@@ -1312,10 +1340,9 @@ class TestChildCache:
                         assert np.array_equal(h.state.proj, h.state.hidden @ W)
         assert resets >= 10 or t_sil is None
 
-    def test_reset_state_scored_once(self, monkeypatch):
-        # after a reset every hypothesis holds one zero state; the first
-        # round scores its joint row once, not once per hypothesis, and the
-        # decode keeps the uncached search's bits
+    def test_many_resets_keep_the_uncached_bits(self):
+        # after a reset every hypothesis holds one zero state; a decode with
+        # a reset every few frames keeps the uncached search's bits
         model = random_model(tiny_config(), 3)
         model.joint.out_bias[model.config.vocab.blank_id] += 4.0
         out = enc_outputs(np.random.default_rng(0), model, 200)
@@ -1328,18 +1355,9 @@ class TestChildCache:
                 resets += 1
         best = transducer._best(hyps)
         want = transducer.Transcript(best.tokens, best.frames, best.log_prob)
-        repeated = []
-        real = transducer.joint
-
-        def spy(frame_proj, pred_projs, model):
-            repeated.append(len(pred_projs) - len(np.unique(pred_projs, axis=0)))
-            return real(frame_proj, pred_projs, model)
-
-        monkeypatch.setattr(transducer, "joint", spy)
         got = decode_with_srs(out, model, beam=beam, srs=srs)
         assert resets > 40 and len(got.token_ids) > 0
         assert same_transcript(got, want)
-        assert sum(repeated) == 0
 
     def test_cache_bounded(self):
         # a mixed regime with SRS off, so states live long and carried
