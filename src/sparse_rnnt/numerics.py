@@ -74,8 +74,13 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-safe for large |x|
+    # tanh form is overflow-safe for large |x|; lstm_cell_step writes it out
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+
+
+# 0.5 and 1.0 as 0-d arrays: an in-place ufunc takes them on its fast path,
+# where a Python float goes through a scalar conversion first
+_HALF, _ONE = np.array(0.5), np.array(1.0)
 
 
 def lstm_cell_step(
@@ -87,7 +92,10 @@ def lstm_cell_step(
     cell); the output is the new hidden.
 
     Each row's recurrent product is its own gemv, (B, 1, n) @ (n, 4n), so
-    a row has the bits of a step taken alone; a (B, n) gemm would not.
+    a row has the bits of a step taken alone; a (B, n) gemm would not. The
+    arithmetic is that of x_gates + h @ w_h + bias, sigmoid and the cell
+    update written out, done in place on the step's own temporaries (IEEE
+    addition and multiplication commute), so no input is written.
     """
     n = weights.cell_size
     B = x_gates.shape[0]
@@ -95,11 +103,19 @@ def lstm_cell_step(
         raise ShapeError(f"input gates {x_gates.shape} != (rows, 4 x cell size {n})")
     if hidden.shape != (B, n) or cell.shape != (B, n):
         raise ShapeError(f"states {hidden.shape}/{cell.shape} != ({B}, cell size {n})")
-    gates = x_gates + (hidden[:, None, :] @ weights.w_h)[:, 0] + weights.bias
-    # one elementwise sigmoid over all four blocks (g's goes unused) has the
-    # bits of one call per block, in a quarter of the calls
-    s = sigmoid(gates)
+    gates = (hidden[:, None, :] @ weights.w_h)[:, 0]
+    gates += x_gates
+    gates += weights.bias
     g = np.tanh(gates[:, 2 * n : 3 * n])
-    c = s[:, n : 2 * n] * cell + s[:, :n] * g
-    h = s[:, 3 * n :] * np.tanh(c)
+    # sigmoid(x) = 0.5 * (1 + tanh(0.5 * x)), once over all four blocks (g's
+    # goes unused): the bits of one call per block, in a quarter of the calls
+    gates *= _HALF
+    np.tanh(gates, out=gates)
+    gates += _ONE
+    gates *= _HALF
+    c = gates[:, n : 2 * n] * cell
+    g *= gates[:, :n]
+    c += g
+    h = np.tanh(c)
+    h *= gates[:, 3 * n :]
     return h, c

@@ -8,7 +8,6 @@ no hypothesis produced a non-blank token.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,24 +165,35 @@ class SrsCounter:
         return False
 
 
+class _StateStack(list):
+    """predict_step's new states, in row order, keeping the (B, ·) stacks
+    whose rows their vectors are: `hidden`, `cell` and `proj`."""
+
+    __slots__ = ("hidden", "cell", "proj")
+
+
 def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
     """Advance the prediction network by one token on each of B rows.
 
     `tokens` holds B token ids (None = start symbol) and hidden/cell are
     the rows' (B, pred_dim) states. Returns the B new states, whose
     vectors are rows (views) of the stacked output: hidden, cell and their
-    projection hidden @ joint.pred_proj, each row its own gemv.
+    projection hidden @ joint.pred_proj, each row its own gemv. The list
+    returned also keeps the three stacks, as its `hidden`, `cell` and
+    `proj`, so a caller holding these states in order reads them whole.
     """
     pred = model.prediction
     V = len(pred.embedding)
-    for k in tokens:
-        if k is not None and not 0 <= k < V:
-            raise VocabularyError(f"token id {k} outside vocabulary of {V}")
-    # -1: the start symbol's row of input_gates
-    x_gates = pred.input_gates[[-1 if k is None else k for k in tokens]]
-    h, c = lstm_cell_step(x_gates, hidden, cell, pred.lstm)
+    # -1: the start symbol's row of input_gates, which no token id may name
+    rows = [-1 if k is None else k for k in tokens]
+    if -1 in tokens or not -1 <= min(rows, default=-1) <= max(rows, default=-1) < V:
+        bad = next(k for k in tokens if k is not None and not 0 <= k < V)
+        raise VocabularyError(f"token id {bad} outside vocabulary of {V}")
+    h, c = lstm_cell_step(pred.input_gates.take(rows, axis=0), hidden, cell, pred.lstm)
     projs = (h[:, None, :] @ model.joint.pred_proj)[:, 0]
-    return list(map(PredictionState, h, c, projs))
+    states = _StateStack(map(PredictionState, h, c, projs))
+    states.hidden, states.cell, states.proj = h, c, projs
+    return states
 
 
 def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
@@ -203,13 +213,19 @@ def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
     over the vocabulary. Takes one frame's and A prefixes' (A, joint_dim),
     giving (A, V), or L frames' (L, 1, joint_dim) and S prefixes', giving
     (L, S, V). Each row's output product is its own gemv, so a row has the
-    bits of the joint taken on it alone."""
+    bits of the joint taken on it alone. The temporaries are the call's own
+    and are reused in place; no input is written."""
     jw = model.joint
-    z = np.tanh(frame_proj + pred_projs + jw.bias)
-    logits = (z[..., None, :] @ jw.out)[..., 0, :] + jw.out_bias
+    z = frame_proj + pred_projs
+    z += jw.bias
+    np.tanh(z, out=z)
+    logits = (z[..., None, :] @ jw.out)[..., 0, :]
+    logits += jw.out_bias
     # the ufunc reductions np.max/np.sum call, without their wrappers
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    total = np.add.reduce(np.exp(logits), axis=-1, keepdims=True)
+    logits -= np.log(total, out=total)
+    return logits
 
 
 def start_hypothesis(model) -> Hypothesis:
@@ -223,152 +239,165 @@ def _logsumexp(a: float, b: float) -> float:
     return hi + np.log1p(np.exp(lo - hi))
 
 
-@functools.cache
-def _child_tokens(V: int, blank: int) -> np.ndarray:
-    """Token of each child column: the blank child first, then the
-    non-blank tokens in order. Shared by every caller, so read-only."""
-    tokens = np.array([blank] + [k for k in range(V) if k != blank])
-    tokens.setflags(write=False)
-    return tokens
-
-
-def _step_cached(grown, model) -> list[PredictionState]:
-    """The state of each (parent, token, score) child, through the parents'
-    caches.
+def _step_cached(states: list[PredictionState], kids: list[tuple[int, int]],
+                 model) -> list[PredictionState]:
+    """The state of each (a, token) child of states[a], through the
+    parents' caches.
 
     A parent state keeps, in its `children`, the state stepped from it by
     each token: a child stepped before, on this frame or an earlier one, is
     that same state. The others are stepped in one predict_step call and
     kept. A reused child has the bits of a new step, since each row of
     predict_step is its own gemv. A reset makes a new zero state, so nothing
-    stepped before it is reused after it.
+    stepped before it is reused after it. When every child is new, the
+    children are predict_step's stack, in order; parents held in one stack
+    give their rows from it.
     """
     todo = []
-    for h, k, _ in grown:
-        kids = h.state.children
-        if kids is None:
-            kids = h.state.children = {}
-        if k not in kids:
-            kids[k] = None  # stepped below, once
-            todo.append((h.state, k))
+    for a, k in kids:
+        cache = states[a].children
+        if cache is None:
+            cache = states[a].children = {}
+        if k not in cache:
+            cache[k] = None  # stepped below, once
+            todo.append((a, k))
     if todo:
-        stepped = predict_step([k for _, k in todo],
-                               np.array([state.hidden for state, _ in todo]),
-                               np.array([state.cell for state, _ in todo]), model)
-        for (state, k), kid in zip(todo, stepped):
-            state.children[k] = kid
-    return [h.state.children[k] for h, k, _ in grown]
+        rows = [a for a, _ in todo]
+        if type(states) is _StateStack:
+            hidden, cell = states.hidden.take(rows, axis=0), states.cell.take(rows, axis=0)
+        else:
+            hidden = np.array([states[a].hidden for a in rows])
+            cell = np.array([states[a].cell for a in rows])
+        stepped = predict_step([k for _, k in todo], hidden, cell, model)
+        for (a, k), kid in zip(todo, stepped):
+            states[a].children[k] = kid
+        if len(todo) == len(kids):
+            return stepped
+    return [states[a].children[k] for a, k in kids]
 
 
-def _prune_children(hyps: list[Hypothesis]) -> None:
-    """Keep cached children only on the states `hyps` hold: a cached child
-    they do not hold drops its own cache. Every state with a cache is then
-    held, so at most len(hyps) * (V - 1) children stay cached."""
-    held = {h.state for h in hyps}
-    for h in hyps:
-        kids = h.state.children
-        if kids:
-            for state in kids.values():
-                if state not in held:
-                    state.children = None
+def _prune_children(states: list[PredictionState]) -> None:
+    """Keep cached children only on `states`, the ones a beam holds: a
+    cached child it does not hold drops its own cache. Every state with a
+    cache is then held, so at most len(states) * (V - 1) children stay
+    cached."""
+    held = set(states)
+    for state in held:
+        if state.children:
+            for kid in state.children.values():
+                if kid not in held:
+                    kid.children = None
 
 
-def _ranked(order: np.ndarray, scores: np.ndarray, k: int, tokens_of) -> list[int]:
-    """The first k positions of `order`, which is in (-score, position)
-    order, in (-score, tokens) order: a stable sort, so equal keys keep
-    position order. Token tuples are built only when the first k + 1 scores
-    hold an exact tie, and then only for the candidates scoring at least the
-    k-th."""
+def _ranked(order: np.ndarray, costs: np.ndarray, k: int, tokens_of) -> list[int]:
+    """The first k positions of `order`, which is in (cost, position)
+    order, in (cost, tokens) order, a cost being a negated score: a stable
+    sort, so equal keys keep position order. Token tuples are built only
+    when the first k + 1 costs hold an exact tie, and then only for the
+    candidates costing at most the k-th."""
     head = order[:k + 1]
-    top = scores[head].tolist()
+    top = costs[head].tolist()
     if len(set(top)) == len(top):
         return head[:k].tolist()
     k = min(k, len(order))
-    # at least k: no score is >= a NaN
-    tied = order[:max(k, np.count_nonzero(scores[order] >= top[k - 1]))].tolist()
-    tied.sort(key=lambda pos: (-scores[pos], tokens_of(pos)))
+    # at least k: no cost is <= a NaN
+    tied = order[:max(k, np.count_nonzero(costs[order] <= top[k - 1]))].tolist()
+    tied.sort(key=lambda pos: (costs[pos], tokens_of(pos)))
     return tied[:k]
 
 
-def _expand_round(
-    frame_proj: np.ndarray,
-    finished: list[Hypothesis],
-    actives: list[Hypothesis],
-    beam: int,
-    model,
-    frame_idx: int,
-    grow: bool,
-) -> tuple[list[Hypothesis], list[Hypothesis]]:
+# a beam inside a frame, as rows: (prefixes, prediction states, costs), a
+# cost being a negated score
+_Rows = tuple[list[Prefix], list[PredictionState], np.ndarray]
+
+
+def _expand_round(frame_proj: np.ndarray, finished: _Rows, actives: _Rows, beam: int,
+                  model, frame_idx: int, grow: bool) -> tuple[_Rows, _Rows]:
     """One expansion round: score from the joint, merge, prune, then step.
 
     `finished` have taken blank in this frame and `actives` may still emit
-    in it; each list holds distinct prefixes. One joint call scores the
-    actives, each on its own row. An active's blank child is finished; with
-    `grow`, its non-blank children are candidates too, and without it (the
-    round past the cap) it has only the blank child. Candidates are known
-    by their position and a score until they survive: positions number the
-    carried finished hypotheses first, then per active its blank child
-    followed by its non-blank children in token order. Candidates are
-    ranked on the key (-log_prob, tokens), exact ties kept in position
-    order, and only the best `beam` survive (`_ranked`); the children
-    among them are stepped through their parents' caches, new ones in one
-    predict_step call (`_step_cached`). Returns the survivors as
-    (finished, actives), each in rank order.
+    in it; each holds distinct prefixes. One joint call scores the actives,
+    each on its own row. An active's blank child is finished; with `grow`,
+    its non-blank children are candidates too, and without it (the round
+    past the cap) it has only the blank child. Candidates are known by
+    their position and cost until they survive: positions number the
+    finished rows first, then per active its children in vocabulary order,
+    so one ufunc call forms every child's cost from the joint's rows.
+    Candidates are ranked on the key (cost, tokens), exact ties kept in
+    position order, and only the best `beam` survive (`_ranked`). Only a
+    surviving child gets a prefix and a state, stepped through its parent's
+    cache (`_step_cached`), the new ones in one predict_step call. Returns
+    the survivors as (finished, actives), each in rank order.
     """
-    base = len(finished)
-    cols = _child_tokens(len(model.config.vocab), model.config.vocab.blank_id)
+    fin_prefixes, fin_states, fin_costs = finished
+    prefixes, states, parent_costs = actives
+    projs = (states.proj if type(states) is _StateStack
+             else np.array([state.proj for state in states]))
+    log_probs = joint(frame_proj, projs, model)
+    blank = model.config.vocab.blank_id
+    first = 0 if grow else blank
     if not grow:
-        cols = cols[:1]
-    C = len(cols)
-    log_probs = joint(frame_proj, np.array([h.state.proj for h in actives]), model)
-    kid = (np.array([h.log_prob for h in actives])[:, None]
-           + log_probs.take(cols, axis=1))
-    scores = np.concatenate([[h.log_prob for h in finished], kid.ravel()])
-    # Distinct parents give distinct children, so the one possible merge is
-    # of an active's blank child onto the finished hypothesis with its
-    # prefix, by log-sum-exp. The finished one keeps its position and its
-    # prediction state. Under SRS the two can hold different states: the
-    # finished one a zero state carried over from before a reset, the blank
-    # child one stepped after it by a shorter prefix. The rule is part of
-    # the output: keeping the other state changes transcripts.
-    where = {h.prefix: pos for pos, h in enumerate(finished)}
-    dropped = []
-    for a, h in enumerate(actives):
-        pos = where.get(h.prefix)
-        if pos is not None:
-            scores[pos] = _logsumexp(scores[pos], scores[base + a * C])
-            dropped.append(base + a * C)
-    # a stable sort of candidates in position order on -score ranks them
-    # on (-score, position)
-    order = np.argsort(-scores, kind="stable")
-    if dropped:
-        keep = np.ones(len(scores), dtype=bool)
-        keep[dropped] = False
+        log_probs = log_probs[:, blank:blank + 1]
+    C = log_probs.shape[1]
+    base = len(fin_prefixes)
+    # -(score + log_prob) is exactly -score - log_prob
+    costs = np.subtract(parent_costs[:, None], log_probs).ravel()
+    keep = None  # False at each merged child
+    if base:
+        costs = np.concatenate((fin_costs, costs))
+        # Distinct parents give distinct children, so the one possible merge
+        # is of an active's blank child onto the finished row with its
+        # prefix, by log-sum-exp. The finished row keeps its position and
+        # its prediction state. Under SRS the two can hold different states:
+        # the finished one a zero state carried over from before a reset,
+        # the blank child one stepped after it by a shorter prefix. The rule
+        # is part of the output: keeping the other state changes transcripts.
+        where = {prefix: pos for pos, prefix in enumerate(fin_prefixes)}
+        for a, prefix in enumerate(prefixes):
+            pos = where.get(prefix)
+            if pos is not None:
+                kid = base + a * C + blank - first
+                costs[pos] = -_logsumexp(-costs[pos], -costs[kid])
+                if keep is None:
+                    keep = np.ones(len(costs), dtype=bool)
+                keep[kid] = False
+    # a stable sort of candidates in position order ranks them on
+    # (cost, position)
+    order = costs.argsort(kind="stable")
+    if keep is not None:
         order = order[keep[order]]
+
+    parent_tokens = {}  # an active's tokens, built once for all its children
 
     def tokens_of(pos: int) -> tuple[int, ...]:
         if pos < base:
-            return finished[pos].tokens
+            return fin_prefixes[pos].tokens()
         a, c = divmod(pos - base, C)
-        return actives[a].tokens + ((int(cols[c]),) if c else ())
+        if a not in parent_tokens:
+            parent_tokens[a] = prefixes[a].tokens()
+        k = first + c
+        return parent_tokens[a] + ((k,) if k != blank else ())
 
-    done: list[Hypothesis] = []
-    grown = []  # (parent, token, score) of each surviving child
-    for pos in _ranked(order, scores, beam, tokens_of):
+    done, done_prefixes, done_states = [], [], []
+    grown, grown_prefixes, kids = [], [], []
+    for pos in _ranked(order, costs, beam, tokens_of):
         if pos < base:
-            h = finished[pos]
-            if scores[pos] != h.log_prob:  # the merge changed its score
-                h = Hypothesis(h.prefix, scores[pos], h.state)
-            done.append(h)
+            done.append(pos)
+            done_prefixes.append(fin_prefixes[pos])
+            done_states.append(fin_states[pos])
             continue
         a, c = divmod(pos - base, C)
-        h = actives[a]
-        if c == 0:  # closed with blank for the rest of the frame
-            done.append(Hypothesis(h.prefix, scores[pos], h.state))
+        k = first + c
+        if k == blank:  # closed with blank for the rest of the frame
+            done.append(pos)
+            done_prefixes.append(prefixes[a])
+            done_states.append(states[a])
         else:
-            grown.append((h, int(cols[c]), scores[pos]))
-    return done, [Hypothesis(Prefix(h.prefix, k, frame_idx), score, state)
-                  for (h, k, score), state in zip(grown, _step_cached(grown, model))]
+            grown.append(pos)
+            grown_prefixes.append(Prefix(prefixes[a], k, frame_idx))
+            kids.append((a, k))
+    return ((done_prefixes, done_states, costs.take(done)),
+            (grown_prefixes, _step_cached(states, kids, model), costs.take(grown)))
 
 
 def beam_search_step(
@@ -395,19 +424,24 @@ def beam_search_step(
     check_positive_int("beam", beam)
     if not hyps_prev:
         raise ParameterError("beam_search_step requires at least one hypothesis")
-    if len({h.prefix for h in hyps_prev}) < len(hyps_prev):
+    prefixes = [h.prefix for h in hyps_prev]
+    if len(set(prefixes)) < len(prefixes):
         raise ParameterError("beam_search_step requires distinct prefixes")
     frame_proj = frame_projection(h_i, model)
-    finished, actives = [], list(hyps_prev)
+    finished = ([], [], np.empty(0))
+    actives = (prefixes, [h.state for h in hyps_prev],
+               np.array([-h.log_prob for h in hyps_prev]))
     for r in range(max_expansions + 1):
-        if not actives:
+        if not actives[0]:
             break
         # the round past the cap force-terminates hypotheses still mid-frame
         finished, actives = _expand_round(
             frame_proj, finished, actives, beam, model, frame_idx,
             grow=r < max_expansions)
-    _prune_children(finished)
-    return finished
+    prefixes, states, costs = finished
+    _prune_children(states)
+    return [Hypothesis(prefix, -cost, state)
+            for prefix, cost, state in zip(prefixes, costs.tolist(), states)]
 
 
 def check_blank_token(hyps: list[Hypothesis], frame_idx: int) -> bool:
@@ -469,7 +503,8 @@ def _kept_best(kept: np.ndarray, rest: np.ndarray, beam: int) -> np.ndarray:
 def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
     """Frames i, i + 1, ... of `frame_projs` by the template's decisions, in
     one joint call on the hypotheses held, one row each, each candidate's
-    score formed as in _expand_round. Round 1 keeps each closer's blank
+    score formed by the additions whose negation is _expand_round's cost,
+    bit for bit. Round 1 keeps each closer's blank
     child and each emitter's token child; round 2 keeps the closers and
     each emitter's blank child. An emitter's token child is the state the
     emitter holds (_template checked it), so its rows are the emitter's.
@@ -505,8 +540,8 @@ def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
 
 def _best(hyps: list[Hypothesis]) -> Hypothesis:
     """The first hypothesis in (-log_prob, tokens) order."""
-    scores = np.array([h.log_prob for h in hyps])
-    (pos,) = _ranked(np.argsort(-scores, kind="stable"), scores, 1,
+    costs = np.array([-h.log_prob for h in hyps])
+    (pos,) = _ranked(costs.argsort(kind="stable"), costs, 1,
                      lambda pos: hyps[pos].tokens)
     return hyps[pos]
 

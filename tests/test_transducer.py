@@ -11,6 +11,7 @@ from sparse_rnnt import transducer
 from sparse_rnnt.encoder import EncoderOutputs
 from sparse_rnnt.errors import ParameterError, ShapeError, VocabularyError
 from sparse_rnnt.model_io import ModelConfig, Vocabulary, random_model
+from sparse_rnnt.numerics import lstm_cell_step
 from sparse_rnnt.transducer import (
     Hypothesis,
     Prefix,
@@ -258,6 +259,37 @@ class TestCachedKernels:
             assert np.array_equal(state.hidden, want.hidden)
             assert np.array_equal(state.cell, want.cell)
             assert np.array_equal(state.proj, g @ model.joint.pred_proj)
+
+    def test_inputs_left_unwritten(self, model):
+        # joint, predict_step and lstm_cell_step reuse their own temporaries
+        # in place; every array handed in keeps its bytes: the states' row
+        # views and the stacks they view, the cached input_gates table and
+        # the weights, on lone rows, stacks and blocks of frames
+        rng = np.random.default_rng(15)
+        D = model.config.encoder.model_dim
+        pred, jw = model.prediction, model.joint
+        hyps = [start_hypothesis(model)]
+        for i in range(3):
+            hyps = beam_search_step(rng.normal(size=D), hyps, 4, model, frame_idx=i)
+        states = [h.state for h in hyps]  # row views of predict_step's stacks
+        stack = predict_step([1, 2, None], np.array([s.hidden for s in states[:3]]),
+                             np.array([s.cell for s in states[:3]]), model)
+        frame_proj = frame_projection(rng.normal(size=D), model)
+        block = frame_projection(rng.normal(size=(5, D)), model)[:, None]
+        weights = [pred.input_gates, pred.embedding, pred.lstm.w_x, pred.lstm.w_h,
+                   pred.lstm.bias, jw.enc_proj, jw.pred_proj, jw.bias, jw.out, jw.out_bias]
+        inputs = [frame_proj, block, stack.hidden, stack.cell, stack.proj,
+                  *(v for st in [*states, *stack] for v in (st.hidden, st.cell, st.proj))]
+        before = [a.tobytes() for a in weights + inputs]
+        joint(frame_proj, stack.proj, model)
+        joint(frame_proj, states[0].proj[None], model)
+        joint(block, stack.proj, model)
+        predict_step([3, None, 1], stack.hidden, stack.cell, model)
+        predict_step([2], states[0].hidden[None], states[0].cell[None], model)
+        lstm_cell_step(pred.input_gates[1:4], stack.hidden, stack.cell, pred.lstm)
+        lstm_cell_step(pred.input_gates[-1:], states[1].hidden[None], states[1].cell[None],
+                       pred.lstm)
+        assert [a.tobytes() for a in weights + inputs] == before
 
     def test_invalid_token_inside_a_stack(self, model):
         V = len(model.config.vocab)
@@ -619,8 +651,9 @@ class TestDeferredExpansion:
         real_round = transducer._expand_round
 
         def round_spy(*args, **kwargs):
-            actives, frame = args[2], args[5]
-            states = {h.state for h in actives}
+            # the actives are rows (prefixes, states, costs)
+            actives, frame = args[2][1], args[5]
+            states = set(actives)
             if frame != seen["frame"]:
                 seen["frame"], seen["states"] = frame, set()
             seen["rescored"] += states <= seen["states"]
@@ -629,7 +662,7 @@ class TestDeferredExpansion:
             before = {name: len(c) for name, c in calls.items()}
             out = real_round(*args, **kwargs)
             made = {name: c[before[name]:] for name, c in calls.items()}
-            rows = np.array([h.state.proj for h in actives])
+            rows = np.array([state.proj for state in actives])
             # per joint call, whether its rows are the actives', in order
             rounds.append({"joint": [np.array_equal(pred, rows) for pred in made["joint"]],
                            "predict_step": len(made["predict_step"])})
@@ -792,7 +825,7 @@ class TestDecodeWithSrs:
         for x in after:
             assert np.array_equal(x.state.hidden, np.zeros(4))
             assert np.array_equal(x.state.cell, np.zeros(4))
-            assert np.array_equal(x.state.hidden, np.zeros(4))
+            assert np.array_equal(x.state.proj, np.zeros(4) @ tiny_model.joint.pred_proj)
 
     def test_srs_changes_decoding_after_long_silence(self, rng):
         # engineered model: emit, then a long silent stretch, then emit again;
@@ -1045,9 +1078,8 @@ class TestTemplateShape:
         start state's for token 1, and that child's for token 2."""
         model = random_model(tiny_config(), 0)
         root = start_hypothesis(model)
-        (one,) = transducer._step_cached([(root, 1, 0.0)], model)
-        (one_two,) = transducer._step_cached(
-            [(Hypothesis(Prefix(root.prefix, 1, 4), -1.0, one), 2, 0.0)], model)
+        (one,) = transducer._step_cached([root.state], [(0, 1)], model)
+        (one_two,) = transducer._step_cached([one], [(0, 2)], model)
         return model, root, one, one_two
 
     def test_one_token_after_a_closer(self):
@@ -1157,13 +1189,13 @@ class TestChildCache:
         reuses = []
         real = transducer._step_cached
 
-        def spy(grown, model):
+        def spy(states, kids, model):
             # a reuse: a (state, token) already in the parent's cache, or
             # repeated within the call
-            pairs = [(h.state, k) for h, k, _ in grown]
+            pairs = [(states[a], k) for a, k in kids]
             reuses.append(any(k in (state.children or {}) or (state, k) in pairs[:j]
                               for j, (state, k) in enumerate(pairs)))
-            return real(grown, model)
+            return real(states, kids, model)
 
         monkeypatch.setattr(transducer, "_step_cached", spy)
         log = event_log(monkeypatch)
@@ -1222,13 +1254,13 @@ class TestChildCache:
 
         reused = []
 
-        def step_spy(grown, model):
-            for h, k, _ in grown:
-                kid = (h.state.children or {}).get(k)
+        def step_spy(states, kids, model):
+            for a, k in kids:
+                kid = (states[a].children or {}).get(k)
                 if kid is not None:
-                    (pf, pr), (kf, _) = born[h.state], born[kid]
+                    (pf, pr), (kf, _) = born[states[a]], born[kid]
                     reused.append(pr >= 2 and pf == kf < at["frame"])
-            return real_step(grown, model)
+            return real_step(states, kids, model)
 
         monkeypatch.setattr(transducer, "_expand_round", round_spy)
         monkeypatch.setattr(transducer, "predict_step", predict_spy)
@@ -1248,20 +1280,22 @@ class TestChildCache:
         seen = {}
         compared = [0]
 
-        def check(hyps):
-            for h in hyps:
-                first = seen.setdefault(h.tokens, h)
-                compared[0] += first is not h
-                assert np.array_equal(first.state.hidden, h.state.hidden)
-                assert np.array_equal(first.state.cell, h.state.cell)
-                assert np.array_equal(first.state.proj, h.state.proj)
+        def check(*beams):
+            # each beam is rows: (prefixes, states, costs)
+            for prefixes, states, _ in beams:
+                for prefix, state in zip(prefixes, states):
+                    first_prefix, first = seen.setdefault(prefix.tokens(), (prefix, state))
+                    compared[0] += first_prefix is not prefix
+                    assert np.array_equal(first.hidden, state.hidden)
+                    assert np.array_equal(first.cell, state.cell)
+                    assert np.array_equal(first.proj, state.proj)
 
         real = transducer._expand_round
 
         def spy(frame_proj, finished, actives, *args, **kwargs):
-            check(finished + actives)
+            check(finished, actives)
             out = real(frame_proj, finished, actives, *args, **kwargs)
-            check(out[0] + out[1])
+            check(*out)
             return out
 
         monkeypatch.setattr(transducer, "_expand_round", spy)
@@ -1376,9 +1410,69 @@ class TestChildCache:
         assert max(live) > V - 1  # more than one state holds a cache
 
 
+def planted_dense_outputs():
+    """The planted model (tests/planted.py) and its `dense` encoder output
+    on the one-burst 4 s clip: any token pushes blank up, so a hypothesis
+    that emits in a frame meets the one carried on its prefix, and at beam 2
+    and 4 the frame-by-frame search merges."""
+    from planted import burst_wav, planted_model
+    from sparse_rnnt.attention import MaskPolicy
+    from sparse_rnnt.encoder import encode
+    from sparse_rnnt.pipeline import parse_segmentation, prepare_input
+
+    model = planted_model()
+    ((_, f, _),) = prepare_input(model, burst_wav(4), parse_segmentation("none"))
+    return model, encode(f, model, MaskPolicy.dense())[0]
+
+
+def saturated_outputs():
+    """A tiny 29-token model that emits the cap on every frame, and 12
+    random frames."""
+    model = random_model(tiny_config(vocab_size=29), 3)
+    model.joint.out_bias[model.config.vocab.blank_id] -= 20.0
+    return model, enc_outputs(np.random.default_rng(5), model, 12)
+
+
+class TestPrefixDeterminesState:
+    """With SRS off, a prefix's prediction state is a function of its
+    tokens: after every frame each hypothesis holds the state the oracle
+    LSTM reaches over its tokens from the start symbol, bit for bit. The
+    merge keeps one state per prefix and the child cache hands back states
+    stepped on earlier frames and rounds, so both rely on it."""
+
+    @pytest.mark.parametrize("beam", [2, 4])
+    @pytest.mark.parametrize("inputs", [saturated_outputs, planted_dense_outputs],
+                             ids=["saturated", "merging"])
+    def test_state_is_the_oracle_over_the_tokens(self, inputs, beam, monkeypatch):
+        model, out = inputs()
+        merges = spy_rows(monkeypatch, "_logsumexp", lambda args: 1)
+        W = model.joint.pred_proj
+        oracle = {(): oracle_predict_step(None, LstmState.zeros(model.config.pred_dim), model)}
+
+        def oracle_of(tokens):
+            if tokens not in oracle:
+                _, state = oracle_of(tokens[:-1])
+                oracle[tokens] = oracle_predict_step(tokens[-1], state, model)
+            return oracle[tokens]
+
+        hyps = [start_hypothesis(model)]
+        for i in range(out.length):
+            hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+            for h in hyps:
+                g, want = oracle_of(h.tokens)
+                assert h.state.hidden.tobytes() == want.hidden.tobytes()
+                assert h.state.cell.tobytes() == want.cell.tobytes()
+                assert h.state.proj.tobytes() == (g @ W).tobytes()
+        if inputs is saturated_outputs:
+            assert len(hyps[0].tokens) == transducer.MAX_SYMBOLS * out.length
+        else:
+            assert merges  # the input has the merges the rule is about
+
+
 class TestRanked:
-    """`_ranked` against a full sort of every candidate on (-score, tokens):
-    the one rule that picks each round's survivors and the final hypothesis."""
+    """`_ranked` against a full sort of every candidate on (-score, tokens),
+    given the costs -score: the one rule that picks each round's survivors
+    and the final hypothesis."""
 
     @given(st.lists(st.tuples(st.integers(-3, 0), st.lists(st.integers(0, 2), max_size=2)),
                     min_size=1, max_size=10),
@@ -1386,14 +1480,15 @@ class TestRanked:
     def test_equals_a_full_sort(self, cands, k, dropped):
         scores = np.array([float(s) for s, _ in cands])
         tokens = [tuple(t) for _, t in cands]
-        order = np.argsort(-scores, kind="stable")
+        costs = -scores
+        order = np.argsort(costs, kind="stable")
         order = order[~np.isin(order, list(dropped))]  # merged candidates
         want = sorted(order.tolist(), key=lambda p: (-scores[p], tokens[p]))[:k]
-        assert transducer._ranked(order, scores, k, tokens.__getitem__) == want
+        assert transducer._ranked(order, costs, k, tokens.__getitem__) == want
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_a_nan_loses_no_candidate(self, k):
-        scores = np.array([-1.0, np.nan, -1.0, np.nan])
-        order = np.argsort(-scores, kind="stable")
-        got = transducer._ranked(order, scores, k, lambda p: ())
+        costs = -np.array([-1.0, np.nan, -1.0, np.nan])
+        order = np.argsort(costs, kind="stable")
+        got = transducer._ranked(order, costs, k, lambda p: ())
         assert len(got) == min(k, 4) and len(set(got)) == len(got)
