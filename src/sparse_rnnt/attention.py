@@ -147,7 +147,7 @@ class ScoreBlock:
 
     start: int
     e: np.ndarray  # (H, b, T) raw scores
-    sets: np.ndarray  # (1 or H, b, T); all True under dense
+    sets: np.ndarray | None  # (1 or H, b, T); None under dense, as all are True
     g: np.ndarray | None  # (1 or H, b, T); None without a global mask
 
     def at(self, rows: np.ndarray, keys: np.ndarray | None = None) -> np.ndarray:
@@ -297,7 +297,7 @@ def score_blocks(z: np.ndarray, heads: list[AttentionHeadWeights],
     b = max(1, _BLOCK_SCORES // (len(heads) * T))
     for start in range(0, T, b):
         e = (q[:, start : start + b] @ k_t) / scale
-        sets, g = band.block(start, start + e.shape[1])[None], None
+        sets, g = None if policy.w is None else band.block(start, start + e.shape[1])[None], None
         if policy.fusion is not None:
             g = fuse_heads(global_mask(e), policy.fusion)
             sets = sets | g
@@ -366,8 +366,11 @@ def _attend(plan: Iterable, at: Callable, v: np.ndarray, out: np.ndarray) -> Non
 def _attend_block(block: ScoreBlock, v: np.ndarray, out: np.ndarray) -> None:
     """Attend a block's rows by each slice of its sets, with the heads that
     share it at once: every head by one slice, or under sgm2 each head by
-    its own."""
-    T, share = block.e.shape[2], len(block.e) // len(block.sets)
+    its own. Under dense every row attends every key."""
+    H, b, T = block.e.shape
+    if block.sets is None:
+        return _attend(_plan(np.full(b, T), None, T, H), block.at, v, out)
+    share = H // len(block.sets)
     for s, sets in enumerate(block.sets):
         heads = slice(s * share, (s + 1) * share)
         scores = ScoreBlock(block.start, block.e[heads], sets[None], None)
@@ -408,7 +411,7 @@ def sparse_attend(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy,
         for block in score_blocks(z, mh.heads, policy):
             rows = slice(block.start, block.start + block.e.shape[1])
             if counts is not None:
-                counts[:, rows] = block.sets.sum(axis=2)
+                counts[:, rows] = T if block.sets is None else block.sets.sum(axis=2)
             if global_counts is not None:
                 global_counts[:, rows] = block.g.sum(axis=2)
             _attend_block(block, v, out[:, rows])

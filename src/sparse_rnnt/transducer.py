@@ -22,7 +22,6 @@ __all__ = [
     "Hypothesis",
     "Transcript",
     "SrsParams",
-    "SrsCounter",
     "predict_step",
     "frame_projection",
     "joint",
@@ -145,24 +144,6 @@ class SrsParams:
 
     def __post_init__(self):
         check_fields(self)
-
-
-class SrsCounter:
-    """Counts consecutive all-blank steps; fires once the count exceeds t_sil."""
-
-    def __init__(self, t_sil: int):
-        self.t_sil = t_sil
-        self.count = 0
-
-    def update(self, all_blank: bool) -> bool:
-        if not all_blank:
-            self.count = 0
-            return False
-        self.count += 1
-        if self.count > self.t_sil:
-            self.count = 0
-            return True
-        return False
 
 
 class _StateStack(list):
@@ -292,18 +273,26 @@ def _prune_children(states: list[PredictionState]) -> None:
 def _ranked(order: np.ndarray, costs: np.ndarray, k: int, tokens_of) -> list[int]:
     """The first k positions of `order`, which is in (cost, position)
     order, in (cost, tokens) order, a cost being a negated score: a stable
-    sort, so equal keys keep position order. Token tuples are built only
-    when the first k + 1 costs hold an exact tie, and then only for the
-    candidates costing at most the k-th."""
+    sort, so equal keys keep position order. Only each run of exactly equal
+    costs that starts among the first k is sorted, on tokens, and token
+    tuples are built only for runs of more than one candidate."""
     head = order[:k + 1]
     top = costs[head].tolist()
     if len(set(top)) == len(top):
         return head[:k].tolist()
     k = min(k, len(order))
-    # at least k: no cost is <= a NaN
-    tied = order[:max(k, np.count_nonzero(costs[order] <= top[k - 1]))].tolist()
-    tied.sort(key=lambda pos: (costs[pos], tokens_of(pos)))
-    return tied[:k]
+    ordered = costs[order]
+    # at least k: no cost is <= a NaN, and a NaN equals no cost
+    n = max(k, np.count_nonzero(ordered <= top[k - 1]))
+    tied, tied_costs = order[:n].tolist(), ordered[:n].tolist()
+    ranked, i = [], 0
+    while len(ranked) < k:
+        j = i + 1
+        while j < n and tied_costs[j] == tied_costs[i]:
+            j += 1
+        ranked += sorted(tied[i:j], key=tokens_of) if j > i + 1 else tied[i:j]
+        i = j
+    return ranked[:k]
 
 
 # a beam inside a frame, as rows: (prefixes, prediction states, costs), a
@@ -561,15 +550,17 @@ def decode_with_srs(
     held in one joint call and takes its frames while the scores keep those
     decisions. A run that stops short of its frames (a changed survivor
     set, a tie at the beam boundary) drops its template, so the next frame
-    goes through beam_search_step. A run is one frame, then doubles, and an
-    all-blank run ends where SRS would fire; a run that stops short ends
-    with its hypotheses ranked, as beam_search_step breaks ties on
-    position. With SRS off the counter's threshold is the length, which no
-    stretch of blank frames exceeds.
+    goes through beam_search_step. A run is one frame, then doubles; a run
+    that stops short ends with its hypotheses ranked, as beam_search_step
+    breaks ties on position.
+
+    `silent` counts the frames in a row in which no hypothesis emitted; SRS
+    fires on the one that takes it past srs.t_sil, where an all-blank run
+    under SRS ends. A run with an emitter follows an emitting frame, so
+    `silent` is 0 before it and after it, even if it takes no frame.
     """
     check_positive_int("beam", beam)
-    hyps = [start_hypothesis(model)]
-    counter = SrsCounter(h.length if srs is None else srs.t_sil)
+    hyps, silent = [start_hypothesis(model)], 0
     projs = None  # every frame's projection, formed when the first run starts
     template = None  # the decisions the next run replays; None: no run
     run = 1  # frames the next run scores
@@ -579,8 +570,9 @@ def decode_with_srs(
             if projs is None:
                 projs = frame_projection(h.h, model)
             all_blank = not any(template[1])  # no hypothesis emits in the run
-            n = min(run, h.length - i,
-                    counter.t_sil + 1 - counter.count if all_blank else h.length)
+            n = min(run, h.length - i)
+            if all_blank and srs is not None:
+                n = min(n, srs.t_sil + 1 - silent)
             k, hyps = _replay(hyps, template, projs[i:i + n], i, beam, model)
             if k < n:
                 template = None
@@ -593,10 +585,10 @@ def decode_with_srs(
             template = _template(hyps, i, beam, model) if {hyp.state for hyp in hyps} == held else None
             run, k = 1, 1
         i += k
-        # every one of the k frames updates the counter, so a list and not a
-        # generator that any() would cut short; only the last can fire it
-        if any([counter.update(all_blank) for _ in range(k)]):
+        silent = silent + k if all_blank else 0
+        if srs is not None and silent > srs.t_sil:
             hyps = reset_prediction_states(hyps, model)
+            silent = 0
     hyps.sort(key=lambda hyp: -hyp.log_prob)
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)

@@ -30,7 +30,6 @@ from sparse_rnnt.metrics import edit_alignment, sweep_report
 from sparse_rnnt.model_io import ModelConfig, load_model, random_model, save_model
 from sparse_rnnt.segmentation import DOI_OVERLAP, TimedToken, doi_merge, doi_split
 from sparse_rnnt.transducer import (
-    SrsCounter,
     SrsParams,
     beam_search_step,
     decode_with_srs,
@@ -38,7 +37,7 @@ from sparse_rnnt.transducer import (
     reset_prediction_states,
     start_hypothesis,
 )
-from tests_oracles import oracle_sparse_attend
+from tests_oracles import oracle_sparse_attend, oracle_srs_firings, scripted_srs_firings
 
 
 @contextmanager
@@ -162,21 +161,17 @@ def test_local_policy_receptive_field_is_exact():
                 assert np.array_equal(base.h[i], pert.h[i])
 
 
-def test_silence_reset_state_machine_exhaustive(tiny_model):
+def test_silence_reset_state_machine_exhaustive(tiny_model, monkeypatch):
     started = time.monotonic()
     with criterion("05 silence-reset state machine"):
+        # the decode loop's own silence count, on every pattern of all-blank
+        # and emitting frames: it resets on exactly the frames where the
+        # running count of all-blank frames exceeds t_sil
+        firings = scripted_srs_firings(monkeypatch, tiny_model)
         for t_sil in (1, 2, 3):
             for length in range(1, 11):
                 for seq in itertools.product([True, False], repeat=length):
-                    c = SrsCounter(t_sil)
-                    run = 0
-                    for blank in seq:
-                        fired = c.update(blank)
-                        run = run + 1 if blank else 0
-                        expect = run > t_sil
-                        if expect:
-                            run = 0
-                        assert fired == expect
+                    assert firings(t_sil, seq) == oracle_srs_firings(t_sil, seq)
         # resets must not disturb token histories or scores
         rng = np.random.default_rng(5)
         hyps = [start_hypothesis(tiny_model)]

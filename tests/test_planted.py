@@ -15,9 +15,8 @@ from planted import burst_of, burst_wav, planted_model
 from sparse_rnnt.attention import LOCAL_W, parse_policy
 from sparse_rnnt.encoder import encode
 from sparse_rnnt.pipeline import DecodeOptions, SegmentationSpec, decode_waveform, prepare_input
-from sparse_rnnt.transducer import (SrsCounter, SrsParams, _best, beam_search_step,
-                                    check_blank_token, reset_prediction_states,
-                                    start_hypothesis)
+from sparse_rnnt.transducer import (SrsParams, _best, beam_search_step, check_blank_token,
+                                    reset_prediction_states, start_hypothesis)
 
 BURSTS = {4: 1, 10: 2, 30: 6}  # bursts in a file of this many seconds
 
@@ -81,12 +80,13 @@ def frame_by_frame(h, model, beam, silent, t_sil=SrsParams().t_sil):
     frames in a row that `silent` calls silent. With check_blank_token,
     the decoder's trigger (no hypothesis emitted), this is
     tests_oracles.frame_by_frame_decode."""
-    hyps = [start_hypothesis(model)]
-    counter = SrsCounter(t_sil)
+    hyps, run = [start_hypothesis(model)], 0
     for i in range(h.length):
         hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
-        if counter.update(silent(hyps, i)):
+        run = run + 1 if silent(hyps, i) else 0
+        if run > t_sil:
             hyps = reset_prediction_states(hyps, model)
+            run = 0
     return _best(hyps)
 
 

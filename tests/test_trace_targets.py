@@ -73,6 +73,51 @@ def test_traced_decode_reports_every_layer_metric(tmp_path):
     assert encode(feats, load_model(model), MaskPolicy.local_global())[1] == []
 
 
+def test_trace_of_many_inputs_and_segments(tmp_path):
+    # The bench's regime guards read one cli.decode_file span per input and
+    # one pipeline.decode_with_srs span per encoded segment, whose frames
+    # add up to encoder.frames. A change that decoded a call's inputs or
+    # segments in one batch would break that without failing the other tests.
+    model = tmp_path / "tiny.model"
+    save_model(random_model(tiny_config(), 3), model)
+    wavs = []
+    for i, seconds in enumerate((9, 12)):
+        wavs.append(str(tmp_path / f"utt{i}.wav"))
+        write_wav(wavs[-1], Waveform(0.1 * np.random.default_rng(i).normal(
+            size=16000 * seconds), 16000))
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        code = cli.main(["decode", "--model", str(model), *wavs, "--beam", "2",
+                         "--segmentation", "doi:5", "--out", str(tmp_path / "hyps.tsv")])
+    finally:
+        assert t.uninstall()
+    assert code == cli.EXIT_OK
+    trace = t.to_json()
+    spans = trace["spans"]
+
+    def named(name):
+        return [s for s in spans if s["name"] == name]
+
+    def file_of(span):
+        while span["name"] != "cli.decode_file":
+            span = spans[span["parent"]]
+        return span["id"]
+
+    files = named("cli.decode_file")
+    decodes = named("pipeline.decode_with_srs")
+    assert len(files) == len(wavs)
+    per_file = [sum(s["segments"] for s in named("pipeline._segments_for")
+                    if file_of(s) == f["id"]) for f in files]
+    assert min(per_file) > 1
+    assert [sum(file_of(s) == f["id"] for s in decodes) for f in files] == per_file
+    assert len(named("pipeline.encode")) == len(decodes)
+    metrics = tracer.layer_metrics(trace)
+    assert metrics["segmentation.segments"] == len(decodes)
+    assert sum(s["frames"] for s in decodes) == metrics["encoder.frames"] > 0
+
+
 def test_beam_one_blank_decode_goes_through_the_traced_attributes(tmp_path,
                                                                    monkeypatch):
     # The long80s regime guard counts transducer.reset_prediction_states

@@ -15,7 +15,6 @@ from sparse_rnnt.numerics import lstm_cell_step
 from sparse_rnnt.transducer import (
     Hypothesis,
     Prefix,
-    SrsCounter,
     SrsParams,
     beam_search_step,
     check_blank_token,
@@ -35,7 +34,9 @@ from tests_oracles import (
     oracle_joint,
     oracle_lstm_cell_step,
     oracle_predict_step,
+    oracle_srs_firings,
     prefix_of,
+    scripted_srs_firings,
 )
 
 
@@ -359,43 +360,6 @@ class TestBeamWidth:
             decode_with_srs(out, model, beam=2.5, srs=SrsParams())
 
 
-class TestSrsCounter:
-    def test_spec_trace(self):
-        # all-blank at four consecutive steps with threshold 2:
-        # counts 1, 2, then the third blank fires and clears
-        c = SrsCounter(2)
-        assert c.update(True) is False and c.count == 1
-        assert c.update(True) is False and c.count == 2
-        assert c.update(True) is True and c.count == 0
-        assert c.update(True) is False and c.count == 1
-
-    def test_non_blank_clears(self):
-        c = SrsCounter(3)
-        c.update(True)
-        c.update(True)
-        assert c.update(False) is False
-        assert c.count == 0
-
-    def test_exhaustive_state_machine(self):
-        # oracle: fires iff the running consecutive-blank count exceeds t_sil
-        for t_sil in (1, 2, 3):
-            for length in range(1, 11):
-                for seq in itertools.product([True, False], repeat=length):
-                    c = SrsCounter(t_sil)
-                    run = 0
-                    for blank in seq:
-                        fired = c.update(blank)
-                        if blank:
-                            run += 1
-                        else:
-                            run = 0
-                        expect_fire = run > t_sil
-                        if expect_fire:
-                            run = 0
-                        assert fired == expect_fire
-                        assert c.count == run
-
-
 class TestBeamSearch:
     def test_blank_dominant_model_never_grows(self):
         model = random_model(tiny_config(), 1)
@@ -533,16 +497,17 @@ class TestDeferredExpansion:
             out = enc_outputs(rng, model, 6)
             for beam in (1, 2, 4, 8):
                 for max_exp in (1, 2, 5):
-                    hyps = [start_hypothesis(model)]
-                    counter = SrsCounter(t_sil) if t_sil else None
+                    hyps, silent = [start_hypothesis(model)], 0
                     for i in range(out.length):
                         want = eager_beam_search_step(out.h[i], hyps, beam, model,
                                                       i, max_exp)
                         hyps = beam_search_step(out.h[i], hyps, beam, model,
                                                 frame_idx=i, max_expansions=max_exp)
                         assert_same_hyps(hyps, want, i)
-                        if counter and counter.update(check_blank_token(hyps, i)):
+                        silent = silent + 1 if check_blank_token(hyps, i) else 0
+                        if t_sil and silent > t_sil:
                             hyps = reset_prediction_states(hyps, model)
+                            silent = 0
 
     def test_tied_columns_decide_at_beam_boundary(self):
         # Two hypotheses with one score and one state, listed against
@@ -856,6 +821,16 @@ class TestDecodeWithSrs:
         got = decode_with_srs(out, model, beam=1, srs=SrsParams(t_sil=t_sil))
         assert got.token_ids == ()
         assert len(resets) == out.length // (t_sil + 1) > 10
+
+    def test_fires_where_the_silent_count_passes_t_sil(self, tiny_model, monkeypatch):
+        # every pattern of all-blank and emitting frames, up to 10 frames:
+        # the beam resets on exactly the frames where the running count of
+        # all-blank frames exceeds t_sil, and the count then starts over
+        firings = scripted_srs_firings(monkeypatch, tiny_model)
+        for t_sil in (1, 2, 3):
+            for length in range(1, 11):
+                for silences in itertools.product([True, False], repeat=length):
+                    assert firings(t_sil, silences) == oracle_srs_firings(t_sil, silences)
 
 
 class TestGreedy:
@@ -1206,16 +1181,17 @@ class TestChildCache:
             out = enc_outputs(np.random.default_rng(seed), model, T)
             for beam in (2, 4, 8):
                 hyps, eager = [start_hypothesis(model)], [start_hypothesis(model)]
-                counter, since = SrsCounter(t_sil or 1), None
+                silent, since = 0, None
                 for i in range(out.length):
                     want = eager_beam_search_step(out.h[i], eager, beam, model, i)
                     hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
                     assert_same_hyps(hyps, want, i)
                     eager = [h for h, _ in want]
-                    if srs is not None and counter.update(check_blank_token(hyps, i)):
+                    silent = silent + 1 if check_blank_token(hyps, i) else 0
+                    if srs is not None and silent > t_sil:
                         hyps = reset_prediction_states(hyps, model)
                         eager = reset_prediction_states(eager, model)
-                        resets += 1
+                        resets, silent = resets + 1, 0
                         since = len(reuses)
                 reused_after_reset += since is not None and any(reuses[since:])
                 best = transducer._best(hyps)
@@ -1360,11 +1336,13 @@ class TestChildCache:
             out = enc_outputs(np.random.default_rng(seed), model, T)
             W = model.joint.pred_proj
             for beam in (2, 4, 8):
-                hyps, counter = [start_hypothesis(model)], SrsCounter(t_sil or 1)
+                hyps, silent = [start_hypothesis(model)], 0
                 for i in range(out.length):
                     hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
-                    if srs is not None and counter.update(check_blank_token(hyps, i)):
+                    silent = silent + 1 if check_blank_token(hyps, i) else 0
+                    if srs is not None and silent > t_sil:
                         hyps = reset_prediction_states(hyps, model)
+                        silent = 0
                         state = hyps[0].state
                         assert all(h.state is state for h in hyps)
                         assert state.children is None
@@ -1381,12 +1359,13 @@ class TestChildCache:
         model.joint.out_bias[model.config.vocab.blank_id] += 4.0
         out = enc_outputs(np.random.default_rng(0), model, 200)
         srs, beam = SrsParams(t_sil=1), 4
-        hyps, counter, resets = [start_hypothesis(model)], SrsCounter(1), 0
+        hyps, silent, resets = [start_hypothesis(model)], 0, 0
         for i in range(out.length):
             hyps = [h for h, _ in eager_beam_search_step(out.h[i], hyps, beam, model, i)]
-            if counter.update(check_blank_token(hyps, i)):
+            silent = silent + 1 if check_blank_token(hyps, i) else 0
+            if silent > srs.t_sil:
                 hyps = reset_prediction_states(hyps, model)
-                resets += 1
+                resets, silent = resets + 1, 0
         best = transducer._best(hyps)
         want = transducer.Transcript(best.tokens, best.frames, best.log_prob)
         got = decode_with_srs(out, model, beam=beam, srs=srs)
@@ -1467,6 +1446,24 @@ class TestPrefixDeterminesState:
             assert len(hyps[0].tokens) == transducer.MAX_SYMBOLS * out.length
         else:
             assert merges  # the input has the merges the rule is about
+
+    @given(st.integers(0, 999), st.integers(1, 4), st.integers(5, 30),
+           st.sampled_from([0.0, 1.0, 2.0]))
+    def test_same_tokens_same_state_across_frames(self, seed, beam, T, blank_bias):
+        # on tiny random models, from saturated to mostly blank: every
+        # hypothesis returned on any frame holds the bits of every other
+        # with its tokens, however and on whichever frame it was reached.
+        # Under SRS a carried zero state is the exception (TestSrsMergeState)
+        model = random_model(tiny_config(), seed)
+        model.joint.out_bias[model.config.vocab.blank_id] += blank_bias
+        out = enc_outputs(np.random.default_rng(seed), model, T)
+        seen = {}
+        hyps = [start_hypothesis(model)]
+        for i in range(out.length):
+            hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+            for h in hyps:
+                bits = h.state.hidden.tobytes(), h.state.cell.tobytes()
+                assert seen.setdefault(h.tokens, bits) == bits
 
 
 class TestRanked:

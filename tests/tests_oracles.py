@@ -325,20 +325,70 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
 
 def frame_by_frame_decode(h, model, beam, srs):
     """`decode_with_srs` one frame at a time: one beam_search_step per
-    frame, then the silence reset (none where srs is None). Reference for
-    the beam-1 run-ahead."""
-    from sparse_rnnt.transducer import (SrsCounter, Transcript, _best,
-                                        beam_search_step, check_blank_token,
-                                        reset_prediction_states, start_hypothesis)
+    frame, then the silence reset (none where srs is None) once more than
+    t_sil frames in a row have had no hypothesis emit. Reference for the
+    runs."""
+    from sparse_rnnt.transducer import (Transcript, _best, beam_search_step,
+                                        check_blank_token, reset_prediction_states,
+                                        start_hypothesis)
 
-    hyps = [start_hypothesis(model)]
-    counter = SrsCounter(h.length if srs is None else srs.t_sil)
+    hyps, silent = [start_hypothesis(model)], 0
     for i in range(h.length):
         hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
-        if srs is not None and counter.update(check_blank_token(hyps, i)):
+        silent = silent + 1 if check_blank_token(hyps, i) else 0
+        if srs is not None and silent > srs.t_sil:
             hyps = reset_prediction_states(hyps, model)
+            silent = 0
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
+
+
+def oracle_srs_firings(t_sil, silences):
+    """The frames on which SRS fires, given whether each frame was
+    all-blank: where the running count of all-blank frames exceeds t_sil,
+    the count then starting over."""
+    fired, run = [], 0
+    for i, silent in enumerate(silences):
+        run = run + 1 if silent else 0
+        if run > t_sil:
+            fired.append(i)
+            run = 0
+    return fired
+
+
+def scripted_srs_firings(monkeypatch, model):
+    """decode_with_srs on a scripted silence: a function of (t_sil,
+    silences) that steps through len(silences) frames one at a time (no
+    runs), with frame i all-blank exactly where silences[i] is, and gives
+    the frames on which the beam is reset. The beam step keeps its
+    hypotheses: only the loop's silence count is under test."""
+    from sparse_rnnt import transducer
+    from sparse_rnnt.encoder import EncoderOutputs
+    from sparse_rnnt.transducer import SrsParams
+
+    script, fired, frame = [], [], [None]
+    real_reset = transducer.reset_prediction_states
+
+    def check_blank_token(hyps, i):
+        frame[0] = i
+        return script[i]
+
+    def reset(hyps, model):
+        fired.append(frame[0])
+        return real_reset(hyps, model)
+
+    monkeypatch.setattr(transducer, "beam_search_step", lambda h_i, hyps, *args, **kw: hyps)
+    monkeypatch.setattr(transducer, "_template", lambda *args: None)
+    monkeypatch.setattr(transducer, "check_blank_token", check_blank_token)
+    monkeypatch.setattr(transducer, "reset_prediction_states", reset)
+
+    def firings(t_sil, silences):
+        script[:], fired[:] = silences, []
+        h = EncoderOutputs(np.zeros((len(silences), model.config.encoder.model_dim)), 0.04)
+        transducer.decode_with_srs(h, model, 1, SrsParams(t_sil))
+        return fired
+
+    return firings
 
 
 def oracle_frame_energies_db(w):
