@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .frontend import atomic_output
-from .numerics import matmul, softmax
+from .numerics import row_matmul, softmax
 
 __all__ = [
     "AttentionHeadWeights",
@@ -88,7 +88,7 @@ class MultiHeadWeights:
 
 def _per_head(z: np.ndarray, weights: Iterable[np.ndarray]) -> np.ndarray:
     """z times each head's projection, stacked (H, T, inner_dim)."""
-    return np.stack([matmul(z, w) for w in weights])
+    return np.stack([z @ w for w in weights])
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,9 @@ class BandScores:
         if keys is None:
             T = self.q.shape[1]
             keys = np.broadcast_to(np.arange(T), (len(rows), T))
-        # one gemv per row and head: (n, d) keys times the row's (d,) query
         k = (keys.of(self.k, len(rows)) if isinstance(keys, _Window)
              else np.take(self.k, keys, axis=1))
-        return (k @ self.q[:, rows, :, None])[..., 0] / np.sqrt(self.q.shape[2])
+        return row_matmul(self.q[:, rows], k.swapaxes(-1, -2)) / np.sqrt(self.q.shape[2])
 
 
 @dataclass
@@ -350,8 +349,8 @@ def _attend(plan: Iterable, at: Callable, v: np.ndarray, out: np.ndarray) -> Non
     at(rows, keys) gives the scores of the heads attended at once,
     (H, len(rows), n), v their values (H, T, d) and out their outputs for
     the planned rows. Each batch reads only its rows' keys, so off-mask
-    entries never enter the arithmetic. (H, q, 1, n) @ (H, q, n, d) makes
-    one gemv per row and head, as a lone row's product does.
+    entries never enter the arithmetic. Each row and head is its own
+    product (row_matmul), as a lone row's is.
     """
     for rows, keys in plan:
         if keys is None:
@@ -360,7 +359,7 @@ def _attend(plan: Iterable, at: Callable, v: np.ndarray, out: np.ndarray) -> Non
             weights = softmax(at(rows, keys))
             values = (keys.of(v, len(rows)) if isinstance(keys, _Window)
                       else np.take(v, keys, axis=1))
-        out[:, rows] = (weights[:, :, None, :] @ values)[:, :, 0]
+        out[:, rows] = row_matmul(weights, values)
 
 
 def _attend_block(block: ScoreBlock, v: np.ndarray, out: np.ndarray) -> None:
@@ -419,7 +418,7 @@ def sparse_attend(z: np.ndarray, mh: MultiHeadWeights, policy: MaskPolicy,
     # the heads' (T, d) outputs side by side, (T, H * d)
     concat = out.transpose(1, 0, 2).reshape(T, -1)
     observed = None if observe is None else observe(z, counts, global_counts)
-    return AttentionResult(matmul(concat, mh.w_p), observed)
+    return AttentionResult(concat @ mh.w_p, observed)
 
 
 @dataclass

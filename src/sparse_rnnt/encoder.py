@@ -16,7 +16,7 @@ import numpy as np
 from .attention import MaskPolicy, MultiHeadWeights, sparse_attend
 from .errors import DataError, EmptyInputError, ParameterError, ShapeError
 from .frontend import FeatureMatrix
-from .numerics import layer_norm, matmul, sigmoid
+from .numerics import layer_norm, sigmoid
 
 __all__ = [
     "EncoderConfig",
@@ -182,13 +182,13 @@ def conv_subsample(
     x = np.maximum(x, 0.0)
     x = _conv1d_valid(x, weights.w2, weights.b2, cfg.subsample_stride)
     x = np.maximum(x, 0.0)
-    return matmul(x, weights.proj) + weights.proj_b
+    return x @ weights.proj + weights.proj_b
 
 
 def _feed_forward(x: np.ndarray, w: FeedForwardWeights) -> np.ndarray:
     y = layer_norm(x, w.norm_gain, w.norm_bias)
-    y = _swish(matmul(y, w.w1) + w.b1)
-    return matmul(y, w.w2) + w.b2
+    y = _swish(y @ w.w1 + w.b1)
+    return y @ w.w2 + w.b2
 
 
 def _depthwise_conv(x: np.ndarray, dw: np.ndarray, db: np.ndarray) -> np.ndarray:
@@ -203,10 +203,10 @@ def _depthwise_conv(x: np.ndarray, dw: np.ndarray, db: np.ndarray) -> np.ndarray
 
 def _conv_module(x: np.ndarray, w: ConvModuleWeights) -> np.ndarray:
     y = layer_norm(x, w.norm_gain, w.norm_bias)
-    y = matmul(y, w.pw1) + w.pb1
+    y = y @ w.pw1 + w.pb1
     y = _depthwise_conv(y, w.dw, w.db)
     y = _swish(y)
-    return matmul(y, w.pw2) + w.pb2
+    return y @ w.pw2 + w.pb2
 
 
 def conformer_block_forward(x: np.ndarray, block: ConformerBlockWeights,

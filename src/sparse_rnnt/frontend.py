@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioFormatError, DataError, EmptyInputError, ShapeError
+from .numerics import row_matmul
 
 __all__ = [
     "Waveform",
@@ -220,9 +221,8 @@ def log_mel_spectrogram(w: Waveform, num_mels: int = 80) -> FeatureMatrix:
     for t in range(0, T, _FRAME_BLOCK):
         spectrum = np.abs(np.fft.rfft(framed[t : t + _FRAME_BLOCK] * window_fn,
                                       n=n_fft)) ** 2
-        # one gemv per frame, so each frame has the bits of fb @ its spectrum
-        # taken alone; the gemm spectrum @ fb.T would not
-        energies = (fb @ spectrum[:, :, None])[:, :, 0]
+        # fb.T as a view: a frame has the bits of its lone product (row_matmul)
+        energies = row_matmul(spectrum, fb.T)
         frames[t : t + _FRAME_BLOCK] = np.log(np.maximum(energies, _LOG_FLOOR))
     return FeatureMatrix(frames, frame_start(1, w.sample_rate), win / w.sample_rate)
 
@@ -269,10 +269,10 @@ def atomic_output(path, mode: str = "w"):
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
+        tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    tmp.replace(path)
 
 
 def read_feature_file(path) -> FeatureMatrix:
@@ -287,6 +287,8 @@ def read_feature_file(path) -> FeatureMatrix:
         shift, length = float(head[2]), float(head[3])
     except ValueError:
         raise DataError(f"{path}: bad feature header {text[0]!r}") from None
+    if T < 0 or F < 1:
+        raise DataError(f"{path}: feature header {text[0]!r}: needs T >= 0, F >= 1")
     if not (0 < shift < np.inf and 0 < length < np.inf):  # False for NaN
         raise DataError(f"{path}: feature header {text[0]!r}: frame_shift and "
                         f"frame_length must be finite and > 0")

@@ -25,7 +25,7 @@ from .encoder import (ConformerBlockWeights, ConvModuleWeights, EncoderConfig,
                       FeedForwardWeights, SubsampleWeights, check_fields)
 from .errors import DataError, ModelFormatError, ParameterError
 from .frontend import atomic_output
-from .numerics import LstmWeights
+from .numerics import LstmWeights, row_matmul
 
 __all__ = [
     "Vocabulary",
@@ -108,15 +108,13 @@ class PredictionWeights:
         """(|V| + 1, 4*pred_dim): row k is embedding[k] @ lstm.w_x, the last
         row the start symbol's, whose embedding is zero.
 
-        One gemv per row, so each row has the bits of the product formed on
-        its own. Built on first use, which makes `embedding` and `lstm.w_x`
-        read-only: an in-place edit afterwards raises instead of leaving the
-        table stale.
+        Each row has the bits of its lone product (row_matmul). Built on
+        first use, which makes `embedding` and `lstm.w_x` read-only: an
+        in-place edit afterwards raises instead of leaving the table stale.
         """
         self.embedding.setflags(write=False)
         self.lstm.w_x.setflags(write=False)
-        rows = [*self.embedding, np.zeros(self.embedding.shape[1])]
-        return np.array([x @ self.lstm.w_x for x in rows])
+        return row_matmul(np.pad(self.embedding, ((0, 1), (0, 0))), self.lstm.w_x)
 
 
 @dataclass

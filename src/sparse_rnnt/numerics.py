@@ -1,4 +1,4 @@
-"""Dense numeric kernels: matmul, softmax, layer norm, sigmoid, LSTM cell step.
+"""Dense numeric kernels: row_matmul, softmax, layer norm, sigmoid, LSTM cell step.
 
 Array in, array out: everything here is pure, float64 and deterministic,
 and holds no state of its own.
@@ -14,7 +14,7 @@ from .errors import ShapeError
 
 __all__ = [
     "LstmWeights",
-    "matmul",
+    "row_matmul",
     "softmax",
     "layer_norm",
     "lstm_cell_step",
@@ -38,13 +38,13 @@ class LstmWeights:
         return self.w_h.shape[0]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
+def row_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w, (..., k) by (..., k, m), each row of x its own gemv: a row has
+    the bits of its product taken alone, which a (B, k) @ (k, m) gemm does
+    not give. Beam 1 equal to greedy, cached child states and replayed runs
+    rest on this. Pass a transposed or windowed w as the view it is: a
+    contiguous copy can change the bits."""
+    return (x[..., None, :] @ w)[..., 0, :]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -91,10 +91,9 @@ def lstm_cell_step(
     again can cache, and hidden/cell (B, n). Returns the new (hidden,
     cell); the output is the new hidden.
 
-    Each row's recurrent product is its own gemv, (B, 1, n) @ (n, 4n), so
-    a row has the bits of a step taken alone; a (B, n) gemm would not. The
-    arithmetic is that of x_gates + h @ w_h + bias, sigmoid and the cell
-    update written out, done in place on the step's own temporaries (IEEE
+    A row has the bits of a step taken alone (row_matmul). The arithmetic
+    is that of x_gates + h @ w_h + bias, sigmoid and the cell update
+    written out, done in place on the step's own temporaries (IEEE
     addition and multiplication commute), so no input is written.
     """
     n = weights.cell_size
@@ -103,7 +102,7 @@ def lstm_cell_step(
         raise ShapeError(f"input gates {x_gates.shape} != (rows, 4 x cell size {n})")
     if hidden.shape != (B, n) or cell.shape != (B, n):
         raise ShapeError(f"states {hidden.shape}/{cell.shape} != ({B}, cell size {n})")
-    gates = (hidden[:, None, :] @ weights.w_h)[:, 0]
+    gates = row_matmul(hidden, weights.w_h)
     gates += x_gates
     gates += weights.bias
     g = np.tanh(gates[:, 2 * n : 3 * n])

@@ -14,7 +14,7 @@ import numpy as np
 
 from .encoder import EncoderOutputs, check_fields, check_positive_int
 from .errors import ParameterError, ShapeError, VocabularyError
-from .numerics import lstm_cell_step
+from .numerics import lstm_cell_step, row_matmul
 
 __all__ = [
     "Prefix",
@@ -159,9 +159,9 @@ def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
     `tokens` holds B token ids (None = start symbol) and hidden/cell are
     the rows' (B, pred_dim) states. Returns the B new states, whose
     vectors are rows (views) of the stacked output: hidden, cell and their
-    projection hidden @ joint.pred_proj, each row its own gemv. The list
-    returned also keeps the three stacks, as its `hidden`, `cell` and
-    `proj`, so a caller holding these states in order reads them whole.
+    projection hidden @ joint.pred_proj, each row its own (row_matmul).
+    The list returned also keeps the three stacks, as its `hidden`, `cell`
+    and `proj`, so a caller holding these states in order reads them whole.
     """
     pred = model.prediction
     V = len(pred.embedding)
@@ -171,7 +171,7 @@ def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
         bad = next(k for k in tokens if k is not None and not 0 <= k < V)
         raise VocabularyError(f"token id {bad} outside vocabulary of {V}")
     h, c = lstm_cell_step(pred.input_gates.take(rows, axis=0), hidden, cell, pred.lstm)
-    projs = (h[:, None, :] @ model.joint.pred_proj)[:, 0]
+    projs = row_matmul(h, model.joint.pred_proj)
     states = _StateStack(map(PredictionState, h, c, projs))
     states.hidden, states.cell, states.proj = h, c, projs
     return states
@@ -179,28 +179,28 @@ def predict_step(tokens, hidden: np.ndarray, cell: np.ndarray, model):
 
 def frame_projection(h_t: np.ndarray, model) -> np.ndarray:
     """Encoder frames' share of every joint call on them, h_t @ joint.enc_proj:
-    (joint_dim,) for one frame, (L, joint_dim) for a block of L frames. Each
-    frame is its own gemv, so a row has the bits of its lone product."""
+    (joint_dim,) for one frame, (L, joint_dim) for a block of L frames, each
+    frame its own product (row_matmul)."""
     enc_proj = model.joint.enc_proj
     if h_t.shape[-1] != enc_proj.shape[0]:
         raise ShapeError(
             f"encoder frame dim {h_t.shape[-1]} != joint input {enc_proj.shape[0]}"
         )
-    return h_t @ enc_proj if h_t.ndim == 1 else (h_t[:, None, :] @ enc_proj)[:, 0]
+    return row_matmul(h_t, enc_proj)
 
 
 def joint(frame_proj: np.ndarray, pred_projs: np.ndarray, model) -> np.ndarray:
     """Joint network on cached projections: tanh combiner, then log-softmax
     over the vocabulary. Takes one frame's and A prefixes' (A, joint_dim),
     giving (A, V), or L frames' (L, 1, joint_dim) and S prefixes', giving
-    (L, S, V). Each row's output product is its own gemv, so a row has the
-    bits of the joint taken on it alone. The temporaries are the call's own
-    and are reused in place; no input is written."""
+    (L, S, V). A row has the bits of the joint taken on it alone
+    (row_matmul). The temporaries are the call's own and are reused in
+    place; no input is written."""
     jw = model.joint
     z = frame_proj + pred_projs
     z += jw.bias
     np.tanh(z, out=z)
-    logits = (z[..., None, :] @ jw.out)[..., 0, :]
+    logits = row_matmul(z, jw.out)
     logits += jw.out_bias
     # the ufunc reductions np.max/np.sum call, without their wrappers
     logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
@@ -228,11 +228,10 @@ def _step_cached(states: list[PredictionState], kids: list[tuple[int, int]],
     A parent state keeps, in its `children`, the state stepped from it by
     each token: a child stepped before, on this frame or an earlier one, is
     that same state. The others are stepped in one predict_step call and
-    kept. A reused child has the bits of a new step, since each row of
-    predict_step is its own gemv. A reset makes a new zero state, so nothing
-    stepped before it is reused after it. When every child is new, the
-    children are predict_step's stack, in order; parents held in one stack
-    give their rows from it.
+    kept. A reused child has the bits of a new step (row_matmul). A reset
+    makes a new zero state, so nothing stepped before it is reused after
+    it. When every child is new, the children are predict_step's stack, in
+    order; parents held in one stack give their rows from it.
     """
     todo = []
     for a, k in kids:
@@ -522,8 +521,9 @@ def _replay(hyps, template, frame_projs: np.ndarray, i: int, beam: int, model):
         kids = grown[:, :, None] + np.delete(log_probs[:, emit], blank, axis=2)
         ok &= _kept_best(scores[1:], kids.reshape(n, -1), beam)
     k = int(ok.argmin()) if not ok.all() else n
+    last = scores[k].tolist()
     return k, [Hypothesis(Prefix(hyps[src[q]].prefix, toks[q][0], i + k - 1)
-                          if toks[q] and k else h.prefix, scores[k, q], h.state)
+                          if toks[q] and k else h.prefix, last[q], h.state)
                for q, h in enumerate(hyps)]
 
 
@@ -618,4 +618,4 @@ def greedy_decode(h: EncoderOutputs, model) -> Transcript:
             log_prob = scores[k]
             (state,) = predict_step([k], state.hidden[None], state.cell[None], model)
             symbols += 1
-    return Transcript(tuple(tokens), tuple(frames), log_prob)
+    return Transcript(tuple(tokens), tuple(frames), float(log_prob))

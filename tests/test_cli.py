@@ -340,6 +340,24 @@ class TestDecode:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
 
+    @pytest.mark.parametrize("head", ["0 -1", "0 -3"])
+    def test_feature_header_without_dimension_exit_data(self, model_path, tmp_path,
+                                                        capsys, head):
+        feats = tmp_path / "x.feat"
+        feats.write_text(f"{head} 0.01 0.025\n")
+        code = main(["decode", "--model", str(model_path), str(feats)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"feature header '{head} " in err and "Traceback" not in err
+
+    def test_out_onto_a_directory_exit_io(self, model_path, wav_path, tmp_path):
+        out = tmp_path / "D"
+        out.mkdir()
+        code = main(["decode", "--model", str(model_path), str(wav_path),
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
+
     @pytest.mark.parametrize("row", ["0.5 abc", "nan 0.5"])
     def test_bad_feature_value_exit_data(self, model_path, tmp_path, capsys, row):
         from sparse_rnnt.model_io import load_model

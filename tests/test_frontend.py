@@ -352,6 +352,13 @@ class TestFeatureFile:
         with pytest.raises(DataError, match="header"):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("head", ["0 -1", "0 -3", "0 0", "-1 2"])
+    def test_bad_header_counts_rejected(self, tmp_path, head):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{head} 0.01 0.025\n")
+        with pytest.raises(DataError, match=f"feature header '{head} "):
+            read_feature_file(path)
+
     def test_ragged_row_names_row(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 2 0.01 0.025\n1 2 3\n4 5\n")
@@ -381,3 +388,12 @@ class TestAtomicOutput:
                 raise KeyboardInterrupt
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_a_failed_move_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(OSError):
+            with atomic_output(path) as fh:
+                fh.write("row\n")
+        assert path.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

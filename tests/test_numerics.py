@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sparse_rnnt.errors import ShapeError
 from sparse_rnnt.numerics import (
     LstmWeights,
     layer_norm,
     lstm_cell_step,
-    matmul,
+    row_matmul,
     sigmoid,
 )
 
@@ -27,32 +28,62 @@ def naive_matmul(a, b):
 class TestMatmul:
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(matmul(np.eye(2), a), a)
+        assert np.array_equal(row_matmul(np.eye(2), a), a)
 
     def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
+        out = row_matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
         assert out.shape == (1, 1)
         assert out[0, 0] == 11.0
 
     def test_matches_naive_oracle(self, rng):
         a = rng.normal(size=(5, 7))
         b = rng.normal(size=(7, 3))
-        assert np.allclose(matmul(a, b), naive_matmul(a, b), rtol=0, atol=1e-12)
-
-    def test_shape_error_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+        assert np.allclose(row_matmul(a, b), naive_matmul(a, b), rtol=0, atol=1e-12)
 
     def test_associativity_tolerance(self, rng):
         a, b, c = (rng.uniform(-1, 1, size=(8, 8)) for _ in range(3))
-        lhs = matmul(matmul(a, b), c)
-        rhs = matmul(a, matmul(b, c))
+        lhs = row_matmul(row_matmul(a, b), c)
+        rhs = row_matmul(a, row_matmul(b, c))
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
     def test_pure_and_deterministic(self, rng):
         a = rng.normal(size=(4, 4))
         b = rng.normal(size=(4, 4))
-        assert np.array_equal(matmul(a, b), matmul(a, b))
+        assert np.array_equal(row_matmul(a, b), row_matmul(a, b))
+
+    def test_a_vector_has_the_bits_of_x_at_w(self, rng):
+        x, w = rng.normal(size=37), rng.normal(size=(37, 11))
+        assert np.array_equal(row_matmul(x, w), x @ w)
+
+    @given(B=st.integers(1, 8), k=st.integers(1, 40), m=st.integers(1, 40),
+           lead=st.lists(st.integers(1, 3), max_size=2),
+           kind=st.sampled_from(["shared", "transposed", "per_row", "window",
+                                 "window_t"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_row_is_its_lone_product(self, B, k, m, lead, kind, seed):
+        rng = np.random.default_rng(seed)
+        lead = tuple(lead)
+        if kind == "shared":
+            w = rng.normal(size=(k, m))
+        elif kind == "transposed":
+            w = rng.normal(size=(m, k)).T
+        elif kind == "per_row":
+            w = rng.normal(size=(*lead, B, k, m))
+        else:
+            # as _Window.of: each row's block is a window of one (..., T, d)
+            # array, which _attend reads as it is and BandScores transposed
+            n, d = (k, m) if kind == "window" else (m, k)
+            base = rng.normal(size=(*lead, B + n + 2, d))
+            windows = np.lib.stride_tricks.sliding_window_view(base, n, axis=-2)
+            w = windows[..., 1 : 1 + B, :, :].swapaxes(-1, -2)
+            if kind == "window_t":
+                w = w.swapaxes(-1, -2)
+        x = rng.normal(size=(*lead, B, k))
+        out = row_matmul(x, w)
+        assert out.shape == (*lead, B, m)
+        for idx in np.ndindex(*lead, B):
+            lone = x[idx] @ (w if w.ndim == 2 else w[idx])
+            assert np.array_equal(out[idx], lone)
 
 
 class TestLayerNorm:

@@ -1,5 +1,6 @@
 """Source hygiene of the package: no unused imports, no stale __all__
-entries, no dead private names, no README citation of a missing name.
+entries, no dead private names, no README citation of a missing name, no
+per-row product spelled outside numerics.row_matmul.
 
 Each module of src/sparse_rnnt is parsed with ast. An imported name must be
 read somewhere in its module (a name listed in __all__ counts as read),
@@ -105,6 +106,35 @@ def test_the_check_sees_an_unread_private_name():
                      "def _gone():\n    return _used()\n")
     assert sorted(_private(tree)) == ["_K", "_gone", "_used"]
     assert sorted(_private(tree) - _read(tree)) == ["_gone"]
+
+
+def _row_products(tree: ast.Module) -> list[int]:
+    """The lines of each `a @ b` with an operand that subscripts with None,
+    as (x[:, None, :] @ w)[:, 0] spells a per-row product by hand."""
+    def adds_axis(side: ast.expr) -> bool:
+        if not isinstance(side, ast.Subscript):
+            return False
+        index = side.slice.elts if isinstance(side.slice, ast.Tuple) else [side.slice]
+        return any(isinstance(i, ast.Constant) and i.value is None for i in index)
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                  and (adds_axis(node.left) or adds_axis(node.right)))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "numerics.py"],
+                         ids=lambda p: p.name)
+def test_every_row_product_is_row_matmul(path):
+    # numerics.row_matmul owns the one-gemv-per-row rule; a product spelled
+    # by hand elsewhere escapes its test
+    lines = _row_products(ast.parse(path.read_text(), str(path)))
+    assert not lines, f"{path.name}: per-row product outside row_matmul at lines {lines}"
+
+
+def test_the_check_sees_a_hand_spelled_row_product():
+    tree = ast.parse("a = (x[:, None, :] @ w)[:, 0]\nb = w @ y[..., None]\n"
+                     "c = x @ w\nd = x[:, 0] @ w\ne = x[:, None] * w\n")
+    assert _row_products(tree) == [1, 2]
 
 
 def _cited(text: str) -> list[str]:

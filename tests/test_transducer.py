@@ -986,6 +986,27 @@ class TestRunAhead:
         assert reset_runs > 0 or t_sil > 1
 
 
+class TestLogProbType:
+    """Transcript.log_prob is a Python float whichever path made it."""
+
+    @pytest.mark.parametrize("beam", [1, 2])
+    def test_a_float_on_every_path(self, beam, monkeypatch):
+        model = random_model(ModelConfig.desk_scale(), 7)
+        model.joint.out_bias[model.config.vocab.blank_id] += 10.0
+        out = enc_outputs(np.random.default_rng(3), model, 40)
+        log = event_log(monkeypatch)
+        srs = SrsParams(t_sil=4)
+        got = decode_with_srs(out, model, beam=beam, srs=srs)
+        # the last frame came from a run
+        assert [e for e in log if e in ("run", "step")][-1] == "run"
+        assert type(got.log_prob) is float
+        del log[:]
+        monkeypatch.setattr(transducer, "_template", lambda *args: None)
+        frame_by_frame = decode_with_srs(out, model, beam=beam, srs=srs)
+        assert "run" not in log and type(frame_by_frame.log_prob) is float
+        assert type(greedy_decode(out, model).log_prob) is float
+
+
 class TestBeamOneRunAhead:
     """The row schedule of beam 1's runs."""
 
