@@ -896,6 +896,67 @@ class TestSweep:
         assert code == EXIT_DATA
 
 
+class TestRejectedFiles:
+    """Malformed WAVs, model files and reference TSVs, and an unknown
+    segmentation: the exit code, one stderr line naming the fault (so no
+    traceback), and no `.tmp` file left behind."""
+
+    def check(self, capsys, tmp_path, argv, code, message):
+        assert main(argv) == code
+        assert capsys.readouterr().err == message
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda wav: b"", "truncated WAV"),
+        (lambda wav: b"RIFF", "truncated WAV"),
+        (lambda wav: wav[:28], "truncated WAV"),  # 8 of the fmt chunk's 16 bytes
+        (lambda wav: wav[:20] + (3).to_bytes(2, "little") + wav[22:],  # IEEE float
+         "malformed WAV (unknown format: 3)"),
+    ], ids=["empty", "riff-only", "short-fmt-chunk", "ieee-float"])
+    def test_bad_wav_exit_io(self, model_path, wav_path, tmp_path, capsys, edit, message):
+        bad, out = tmp_path / "bad.wav", tmp_path / "hyps.tsv"
+        bad.write_bytes(edit(wav_path.read_bytes()))
+        self.check(capsys, tmp_path, ["decode", "--model", str(model_path), str(bad),
+                                      "--out", str(out)], EXIT_IO, f"error: {bad}: {message}\n")
+        assert out.read_text() == ""  # the lines of the inputs that decoded: none
+
+    @pytest.mark.parametrize("edit,message", [
+        (None, "missing manifest separator"),  # the manifest alone
+        (_set("magic", "sparse-rnnt-model-v2"), "not a sparse-rnnt-model-v1 file"),
+        (lambda m: m["tensors"].append({"name": "extra", "shape": [1], "offset": 0}),
+         "unexpected tensor 'extra'"),
+    ], ids=["no-separator", "other-magic", "extra-tensor"])
+    def test_bad_model_exit_io(self, model_path, wav_path, tmp_path, capsys, edit, message):
+        head, blob = model_path.read_bytes().split(b"\x00", 1)
+        manifest = json.loads(head)
+        if edit is not None:
+            edit(manifest)
+        bad, out = tmp_path / "bad.model", tmp_path / "hyps.tsv"
+        bad.write_bytes(json.dumps(manifest).encode() + (b"\x00" + blob if edit else b""))
+        self.check(capsys, tmp_path, ["decode", "--model", str(bad), str(wav_path),
+                                      "--out", str(out)], EXIT_IO, f"i/o error: {bad}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_reference_without_tab_exit_data(self, model_path, wav_path, tmp_path, capsys,
+                                             command):
+        refs, hyps, out = (tmp_path / name for name in ("refs.tsv", "hyps.tsv", "out"))
+        refs.write_text("utt1 hello\n")
+        hyps.write_text("utt1\thello\n")
+        argv = (["eval", "--hyps", str(hyps)] if command == "eval"
+                else ["sweep", "--model", str(model_path), str(wav_path)])
+        self.check(capsys, tmp_path, argv + ["--refs", str(refs), "--out", str(out)], EXIT_DATA,
+                   f"data error: {refs}: line without tab separator: 'utt1 hello'\n")
+        assert not out.exists()
+
+    def test_unknown_segmentation_exit_config(self, model_path, wav_path, tmp_path, capsys):
+        out = tmp_path / "hyps.tsv"
+        self.check(capsys, tmp_path, ["decode", "--model", str(model_path), str(wav_path),
+                                      "--segmentation", "foo", "--out", str(out)],
+                   EXIT_CONFIG, "config error: unknown segmentation 'foo'\n")
+        assert not out.exists()
+
+
 def readme_commands():
     """The argument lists of the `sparse-rnnt` lines in README.md's sh
     blocks, with backslash continuations joined."""

@@ -334,7 +334,7 @@ class TestFeatureFile:
     def test_non_numeric_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("two 2 0.01 0.025\n1 2\n3 4\n")
-        with pytest.raises(DataError, match="header"):
+        with pytest.raises(DataError, match="bad feature header 'two 2"):
             read_feature_file(path)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -349,7 +349,7 @@ class TestFeatureFile:
     def test_bad_header_times_rejected(self, tmp_path, times):
         path = tmp_path / "bad.txt"
         path.write_text(f"2 2 {times}\n1 2\n3 4\n")
-        with pytest.raises(DataError, match="header"):
+        with pytest.raises(DataError, match="frame_shift and frame_length must be finite"):
             read_feature_file(path)
 
     @pytest.mark.parametrize("head", ["0 -1", "0 -3", "0 0", "-1 2"])

@@ -193,7 +193,7 @@ class TestSerialization:
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "junk"
         path.write_bytes(b"hello\x00world")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match="malformed manifest"):
             load_model(path)
 
 

@@ -15,8 +15,8 @@ from planted import burst_of, burst_wav, planted_model
 from sparse_rnnt.attention import LOCAL_W, parse_policy
 from sparse_rnnt.encoder import encode
 from sparse_rnnt.pipeline import DecodeOptions, SegmentationSpec, decode_waveform, prepare_input
-from sparse_rnnt.transducer import (SrsParams, _best, beam_search_step, check_blank_token,
-                                    reset_prediction_states, start_hypothesis)
+from sparse_rnnt.transducer import SrsParams, _best, check_blank_token
+from tests_oracles import frame_by_frame_decode
 
 BURSTS = {4: 1, 10: 2, 30: 6}  # bursts in a file of this many seconds
 
@@ -75,21 +75,6 @@ def best_emitted_nothing(hyps, i) -> bool:
     return _best(hyps).prefix.frame != i
 
 
-def frame_by_frame(h, model, beam, silent, t_sil=SrsParams().t_sil):
-    """One beam_search_step per frame; SRS fires after more than t_sil
-    frames in a row that `silent` calls silent. With check_blank_token,
-    the decoder's trigger (no hypothesis emitted), this is
-    tests_oracles.frame_by_frame_decode."""
-    hyps, run = [start_hypothesis(model)], 0
-    for i in range(h.length):
-        hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
-        run = run + 1 if silent(hyps, i) else 0
-        if run > t_sil:
-            hyps = reset_prediction_states(hyps, model)
-            run = 0
-    return _best(hyps)
-
-
 @pytest.fixture(scope="module")
 def encoded_30s(model):
     """The planted 30 s file's encoder output and start time, per policy."""
@@ -118,7 +103,7 @@ def test_srs_trigger_verdict(model, encoded_30s, trigger, beam, policy, want):
     # about. At beam 1 the best hypothesis is the only one, and the two
     # triggers agree.
     h, start = encoded_30s[policy]
-    best = frame_by_frame(h, model, beam, trigger)
+    best = frame_by_frame_decode(h, model, beam, SrsParams(), silent=trigger)
     times = [start + frame * h.frame_rate for frame in best.frames]
     in_burst = sum(burst_of(t) is not None for t in times)
     assert (in_burst, len(times) - in_burst, len(bursts_with_a_token(times))) == want

@@ -72,6 +72,13 @@ class TestDoiMerge:
         assert len(merged) == 1
         assert merged[0].time == 17.5
 
+    def test_final_core_keeps_a_token_at_its_end(self):
+        # cores are half-open, so a token at an inner core's end belongs
+        # to the next core; the last core also keeps one at its end
+        first, last = doi_split(36.0, 20.0)
+        ends = [TimedToken(1, first.core_end), TimedToken(2, last.core_end)]
+        assert doi_merge([(first, ends[:1]), (last, ends[1:])]) == ends[1:]
+
     def test_identity_decoder_round_trip(self, rng):
         # synthetic decoder emitting one token per second; the merge must
         # reproduce the unsegmented stream with no boundary dups or losses

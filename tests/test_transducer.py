@@ -37,6 +37,7 @@ from tests_oracles import (
     oracle_srs_firings,
     prefix_of,
     scripted_srs_firings,
+    srs_frames,
 )
 
 
@@ -436,9 +437,7 @@ class TestBeamSearch:
     def test_no_duplicate_prefixes_and_beam_bound(self, rng):
         model = random_model(tiny_config(), 23)
         out = enc_outputs(rng, model, 6)
-        hyps = [start_hypothesis(model)]
-        for i in range(out.length):
-            hyps = beam_search_step(out.h[i], hyps, 4, model, frame_idx=i)
+        for _, hyps, _ in srs_frames(out, model, 4, None):
             assert len(hyps) <= 4
             prefixes = [h.tokens for h in hyps]
             assert len(prefixes) == len(set(prefixes))
@@ -493,21 +492,20 @@ class TestDeferredExpansion:
     @pytest.mark.parametrize("t_sil", [None, 1])
     def test_identical_to_eager_step(self, t_sil):
         rng = np.random.default_rng(4242)
+        srs = None if t_sil is None else SrsParams(t_sil)
         for model in equivalence_models():
             out = enc_outputs(rng, model, 6)
             for beam in (1, 2, 4, 8):
                 for max_exp in (1, 2, 5):
-                    hyps, silent = [start_hypothesis(model)], 0
-                    for i in range(out.length):
-                        want = eager_beam_search_step(out.h[i], hyps, beam, model,
-                                                      i, max_exp)
-                        hyps = beam_search_step(out.h[i], hyps, beam, model,
+                    def step(h_i, hyps, i):
+                        want = eager_beam_search_step(h_i, hyps, beam, model, i, max_exp)
+                        hyps = beam_search_step(h_i, hyps, beam, model,
                                                 frame_idx=i, max_expansions=max_exp)
                         assert_same_hyps(hyps, want, i)
-                        silent = silent + 1 if check_blank_token(hyps, i) else 0
-                        if t_sil and silent > t_sil:
-                            hyps = reset_prediction_states(hyps, model)
-                            silent = 0
+                        return hyps
+
+                    for _ in srs_frames(out, model, beam, srs, step):
+                        pass
 
     def test_tied_columns_decide_at_beam_boundary(self):
         # Two hypotheses with one score and one state, listed against
@@ -831,6 +829,21 @@ class TestDecodeWithSrs:
             for length in range(1, 11):
                 for silences in itertools.product([True, False], repeat=length):
                     assert firings(t_sil, silences) == oracle_srs_firings(t_sil, silences)
+
+    @pytest.mark.parametrize("t_sil", [1, 2, 15])
+    def test_reference_loop_fires_as_the_oracle(self, t_sil):
+        # srs_frames, the runs' reference, fires where oracle_srs_firings
+        # does over its frames' silences (a reset keeps the prefixes they
+        # are read from): all silent at beam 1, mixed at beam 4
+        model = random_model(tiny_config(), 3)
+        model.joint.out_bias[model.config.vocab.blank_id] += 5.0
+        out = enc_outputs(np.random.default_rng(0), model, 300)
+        for beam in (1, 4):
+            frames = list(srs_frames(out, model, beam, SrsParams(t_sil)))
+            silences = [check_blank_token(hyps, i) for i, hyps, _ in frames]
+            fired = [i for i, _, fired in frames if fired]
+            assert fired and fired == oracle_srs_firings(t_sil, silences)
+        assert not all(silences)
 
 
 class TestGreedy:
@@ -1201,19 +1214,19 @@ class TestChildCache:
         for seed, (model, T) in enumerate(cache_models()):
             out = enc_outputs(np.random.default_rng(seed), model, T)
             for beam in (2, 4, 8):
-                hyps, eager = [start_hypothesis(model)], [start_hypothesis(model)]
-                silent, since = 0, None
-                for i in range(out.length):
-                    want = eager_beam_search_step(out.h[i], eager, beam, model, i)
-                    hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+                eager, since = [start_hypothesis(model)], None
+
+                def step(h_i, hyps, i):
+                    want = eager_beam_search_step(h_i, eager, beam, model, i)
+                    hyps = beam_search_step(h_i, hyps, beam, model, frame_idx=i)
                     assert_same_hyps(hyps, want, i)
-                    eager = [h for h, _ in want]
-                    silent = silent + 1 if check_blank_token(hyps, i) else 0
-                    if srs is not None and silent > t_sil:
-                        hyps = reset_prediction_states(hyps, model)
-                        eager = reset_prediction_states(eager, model)
-                        resets, silent = resets + 1, 0
-                        since = len(reuses)
+                    eager[:] = [h for h, _ in want]
+                    return hyps
+
+                for _, hyps, fired in srs_frames(out, model, beam, srs, step):
+                    if fired:
+                        eager[:] = reset_prediction_states(eager, model)
+                        resets, since = resets + 1, len(reuses)
                 reused_after_reset += since is not None and any(reuses[since:])
                 best = transducer._best(hyps)
                 want = transducer.Transcript(best.tokens, best.frames, best.log_prob)
@@ -1315,6 +1328,8 @@ class TestChildCache:
         # again); every later frame is prune-only, so they go in runs of
         # 1, 2, 4, ... frames, one joint call each, scoring the 4 carried
         # states on each frame. Only a run cut short scores frames twice.
+        # An emitter is re-made every frame, so SRS never fires, at t_sil 15
+        # or 1; test_identical_to_uncached_search has resets at beam > 1.
         model, out = prune_only_outputs()
         period = [0]
         pairs = []
@@ -1337,7 +1352,7 @@ class TestChildCache:
         for srs in (SrsParams(t_sil=15), SrsParams(t_sil=1), None):
             del pairs[:], joint_rows[:], steps[:]
             got = decode_with_srs(out, model, beam=4, srs=srs)
-            assert got.token_ids == ()
+            assert got.token_ids == () and period[0] == 0
             assert len(pairs) == len(set(pairs)) == 4  # start symbol + 3 children
             assert len(joint_rows) <= 4 + math.ceil(math.log2(out.length))
             assert 4 * out.length <= sum(joint_rows) <= 4 * out.length + max(joint_rows)
@@ -1357,13 +1372,8 @@ class TestChildCache:
             out = enc_outputs(np.random.default_rng(seed), model, T)
             W = model.joint.pred_proj
             for beam in (2, 4, 8):
-                hyps, silent = [start_hypothesis(model)], 0
-                for i in range(out.length):
-                    hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
-                    silent = silent + 1 if check_blank_token(hyps, i) else 0
-                    if srs is not None and silent > t_sil:
-                        hyps = reset_prediction_states(hyps, model)
-                        silent = 0
+                for _, hyps, fired in srs_frames(out, model, beam, srs):
+                    if fired:
                         state = hyps[0].state
                         assert all(h.state is state for h in hyps)
                         assert state.children is None
@@ -1380,13 +1390,13 @@ class TestChildCache:
         model.joint.out_bias[model.config.vocab.blank_id] += 4.0
         out = enc_outputs(np.random.default_rng(0), model, 200)
         srs, beam = SrsParams(t_sil=1), 4
-        hyps, silent, resets = [start_hypothesis(model)], 0, 0
-        for i in range(out.length):
-            hyps = [h for h, _ in eager_beam_search_step(out.h[i], hyps, beam, model, i)]
-            silent = silent + 1 if check_blank_token(hyps, i) else 0
-            if silent > srs.t_sil:
-                hyps = reset_prediction_states(hyps, model)
-                resets, silent = resets + 1, 0
+
+        def eager(h_i, hyps, i):
+            return [h for h, _ in eager_beam_search_step(h_i, hyps, beam, model, i)]
+
+        resets = 0
+        for _, hyps, fired in srs_frames(out, model, beam, srs, eager):
+            resets += fired
         best = transducer._best(hyps)
         want = transducer.Transcript(best.tokens, best.frames, best.log_prob)
         got = decode_with_srs(out, model, beam=beam, srs=srs)
@@ -1401,11 +1411,7 @@ class TestChildCache:
         model.joint.out_bias[model.config.vocab.blank_id] += 1.5
         out = enc_outputs(np.random.default_rng(3), model, 2000)
         V, beam = len(model.config.vocab), 4
-        hyps = [start_hypothesis(model)]
-        live = []
-        for i in range(out.length):
-            hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
-            live.append(live_children(hyps))
+        live = [live_children(hyps) for _, hyps, _ in srs_frames(out, model, beam, None)]
         assert max(live) <= beam * (V - 1)
         assert max(live) > V - 1  # more than one state holds a cache
 
@@ -1455,9 +1461,7 @@ class TestPrefixDeterminesState:
                 oracle[tokens] = oracle_predict_step(tokens[-1], state, model)
             return oracle[tokens]
 
-        hyps = [start_hypothesis(model)]
-        for i in range(out.length):
-            hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+        for _, hyps, _ in srs_frames(out, model, beam, None):
             for h in hyps:
                 g, want = oracle_of(h.tokens)
                 assert h.state.hidden.tobytes() == want.hidden.tobytes()
@@ -1479,9 +1483,7 @@ class TestPrefixDeterminesState:
         model.joint.out_bias[model.config.vocab.blank_id] += blank_bias
         out = enc_outputs(np.random.default_rng(seed), model, T)
         seen = {}
-        hyps = [start_hypothesis(model)]
-        for i in range(out.length):
-            hyps = beam_search_step(out.h[i], hyps, beam, model, frame_idx=i)
+        for _, hyps, _ in srs_frames(out, model, beam, None):
             for h in hyps:
                 bits = h.state.hidden.tobytes(), h.state.cell.tobytes()
                 assert seen.setdefault(h.tokens, bits) == bits

@@ -323,22 +323,34 @@ def eager_beam_search_step(h_i, hyps_prev, beam, model, frame_idx=0,
             for e in pool]
 
 
-def frame_by_frame_decode(h, model, beam, srs):
-    """`decode_with_srs` one frame at a time: one beam_search_step per
-    frame, then the silence reset (none where srs is None) once more than
-    t_sil frames in a row have had no hypothesis emit. Reference for the
-    runs."""
-    from sparse_rnnt.transducer import (Transcript, _best, beam_search_step,
-                                        check_blank_token, reset_prediction_states,
-                                        start_hypothesis)
+def srs_frames(h, model, beam, srs, step=None, silent=None):
+    """`decode_with_srs` one frame at a time, the tests' one silence reset
+    (SRS) loop. step(h_i, hyps, i) steps the beam (beam_search_step unless
+    given); once more than srs.t_sil frames in a row are silent(hyps, i)
+    (check_blank_token unless given), every state is reset, never where srs
+    is None. Yields (i, hyps, fired) per frame, hyps after any reset."""
+    from sparse_rnnt.transducer import (beam_search_step, check_blank_token,
+                                        reset_prediction_states, start_hypothesis)
 
-    hyps, silent = [start_hypothesis(model)], 0
+    step = step or (lambda h_i, hyps, i: beam_search_step(h_i, hyps, beam, model, frame_idx=i))
+    silent = silent or check_blank_token
+    hyps, run = [start_hypothesis(model)], 0
     for i in range(h.length):
-        hyps = beam_search_step(h.h[i], hyps, beam, model, frame_idx=i)
-        silent = silent + 1 if check_blank_token(hyps, i) else 0
-        if srs is not None and silent > srs.t_sil:
-            hyps = reset_prediction_states(hyps, model)
-            silent = 0
+        hyps = step(h.h[i], hyps, i)
+        run = run + 1 if silent(hyps, i) else 0
+        fired = srs is not None and run > srs.t_sil
+        if fired:
+            hyps, run = reset_prediction_states(hyps, model), 0
+        yield i, hyps, fired
+
+
+def frame_by_frame_decode(h, model, beam, srs, silent=None):
+    """The best of srs_frames' last beam, as a transcript. Reference for
+    the runs."""
+    from sparse_rnnt.transducer import Transcript, _best
+
+    for _, hyps, _ in srs_frames(h, model, beam, srs, silent=silent):
+        pass
     best = _best(hyps)
     return Transcript(best.tokens, best.frames, best.log_prob)
 
