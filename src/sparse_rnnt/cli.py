@@ -122,11 +122,9 @@ def cmd_decode(args) -> int:
     lines = []
     detail_lines = []
     stats_blocks = []
-    # --stats: each encoded layer's (counts, global counts), as attended
-    layers = []
-    observe = (lambda z, *counts: layers.append(counts)) if args.stats else None
+    # --stats: each layer's (counts, global counts), as attended
+    observe = (lambda z, *counts: counts) if args.stats else None
     for path in paths:
-        layers.clear()
         try:
             res = decode_file(model, path, opts, observe)
         except (SparseRnntError, OSError) as exc:
@@ -145,11 +143,10 @@ def cmd_decode(args) -> int:
                 ],
                 "log_prob": res.log_prob,
             }, sort_keys=True))
-        n = len(model.blocks)
-        for si in range(0, len(layers), n):
-            counts, global_counts = zip(*layers[si : si + n])
+        for si, layers in enumerate(res.observed):
+            counts, global_counts = zip(*layers)
             report = format_sparsity_report(mask_stats(counts, global_counts))
-            stats_blocks.append(f"# {utt_id} segment {si // n}\n{report}")
+            stats_blocks.append(f"# {utt_id} segment {si}\n{report}")
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.out:
         with atomic_output(args.out) as fh:
@@ -209,9 +206,9 @@ def cmd_sweep(args) -> int:
         prepared = [(path, ref, prepare_input(model, x, seg)) for path, ref, x in inputs]
         for key, (_, opts) in grid.items():
             if opts.segmentation == seg:
-                pairs = [(ref, _sweep_text(model, path, x, opts))
-                         for path, ref, x in prepared]
-                results[key] = corpus_cer(pairs)
+                results[key] = corpus_cer([
+                    edit_alignment(ref, _sweep_text(model, path, x, opts))
+                    for path, ref, x in prepared])
     sweep_report(results, args.out)
     print(f"wrote {len(results)} sweep rows to {args.out}")
     return EXIT_OK
@@ -250,16 +247,13 @@ def cmd_eval(args) -> int:
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise DataError(f"hypotheses missing for ids: {', '.join(missing)}")
-    jsonl = []
-    pairs = []
-    for utt_id in sorted(refs):
-        b = edit_alignment(refs[utt_id], hyps[utt_id])
-        jsonl.append(breakdown_json(utt_id, b))
-        pairs.append((refs[utt_id], hyps[utt_id]))
-    summary = corpus_cer(pairs)
+    breakdowns = {utt_id: edit_alignment(refs[utt_id], hyps[utt_id])
+                  for utt_id in sorted(refs)}
+    summary = corpus_cer(list(breakdowns.values()))
     if args.out:
         with atomic_output(args.out) as fh:
-            fh.writelines(f"{line}\n" for line in jsonl)
+            fh.writelines(f"{breakdown_json(utt_id, b)}\n"
+                          for utt_id, b in breakdowns.items())
     print(
         f"cer={summary.cer:.6f} del={summary.deletions} ins={summary.insertions} "
         f"sub={summary.substitutions} ref_len={summary.ref_len}"

@@ -1,4 +1,4 @@
-"""Acoustic frontend: WAV I/O, log-mel features, global normalization."""
+"""Acoustic frontend: WAV I/O, log-mel features, per-dimension normalization."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .numerics import row_matmul
 __all__ = [
     "Waveform",
     "FeatureMatrix",
-    "NormalizationStats",
     "WINDOW",
     "HOP",
     "read_wav",
@@ -28,8 +27,7 @@ __all__ = [
     "mel_filterbank",
     "hz_to_mel",
     "mel_to_hz",
-    "compute_stats",
-    "normalize_global",
+    "normalize",
     "read_feature_file",
     "write_feature_file",
     "read_text",
@@ -75,24 +73,10 @@ class FeatureMatrix:
 WINDOW = 0.025  # seconds of audio per frame
 HOP = 0.010  # seconds between frame starts, before rounding to whole samples
 _LOG_FLOOR = 1e-10  # mel energies are floored here before the log
-_STD_FLOOR = 1e-10  # compute_stats floors each dimension's std here
+_STD_FLOOR = 1e-10  # normalize floors each dimension's std here
 # frames per batched FFT: bounds the frontend's temporaries (windowed
 # frames, complex spectra) to a few MB whatever the input's length
 _FRAME_BLOCK = 64
-
-
-@dataclass
-class NormalizationStats:
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.std = np.asarray(self.std, dtype=np.float64)
-        if self.mean.shape != self.std.shape:
-            raise ShapeError("mean/std length mismatch")
-        if np.any(self.std <= 0):
-            raise ShapeError("std entries must be positive")
 
 
 def read_wav(path) -> Waveform:
@@ -227,20 +211,12 @@ def log_mel_spectrogram(w: Waveform, num_mels: int = 80) -> FeatureMatrix:
     return FeatureMatrix(frames, frame_start(1, w.sample_rate), win / w.sample_rate)
 
 
-def compute_stats(f: FeatureMatrix) -> NormalizationStats:
-    """Per-dimension mean/std over all frames; std floored to stay positive."""
+def normalize(f: FeatureMatrix) -> FeatureMatrix:
+    """f with each dimension shifted by the mean of its own frames and
+    scaled by their std, the std floored to stay positive."""
     mean = f.frames.mean(axis=0)
-    std = f.frames.std(axis=0)
-    return NormalizationStats(mean, np.maximum(std, _STD_FLOOR))
-
-
-def normalize_global(f: FeatureMatrix, stats: NormalizationStats) -> FeatureMatrix:
-    if stats.mean.shape[0] != f.dim:
-        raise ShapeError(
-            f"stats dim {stats.mean.shape[0]} != feature dim {f.dim}"
-        )
-    return FeatureMatrix((f.frames - stats.mean) / stats.std, f.frame_shift,
-                         f.frame_length)
+    std = np.maximum(f.frames.std(axis=0), _STD_FLOOR)
+    return FeatureMatrix((f.frames - mean) / std, f.frame_shift, f.frame_length)
 
 
 def write_feature_file(path, f: FeatureMatrix) -> None:

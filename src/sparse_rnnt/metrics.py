@@ -75,14 +75,13 @@ def edit_alignment(reference: str, hypothesis: str) -> ErrorBreakdown:
     )
 
 
-def corpus_cer(pairs: list[tuple[str, str]]) -> ErrorBreakdown:
-    """Micro-averaged CER: error counts summed across all pairs."""
-    if not pairs:
-        raise ParameterError("corpus_cer requires at least one pair")
+def corpus_cer(breakdowns: list[ErrorBreakdown]) -> ErrorBreakdown:
+    """Micro-averaged CER: error counts summed across utterances' alignments."""
+    if not breakdowns:
+        raise ParameterError("corpus_cer requires at least one breakdown")
     dels = ins = subs = ref_len = 0
     any_empty = False
-    for ref, hyp in pairs:
-        b = edit_alignment(ref, hyp)
+    for b in breakdowns:
         dels += b.deletions
         ins += b.insertions
         subs += b.substitutions

@@ -5,18 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .attention import MaskPolicy, parse_policy
 from .encoder import check_fields, encode, subsampled_length
 from .errors import DataError, ParameterError
 from .frontend import (
     FeatureMatrix,
     Waveform,
-    compute_stats,
     frame_lengths,
     frame_start,
     frames_within,
     log_mel_spectrogram,
-    normalize_global,
+    normalize,
     read_feature_file,
     read_wav,
 )
@@ -61,6 +62,9 @@ class DecodeResult:
     text: str
     tokens: list[TimedToken]
     log_prob: float
+    # per encoded segment, what the observer returned on each layer
+    # (encoder.encode); empty without an observer
+    observed: list[list] = field(default_factory=list)
 
 
 def parse_segmentation(spec: str) -> SegmentationSpec:
@@ -129,9 +133,8 @@ def prepare_input(model, x: Waveform | FeatureMatrix, spec: SegmentationSpec):
             if whole is None:
                 # the filterbank size must match the model's input dimension
                 whole = log_mel_spectrogram(x, model.config.feat_dim)
-            f = FeatureMatrix(whole.frames[frames.start : frames.stop],
-                              whole.frame_shift, whole.frame_length)
-            f = normalize_global(f, compute_stats(f))
+            f = normalize(FeatureMatrix(whole.frames[frames.start : frames.stop],
+                                        whole.frame_shift, whole.frame_length))
         pieces.append((seg, f, frame_start(frames.start, x.sample_rate)))
     return pieces
 
@@ -140,24 +143,36 @@ def decode_prepared(model, prepared, opts: DecodeOptions, observe=None) -> Decod
     """Encode and decode the output of prepare_input; under doi
     segmentation, tokens are merged by core ownership. observe, if given,
     sees every layer's attention pass of each segment encoded, in order
-    (encoder.encode)."""
+    (encoder.encode), and what it returns is kept in the result's
+    `observed`. Like the encoder's, the decoder's overflow raises
+    DataError."""
     results = []
+    observed = []
     total_lp = 0.0
     for seg, f, start in prepared:
         tokens = []
         if f is not None:
-            enc_out, _ = encode(f, model, opts.policy, observe)
-            transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs)
+            enc_out, seen = encode(f, model, opts.policy, observe)
+            if observe is not None:
+                observed.append(seen)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    transcript = decode_with_srs(enc_out, model, opts.beam, opts.srs)
+                    total_lp += transcript.log_prob
+            except FloatingPointError as exc:
+                raise DataError(f"scores overflow the decoder ({exc})") from None
+            if not np.isfinite(total_lp):
+                raise DataError("scores overflow the decoder (its log-probability "
+                                "is not finite)")
             tokens = [TimedToken(tok, start + frame * enc_out.frame_rate)
                       for tok, frame in zip(transcript.token_ids, transcript.frames)]
-            total_lp += transcript.log_prob
         results.append((seg, tokens))
     if opts.segmentation.kind == "doi" and results:
         merged = doi_merge(results)
     else:
         merged = [t for _, toks in results for t in toks]
     text = model.config.vocab.render([t.token_id for t in merged])
-    return DecodeResult(text, merged, total_lp)
+    return DecodeResult(text, merged, total_lp, observed)
 
 
 def decode_file(model, path, opts: DecodeOptions, observe=None) -> DecodeResult:

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from conftest import tiny_config
-from sparse_rnnt import attention, cli, encoder
+from sparse_rnnt import attention, cli, encoder, metrics
 from sparse_rnnt.attention import format_sparsity_report, mask_stats, score_blocks
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, build_parser, main
 from sparse_rnnt.errors import DataError
 from sparse_rnnt.frontend import Waveform, frames_within, read_wav, write_wav
-from sparse_rnnt.model_io import load_model, random_model, save_model
+from sparse_rnnt.model_io import load_model, model_tensors, random_model, save_model
 from sparse_rnnt.pipeline import (
     DecodeOptions,
     decode_file,
@@ -444,8 +444,6 @@ class TestDecode:
                                             ("blocks.0.heads.1.w_k", np.inf)])
     def test_non_finite_model_tensor_exit_data(self, model_path, wav_path,
                                                tmp_path, capsys, name, value):
-        from sparse_rnnt.model_io import load_model, model_tensors, save_model
-
         model = load_model(model_path)
         model_tensors(model)[name][0, 0] = value
         bad = tmp_path / "bad.model"
@@ -571,6 +569,24 @@ class TestEval:
         assert "sub=1" in printed
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert [r["id"] for r in rows] == ["u1", "u2"]
+
+    def test_aligns_each_utterance_once(self, tmp_path, capsys, monkeypatch):
+        # the JSONL breakdowns and the summary come from one alignment each
+        refs, hyps, out = (tmp_path / f for f in ("refs.tsv", "hyps.tsv", "o.jsonl"))
+        refs.write_text("u1\thello\nu2\tworld\nu3\t\n")
+        hyps.write_text("u1\thello\nu2\twormd\nu3\tx\n")
+        calls = []
+
+        def spy(ref, hyp, real=metrics.edit_alignment):
+            calls.append((ref, hyp))
+            return real(ref, hyp)
+
+        monkeypatch.setattr(cli, "edit_alignment", spy)
+        monkeypatch.setattr(metrics, "edit_alignment", spy)
+        assert main(["eval", "--refs", str(refs), "--hyps", str(hyps),
+                     "--out", str(out)]) == EXIT_OK
+        assert calls == [("hello", "hello"), ("world", "wormd"), ("", "x")]
+        assert capsys.readouterr().out == "cer=0.200000 del=0 ins=1 sub=1 ref_len=10\n"
 
     def test_missing_hypothesis_exit_data(self, tmp_path):
         refs = tmp_path / "refs.tsv"
@@ -897,9 +913,10 @@ class TestSweep:
 
 
 class TestRejectedFiles:
-    """Malformed WAVs, model files and reference TSVs, and an unknown
-    segmentation: the exit code, one stderr line naming the fault (so no
-    traceback), and no `.tmp` file left behind."""
+    """Malformed WAVs, model files, model configs and reference TSVs, model
+    weights that overflow the decoder, and an unknown segmentation: the
+    exit code, one stderr line naming the fault (so no traceback), and no
+    `.tmp` file left behind."""
 
     def check(self, capsys, tmp_path, argv, code, message):
         assert main(argv) == code
@@ -912,20 +929,25 @@ class TestRejectedFiles:
         (lambda wav: wav[:28], "truncated WAV"),  # 8 of the fmt chunk's 16 bytes
         (lambda wav: wav[:20] + (3).to_bytes(2, "little") + wav[22:],  # IEEE float
          "malformed WAV (unknown format: 3)"),
-    ], ids=["empty", "riff-only", "short-fmt-chunk", "ieee-float"])
+        (lambda wav: wav[:24] + bytes(4) + wav[28:], "invalid sample rate 0"),
+    ], ids=["empty", "riff-only", "short-fmt-chunk", "ieee-float", "zero-rate"])
     def test_bad_wav_exit_io(self, model_path, wav_path, tmp_path, capsys, edit, message):
         bad, out = tmp_path / "bad.wav", tmp_path / "hyps.tsv"
         bad.write_bytes(edit(wav_path.read_bytes()))
         self.check(capsys, tmp_path, ["decode", "--model", str(model_path), str(bad),
                                       "--out", str(out)], EXIT_IO, f"error: {bad}: {message}\n")
-        assert out.read_text() == ""  # the lines of the inputs that decoded: none
+        # once its options, ids and model are valid, decode writes --out with
+        # the lines of the inputs that decoded: here none (README, CLI)
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("edit,message", [
         (None, "missing manifest separator"),  # the manifest alone
         (_set("magic", "sparse-rnnt-model-v2"), "not a sparse-rnnt-model-v1 file"),
         (lambda m: m["tensors"].append({"name": "extra", "shape": [1], "offset": 0}),
          "unexpected tensor 'extra'"),
-    ], ids=["no-separator", "other-magic", "extra-tensor"])
+        (_set("config", "vocab", "tokens", 1, 1),
+         "malformed manifest (ParameterError('vocabulary tokens must be strings'))"),
+    ], ids=["no-separator", "other-magic", "extra-tensor", "int-token"])
     def test_bad_model_exit_io(self, model_path, wav_path, tmp_path, capsys, edit, message):
         head, blob = model_path.read_bytes().split(b"\x00", 1)
         manifest = json.loads(head)
@@ -935,6 +957,35 @@ class TestRejectedFiles:
         bad.write_bytes(json.dumps(manifest).encode() + (b"\x00" + blob if edit else b""))
         self.check(capsys, tmp_path, ["decode", "--model", str(bad), str(wav_path),
                                       "--out", str(out)], EXIT_IO, f"i/o error: {bad}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,index,value,op", [
+        ("joint.out", (0, 0), 1e308, "subtract"),
+        ("joint.out_bias", (0,), -1e308, "subtract"),
+        ("joint.enc_proj", (0, 0), 1e308, "matmul"),
+    ])
+    def test_decoder_overflow_exit_data(self, model_path, wav_path, tmp_path, capsys,
+                                        name, index, value, op):
+        # finite weights, so the model loads, that overflow the decoder's
+        # scores: the decode fails as an encoder overflow does, never exit 0
+        # with a non-finite log_prob
+        model = load_model(model_path)
+        model_tensors(model)[name][index] = value
+        bad, out, detail = (tmp_path / f for f in ("bad.model", "hyps.tsv", "d.jsonl"))
+        save_model(model, bad)
+        self.check(capsys, tmp_path, ["decode", "--model", str(bad), str(wav_path),
+                                      "--beam", "2", "--out", str(out),
+                                      "--detail", str(detail)], EXIT_DATA,
+                   f"error: {wav_path}: scores overflow the decoder "
+                   f"(overflow encountered in {op})\n")
+        assert out.read_text() == detail.read_text() == ""
+
+    def test_non_string_vocabulary_config_exit_config(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "m.model"
+        cfg.write_text(json.dumps({"vocab": {"tokens": [1, 2, 3]}}))
+        self.check(capsys, tmp_path, ["gen-model", "--config", str(cfg), "--out", str(out)],
+                   EXIT_CONFIG, f"config error: {cfg}: bad model config "
+                                "(vocabulary tokens must be strings)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from sparse_rnnt import frontend
-from sparse_rnnt.errors import AudioFormatError, DataError, EmptyInputError, ShapeError
+from sparse_rnnt.errors import AudioFormatError, DataError, EmptyInputError
 from sparse_rnnt.frontend import (
     HOP,
     FeatureMatrix,
-    NormalizationStats,
     Waveform,
     atomic_output,
-    compute_stats,
     frame_lengths,
     frame_start,
     frames_within,
@@ -20,7 +18,7 @@ from sparse_rnnt.frontend import (
     log_mel_spectrogram,
     mel_filterbank,
     mel_to_hz,
-    normalize_global,
+    normalize,
     read_feature_file,
     read_wav,
     write_feature_file,
@@ -285,28 +283,24 @@ class TestMelFilterbank:
 class TestNormalization:
     def test_self_normalization(self, rng):
         f = FeatureMatrix(rng.normal(loc=3, scale=2, size=(50, 6)), 0.01, 0.025)
-        out = normalize_global(f, compute_stats(f))
+        out = normalize(f)
         assert np.max(np.abs(out.frames.mean(axis=0))) < 1e-9
         assert np.max(np.abs(out.frames.std(axis=0) - 1.0)) < 1e-6
 
-    def test_identity_stats(self, rng):
-        f = FeatureMatrix(rng.normal(size=(10, 4)), 0.01, 0.025)
-        out = normalize_global(f, NormalizationStats(np.zeros(4), np.ones(4)))
-        assert np.array_equal(out.frames, f.frames)
-
     def test_hand_case(self):
         f = FeatureMatrix(np.array([[1.0], [3.0]]), 0.01, 0.025)
-        out = normalize_global(f, NormalizationStats([2.0], [1.0]))
+        out = normalize(f)
         assert np.array_equal(out.frames, [[-1.0], [1.0]])
+        assert (out.frame_shift, out.frame_length) == (0.01, 0.025)
 
-    def test_dim_mismatch(self, rng):
-        f = FeatureMatrix(rng.normal(size=(10, 4)), 0.01, 0.025)
-        with pytest.raises(ShapeError):
-            normalize_global(f, NormalizationStats(np.zeros(5), np.ones(5)))
-
-    def test_nonpositive_std_rejected(self):
-        with pytest.raises(ShapeError):
-            NormalizationStats(np.zeros(2), np.array([1.0, 0.0]))
+    def test_constant_dimension_is_zero(self, rng):
+        # a constant dimension has std 0: the floor divides its deviations,
+        # all exactly 0 when its mean is exact, instead of making 0 / 0
+        frames = rng.normal(size=(40, 3))
+        frames[:, 1] = -23.0  # its sum over 40 frames is exact, so its mean is
+        out = normalize(FeatureMatrix(frames, 0.01, 0.025))
+        assert np.array_equal(out.frames[:, 1], np.zeros(40))
+        assert np.all(out.frames[:, [0, 2]] != 0.0)
 
 
 class TestFeatureFile:

@@ -1,5 +1,5 @@
-"""Fuzz `decode` over malformed inputs: every run must end in a documented
-exit code (0/2/3/4), never an escaped exception.
+"""Fuzz `decode` over malformed inputs and model weights: every run must
+end in a documented exit code (0/2/3/4), never an escaped exception.
 
 Each input starts from a valid file and is mutated, so the examples reach
 past the first format check. The examples are drawn deterministically (see
@@ -10,12 +10,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import tiny_config
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, main
 from sparse_rnnt.frontend import FeatureMatrix, Waveform, write_feature_file, write_wav
-from sparse_rnnt.model_io import random_model, save_model
+from sparse_rnnt.model_io import ModelConfig, model_tensors, random_model, save_model
 
 DOCUMENTED_EXITS = {EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_DATA}
 
@@ -30,6 +30,14 @@ FEATURE_TOKENS = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["", "x", "1e999", "0x10", "1_0"]),
 )
+# the desk model's tensor names by part (subsample, blocks, prediction,
+# joint), drawn part first so the decoder's 9 come up as often as the
+# encoder's 154
+DESK_TENSORS = sorted(model_tensors(random_model(ModelConfig.desk_scale(), 7)))
+TENSOR_NAMES = st.sampled_from(sorted({n.split(".")[0] for n in DESK_TENSORS})).flatmap(
+    lambda part: st.sampled_from([n for n in DESK_TENSORS if n.startswith(part + ".")]))
+WEIGHT_VALUES = st.sampled_from([1e308, -1e308, 1e200, -1e200, 1e10, -1e10,
+                                 np.nan, np.inf, -np.inf]) | st.floats()
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +50,11 @@ def files(tmp_path_factory):
     write_feature_file(d / "ok.feats",
                        FeatureMatrix(rng.normal(size=(24, cfg.feat_dim)), 0.01, 0.025))
     return d
+
+
+@pytest.fixture(scope="module")
+def desk():
+    return random_model(ModelConfig.desk_scale(), 7)
 
 
 def decode(model, path) -> None:
@@ -114,3 +127,27 @@ def test_model_manifest_json(files, data):
     path = files / "in.model"
     path.write_bytes(json.dumps(manifest).encode() + raw[sep:])
     decode(path, files / "ok.feats")
+
+
+@given(name=TENSOR_NAMES, position=st.integers(0, 1 << 16),
+       value=WEIGHT_VALUES)
+@example(name="joint.out", position=0, value=1e308)
+def test_model_weight(files, desk, name, position, value):
+    """One weight of the desk model, at `position` modulo its size, set to
+    `value`: the decode either fails as a data error or scores every
+    transcript finitely."""
+    weights = model_tensors(desk)[name].flat
+    index = position % len(weights)
+    old, weights[index] = weights[index], value
+    try:
+        save_model(desk, files / "w.model")
+    finally:
+        weights[index] = old
+    detail = files / "w.jsonl"
+    code = main(["decode", "--model", str(files / "w.model"), str(files / "ok.wav"),
+                 "--beam", "2", "--out", str(files / "w.tsv"), "--detail", str(detail)])
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_OK:
+        assert all(np.isfinite(json.loads(line)["log_prob"])
+                   for line in detail.read_text().splitlines())
+    assert not list(files.glob("*.tmp"))

@@ -94,18 +94,22 @@ class TestEditAlignment:
             assert d(s[0], s[2]) <= d(s[0], s[1]) + d(s[1], s[2])
 
 
+def aligned(pairs):
+    return [edit_alignment(ref, hyp) for ref, hyp in pairs]
+
+
 class TestCorpusCer:
     def test_all_correct(self):
-        assert corpus_cer([("abc", "abc"), ("d", "d")]).cer == 0.0
+        assert corpus_cer(aligned([("abc", "abc"), ("d", "d")])).cer == 0.0
 
     def test_duplication_invariance(self):
-        single = corpus_cer([("abcdefghij", "abcdefghi")])
-        multi = corpus_cer([("abcdefghij", "abcdefghi")] * 5)
+        single = corpus_cer(aligned([("abcdefghij", "abcdefghi")]))
+        multi = corpus_cer(aligned([("abcdefghij", "abcdefghi")] * 5))
         assert multi.cer == pytest.approx(single.cer)
 
     def test_micro_average_hand_case(self):
         pairs = [("aaaaa", "aaaab"), ("bbbbb", "bbbba")]
-        out = corpus_cer(pairs)
+        out = corpus_cer(aligned(pairs))
         assert out.cer == pytest.approx(0.2)
 
     def test_empty_rejected(self):

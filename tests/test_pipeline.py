@@ -10,14 +10,14 @@ from conftest import tiny_config
 from sparse_rnnt import pipeline
 from sparse_rnnt.attention import FUSION_AND, FUSION_OR, FUSION_PER_HEAD, MaskPolicy
 from sparse_rnnt.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
+from sparse_rnnt.encoder import subsampled_length
 from sparse_rnnt.errors import ParameterError
 from sparse_rnnt.frontend import (
     Waveform,
-    compute_stats,
     frame_lengths,
     frame_start,
     log_mel_spectrogram,
-    normalize_global,
+    normalize,
     write_wav,
 )
 from sparse_rnnt.model_io import ModelConfig, random_model, save_model
@@ -87,7 +87,7 @@ class TestFramedOnce:
             first = lo // hop
             assert np.array_equal(alone.frames,
                                   whole.frames[first : first + alone.num_frames])
-            want = normalize_global(alone, compute_stats(alone))
+            want = normalize(alone)
             assert np.array_equal(f.frames, want.frames)
 
     @pytest.mark.parametrize("sr", [11025, 22050])
@@ -116,6 +116,32 @@ class TestFramedOnce:
         assert main(["decode", "--model", str(model_path), str(wav),
                      "--segmentation", seg, "--out", str(out)]) == EXIT_OK
         assert out.read_text() == "short\t\n"
+
+
+class TestObserved:
+    """decode_file keeps what the observer returned, one entry per encoded
+    segment with one item per layer: what --stats formats."""
+
+    @pytest.mark.parametrize("seg", ["doi:20", "epd"])
+    def test_one_entry_per_encoded_segment(self, model, tmp_path, seg):
+        wav = tmp_path / "u.wav"
+        write_wav(wav, bursty(16000, 45.0))
+        opts = DecodeOptions(policy=parse_policy("local"), beam=1,
+                             segmentation=parse_segmentation(seg))
+        encoded = [f for _, f, _ in prepare_input(model, pipeline.read_input(wav),
+                                                  opts.segmentation) if f is not None]
+        assert len(encoded) > 1
+        inputs = []  # each layer's attention input, in order
+        res = decode_file(model, wav, opts,
+                          lambda z, *counts: inputs.append(z) or len(inputs))
+        L = len(model.blocks)
+        assert res.observed == [list(range(s * L + 1, s * L + L + 1))
+                                for s in range(len(encoded))]
+        assert [len(z) for z in inputs] == [
+            subsampled_length(f.num_frames, model.config.encoder)
+            for f in encoded for _ in range(L)]
+        plain = decode_file(model, wav, opts)
+        assert plain.observed == [] and plain.tokens == res.tokens
 
 
 class TestTimeBase:
